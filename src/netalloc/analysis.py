@@ -21,10 +21,16 @@ from .game import (
     GameSpec,
     PlayerId,
     check_feasible,
+    outcome_summary,
     social_welfare,
 )
 
 WEIGHT_MATCH_TOL = 1e-9
+
+# projected-gradient ascent: first trial step (times the budget scale) and
+# Dykstra sweeps per projection
+INITIAL_STEP = 1.0
+PROJECTION_SWEEPS = 25
 
 
 # -- rank-induced weights and the potential ----------------------------------
@@ -164,17 +170,8 @@ def partition_players(
     """Split players into (stable, active): stable players match every
     neighbor's proposal (empty win set) and have nothing to gain; the rest
     are still out-proposed somewhere."""
-    check_feasible(spec, profile)
-    stable, active = [], []
-    for i in range(spec.n):
-        if all(
-            profile.counts[(i, j)] >= profile.counts[(j, i)]
-            for j in spec.neighbors[i]
-        ):
-            stable.append(i)
-        else:
-            active.append(i)
-    return frozenset(stable), frozenset(active)
+    stable = outcome_summary(spec, profile).stable
+    return stable, frozenset(range(spec.n)) - stable
 
 
 def continuous_equilibrium_polish(
@@ -230,20 +227,11 @@ class SymmetricProfile:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    step_size: float = 1.0
     max_iters: int = 4000
     grad_tol: float = 1e-9
-    projection_iters: int = 25
-    seed: int = 1
 
     def __post_init__(self) -> None:
-        if (
-            self.step_size <= 0
-            or self.max_iters <= 0
-            or self.grad_tol <= 0
-            or self.projection_iters <= 0
-            or self.seed <= 0
-        ):
+        if self.max_iters <= 0 or self.grad_tol <= 0:
             raise ValueError("all optimizer parameters must be positive")
 
 
@@ -381,7 +369,7 @@ def global_optimum(spec: GameSpec, config: OptimizerConfig | None = None) -> Opt
         return g
 
     def project(v: np.ndarray) -> np.ndarray:
-        out = _dykstra_project(v, node_edges, budgets, config.projection_iters)
+        out = _dykstra_project(v, node_edges, budgets, PROJECTION_SWEEPS)
         return _repair_feasible(out, node_edges, budgets)
 
     x = np.empty(m)
@@ -393,7 +381,7 @@ def global_optimum(spec: GameSpec, config: OptimizerConfig | None = None) -> Opt
     fx = value(x)
     best_x, best_f = x.copy(), fx
     scale = max(1.0, beta_scale)
-    step = config.step_size * scale
+    step = INITIAL_STEP * scale
     max_step = 1e3 * scale
     min_step = max(config.grad_tol, 1e-13) * scale
     certified = False
@@ -513,28 +501,33 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _grid_reference_utilities(eps, beta) -> tuple[Fraction, Fraction]:
+    """Exact per-player utility of the skewed grid's high and low matched
+    reference profiles."""
+    e = _as_fraction(eps)
+    b = _as_fraction(beta)
+    half = Fraction(1, 2)
+    if not (0 < e < min(half, b / 2)):
+        raise ValueError(
+            f"eps must be in (0, min(1/2, beta/2)), got eps={eps} beta={beta}"
+        )
+    good = 2 * (half - e) * (b / 2 - e) * (b / 2 + e) + 2 * e * e * (b - e)
+    bad = 2 * e * (b / 2 - e) * (b / 2 + e) + 2 * (half - e) * e * (b - e)
+    return good, bad
+
+
 def poa_grid_ratio(eps, beta) -> float:
     """Closed-form welfare ratio of the skewed-grid family's two matched
     equilibria (high vs low), evaluated in exact rational arithmetic.
 
     Divergence as eps -> 0 is what makes the price of anarchy unbounded.
     """
-    e = _as_fraction(eps)
-    b = _as_fraction(beta)
-    if not (0 < e < b / 2):
-        raise ValueError(f"eps must be in (0, beta/2), got eps={eps} beta={beta}")
-    half = Fraction(1, 2)
-    good = 2 * (half - e) * (b / 2 - e) * (b / 2 + e) + 2 * e * e * (b - e)
-    bad = 2 * e * (b / 2 - e) * (b / 2 + e) + 2 * (half - e) * e * (b - e)
+    good, bad = _grid_reference_utilities(eps, beta)
     return float(good / bad)
 
 
 def grid_reference_welfare(eps, beta, n: int) -> tuple[float, float]:
     """Closed-form total welfare of the skewed grid's high/low reference
     profiles for n players (per-player utility times n)."""
-    e = _as_fraction(eps)
-    b = _as_fraction(beta)
-    half = Fraction(1, 2)
-    good = 2 * (half - e) * (b / 2 - e) * (b / 2 + e) + 2 * e * e * (b - e)
-    bad = 2 * e * (b / 2 - e) * (b / 2 + e) + 2 * (half - e) * e * (b - e)
+    good, bad = _grid_reference_utilities(eps, beta)
     return float(n * good), float(n * bad)

@@ -55,9 +55,10 @@ BRUTE_FORCE_LIMIT = 10_000_000
 class BRResult:
     """Outcome of one best-response computation.
 
-    ``proposals`` are per-neighbor amounts in eta units (ints when the input
-    profile is on the grid).  ``dual_level`` is the water level delta;
-    ``cap_duals`` carry the shadow price of each binding neighbor cap.
+    ``proposals`` are per-neighbor amounts in eta units (ints when the
+    player's caps are, see :func:`best_response`).  ``dual_level`` is the
+    water level delta; ``cap_duals`` carry the shadow price of each binding
+    neighbor cap.
     ``realized_utility`` is computed from the agreed amounts min(f_j, cap_j),
     not from the raw proposals, and ``slack_after`` is the budget (eta units)
     that ends up unrealized.
@@ -133,32 +134,48 @@ def quantize_allocation(
 ) -> list[int]:
     """Snap continuous targets to the eta grid without wasting quanta.
 
-    Floors every target, then hands leftover quanta one at a time to the
-    neighbor with the highest current weighted marginal whose cap (and the
-    budget) still allow another quantum.  Ties go to the lowest index; the
-    loop stops once every eligible marginal is zero.
+    Floors every target, then greedy-fills the leftover one quantum at a
+    time (see :func:`_greedy_fill`).
     """
-    deg = len(targets)
     alloc = [int(math.floor(t)) for t in targets]
+    _greedy_fill(alloc, caps_units, budget_units, eta, marginals, grid=True)
+    return alloc
+
+
+def _greedy_fill(
+    alloc: list,
+    caps_units: Sequence[float],
+    budget_units: float,
+    eta: float,
+    marginals: Sequence[tuple[float, UtilitySpec]],
+    grid: bool,
+) -> None:
+    """Pour leftover budget into ``alloc`` in place, always at the neighbor
+    with the highest current weighted marginal that still has room below its
+    cap (and the budget).  Each step places one quantum on the grid, and as
+    much as fits off it.  Ties go to the lowest index; the loop stops once
+    every eligible marginal is zero.  Off the grid only flat-marginal
+    families (linear) ever leave more than bisection dust here."""
     leftover = budget_units - sum(alloc)
-    while leftover > 0:
+    tiny = 0 if grid else 1e-12 * max(1.0, budget_units)
+    while leftover > tiny:
         best_k = -1
         best_score = 0.0
-        for k in range(deg):
-            if alloc[k] + 1 > caps_units[k]:
-                continue
-            w, u = marginals[k]
-            if w <= 0.0:
+        best_room = 0.0
+        for k, (w, u) in enumerate(marginals):
+            room = min(caps_units[k], budget_units) - alloc[k]
+            if (room < 1 if grid else room <= 0) or w <= 0.0:
                 continue
             score = w * u.marginal((alloc[k] + MARGINAL_SHIFT) * eta)
             if score > best_score:
                 best_score = score
                 best_k = k
+                best_room = room
         if best_k < 0:
             break
-        alloc[best_k] += 1
-        leftover -= 1
-    return alloc
+        take = 1 if grid else min(best_room, leftover)
+        alloc[best_k] += take
+        leftover -= take
 
 
 def _polish_exchanges(
@@ -219,77 +236,41 @@ def _polish_exchanges(
         alloc[dst] += 1
 
 
-def _greedy_fill_continuous(
-    alloc: list[float],
-    caps_units: Sequence[float],
-    budget_units: float,
-    eta: float,
-    marginals: Sequence[tuple[float, UtilitySpec]],
-) -> None:
-    """Continuous analog of the grid greedy: pour leftover budget into the
-    best-scoring neighbors up to their caps.  Only flat-marginal families
-    (linear) ever leave more than bisection dust here."""
-    deg = len(alloc)
-    leftover = budget_units - sum(alloc)
-    tiny = 1e-12 * max(1.0, budget_units)
-    while leftover > tiny:
-        best_k = -1
-        best_score = 0.0
-        for k in range(deg):
-            cap = caps_units[k] if caps_units[k] < budget_units else budget_units
-            if alloc[k] >= cap:
-                continue
-            w, u = marginals[k]
-            if w <= 0.0:
-                continue
-            score = w * u.marginal((alloc[k] + MARGINAL_SHIFT) * eta)
-            if score > best_score:
-                best_score = score
-                best_k = k
-        if best_k < 0:
-            break
-        cap = min(caps_units[best_k], budget_units)
-        take = min(cap - alloc[best_k], leftover)
-        alloc[best_k] += take
-        leftover -= take
-
-
 def best_response(
     spec: GameSpec,
     profile: FrequencyProfile,
     i: PlayerId,
     behavior: Behavior | None = None,
-    quantize: bool | None = None,
 ) -> BRResult:
     """Best response of player i against everyone else's standing proposals.
 
-    ``quantize`` defaults to whether the profile is on the integer grid;
-    analysis code passes real-valued profiles and gets the continuous
-    solution.  ``behavior`` defaults to the player's configured one.
+    Grid rule: the response is on the eta grid (``int`` proposals) exactly
+    when every cap ``profile.counts[(j, i)]`` is an ``int``; otherwise it is
+    the continuous solution, as analysis code wants for real-valued profiles.
+    ``behavior`` defaults to the player's configured one.
     """
     if behavior is None:
         behavior = spec.behaviors[i]
-    if quantize is None:
-        quantize = profile.is_integral()
     nbrs = spec.neighbors[i]
     budget = spec.budget_units(i)
+    caps = [profile.counts[(j, i)] for j in nbrs]
+    grid = all(isinstance(c, int) for c in caps)
     if not nbrs:
         return BRResult(
             proposals={},
             dual_level=0.0,
             cap_duals={},
             realized_utility=0.0,
-            slack_after=float(budget) if not quantize else budget,
+            slack_after=budget,
         )
 
     eta = spec.eta
     weights = [spec.weights[(i, j)] for j in nbrs]
     utils = [spec.utilities[(i, j)] for j in nbrs]
-    caps = [profile.counts[(j, i)] for j in nbrs]
     deg = len(nbrs)
 
     if budget <= 0:
-        zero = 0 if quantize else 0.0
+        zero = 0 if grid else 0.0
         return BRResult(
             proposals={j: zero for j in nbrs},
             dual_level=0.0,
@@ -301,19 +282,17 @@ def best_response(
     delta, targets = _water_fill(weights, utils, caps, budget, eta)
     marginals = list(zip(weights, utils))
 
-    if quantize:
-        grid_alloc = quantize_allocation(targets, caps, budget, eta, marginals)
-        _polish_exchanges(grid_alloc, caps, budget, eta, marginals)
-        alloc: list[float] = list(grid_alloc)
-        leftover = budget - sum(alloc)
+    if grid:
+        alloc = quantize_allocation(targets, caps, budget, eta, marginals)
+        _polish_exchanges(alloc, caps, budget, eta, marginals)
     else:
         alloc = list(targets)
-        _greedy_fill_continuous(alloc, caps, budget, eta, marginals)
-        leftover = budget - sum(alloc)
+        _greedy_fill(alloc, caps, budget, eta, marginals, grid=False)
+    leftover = budget - sum(alloc)
 
     # Cap matching: remaining budget parks on unmatched neighbors (utility
     # neutral; every positive-marginal quantum was already placed above).
-    if leftover > (0 if quantize else 1e-12 * budget):
+    if leftover > (0 if grid else 1e-12 * budget):
         for k in range(deg):
             if leftover <= 0:
                 break
@@ -329,7 +308,7 @@ def best_response(
     if behavior is Behavior.OPTIMISTIC and leftover > 0:
         lose = [k for k in range(deg) if alloc[k] >= caps[k]]
         if lose:
-            if quantize:
+            if grid:
                 for t in range(int(leftover)):
                     alloc[lose[t % len(lose)]] += 1
                 leftover = 0
@@ -456,9 +435,7 @@ def ideal_allocation(
     caps = [INF] * len(nbrs)
     _, targets = _water_fill(weights, utils, caps, budget, eta)
     alloc = list(targets)
-    _greedy_fill_continuous(
-        alloc, caps, budget, eta, list(zip(weights, utils))
-    )
+    _greedy_fill(alloc, caps, budget, eta, list(zip(weights, utils)), grid=False)
     value = sum(
         weights[k] * utils[k].value(alloc[k] * eta) for k in range(len(nbrs))
     )

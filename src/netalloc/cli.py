@@ -34,7 +34,7 @@ from .experiment import (
     write_summary_json,
     write_trace_jsonl,
 )
-from .game import social_welfare, validate_game
+from .game import InfeasibleProfileError, social_welfare, validate_game
 from .instances import (
     InstanceDocument,
     gen_k5_cycle_instance,
@@ -118,14 +118,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         suggested = doc.init_profile()
         policy = Given(suggested) if suggested is not None else Zero()
-    start = init_profile(spec, policy)
+    try:
+        start = init_profile(spec, policy)
+    except InfeasibleProfileError as exc:
+        print(f"validation: initial profile: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
     order = RoundRobin() if args.order == "rr" else RandomSeeded(args.seed)
-    mode = "sequential" if args.mode == "seq" else "simultaneous"
-    cfg = DynamicsConfig(
-        mode=mode, order=order, max_rounds=args.max_rounds, tol=args.tol
-    )
-    runner = run_sequential if mode == "sequential" else run_simultaneous
+    cfg = DynamicsConfig(order=order, max_rounds=args.max_rounds, tol=args.tol)
+    runner = run_sequential if args.mode == "seq" else run_simultaneous
     final, trace, status = runner(spec, start, cfg, ranking=doc.ranking_system())
 
     if args.trace_out:
@@ -156,12 +157,7 @@ def _cmd_optimum(args: argparse.Namespace) -> int:
     if doc is None:
         return EXIT_INVALID
     spec = doc.to_game_spec()
-    cfg = OptimizerConfig(
-        step_size=args.step_size,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        projection_iters=args.projection_iters,
-    )
+    cfg = OptimizerConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
     result = global_optimum(spec, cfg)
     print(
         f"optimum welfare={result.welfare!r} certified={result.certified} "
@@ -195,7 +191,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         seed=overrides.get("seed", args.seed),
         behavior=overrides.get("behavior", args.behavior),
         dynamics=DynamicsConfig(
-            mode="sequential",
             max_rounds=overrides.get("max_rounds", args.max_rounds),
             tol=overrides.get("tol", args.tol),
         ),
@@ -282,10 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimum", help="solve for the welfare optimum")
     opt.add_argument("--instance", required=True)
-    opt.add_argument("--step-size", type=float, default=1.0)
     opt.add_argument("--max-iters", type=int, default=4000)
     opt.add_argument("--grad-tol", type=float, default=1e-9)
-    opt.add_argument("--projection-iters", type=int, default=25)
     opt.add_argument("--out")
     opt.set_defaults(func=_cmd_optimum)
 

@@ -23,12 +23,10 @@ from .game import (
     GameSpec,
     PlayerId,
     check_feasible,
+    outcome_summary,
     player_utility,
     social_welfare,
 )
-
-SEQUENTIAL = "sequential"
-SIMULTANEOUS = "simultaneous"
 
 FULL_PROFILE_ROUNDS = 10_000  # past this, traces keep hashes + a tail window
 TAIL_PROFILES = 100
@@ -87,15 +85,14 @@ InitPolicy = Zero | RandomFeasible | Given
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    mode: str = SEQUENTIAL
+    """Settings shared by both runners (the runner called fixes the mode)."""
+
     order: OrderPolicy = RoundRobin()
     max_rounds: int = 1_000_000
     tol: float = 1e-9
     check_invariants: bool = True
 
     def __post_init__(self) -> None:
-        if self.mode not in (SEQUENTIAL, SIMULTANEOUS):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.tol < 0:
@@ -244,9 +241,10 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
 class _SeqState:
     """Incrementally maintained quantities for the sequential loop.
 
-    Only the mover's row changes per round, so realized totals, win-set sizes
-    and best-response statuses are patched for the mover and the neighbors
-    whose incoming proposal actually changed.
+    Starts from :func:`outcome_summary`.  Only the mover's row changes per
+    round, so per-player slack, win-set sizes and best-response statuses are
+    then patched for the mover and the neighbors whose incoming proposal
+    actually changed.
     """
 
     def __init__(self, spec: GameSpec, init: FrequencyProfile, tol: float):
@@ -254,21 +252,9 @@ class _SeqState:
         self.tol = tol
         self.counts = dict(init.counts)
         self.view = FrequencyProfile._wrap(self.counts)
-        self.budgets = [spec.budget_units(i) for i in range(spec.n)]
-        self.realized = [0] * spec.n
-        self.win_count = [0] * spec.n
-        for i in range(spec.n):
-            r = 0
-            w = 0
-            for j in spec.neighbors[i]:
-                cij = self.counts[(i, j)]
-                cji = self.counts[(j, i)]
-                r += cij if cij < cji else cji
-                if cij < cji:
-                    w += 1
-            self.realized[i] = r
-            self.win_count[i] = w
-        self.total_budget = sum(self.budgets)
+        summary = outcome_summary(spec, init)
+        self.slack = [summary.slack[i] for i in range(spec.n)]
+        self.win_count = [len(summary.win[i]) for i in range(spec.n)]
         # players that can still improve, with their (current) best response
         self.not_br: dict[int, BRResult] = {}
         for i in range(spec.n):
@@ -277,7 +263,7 @@ class _SeqState:
                 self.not_br[i] = br
 
     def total_slack(self) -> float:
-        return self.total_budget - sum(self.realized)
+        return sum(self.slack)
 
     def _status(self, i: int) -> tuple[bool, BRResult | None]:
         if self.win_count[i] == 0:
@@ -300,8 +286,8 @@ class _SeqState:
             new_a = new if new < cji else cji
             if new_a != old_a:
                 d = new_a - old_a
-                self.realized[mover] += d
-                self.realized[j] += d
+                self.slack[mover] -= d
+                self.slack[j] -= d
             if (old < cji) != (new < cji):
                 self.win_count[mover] += 1 if new < cji else -1
             if (cji < old) != (cji < new):
@@ -353,8 +339,6 @@ def run_sequential(
     potential to each round record.  ``trace_detail`` "light" skips profile
     snapshots and welfare, keeping slack/stable-set data for invariants.
     """
-    if config.mode != SEQUENTIAL:
-        raise ValueError("config.mode must be 'sequential'")
     if trace_detail not in ("full", "light"):
         raise ValueError(f"unknown trace detail {trace_detail!r}")
     check_feasible(spec, init)
@@ -406,8 +390,10 @@ def run_sequential(
     explicit_pos = 0
     rng = random.Random(order.seed) if isinstance(order, RandomSeeded) else None
     if isinstance(order, ExplicitList):
-        if set(order.order) < set(range(spec.n)):
-            raise ValueError("explicit order must cover every player")
+        if set(order.order) != set(range(spec.n)):
+            raise ValueError(
+                "explicit order must cover every player and name no other id"
+            )
 
     t = 0
     while state.not_br and t < config.max_rounds:
@@ -468,8 +454,6 @@ def run_simultaneous(
     Converges only at exact fixed points of the joint update; any revisit of
     an earlier integer profile is reported as a cycle (start, period).
     """
-    if config.mode != SIMULTANEOUS:
-        raise ValueError("config.mode must be 'simultaneous'")
     check_feasible(spec, init)
 
     potential_of = None
@@ -481,6 +465,7 @@ def run_simultaneous(
     trace = Trace()
 
     def record(t: int, profile: FrequencyProfile) -> None:
+        summary = outcome_summary(spec, profile)
         snapshot = profile if t < FULL_PROFILE_ROUNDS else None
         trace.tail_profiles.append((t, profile))
         trace.records.append(
@@ -489,7 +474,7 @@ def run_simultaneous(
                 mover=None if t == 0 else "all",
                 profile=snapshot if trace_detail == "full" else None,
                 profile_hash=profile_hash(spec, profile),
-                total_slack=_total_slack(spec, profile),
+                total_slack=summary.total_slack,
                 welfare=(
                     social_welfare(spec, profile)
                     if trace_detail == "full"
@@ -498,7 +483,7 @@ def run_simultaneous(
                 potential=(
                     potential_of(profile) if potential_of is not None else None
                 ),
-                stable_players=_stable_set(spec, profile),
+                stable_players=summary.stable,
             )
         )
 
@@ -550,26 +535,3 @@ def min_positive_utility_gain(spec: GameSpec, trace: Trace) -> float | None:
         if gain > 0 and (best is None or gain < best):
             best = gain
     return best
-
-
-def _total_slack(spec: GameSpec, profile: FrequencyProfile) -> float:
-    total = 0
-    for i in range(spec.n):
-        r = 0
-        for j in spec.neighbors[i]:
-            cij = profile.counts[(i, j)]
-            cji = profile.counts[(j, i)]
-            r += cij if cij < cji else cji
-        total += spec.budget_units(i) - r
-    return total
-
-
-def _stable_set(spec: GameSpec, profile: FrequencyProfile) -> frozenset[int]:
-    out = []
-    for i in range(spec.n):
-        if all(
-            profile.counts[(i, j)] >= profile.counts[(j, i)]
-            for j in spec.neighbors[i]
-        ):
-            out.append(i)
-    return frozenset(out)

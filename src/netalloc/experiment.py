@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import OptimizerConfig, global_optimum
+from .analysis import global_optimum
 from .dynamics import (
     Converged,
     DynamicsConfig,
@@ -38,7 +38,6 @@ class ExperimentConfig:
     behavior: str | None = None  # None: use the instance's per-player list
     dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
     bins: int = 40
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -142,7 +141,7 @@ def run_batch_experiment(
     """Sequential dynamics from ``runs`` random starts; ratios vs the
     instance's global optimum, binned over [min ratio, 1]."""
     spec = doc.to_game_spec(behavior_override=config.behavior)
-    opt = global_optimum(spec, config.optimizer)
+    opt = global_optimum(spec)
     opt_sw = opt.welfare
 
     tasks = [(r, config.seed + r) for r in range(config.runs)]

@@ -11,6 +11,11 @@ integers for simulation state, which makes feasibility, win/lose comparisons
 and cycle detection exact.  Analysis code is allowed to build profiles with
 fractional counts (e.g. convex combinations); everything here accepts those
 too and only the exactness guarantees weaken accordingly.
+
+Grid rule: player i plays on the eta grid exactly when every proposal made
+to i is an ``int``.  The best response of i is then an ``int`` allocation,
+so a profile of ints stays one under best-response play; any ``float``
+incoming proposal gets the continuous best response instead.
 """
 
 from __future__ import annotations
@@ -247,7 +252,11 @@ def check_feasible(spec: GameSpec, profile: FrequencyProfile) -> None:
     for i in range(spec.n):
         total = 0.0
         for j in spec.neighbors[i]:
-            c = profile.counts[(i, j)]
+            c = profile.counts.get((i, j))
+            if c is None:
+                raise InfeasibleProfileError(
+                    i, f"missing proposal from {i} to {j}"
+                )
             if c < 0:
                 raise InfeasibleProfileError(
                     i, f"negative proposal from {i} to {j}: {c}"
@@ -267,8 +276,10 @@ class OutcomeSummary:
 
     ``agreed`` maps each undirected edge to min(f_ij, f_ji); ``slack`` is the
     budget each player did not realize; ``win``/``lose`` split each player's
-    neighborhood by whether the player's own proposal is the binding one.
-    All amounts are in eta units.
+    neighborhood by whether the player's own proposal is the binding one;
+    ``stable`` holds the players with an empty win set.  All amounts are in
+    eta units.  This is the one whole-profile source of these quantities;
+    the sequential engine patches them per move from here.
     """
 
     agreed: dict[tuple[int, int], float]
@@ -276,6 +287,7 @@ class OutcomeSummary:
     total_slack: float
     win: dict[PlayerId, frozenset[int]]
     lose: dict[PlayerId, frozenset[int]]
+    stable: frozenset[PlayerId]
 
 
 def outcome_summary(spec: GameSpec, profile: FrequencyProfile) -> OutcomeSummary:
@@ -304,6 +316,7 @@ def outcome_summary(spec: GameSpec, profile: FrequencyProfile) -> OutcomeSummary
         total_slack=sum(slack.values()),
         win=win,
         lose=lose,
+        stable=frozenset(i for i in range(spec.n) if not win[i]),
     )
 
 

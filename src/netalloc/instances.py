@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import RankingSystem, global_ranking_weights
+from .analysis import RankingSystem, _as_fraction, global_ranking_weights
 from .game import Behavior, FrequencyProfile, GameSpec
 from .utility import UtilitySpec
 
@@ -261,7 +261,7 @@ def gen_k5_cycle_instance(eps: float) -> InstanceDocument:
     unconstrained optimum; from there the joint update keeps transposing the
     proposal matrix forever.
     """
-    e = _as_exact(eps)
+    e = _as_fraction(eps)
     if not (0 < e < Fraction(1, 4)):
         raise ValueError(f"eps must be in (0, 1/4), got {eps}")
     high = Fraction(1, 4) + e
@@ -333,8 +333,8 @@ def gen_poa_grid_instance(
     """
     if width < 3 or height < 3:
         raise ValueError("grid needs width and height >= 3")
-    e = _as_exact(eps)
-    b = _as_exact(beta)
+    e = _as_fraction(eps)
+    b = _as_fraction(beta)
     if not (0 < e < min(Fraction(1, 2), b / 2)):
         raise ValueError(f"eps must be in (0, min(1/2, beta/2)), got {eps}")
 
@@ -543,16 +543,6 @@ def gen_ranked_instance(
 
 
 # -- helpers ----------------------------------------------------------------------
-
-
-def _as_exact(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
 
 
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:

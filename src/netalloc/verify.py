@@ -36,7 +36,7 @@ def _check_k5_cycle() -> CheckResult:
     doc = instances.gen_k5_cycle_instance(0.05)
     spec = doc.to_game_spec()
     start = doc.init_profile()
-    cfg = DynamicsConfig(mode="simultaneous", max_rounds=50)
+    cfg = DynamicsConfig(max_rounds=50)
     _, trace, status = run_simultaneous(spec, start, cfg)
     if not isinstance(status, CycleDetected):
         return CheckResult("k5-cycle", False, f"no cycle: {status}")
@@ -84,7 +84,7 @@ def _check_potential_identity(n_instances: int = 6) -> CheckResult:
         spec = doc.to_game_spec()
         ranking = doc.ranking_system()
         init = init_profile(spec, RandomFeasible(k))
-        cfg = DynamicsConfig(mode="sequential", max_rounds=20_000)
+        cfg = DynamicsConfig(max_rounds=20_000)
         _, trace, status = run_sequential(spec, init, cfg, ranking=ranking)
         if not isinstance(status, Converged):
             return CheckResult(
@@ -198,7 +198,7 @@ def _check_matched_equilibria_convex() -> CheckResult:
         n=8, edge_prob=0.5, seed=4242, budget_units=30
     )
     spec = doc.to_game_spec()
-    cfg = DynamicsConfig(mode="sequential", max_rounds=50_000)
+    cfg = DynamicsConfig(max_rounds=50_000)
     equilibria = []
     for seed in range(6):
         init = init_profile(spec, RandomFeasible(seed))

@@ -63,7 +63,7 @@ def test_criterion_1_k5_simultaneous_cycle():
     spec = doc.to_game_spec()
     start = doc.init_profile()
     final, trace, status = run_simultaneous(
-        spec, start, DynamicsConfig(mode="simultaneous", max_rounds=100)
+        spec, start, DynamicsConfig(max_rounds=100)
     )
     assert status == CycleDetected(start=0, period=2)
     transposed = FrequencyProfile(

@@ -305,8 +305,6 @@ def test_global_optimum_dominates_dynamics_equilibria():
 
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(step_size=0.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
 
 
@@ -376,6 +374,8 @@ def test_poa_grid_ratio_exact():
         poa_grid_ratio(0.5, 1.0)
     with pytest.raises(ValueError):
         poa_grid_ratio(0.0, 1.0)
+    with pytest.raises(ValueError):
+        poa_grid_ratio(0.6, 2.0)  # vertical weight 1/2 - eps would be negative
 
 
 # -- player partition ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ def test_continuous_polish_removes_grid_slack():
     assert isinstance(status, Converged)
     settled = continuous_equilibrium_polish(spec, final)
     for i in range(spec.n):
-        br = best_response(spec, settled, i, quantize=False)
+        br = best_response(spec, settled, i)
         assert (
             br.realized_utility - player_utility(spec, settled, i) <= 1e-9
         )

@@ -70,6 +70,34 @@ def test_single_neighbor_pessimistic_vs_optimistic():
     assert opt.realized_utility == pess.realized_utility
 
 
+def test_grid_mode_follows_the_players_own_caps():
+    u = UtilitySpec.sqrt()
+    spec = make_spec(
+        3, 1.0, [(0, 1, 0.3, 1.0, u, u), (0, 2, 0.7, 1.0, u, u)], [5.0] * 3
+    )
+    # int caps to player 0 give a grid response even when the rest of the
+    # profile (here player 0's own row) holds floats
+    mixed = FrequencyProfile({(0, 1): 2.5, (0, 2): 2.5, (1, 0): 5, (2, 0): 5})
+    grid = best_response(spec, mixed, 0)
+    assert [type(c) for c in grid.proposals.values()] == [int, int]
+    assert sum(grid.proposals.values()) == 5
+    floats = FrequencyProfile({e: float(c) for e, c in mixed.counts.items()})
+    cont = best_response(spec, floats, 0)
+    assert [type(c) for c in cont.proposals.values()] == [float, float]
+    # sqrt water-filling splits the budget in proportion to squared weights
+    assert cont.proposals[1] == pytest.approx(5 * 0.09 / 0.58)
+
+
+def test_grid_best_responses_are_int_typed():
+    for seed in range(10):
+        doc = gen_random_instance(n=6, edge_prob=0.6, seed=seed, budget_units=30)
+        spec = doc.to_game_spec()
+        profile = init_profile(spec, RandomFeasible(seed))
+        for i in range(spec.n):
+            br = best_response(spec, profile, i)
+            assert all(type(c) is int for c in br.proposals.values())
+
+
 def test_no_neighbors_and_zero_budget():
     u = UtilitySpec.sqrt()
     spec = make_spec(2, 1.0, [(0, 1, 1.0, 1.0, u, u)], [0.0, 4.0])
@@ -133,6 +161,7 @@ def test_quantize_respects_caps_and_budget():
             targets, caps, budget, 0.1, list(zip(weights, utils))
         )
         assert sum(alloc) <= budget
+        assert all(type(a) is int for a in alloc)
         assert all(0 <= alloc[k] <= caps[k] for k in range(deg))
         assert all(alloc[k] >= math.floor(targets[k]) for k in range(deg))
 

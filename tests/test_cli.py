@@ -65,6 +65,18 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert "validation" in capsys.readouterr().err
 
 
+def test_simulate_missing_suggested_proposal_exit_code(tmp_path, capsys):
+    inst = tmp_path / "gap.json"
+    payload = gen_k5_cycle_instance(0.05).to_json_dict()
+    payload["suggested_init"] = [
+        row for row in payload["suggested_init"] if row[:2] != [0, 2]
+    ]
+    inst.write_text(json.dumps(payload))
+    code = main(["simulate", "--instance", str(inst)])
+    assert code == 4
+    assert "missing proposal from 0 to 2" in capsys.readouterr().err
+
+
 def test_optimum_command(tmp_path, capsys):
     inst = tmp_path / "t.json"
     main(

@@ -15,6 +15,7 @@ from netalloc.dynamics import (
     RandomSeeded,
     RoundRobin,
     Zero,
+    _SeqState,
     classify_equilibrium,
     init_profile,
     run_sequential,
@@ -23,6 +24,7 @@ from netalloc.dynamics import (
 from netalloc.game import (
     FrequencyProfile,
     InfeasibleProfileError,
+    outcome_summary,
     player_utility,
     social_welfare,
 )
@@ -112,6 +114,26 @@ def test_sequential_random_instances_converge_with_monotone_slack():
         assert not isinstance(classify_equilibrium(spec, final), NotEquilibrium)
 
 
+def test_incremental_state_matches_outcome_summary_after_every_move():
+    for seed in range(4):
+        doc = gen_random_instance(n=10, edge_prob=0.5, seed=70 + seed, budget_units=40)
+        spec = doc.to_game_spec()
+        state = _SeqState(spec, init_profile(spec, RandomFeasible(seed)), 1e-9)
+        moves = 0
+        while True:
+            s = outcome_summary(spec, state.view)
+            assert state.slack == [s.slack[i] for i in range(spec.n)]
+            assert state.win_count == [len(s.win[i]) for i in range(spec.n)]
+            assert state.stable_players() == s.stable
+            assert state.total_slack() == s.total_slack
+            if not state.not_br:
+                break
+            mover = min(state.not_br)
+            state.apply_move(mover, state.not_br[mover])
+            moves += 1
+        assert moves > 0
+
+
 def test_sequential_trace_round_indices_strictly_increase():
     doc = gen_random_instance(n=6, edge_prob=0.5, seed=3, budget_units=20)
     spec = doc.to_game_spec()
@@ -180,9 +202,10 @@ def test_sequential_orders_equivalent_convergence():
 
 def test_explicit_order_must_cover_players():
     spec = gen_random_instance(n=4, edge_prob=1.0, seed=2).to_game_spec()
-    cfg = DynamicsConfig(order=ExplicitList((0, 1)))
-    with pytest.raises(ValueError, match="cover"):
-        run_sequential(spec, init_profile(spec, Zero()), cfg)
+    for order in ((0, 1), (0, 1, 2, 9)):
+        cfg = DynamicsConfig(order=ExplicitList(order))
+        with pytest.raises(ValueError, match="cover"):
+            run_sequential(spec, init_profile(spec, Zero()), cfg)
 
 
 def test_max_rounds_exceeded_returns_trace():
@@ -214,7 +237,7 @@ def test_k5_simultaneous_cycle():
     spec = doc.to_game_spec()
     start = doc.init_profile()
     final, trace, status = run_simultaneous(
-        spec, start, DynamicsConfig(mode="simultaneous", max_rounds=100)
+        spec, start, DynamicsConfig(max_rounds=100)
     )
     assert status == CycleDetected(start=0, period=2)
     transposed = FrequencyProfile(
@@ -228,7 +251,7 @@ def test_simultaneous_fixed_point_at_matched_profile():
     spec = single_edge_spec(UtilitySpec.sqrt(), eta=1.0, budgets=(5.0, 5.0))
     matched = profile_of(spec, {0: {1: 3}, 1: {0: 3}})
     final, _, status = run_simultaneous(
-        spec, matched, DynamicsConfig(mode="simultaneous")
+        spec, matched, DynamicsConfig()
     )
     assert status == Converged(t=0)
     assert final == matched
@@ -238,22 +261,10 @@ def test_simultaneous_converges_from_pessimistic_equilibrium():
     doc, good, bad = gen_poa_grid_instance(4, 4, 0.1, 1.0)
     spec = doc.to_game_spec()
     final, _, status = run_simultaneous(
-        spec, bad, DynamicsConfig(mode="simultaneous")
+        spec, bad, DynamicsConfig()
     )
     assert status == Converged(t=0)
     assert final == bad
-
-
-def test_mode_mismatch_raises():
-    spec = single_edge_spec()
-    with pytest.raises(ValueError):
-        run_simultaneous(spec, init_profile(spec, Zero()), DynamicsConfig())
-    with pytest.raises(ValueError):
-        run_sequential(
-            spec,
-            init_profile(spec, Zero()),
-            DynamicsConfig(mode="simultaneous"),
-        )
 
 
 # -- classification ----------------------------------------------------------------

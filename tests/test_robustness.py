@@ -115,7 +115,7 @@ def test_simultaneous_sweep_terminates_with_classified_statuses():
         final, _, status = run_simultaneous(
             spec,
             init_profile(spec, RandomFeasible(seed)),
-            DynamicsConfig(mode="simultaneous", max_rounds=400),
+            DynamicsConfig(max_rounds=400),
         )
         seen.add(type(status))
         if isinstance(status, Converged):
