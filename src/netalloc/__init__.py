@@ -76,6 +76,7 @@ from .game import (
 from .instances import (
     EdgeSpec,
     InstanceDocument,
+    InstanceFormatError,
     gen_k5_cycle_instance,
     gen_poa_grid_instance,
     gen_random_instance,

@@ -27,11 +27,6 @@ from .game import (
 
 WEIGHT_MATCH_TOL = 1e-9
 
-# projected-gradient ascent: first trial step (times the budget scale) and
-# Dykstra sweeps per projection
-INITIAL_STEP = 1.0
-PROJECTION_SWEEPS = 25
-
 
 # -- rank-induced weights and the potential ----------------------------------
 
@@ -227,191 +222,418 @@ class SymmetricProfile:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """``max_iters`` caps the price sweeps; ``gap_tol`` is the relative
+    duality gap at which an optimum counts as certified."""
+
     max_iters: int = 4000
-    grad_tol: float = 1e-9
+    gap_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.max_iters <= 0 or self.grad_tol <= 0:
+        if self.max_iters <= 0 or self.gap_tol <= 0:
             raise ValueError("all optimizer parameters must be positive")
 
 
 @dataclass(frozen=True)
 class OptimumResult:
+    """A feasible matched profile, its welfare, and an upper bound on the
+    optimum (never below the welfare); ``iterations`` counts price sweeps.
+    ``certified`` holds exactly when upper_bound - welfare <= gap_tol *
+    max(1, welfare)."""
+
     profile: SymmetricProfile
     welfare: float
+    upper_bound: float
     certified: bool
     iterations: int
 
 
-def _project_budget_box(y: list[float], beta: float) -> list[float]:
-    """Euclidean projection onto {x >= 0, sum x <= beta} (closed form)."""
-    z = [v if v > 0.0 else 0.0 for v in y]
-    if sum(z) <= beta:
-        return z
-    if beta <= 0.0:
-        return [0.0] * len(y)
-    # active budget: threshold projection onto {x >= 0, sum x = beta}
-    u = sorted(y, reverse=True)
-    css = 0.0
-    tau = 0.0
-    for k, v in enumerate(u, start=1):
-        css += v
-        t = (css - beta) / k
-        if v - t > 0.0:
-            tau = t
-        else:
-            break
-    return [max(0.0, v - tau) for v in y]
+# Newton solves (node prices, edge demands) take their last step unchecked
+# once it is below NEWTON_TOL of the value, leaving an error of about its
+# square; a node price also counts as settled once its demand is within
+# PRICE_TOL of its budget
+NEWTON_TOL = 1e-7
+PRICE_TOL = 1e-12
+MAX_SOLVE_STEPS = 100
+# proximal weight of a flat edge, as a share of its slope over its box
+# (fastest of 0.01, 0.03, 0.1, 0.3 and 1 on random instances)
+FLAT_PROX = 0.1
+
+# utility term kinds; an edge's kind is its single term's, or SOLVED
+POWER, LOG, CAPPED, LINEAR, SOLVED = range(5)
+_SLOTS = ((LINEAR, 0), (POWER, 0), (POWER, 1), (LOG, 0), (CAPPED, 0), (CAPPED, 1))
 
 
-def _dykstra_project(
-    x: np.ndarray,
-    node_edges: list[list[int]],
-    budgets: list[float],
-    sweeps: int,
-) -> np.ndarray:
-    """Project onto the intersection of all per-node budget boxes by cyclic
-    Dykstra iterations (one correction vector per node constraint)."""
-    x = x.copy()
-    offsets: list[list[float]] = [[0.0] * len(idx) for idx in node_edges]
-    for _ in range(sweeps):
-        shift = 0.0
-        for i, idx in enumerate(node_edges):
-            if not idx:
-                continue
-            off = offsets[i]
-            y = [x[e] + off[k] for k, e in enumerate(idx)]
-            z = _project_budget_box(y, budgets[i])
-            for k, e in enumerate(idx):
-                moved = abs(z[k] - x[e])
-                if moved > shift:
-                    shift = moved
-                off[k] = y[k] - z[k]
-                x[e] = z[k]
-        if shift <= 1e-13 * max(1.0, max(budgets)):
-            break
-    np.maximum(x, 0.0, out=x)
-    return x
-
-
-def _repair_feasible(
-    x: np.ndarray, node_edges: list[list[int]], budgets: list[float]
-) -> np.ndarray:
-    """Scale any overfull node's incident edges down to exact feasibility.
-
-    Scaling only shrinks coordinates, so earlier nodes stay feasible; one
-    pass suffices.  Keeps value comparisons honest: Dykstra's truncated
-    projection can leave iterates slightly infeasible, which would otherwise
-    inflate their score and stall the ascent below the optimum.
-    """
-    for i, idx in enumerate(node_edges):
-        if not idx:
+def _edge_terms(sides) -> dict[tuple[int, float], float]:
+    """An edge objective sum w u(x) over its two sides as {(kind, parameter):
+    weight}, one entry per distinct function; zero weights drop out."""
+    terms: dict[tuple[int, float], float] = {}
+    for w, u in sides:
+        if w == 0.0:
             continue
-        total = sum(x[e] for e in idx)
-        if total > budgets[i] and total > 0.0:
-            factor = budgets[i] / total
-            for e in idx:
-                x[e] *= factor
-    return x
+        if u.family == "linear" or (u.family == "power" and u.a == 1.0):
+            key = (LINEAR, 0.0)
+        elif u.family in ("sqrt", "power"):
+            key = (POWER, 0.5 if u.family == "sqrt" else u.a)
+        elif u.family == "log1p":
+            key = (LOG, 0.0)
+        else:
+            key = (CAPPED, u.cap)
+        terms[key] = terms.get(key, 0.0) + w
+    return terms
 
 
-def global_optimum(spec: GameSpec, config: OptimizerConfig | None = None) -> OptimumResult:
-    """Maximize total welfare over symmetric matched profiles.
+class _Edges:
+    """Edge objectives f_e(x) = w_ij u_ij(x) + w_ji u_ji(x) of a list of
+    edges, evaluated with numpy.
 
-    The objective sum_e [w_ij u_ij(x_e) + w_ji u_ji(x_e)] is concave and the
-    feasible set is the intersection of per-node capped simplices, so
-    projected gradient ascent with a Dykstra projection converges.  The step
-    grows on strict progress and halves otherwise; once it collapses below
-    grad_tol (relative to the budget scale) no feasible ascent remains and
-    the result is certified.  Hitting max_iters first returns the best
-    iterate uncertified.  Restricting to matched profiles loses nothing:
-    match-down turns any profile into a matched one with identical welfare.
+    An objective is a sum of terms c x (linear and power-1 sides), c x^a
+    (sqrt is a = 1/2), c log1p(x) and c cq(x; cap) (capped quadratic).
+    ``terms`` holds one (kind, coefficients, parameters) slot per term an
+    edge may carry, zero where it has none.  ``box`` = min(beta_i, beta_j)
+    is the largest feasible amount; ``top`` <= box is where the objective
+    turns flat at slope 0 (an edge with only capped quadratics, past its
+    last peak).  An edge with a single non-linear term has that term's
+    ``kind`` and gets its demand in closed form; the rest are SOLVED by
+    Newton.  Among those, ``rho`` > 0 marks the flat ones: no power or log
+    term, so a positive slope persists past the caps and the demand is
+    set-valued at that price.
+    """
+
+    FIELDS = ("box", "top", "rho", "d0", "dtop", "kind", "w", "par")
+
+    def __init__(self, terms: list, fields: dict):
+        self.terms = terms
+        for name in self.FIELDS:
+            setattr(self, name, fields[name])
+
+    @staticmethod
+    def build(spec: GameSpec, edges: list[tuple[int, int]]) -> "_Edges":
+        m = len(edges)
+        coef = {slot: np.zeros(m) for slot in _SLOTS}
+        par = {slot: np.zeros(m) for slot in _SLOTS}
+        fields = {name: np.zeros(m) for name in _Edges.FIELDS}
+        kind = np.full(m, SOLVED)
+        for e, (i, j) in enumerate(edges):
+            terms = _edge_terms(
+                [
+                    (spec.weights[(i, j)], spec.utilities[(i, j)]),
+                    (spec.weights[(j, i)], spec.utilities[(j, i)]),
+                ]
+            )
+            used: dict[int, int] = {}
+            for (k, p), w in terms.items():
+                slot = (k, used.get(k, 0))
+                used[k] = slot[1] + 1
+                coef[slot][e], par[slot][e] = w, p
+            box = min(spec.budgets.get(i, 0.0), spec.budgets.get(j, 0.0))
+            slope = terms.get((LINEAR, 0.0), 0.0)
+            curved = POWER in used or LOG in used
+            fields["box"][e] = box
+            fields["top"][e] = (
+                min(box, max(p for (k, p) in terms) / 2)
+                if used and set(used) == {CAPPED}
+                else box
+            )
+            if not curved and slope > 0.0:
+                fields["rho"][e] = FLAT_PROX * slope / (box if box > 0 else 1.0)
+            fields["d0"][e] = math.inf if POWER in used else sum(
+                w * (p if k == CAPPED else 1.0) for (k, p), w in terms.items()
+            )
+            if len(terms) == 1 and LINEAR not in used:
+                ((k, p), w), = terms.items()
+                kind[e], fields["w"][e], fields["par"][e] = k, w, p
+        fields["kind"] = kind
+        out = _Edges(
+            [(k, coef[k, r], par[k, r]) for (k, r) in _SLOTS if coef[k, r].any()],
+            fields,
+        )
+        out.dtop = out.slopes(out.top)[0]
+        return out
+
+    def take(self, index) -> "_Edges":
+        return _Edges(
+            [(k, c[index], p[index]) for k, c, p in self.terms],
+            {name: getattr(self, name)[index] for name in self.FIELDS},
+        )
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        v = np.zeros_like(x)
+        for kind, c, p in self.terms:
+            if kind == LINEAR:
+                v += c * x
+            elif kind == POWER:
+                v += c * x**p
+            elif kind == LOG:
+                v += c * np.log1p(x)
+            else:
+                v += c * np.where(x >= 0.5 * p, 0.25 * p * p, x * (p - x))
+        return v
+
+    def slopes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f'(x) (the right derivative: ``d0`` at 0) and f''(x)."""
+        xs = np.where(x > 0.0, x, 1.0)
+        d1 = np.zeros_like(x)
+        d2 = np.zeros_like(x)
+        for kind, c, p in self.terms:
+            if kind == LINEAR:
+                d1 += c
+            elif kind == POWER:
+                t = c * p * xs ** (p - 1.0)
+                d1 += t
+                d2 += t * (p - 1.0) / xs
+            elif kind == LOG:
+                t = c / (1.0 + xs)
+                d1 += t
+                d2 -= t / (1.0 + xs)
+            else:
+                d1 += c * np.maximum(0.0, p - 2.0 * xs)
+                d2 -= 2.0 * c * (xs < 0.5 * p)
+        return np.where(x > 0.0, d1, self.d0), d2
+
+    def newton(self, p, x_warm, center):
+        """Demand of Newton-solved edges at price p, and its derivative in p.
+
+        The demand is the x in [0, top] where f'(x) - p - rho (x - center)
+        changes sign, from ``x_warm`` inside a sign-checked bracket.
+        """
+        top, rho = self.top, self.rho
+        at_zero = self.d0 - p + rho * center <= 0.0
+        at_top = ~at_zero & (self.dtop - p - rho * (top - center) >= 0.0)
+        free = ~(at_zero | at_top)
+        x = np.where(at_zero, 0.0, top)
+        if not free.any():
+            return x, np.zeros_like(p)
+        lo = np.zeros_like(p)
+        hi = top.copy()
+        xk = np.where((x_warm > 0.0) & (x_warm < top), x_warm, 0.5 * top)
+        for _ in range(MAX_SOLVE_STEPS):
+            d1, d2 = self.slopes(xk)
+            f = d1 - p - rho * (xk - center)
+            df = d2 - rho
+            lo = np.where(f > 0.0, xk, lo)
+            hi = np.where(f < 0.0, xk, hi)
+            xn = xk - f / df
+            inside = (xn > lo) & (xn < hi)
+            done = ~free | (f == 0.0) | (hi - lo <= 4e-16 * hi)
+            if np.all(done | (np.abs(xn - xk) <= NEWTON_TOL * xk)):
+                xk = np.where(done | ~inside, xk, xn)
+                break
+            xk = np.where(done, xk, np.where(inside, xn, 0.5 * (lo + hi)))
+        return np.where(free, xk, x), np.where(free, 1.0 / df, 0.0)
+
+
+def _colour_classes(spec: GameSpec) -> list[list[int]]:
+    """Greedy colouring, largest degree first; isolated players are left out
+    (their price stays 0)."""
+    colour: dict[int, int] = {}
+    for i in sorted(range(spec.n), key=lambda i: (-spec.degree(i), i)):
+        if not spec.neighbors[i]:
+            continue
+        used = {colour[j] for j in spec.neighbors[i] if j in colour}
+        c = 0
+        while c in used:
+            c += 1
+        colour[i] = c
+    classes: list[list[int]] = [[] for _ in set(colour.values())]
+    for i in sorted(colour):
+        classes[colour[i]].append(i)
+    return classes
+
+
+class _PriceClass:
+    """One colour class: players that share no edge, so their prices settle
+    independently and at once.  Holds the class's edges, ordered by kind."""
+
+    def __init__(self, nodes, objective: _Edges, ends, budgets):
+        nodes = np.asarray(nodes)
+        local = np.full(len(budgets), -1)
+        local[nodes] = np.arange(len(nodes))
+        at_i = np.flatnonzero(local[ends[0]] >= 0)
+        at_j = np.flatnonzero(local[ends[1]] >= 0)
+        index = np.concatenate([at_i, at_j])
+        order = np.argsort(objective.kind[index], kind="stable")
+        self.index = index[order]
+        self.own = local[np.concatenate([ends[0][at_i], ends[1][at_j]])[order]]
+        self.other = np.concatenate([ends[1][at_i], ends[0][at_j]])[order]
+        self.nodes = nodes
+        self.budget = budgets[nodes]
+        self.edges = edges = objective.take(self.index)
+        kinds = edges.kind
+        self.closed = [
+            (k, slice(np.searchsorted(kinds, k), np.searchsorted(kinds, k, "right")))
+            for k in (POWER, LOG, CAPPED)
+            if k in kinds
+        ]
+        start = np.searchsorted(kinds, SOLVED)
+        self.solved = slice(start, len(kinds)) if start < len(kinds) else None
+        self.solved_edges = edges.take(self.solved) if self.solved else None
+        with np.errstate(divide="ignore"):
+            self.w_par = edges.w * edges.par
+            self.expo = 1.0 / (edges.par - 1.0)
+        # price ceiling: above it every edge of the player wants at most
+        # budget/degree, so the player's demand fits its budget
+        degree = np.bincount(self.own, minlength=len(nodes))
+        share = (self.budget / np.maximum(degree, 1))[self.own]
+        box = edges.box
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = edges.slopes(np.minimum(share, box))[0]
+            need = np.where(box > share, slope + edges.rho * (box - share), 0.0)
+        self.ceiling = np.zeros(len(nodes))
+        np.maximum.at(self.ceiling, self.own, need)
+
+    def demand(self, p, x_warm, center):
+        """Each edge's demand at price p, and its derivative in p: the x in
+        [0, box] maximizing f(x) - p x, minus rho/2 (x - center)^2 on a
+        flat edge (which makes it unique; ``center`` is its last demand).
+        A single-term edge inverts its marginal in closed form."""
+        x = np.empty_like(p)
+        dxdp = np.zeros_like(p)
+        for kind, sl in self.closed:
+            ps = p[sl]
+            if kind == POWER:
+                xi = (ps / self.w_par[sl]) ** self.expo[sl]
+                slope = self.expo[sl] * xi / ps
+            elif kind == LOG:
+                xi = self.edges.w[sl] / ps - 1.0
+                slope = -(xi + 1.0) / ps
+            else:
+                xi = 0.5 * (self.edges.par[sl] - ps / self.edges.w[sl])
+                slope = -0.5 / self.edges.w[sl]
+            box = self.edges.box[sl]
+            x[sl] = np.minimum(np.maximum(xi, 0.0), box)
+            dxdp[sl] = np.where((xi > 0.0) & (xi < box), slope, 0.0)
+        if self.solved:
+            sl = self.solved
+            x[sl], dxdp[sl] = self.solved_edges.newton(p[sl], x_warm[sl], center[sl])
+        return x, dxdp
+
+    def settle(self, lam, x, center) -> None:
+        """Price each player so that its edges' demand meets its budget, or
+        0 if the demand at 0 fits (exact coordinate descent on the dual), by
+        Newton inside a sign-checked bracket; writes the prices into lam and
+        the demand into x."""
+        k = len(self.nodes)
+        own = self.own
+        base = lam[self.other]
+        x_warm = x[self.index]
+        x_center = center[self.index]
+        price = lam[self.nodes]
+        lo = np.zeros(k)
+        hi = self.ceiling.copy()
+        tried_zero = np.zeros(k, dtype=bool)
+        tol = PRICE_TOL * self.budget
+        for _ in range(MAX_SOLVE_STEPS):
+            xe, dxdp = self.demand(price[own] + base, x_warm, x_center)
+            excess = np.bincount(own, xe, k) - self.budget
+            at_zero = price == 0.0
+            tried_zero |= at_zero
+            lo = np.where(excess > 0.0, price, lo)
+            hi = np.where(excess < 0.0, price, hi)
+            done = (
+                (np.abs(excess) <= tol)
+                | (at_zero & (excess <= 0.0))
+                | (hi - lo <= 4e-16 * hi)
+            )
+            if done.all():
+                break
+            newton = price - excess / np.bincount(own, dxdp, k)
+            inside = (newton > lo) & (newton < hi)
+            move = np.where(done, 0.0, newton - price)
+            if np.all(done | (np.abs(move) <= NEWTON_TOL * price)):
+                # last step: move the demand along its derivative
+                move = np.where(inside, move, 0.0)
+                price = price + move
+                xe = np.clip(xe + dxdp * move[own], 0.0, self.edges.box)
+                break
+            guess = np.where(inside, newton, 0.5 * (lo + hi))
+            guess = np.where(~inside & (lo == 0.0) & ~tried_zero, 0.0, guess)
+            price = np.where(done, price, guess)
+            x_warm = xe
+        lam[self.nodes] = price
+        x[self.index] = xe
+
+
+def global_optimum(
+    spec: GameSpec, config: OptimizerConfig | None = None
+) -> OptimumResult:
+    """Maximize total welfare over symmetric matched profiles, with a
+    duality-gap certificate.
+
+    The problem, max sum_e f_e(x_e) with f_e = w_ij u_ij + w_ji u_ji over
+    x_e >= 0 and one budget row per player, is a network utility
+    maximization, solved by dual decomposition.  Each budget gets a price
+    lam_i >= 0; at prices lam, edge (i, j) demands the x in
+    [0, min(beta_i, beta_j)] maximizing f(x) - (lam_i + lam_j) x.  A sweep
+    settles the prices Gauss-Seidel over the colour classes of a greedy
+    colouring, each player at the price where its demand meets its budget
+    (0 if its demand at price 0 fits).
+    Flat edges (linear or power-1 utilities, alone or beside a saturated
+    capped quadratic) have set-valued demand; a proximal term centred on
+    their previous demand makes it unique (a proximal-point step per sweep).
+
+    After each sweep the dual function at lam, with each edge's maximum
+    bounded by the tangent at its demand, is an upper bound on the optimum
+    whatever the accuracy of the demand; the demand scaled down at every
+    overfull player is feasible, and its welfare a lower bound.  The best of
+    each is kept.  The sweeps stop once the gap is within gap_tol *
+    max(1, welfare) (``certified``) or after max_iters.  Restricting to
+    matched profiles loses nothing: match-down turns any profile into a
+    matched one with identical welfare.
     """
     if config is None:
         config = OptimizerConfig()
     edges = sorted(spec.edges)
     m = len(edges)
     if m == 0:
-        return OptimumResult(SymmetricProfile({}), 0.0, True, 0)
+        return OptimumResult(SymmetricProfile({}), 0.0, 0.0, True, 0)
 
-    pairs = [
-        (
-            spec.weights[(i, j)],
-            spec.utilities[(i, j)],
-            spec.weights[(j, i)],
-            spec.utilities[(j, i)],
-        )
-        for (i, j) in edges
+    n = spec.n
+    ends = (
+        np.array([i for i, _ in edges], dtype=np.int64),
+        np.array([j for _, j in edges], dtype=np.int64),
+    )
+    budgets = np.array([spec.budgets.get(i, 0.0) for i in range(n)])
+    objective = _Edges.build(spec, edges)
+    box = objective.box
+    classes = [
+        _PriceClass(nodes, objective, ends, budgets)
+        for nodes in _colour_classes(spec)
     ]
-    budgets = [spec.budgets.get(i, 0.0) for i in range(spec.n)]
-    node_edges: list[list[int]] = [[] for _ in range(spec.n)]
-    for e, (i, j) in enumerate(edges):
-        node_edges[i].append(e)
-        node_edges[j].append(e)
-
-    beta_scale = max(budgets) if budgets else 1.0
-    grad_eps = 1e-12 * max(1.0, beta_scale)
-
-    def value(x: np.ndarray) -> float:
-        total = 0.0
-        for e in range(m):
-            wa, ua, wb, ub = pairs[e]
-            xe = x[e]
-            total += wa * ua.value(xe) + wb * ub.value(xe)
-        return total
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        g = np.empty(m)
-        for e in range(m):
-            wa, ua, wb, ub = pairs[e]
-            xe = x[e] if x[e] > grad_eps else grad_eps
-            g[e] = wa * ua.marginal(xe) + wb * ub.marginal(xe)
-        return g
-
-    def project(v: np.ndarray) -> np.ndarray:
-        out = _dykstra_project(v, node_edges, budgets, PROJECTION_SWEEPS)
-        return _repair_feasible(out, node_edges, budgets)
-
-    x = np.empty(m)
-    for e, (i, j) in enumerate(edges):
-        cap_i = budgets[i] / max(1, len(node_edges[i]))
-        cap_j = budgets[j] / max(1, len(node_edges[j]))
-        x[e] = 0.5 * min(cap_i, cap_j)
-    x = project(x)
-    fx = value(x)
-    best_x, best_f = x.copy(), fx
-    scale = max(1.0, beta_scale)
-    step = INITIAL_STEP * scale
-    max_step = 1e3 * scale
-    min_step = max(config.grad_tol, 1e-13) * scale
+    lam = np.zeros(n)
+    x = np.zeros(m)
+    upper, lower, best = math.inf, -math.inf, x
     certified = False
     iterations = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for iterations in range(1, config.max_iters + 1):
+            center = x.copy()
+            for cls in classes:
+                cls.settle(lam, x, center)
 
-    # one trial step per iteration: strict progress grows the step, anything
-    # else halves it; a collapsed step means no feasible ascent remains
-    for it in range(1, config.max_iters + 1):
-        iterations = it
-        g = gradient(x)
-        y = project(x + step * g)
-        fy = float(value(y))
-        if fy > fx + 1e-15 * max(1.0, abs(fx)):
-            x, fx = y, fy
-            if fx > best_f:
-                best_f, best_x = fx, x.copy()
-            step = min(step * 1.3, max_step)
-        else:
-            step *= 0.5
-            if step < min_step:
+            price = lam[ends[0]] + lam[ends[1]]
+            gain = objective.slopes(x)[0] - price
+            tangent = np.maximum(
+                np.where(box > x, gain * (box - x), 0.0),
+                np.where(x > 0.0, -gain * x, 0.0),
+            )
+            dual = np.sum(objective.value(x) - price * x + tangent) + lam @ budgets
+            load = np.bincount(ends[0], x, n) + np.bincount(ends[1], x, n)
+            scale = np.where(load > budgets, budgets / load, 1.0)
+            feasible = x * np.minimum(scale[ends[0]], scale[ends[1]])
+            primal = float(np.sum(objective.value(feasible)))
+            upper = min(upper, float(dual))
+            if primal > lower:
+                lower, best = primal, feasible
+            if upper - lower <= config.gap_tol * max(1.0, lower):
                 certified = True
                 break
 
-    x = best_x  # feasible throughout: every iterate was repaired
-    sw = float(value(x))
-
-    amounts = {edges[e]: float(x[e]) for e in range(m)}
+    amounts = {edges[e]: float(best[e]) for e in range(m)}
     return OptimumResult(
         profile=SymmetricProfile(amounts),
-        welfare=sw,
+        welfare=lower,
+        # a gap closed exactly can leave the two sums a rounding apart
+        upper_bound=max(upper, lower),
         certified=certified,
         iterations=iterations,
     )

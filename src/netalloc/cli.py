@@ -34,9 +34,16 @@ from .experiment import (
     write_summary_json,
     write_trace_jsonl,
 )
-from .game import InfeasibleProfileError, social_welfare, validate_game
+from .game import (
+    GameSpec,
+    InfeasibleProfileError,
+    check_feasible,
+    social_welfare,
+    validate_game,
+)
 from .instances import (
     InstanceDocument,
+    InstanceFormatError,
     gen_k5_cycle_instance,
     gen_poa_grid_instance,
     gen_random_instance,
@@ -95,14 +102,37 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _profile_violations(doc: InstanceDocument, spec: GameSpec) -> list[str]:
+    """Check the document's listed profiles against its game: every
+    proposal on a directed edge, every directed edge covered, counts
+    non-negative and within budget."""
+    listed = []
+    if doc.suggested_init is not None:
+        listed.append(("suggested_init", doc.init_profile()))
+    for name in sorted(doc.reference_profiles or {}):
+        listed.append((f"reference profile {name!r}", doc.reference_profile(name)))
+    bad = []
+    for label, profile in listed:
+        try:
+            check_feasible(spec, profile)
+        except InfeasibleProfileError as exc:
+            bad.append(f"{label}: {exc}")
+    return bad
+
+
 def _load_valid_instance(path: str) -> InstanceDocument | None:
-    doc = InstanceDocument.load(path)
-    report = validate_game(doc.to_game_spec())
-    if not report.ok:
-        for v in report.violations:
-            print(f"validation: {v}", file=sys.stderr)
+    try:
+        doc = InstanceDocument.load(path)
+    except InstanceFormatError as exc:
+        print(f"validation: {exc}", file=sys.stderr)
         return None
-    return doc
+    spec = doc.to_game_spec()
+    violations = list(validate_game(spec).violations)
+    if not violations:
+        violations = _profile_violations(doc, spec)
+    for v in violations:
+        print(f"validation: {v}", file=sys.stderr)
+    return None if violations else doc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -118,11 +148,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         suggested = doc.init_profile()
         policy = Given(suggested) if suggested is not None else Zero()
-    try:
-        start = init_profile(spec, policy)
-    except InfeasibleProfileError as exc:
-        print(f"validation: initial profile: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    start = init_profile(spec, policy)
 
     order = RoundRobin() if args.order == "rr" else RandomSeeded(args.seed)
     cfg = DynamicsConfig(order=order, max_rounds=args.max_rounds, tol=args.tol)
@@ -157,15 +183,20 @@ def _cmd_optimum(args: argparse.Namespace) -> int:
     if doc is None:
         return EXIT_INVALID
     spec = doc.to_game_spec()
-    cfg = OptimizerConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
+    cfg = OptimizerConfig(max_iters=args.max_iters, gap_tol=args.gap_tol)
     result = global_optimum(spec, cfg)
+    # relative duality gap, the quantity --gap-tol bounds
+    gap = (result.upper_bound - result.welfare) / max(1.0, result.welfare)
     print(
-        f"optimum welfare={result.welfare!r} certified={result.certified} "
+        f"optimum welfare={result.welfare!r} upper_bound={result.upper_bound!r} "
+        f"gap={gap:.3e} certified={result.certified} "
         f"iterations={result.iterations}"
     )
     if args.out:
         payload = {
             "welfare": result.welfare,
+            "upper_bound": result.upper_bound,
+            "gap": gap,
             "certified": result.certified,
             "iterations": result.iterations,
             "amounts": [
@@ -278,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt = sub.add_parser("optimum", help="solve for the welfare optimum")
     opt.add_argument("--instance", required=True)
     opt.add_argument("--max-iters", type=int, default=4000)
-    opt.add_argument("--grad-tol", type=float, default=1e-9)
+    opt.add_argument("--gap-tol", type=float, default=1e-9)
     opt.add_argument("--out")
     opt.set_defaults(func=_cmd_optimum)
 

@@ -29,6 +29,78 @@ from .game import Behavior, FrequencyProfile, GameSpec
 from .utility import UtilitySpec
 
 
+# -- document parsing ----------------------------------------------------------
+
+
+class InstanceFormatError(ValueError):
+    """An instance document lacks a required key or holds a value of the
+    wrong type; the message names the key."""
+
+
+_NUMBER = (int, float)
+_KIND_NAMES = {int: "an integer", _NUMBER: "a number", str: "a string",
+               list: "a list", dict: "a JSON object"}
+
+
+def _is(value, kind) -> bool:
+    """JSON type check; true/false are not numbers here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _field(obj: dict, key: str, kind, where: str = ""):
+    """obj[key], which must be present and of the given type."""
+    at = f"{where}: " if where else ""
+    if key not in obj:
+        raise InstanceFormatError(f"{at}missing required key {key!r}")
+    value = obj[key]
+    if not _is(value, kind):
+        raise InstanceFormatError(
+            f"{at}key {key!r} must be {_KIND_NAMES[kind]}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _entries(doc: dict, key: str, kind, n: int) -> tuple:
+    """A list of one value of the given type per player."""
+    values = _field(doc, key, list)
+    if len(values) != n:
+        raise InstanceFormatError(
+            f"key {key!r} must have one entry per player ({n}), "
+            f"got {len(values)}"
+        )
+    for k, v in enumerate(values):
+        if not _is(v, kind):
+            raise InstanceFormatError(
+                f"{key}[{k}] must be {_KIND_NAMES[kind]}, got {type(v).__name__}"
+            )
+    return tuple(values)
+
+
+def _utility(edge: dict, key: str, where: str) -> UtilitySpec:
+    data = _field(edge, key, dict, where)
+    _field(data, "family", str, f"{where}.{key}")
+    try:
+        return UtilitySpec.from_json(data)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{where}.{key}: {exc}") from exc
+
+
+def _rows(rows, where: str) -> tuple[tuple[int, int, int], ...]:
+    """A profile listing: [i, j, count] rows of integers."""
+    if not isinstance(rows, list):
+        raise InstanceFormatError(f"{where} must be a list of [i, j, count] rows")
+    for k, row in enumerate(rows):
+        if not (
+            isinstance(row, list) and len(row) == 3 and all(_is(v, int) for v in row)
+        ):
+            raise InstanceFormatError(
+                f"{where}[{k}] must be an [i, j, count] row of integers, "
+                f"got {row!r}"
+            )
+    return tuple(tuple(row) for row in rows)
+
+
 @dataclass(frozen=True)
 class EdgeSpec:
     i: int
@@ -137,32 +209,52 @@ class InstanceDocument:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "InstanceDocument":
-        edges = tuple(
-            EdgeSpec(
-                i=e["i"],
-                j=e["j"],
-                w_ij=e["w_ij"],
-                w_ji=e["w_ji"],
-                utility_ij=UtilitySpec.from_json(e["utility_ij"]),
-                utility_ji=UtilitySpec.from_json(e["utility_ji"]),
+        """Parse a document; a missing key or a value of the wrong type
+        raises InstanceFormatError naming it."""
+        if not isinstance(doc, dict):
+            raise InstanceFormatError("an instance document must be a JSON object")
+        n = _field(doc, "n", int)
+        eta = _field(doc, "eta", _NUMBER)
+        budgets = _entries(doc, "budgets", _NUMBER, n)
+        behaviors = _entries(doc, "behaviors", str, n)
+        for k, b in enumerate(behaviors):
+            if b not in ("pessimistic", "optimistic"):
+                raise InstanceFormatError(
+                    f"behaviors[{k}] must be 'pessimistic' or 'optimistic', "
+                    f"got {b!r}"
+                )
+        edges = []
+        for k, e in enumerate(_field(doc, "edges", list)):
+            where = f"edges[{k}]"
+            if not isinstance(e, dict):
+                raise InstanceFormatError(f"{where} must be a JSON object")
+            edges.append(
+                EdgeSpec(
+                    i=_field(e, "i", int, where),
+                    j=_field(e, "j", int, where),
+                    w_ij=_field(e, "w_ij", _NUMBER, where),
+                    w_ji=_field(e, "w_ji", _NUMBER, where),
+                    utility_ij=_utility(e, "utility_ij", where),
+                    utility_ji=_utility(e, "utility_ji", where),
+                )
             )
-            for e in doc["edges"]
-        )
         refs = None
         if "reference_profiles" in doc:
             refs = {
-                name: tuple(tuple(t) for t in prof)
-                for name, prof in doc["reference_profiles"].items()
+                name: _rows(prof, f"reference_profiles[{name!r}]")
+                for name, prof in _field(doc, "reference_profiles", dict).items()
             }
         return InstanceDocument(
-            n=doc["n"],
-            eta=doc["eta"],
-            budgets=tuple(doc["budgets"]),
-            behaviors=tuple(doc["behaviors"]),
-            edges=edges,
-            ranking=tuple(doc["ranking"]) if "ranking" in doc else None,
+            n=n,
+            eta=eta,
+            budgets=budgets,
+            behaviors=behaviors,
+            edges=tuple(edges),
+            ranking=(
+                _entries(doc, "ranking", int, n) if "ranking" in doc else None
+            ),
             suggested_init=(
-                tuple(tuple(t) for t in doc["suggested_init"])
+                _rows(doc["suggested_init"], "suggested_init")
                 if "suggested_init" in doc
                 else None
             ),
@@ -176,9 +268,11 @@ class InstanceDocument:
 
     @staticmethod
     def load(path: str | Path) -> "InstanceDocument":
-        return InstanceDocument.from_json_dict(
-            json.loads(Path(path).read_text(encoding="utf-8"))
-        )
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+        return InstanceDocument.from_json_dict(doc)
 
 
 # -- torus grid ----------------------------------------------------------------

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import make_spec, profile_of, single_edge_spec, triangle_doc
@@ -28,14 +32,14 @@ from netalloc.dynamics import (
     init_profile,
     run_sequential,
 )
-from netalloc.game import FrequencyProfile, social_welfare
+from netalloc.game import FrequencyProfile, check_feasible, social_welfare
 from netalloc.instances import (
     gen_k5_cycle_instance,
     gen_poa_grid_instance,
     gen_random_instance,
     gen_ranked_instance,
 )
-from netalloc.utility import UtilitySpec
+from netalloc.utility import FAMILIES, UtilitySpec
 
 
 # -- rank-induced weights ------------------------------------------------------
@@ -306,6 +310,101 @@ def test_global_optimum_dominates_dynamics_equilibria():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(gap_tol=0.0)
+
+
+def test_global_optimum_reaches_mixed_family_optimum():
+    # optimum 2.952970040 by SLSQP; 2.952918595 must not pass as certified
+    doc = gen_random_instance(n=7, edge_prob=0.5, seed=40003, budget_units=20)
+    opt = global_optimum(doc.to_game_spec())
+    assert opt.certified
+    assert opt.welfare >= 2.95297
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, None])
+def test_global_optimum_certificate_brackets_the_optimum(family):
+    gap_tol = OptimizerConfig().gap_tol
+    for seed in (11, 12):
+        doc = gen_random_instance(
+            n=7, edge_prob=0.5, seed=seed, budget_units=10, family=family
+        )
+        spec = doc.to_game_spec()
+        opt = global_optimum(spec)
+        assert opt.certified
+        assert opt.welfare <= opt.upper_bound
+        assert opt.upper_bound <= opt.welfare + gap_tol * max(1.0, opt.welfare)
+        check_feasible(spec, opt.profile.to_profile(spec))
+        for s in range(3):
+            final, _, status = run_sequential(
+                spec, init_profile(spec, RandomFeasible(s)), DynamicsConfig()
+            )
+            assert isinstance(status, Converged)
+            # an equilibrium can be optimal: allow the bound's rounding
+            sw = social_welfare(spec, final)
+            assert sw <= opt.upper_bound + 1e-12 * max(1.0, sw)
+
+
+def _slsqp_welfare(spec):
+    """Reference optimum by scipy's SLSQP on the same edge problem."""
+    from scipy.optimize import minimize
+
+    edges = sorted(spec.edges)
+    sides = [
+        (spec.weights[(i, j)], spec.utilities[(i, j)],
+         spec.weights[(j, i)], spec.utilities[(j, i)])
+        for (i, j) in edges
+    ]
+    rows = np.zeros((spec.n, len(edges)))
+    for e, (i, j) in enumerate(edges):
+        rows[i, e] = rows[j, e] = 1.0
+    budgets = np.array([spec.budgets[i] for i in range(spec.n)])
+
+    def loss(x):
+        return -sum(wa * ua.value(v) + wb * ub.value(v)
+                    for (wa, ua, wb, ub), v in zip(sides, x))
+
+    def grad(x):
+        return -np.array([wa * ua.marginal(v) + wb * ub.marginal(v)
+                          for (wa, ua, wb, ub), v in zip(sides, x)])
+
+    start = np.full(len(edges), 0.5 * budgets.min() / rows.sum(axis=1).max())
+    res = minimize(
+        loss, start, jac=grad, method="SLSQP",
+        bounds=[(1e-12, None)] * len(edges),
+        constraints=[{"type": "ineq", "fun": lambda x: budgets - rows @ x,
+                      "jac": lambda x: -rows}],
+        options={"ftol": 1e-14, "maxiter": 1000},
+    )
+    assert res.success, res.message
+    return -res.fun
+
+
+@pytest.mark.parametrize(
+    "family, seed", [("log1p", 2), ("power", 3), ("sqrt", 4)]
+)
+def test_global_optimum_agrees_with_slsqp(family, seed):
+    pytest.importorskip("scipy")
+    doc = gen_random_instance(
+        n=6, edge_prob=0.6, seed=seed, budget_units=20, family=family
+    )
+    spec = doc.to_game_spec()
+    opt = global_optimum(spec)
+    reference = _slsqp_welfare(spec)
+    scale = max(1.0, reference)
+    # SLSQP may overshoot by its own feasibility tolerance
+    assert reference <= opt.upper_bound + 1e-9 * scale
+    assert opt.welfare >= reference - 2e-9 * scale
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, netalloc; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == "False"
 
 
 # -- brute-force optimum -------------------------------------------------------------------

@@ -1,7 +1,20 @@
 import json
 
+import pytest
+
 from netalloc.cli import main
-from netalloc.instances import InstanceDocument, gen_k5_cycle_instance
+from netalloc.instances import (
+    InstanceDocument,
+    gen_k5_cycle_instance,
+    gen_poa_grid_instance,
+)
+
+
+def _run_on(command, inst, tmp_path):
+    args = [command, "--instance", str(inst)]
+    if command == "experiment":
+        args += ["--runs", "2", "--out-prefix", str(tmp_path / "exp")]
+    return main(args)
 
 
 def test_gen_and_simulate_k5_cycle(tmp_path, capsys):
@@ -77,6 +90,62 @@ def test_simulate_missing_suggested_proposal_exit_code(tmp_path, capsys):
     assert "missing proposal from 0 to 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimum", "experiment"])
+def test_missing_key_exit_code(tmp_path, capsys, command):
+    inst = tmp_path / "short.json"
+    inst.write_text(
+        json.dumps(
+            {"n": 2, "eta": 1.0, "budgets": [1, 1], "behaviors": ["optimistic"] * 2}
+        )
+    )
+    assert _run_on(command, inst, tmp_path) == 4
+    assert "validation: missing required key 'edges'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimum", "experiment"])
+def test_listed_profile_off_the_edges_exit_code(tmp_path, capsys, command):
+    inst = tmp_path / "stray.json"
+    payload = gen_k5_cycle_instance(0.05).to_json_dict()
+    payload["suggested_init"].append([0, 7, 1])
+    inst.write_text(json.dumps(payload))
+    assert _run_on(command, inst, tmp_path) == 4
+    assert "suggested_init: proposal on non-edge (0, 7)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["optimum", "experiment"])
+def test_reference_profile_over_budget_exit_code(tmp_path, capsys, command):
+    inst = tmp_path / "over.json"
+    doc, _, _ = gen_poa_grid_instance(3, 3, 0.1, 1.0)
+    payload = doc.to_json_dict()
+    payload["reference_profiles"]["good"][0][2] = 10**6
+    inst.write_text(json.dumps(payload))
+    assert _run_on(command, inst, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "validation: reference profile 'good': player 0 proposes" in err
+
+
+@pytest.mark.parametrize("command", ["optimum", "experiment"])
+def test_reference_profile_missing_proposal_exit_code(tmp_path, capsys, command):
+    inst = tmp_path / "gap.json"
+    doc, _, _ = gen_poa_grid_instance(3, 3, 0.1, 1.0)
+    payload = doc.to_json_dict()
+    payload["reference_profiles"]["bad"].pop()
+    inst.write_text(json.dumps(payload))
+    assert _run_on(command, inst, tmp_path) == 4
+    assert "reference profile 'bad': missing proposal" in capsys.readouterr().err
+
+
+def test_fractional_listed_count_exit_code(tmp_path, capsys):
+    inst = tmp_path / "frac.json"
+    payload = gen_k5_cycle_instance(0.05).to_json_dict()
+    payload["suggested_init"][0][2] = 0.5
+    inst.write_text(json.dumps(payload))
+    assert _run_on("optimum", inst, tmp_path) == 4
+    assert "suggested_init[0] must be an [i, j, count] row of integers" in (
+        capsys.readouterr().err
+    )
+
+
 def test_optimum_command(tmp_path, capsys):
     inst = tmp_path / "t.json"
     main(
@@ -91,6 +160,9 @@ def test_optimum_command(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["welfare"] > 0
     assert len(payload["amounts"]) == 18
+    assert payload["certified"]
+    assert payload["welfare"] <= payload["upper_bound"]
+    assert 0.0 <= payload["gap"] <= 1e-9
 
 
 def test_experiment_command(tmp_path, capsys):

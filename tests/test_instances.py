@@ -7,6 +7,7 @@ from netalloc.dynamics import PessimisticNE, classify_equilibrium
 from netalloc.game import outcome_summary, social_welfare, validate_game
 from netalloc.instances import (
     InstanceDocument,
+    InstanceFormatError,
     gen_k5_cycle_instance,
     gen_poa_grid_instance,
     gen_random_instance,
@@ -205,6 +206,74 @@ def test_round_trip_bit_exact(tmp_path, doc):
     again.save(doc2_path)
     assert path.read_text() == doc2_path.read_text()
     assert validate_game(again.to_game_spec()).ok
+
+
+def _k5_payload():
+    return gen_k5_cycle_instance(0.05).to_json_dict()
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _set(path, value):
+    def edit(doc):
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop("edges"), "missing required key 'edges'"),
+        (_drop("eta"), "missing required key 'eta'"),
+        (_set(["edges"], 5), "key 'edges' must be a list, got int"),
+        (_set(["n"], "5"), "key 'n' must be an integer, got str"),
+        (_set(["n"], True), "key 'n' must be an integer, got bool"),
+        (_set(["budgets"], [20, 20]), "'budgets' must have one entry per player (5)"),
+        (_set(["budgets", 1], None), "budgets[1] must be a number, got NoneType"),
+        (_set(["behaviors", 0], "greedy"), "behaviors[0] must be 'pessimistic'"),
+        (_set(["edges", 2, "w_ij"], "0.3"), "edges[2]: key 'w_ij' must be a number"),
+        (
+            _set(["edges", 0, "utility_ji"], {}),
+            "edges[0].utility_ji: missing required key 'family'",
+        ),
+        (
+            _set(["edges", 0, "utility_ij"], {"family": "cubic"}),
+            "edges[0].utility_ij: unknown utility family",
+        ),
+        (
+            _set(["suggested_init", 3], [0, 1]),
+            "suggested_init[3] must be an [i, j, count] row",
+        ),
+        (
+            _set(["reference_profiles"], {"x": 1}),
+            "reference_profiles['x'] must be a list",
+        ),
+    ],
+)
+def test_from_json_dict_names_the_bad_key(edit, message):
+    doc = _k5_payload()
+    edit(doc)
+    with pytest.raises(InstanceFormatError) as err:
+        InstanceDocument.from_json_dict(doc)
+    assert message in str(err.value)
+    assert isinstance(err.value, ValueError)
+
+
+def test_load_rejects_non_documents(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(InstanceFormatError, match="must be a JSON object"):
+        InstanceDocument.load(path)
+    path.write_text("{not json")
+    with pytest.raises(InstanceFormatError, match="not valid JSON"):
+        InstanceDocument.load(path)
 
 
 def test_schema_field_names(tmp_path):
