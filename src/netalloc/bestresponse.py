@@ -5,8 +5,11 @@ f_j >= 0 with sum_j f_j <= budget, where cap_j is the neighbor's standing
 proposal to her.  The maximizer has water-filling structure: there is a level
 ``delta >= 0`` (the budget's shadow price) such that each neighbor receives
 min(cap_j, x_j) where x_j is the point at which the weighted marginal
-w_j * u_j'(x) drops to delta.  We find delta by bisection on the monotone
-total-demand function, then snap to the eta grid.
+w_j * u_j'(x) drops to delta.  We find delta exactly: a binary search over
+the breakpoints of the monotone total-demand function brackets it, then a
+closed form (one utility family) or Newton's method (several) solves for it
+on the neighbors strictly between cap and zero there.  The continuous
+solution is then snapped to the eta grid.
 
 Three clean-up phases follow the continuous core:
 
@@ -38,15 +41,21 @@ from .game import (
     GameSpec,
     PlayerId,
     player_utility,
+    win_set,
 )
-from .utility import INF, UtilitySpec
+from .utility import INF, UtilitySpec, shared_level
 
 # Marginal scores are sampled a hair inside the next quantum so families with
 # an unbounded slope at zero still compare by their weights.
 MARGINAL_SHIFT = 1e-9
 
-BISECTION_MAX_ITERS = 200
-BISECTION_REL_WIDTH = 1e-12
+# Newton on the active set converges in a few steps; the caps only bound the
+# work on degenerate input.  A root found to within rounding is nudged up by
+# at most FINISH_STEPS geometric steps until the summed targets fit.
+NEWTON_MAX_STEPS = 50
+NEWTON_REL_STEP = 1e-15
+FINISH_REL_NUDGE = 2.0**-50
+FINISH_STEPS = 17
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -71,6 +80,12 @@ class BRResult:
     slack_after: float
 
 
+def _fits(targets: Sequence[float], budget_units: float) -> bool:
+    """Whether the targets sum to at most the budget, compared exactly (a
+    tiny demand beside a large one is not rounded away)."""
+    return math.fsum([-budget_units, *targets]) <= 0.0
+
+
 def _water_fill(
     weights: Sequence[float],
     utils: Sequence[UtilitySpec],
@@ -80,48 +95,111 @@ def _water_fill(
 ) -> tuple[float, list[float]]:
     """Continuous core: returns (delta, per-neighbor targets in eta units).
 
-    Targets satisfy sum <= budget (up to bisection width) and equal
-    min(effective cap, point where the weighted marginal falls to delta).
+    Targets equal min(effective cap, point where the weighted marginal falls
+    to delta), and delta is the smallest level at which they sum to at most
+    the budget (up to rounding; their exact sum never exceeds the budget).
+
+    The demand D(delta) = sum_k min(eff_k, x_k(delta / w_k) / eta) is
+    non-increasing and changes form only at breakpoints: where a neighbor
+    leaves its cap (delta = w_k u_k'(eff_k eta)) or drops to zero (delta =
+    w_k u_k'(0); both at w_k for a linear neighbor, whose demand jumps
+    there).  A binary search over the sorted breakpoints brackets the root;
+    inside the bracket the set of neighbors strictly between cap and zero
+    is fixed and the rest of the budget is shared by them alone.  That is
+    solved in closed form when they are of one family, else by Newton's
+    method, which rises monotonically to the root from a lower bound because
+    every interior demand is convex and decreasing in delta.  A root at or
+    past the bracket's top (a linear neighbor's jump) returns the top.
     """
     deg = len(weights)
     eff = [c if c < budget_units else budget_units for c in caps_units]
+    live = [k for k in range(deg) if weights[k] > 0.0 and eff[k] > 0]
+    leave = [INF] * deg
+    zero = [INF] * deg
+    for k in live:
+        w, u = weights[k], utils[k]
+        leave[k] = w * u.marginal(eff[k] * eta)
+        zero[k] = w * u.marginal(0.0)
 
     def targets_at(delta: float) -> list[float]:
-        out = []
-        for k in range(deg):
-            w = weights[k]
-            if w <= 0.0:
-                out.append(0.0)
-                continue
-            x = utils[k].inverse_marginal(delta / w)
-            cap = eff[k]
-            t = x / eta
-            out.append(cap if t > cap else t)
+        out = [0.0] * deg
+        for k in live:
+            if delta < leave[k]:
+                out[k] = eff[k]
+            elif delta < zero[k]:
+                t = utils[k].inverse_marginal(delta / weights[k]) / eta
+                out[k] = eff[k] if t > eff[k] else t
         return out
 
     base = targets_at(0.0)
-    if sum(base) <= budget_units:
+    if _fits(base, budget_units):
         return 0.0, base
+    points = sorted({p for k in live for p in (leave[k], zero[k]) if 0.0 < p < INF})
 
-    # At hi every ideal point is <= budget/deg, so total demand fits.
-    probe = budget_units * eta / deg
-    hi = 0.0
-    for k in range(deg):
-        if weights[k] > 0.0:
-            m = weights[k] * utils[k].marginal(probe)
-            if m > hi:
-                hi = m
-    if hi <= 0.0:
-        return 0.0, base
-    lo, hi0 = 0.0, hi
-    for _ in range(BISECTION_MAX_ITERS):
-        if hi - lo <= BISECTION_REL_WIDTH * hi0:
-            break
-        mid = 0.5 * (lo + hi)
-        if sum(targets_at(mid)) > budget_units:
-            lo = mid
+    # the demand is over budget at points[lo_i] (or at 0) and fits at
+    # points[hi_i] (taken to fit at infinity when no breakpoint does)
+    lo_i, hi_i = -1, len(points)
+    while hi_i - lo_i > 1:
+        mid = (lo_i + hi_i) // 2
+        if _fits(targets_at(points[mid]), budget_units):
+            hi_i = mid
         else:
-            hi = mid
+            lo_i = mid
+    lo = points[lo_i] if lo_i >= 0 else 0.0
+    hi = points[hi_i] if hi_i < len(points) else INF
+
+    held = [budget_units]  # the budget less the caps that bind throughout
+    groups: dict[tuple, list[int]] = {}
+    for k in live:
+        if leave[k] >= hi:
+            held.append(-eff[k])
+        elif zero[k] > lo:
+            groups.setdefault((utils[k].family, utils[k].a), []).append(k)
+    rest = math.fsum(held)
+    if rest <= 0 or not groups:
+        return hi, targets_at(hi)
+
+    # every family's own root is a lower bound: the others only add demand
+    goal = rest * eta
+    delta = lo
+    for members in groups.values():
+        level = shared_level([(weights[k], utils[k]) for k in members], goal)
+        if level > delta:
+            delta = level
+    if len(groups) > 1:
+        active = [k for members in groups.values() for k in members]
+        for _ in range(NEWTON_MAX_STEPS):
+            if delta >= hi:
+                break
+            excess = -goal
+            slope = 0.0
+            for k in active:
+                w, u = weights[k], utils[k]
+                m = delta / w
+                x = u.inverse_marginal(m)
+                excess += x
+                if x > 0.0:
+                    slope += u.inverse_marginal_slope(m, x) / w
+            if excess <= 0.0 or slope >= 0.0:
+                break
+            step = excess / -slope
+            delta += step
+            if step <= NEWTON_REL_STEP * delta:
+                break
+    if delta >= hi:
+        return hi, targets_at(hi)
+
+    # rounding may leave the summed targets a hair over budget: step up
+    targets = targets_at(delta)
+    nudge = (delta if delta > 0.0 else hi) * FINISH_REL_NUDGE
+    for _ in range(FINISH_STEPS):
+        if _fits(targets, budget_units):
+            return delta, targets
+        delta += nudge
+        nudge *= 8.0
+        if delta >= hi:
+            break
+        targets = targets_at(delta)
     return hi, targets_at(hi)
 
 
@@ -155,7 +233,7 @@ def _greedy_fill(
     cap (and the budget).  Each step places one quantum on the grid, and as
     much as fits off it.  Ties go to the lowest index; the loop stops once
     every eligible marginal is zero.  Off the grid only flat-marginal
-    families (linear) ever leave more than bisection dust here."""
+    families (linear) ever leave more than rounding dust here."""
     leftover = budget_units - sum(alloc)
     tiny = 0 if grid else 1e-12 * max(1.0, budget_units)
     while leftover > tiny:
@@ -348,11 +426,10 @@ def is_best_response(
 ) -> tuple[bool, float]:
     """Whether i can improve by more than tol, plus the improvement amount.
 
-    A player matching every neighbor (empty win set) is best-responding by
-    construction: every cap constraint already binds.
+    A player with an empty :func:`~netalloc.game.win_set` is best-responding
+    by construction: every cap constraint already binds.
     """
-    counts = profile.counts
-    if all(counts[(i, j)] >= counts[(j, i)] for j in spec.neighbors[i]):
+    if not win_set(spec, profile, i):
         return True, 0.0
     br = best_response(spec, profile, i)
     improvement = br.realized_utility - player_utility(spec, profile, i)
@@ -445,12 +522,14 @@ def ideal_allocation(
 def oracle_tolerance(spec: GameSpec, i: PlayerId) -> float:
     """Quantization error bound used when comparing the solver against the
     exhaustive oracle: degree * eta * max weighted marginal at zero.  Infinite
-    (vacuous) for families whose slope blows up at zero."""
-    nbrs = spec.neighbors[i]
-    if not nbrs:
-        return 0.0
+    (vacuous) for families whose slope blows up at zero; zero-weight
+    neighbors count for nothing."""
     worst = max(
-        spec.weights[(i, j)] * spec.utilities[(i, j)].marginal(0.0)
-        for j in nbrs
+        (
+            spec.weights[(i, j)] * spec.utilities[(i, j)].marginal(0.0)
+            for j in spec.neighbors[i]
+            if spec.weights[(i, j)] > 0.0
+        ),
+        default=0.0,
     )
     return spec.degree(i) * spec.eta * worst

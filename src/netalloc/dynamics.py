@@ -242,9 +242,9 @@ class _SeqState:
     """Incrementally maintained quantities for the sequential loop.
 
     Starts from :func:`outcome_summary`.  Only the mover's row changes per
-    round, so per-player slack, win-set sizes and best-response statuses are
-    then patched for the mover and the neighbors whose incoming proposal
-    actually changed.
+    round, so per-player slack, win-set sizes, the stable set (empty win
+    set) and best-response statuses are then patched for the mover and the
+    neighbors whose incoming proposal actually changed.
     """
 
     def __init__(self, spec: GameSpec, init: FrequencyProfile, tol: float):
@@ -255,6 +255,8 @@ class _SeqState:
         summary = outcome_summary(spec, init)
         self.slack = [summary.slack[i] for i in range(spec.n)]
         self.win_count = [len(summary.win[i]) for i in range(spec.n)]
+        self.stable = set(summary.stable)
+        self._stable_view: frozenset[int] | None = summary.stable
         # players that can still improve, with their (current) best response
         self.not_br: dict[int, BRResult] = {}
         for i in range(spec.n):
@@ -289,9 +291,9 @@ class _SeqState:
                 self.slack[mover] -= d
                 self.slack[j] -= d
             if (old < cji) != (new < cji):
-                self.win_count[mover] += 1 if new < cji else -1
+                self._shift_wins(mover, 1 if new < cji else -1)
             if (cji < old) != (cji < new):
-                self.win_count[j] += 1 if cji < new else -1
+                self._shift_wins(j, 1 if cji < new else -1)
             counts[(mover, j)] = new
             changed.append(j)
         self.not_br.pop(mover, None)
@@ -302,9 +304,22 @@ class _SeqState:
             else:
                 self.not_br[j] = brj
 
+    def _shift_wins(self, i: int, d: int) -> None:
+        """Move i's win count by d (+1 or -1), keeping the stable set."""
+        wc = self.win_count[i] + d
+        self.win_count[i] = wc
+        if wc == 0:
+            self.stable.add(i)
+            self._stable_view = None
+        elif wc == 1 and d == 1:
+            self.stable.discard(i)
+            self._stable_view = None
+
     def stable_players(self) -> frozenset[int]:
-        wc = self.win_count
-        return frozenset(i for i in range(self.spec.n) if wc[i] == 0)
+        """The stable set; the same object until a win count crosses zero."""
+        if self._stable_view is None:
+            self._stable_view = frozenset(self.stable)
+        return self._stable_view
 
 
 def _check_slack_suffix(records: list[RoundRecord]) -> None:
@@ -316,8 +331,9 @@ def _check_slack_suffix(records: list[RoundRecord]) -> None:
         if records[k].total_slack != records[k - 1].total_slack:
             t0 = k
     for k in range(t0, len(records) - 1):
-        if not records[k].stable_players <= records[k + 1].stable_players:
-            lost = records[k].stable_players - records[k + 1].stable_players
+        before, after = records[k].stable_players, records[k + 1].stable_players
+        if before is not after and not before <= after:
+            lost = before - after
             raise InvariantViolation(
                 f"stable set shrank on the slack-stable suffix at round "
                 f"{records[k + 1].t}: lost players {sorted(lost)}"

@@ -290,6 +290,18 @@ class OutcomeSummary:
     stable: frozenset[PlayerId]
 
 
+def win_set(
+    spec: GameSpec, profile: FrequencyProfile, i: PlayerId
+) -> list[PlayerId]:
+    """Neighbors j on which i's own proposal binds (f_ij < f_ji).
+
+    An empty win set means i matches or over-proposes to every neighbor, so
+    every cap constraint of i binds and i has no unilateral gain.
+    """
+    counts = profile.counts
+    return [j for j in spec.neighbors[i] if counts[(i, j)] < counts[(j, i)]]
+
+
 def outcome_summary(spec: GameSpec, profile: FrequencyProfile) -> OutcomeSummary:
     check_feasible(spec, profile)
     agreed: dict[tuple[int, int], float] = {}
@@ -299,17 +311,11 @@ def outcome_summary(spec: GameSpec, profile: FrequencyProfile) -> OutcomeSummary
     win: dict[PlayerId, frozenset[int]] = {}
     lose: dict[PlayerId, frozenset[int]] = {}
     for i in range(spec.n):
-        realized = 0
-        w_set, l_set = [], []
-        for j in spec.neighbors[i]:
-            realized += agreed[_normalize_edge(i, j)]
-            if profile.counts[(i, j)] < profile.counts[(j, i)]:
-                w_set.append(j)
-            else:
-                l_set.append(j)
+        nbrs = spec.neighbors[i]
+        realized = sum(agreed[_normalize_edge(i, j)] for j in nbrs)
         slack[i] = spec.budget_units(i) - realized
-        win[i] = frozenset(w_set)
-        lose[i] = frozenset(l_set)
+        win[i] = frozenset(win_set(spec, profile, i))
+        lose[i] = frozenset(nbrs) - win[i]
     return OutcomeSummary(
         agreed=agreed,
         slack=slack,

@@ -87,9 +87,11 @@ def _utility(edge: dict, key: str, where: str) -> UtilitySpec:
 
 
 def _rows(rows, where: str) -> tuple[tuple[int, int, int], ...]:
-    """A profile listing: [i, j, count] rows of integers."""
+    """A profile listing: [i, j, count] rows of integers, one per directed
+    edge."""
     if not isinstance(rows, list):
         raise InstanceFormatError(f"{where} must be a list of [i, j, count] rows")
+    first: dict[tuple[int, int], int] = {}
     for k, row in enumerate(rows):
         if not (
             isinstance(row, list) and len(row) == 3 and all(_is(v, int) for v in row)
@@ -98,6 +100,13 @@ def _rows(rows, where: str) -> tuple[tuple[int, int, int], ...]:
                 f"{where}[{k}] must be an [i, j, count] row of integers, "
                 f"got {row!r}"
             )
+        edge = (row[0], row[1])
+        if edge in first:
+            raise InstanceFormatError(
+                f"{where}[{k}] repeats the proposal from {edge[0]} to {edge[1]} "
+                f"(first given in {where}[{first[edge]}])"
+            )
+        first[edge] = k
     return tuple(tuple(row) for row in rows)
 
 

@@ -1,11 +1,16 @@
 """Per-link utility functions: non-negative, increasing, concave on [0, inf).
 
-Every family exposes three views used by the allocation solvers:
+Every family exposes these views used by the allocation solvers:
 
 * ``value(x)``      -- utility of interacting at level x
 * ``marginal(x)``   -- right-derivative u'(x) (may be +inf at x=0)
 * ``inverse_marginal(m)`` -- smallest x >= 0 with u'(x) <= m, or +inf if the
   marginal never falls to m (e.g. a linear utility asked for m < slope)
+* ``inverse_marginal_slope(m, x)`` -- its derivative 1 / u''(x), for Newton
+  steps on the water level
+
+``shared_level`` inverts the summed inverse marginals of one family in
+closed form.
 
 The capped quadratic x*(cap - x) is extended as the constant cap^2/4 past its
 peak at cap/2 so it stays (weakly) increasing on all of [0, inf); the flat
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 INF = float("inf")
 
@@ -148,6 +154,20 @@ class UtilitySpec:
             return 0.0
         return (self.cap - m) / 2.0
 
+    def inverse_marginal_slope(self, m: float, x: float) -> float:
+        """Derivative of ``inverse_marginal`` at m > 0, given its value
+        x = inverse_marginal(m) > 0: 1 / u''(x), written through m = u'(x)
+        so that no power of a tiny x can overflow.  Only meaningful where
+        the marginal is strictly decreasing (not linear or power 1)."""
+        fam = self.family
+        if fam == SQRT:
+            return -2.0 * x / m
+        if fam == LOG1P:
+            return -(1.0 + x) / m
+        if fam == POWER:
+            return x / ((self.a - 1.0) * m)
+        return -0.5  # capped quadratic below its peak
+
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -163,3 +183,35 @@ class UtilitySpec:
         return UtilitySpec(
             family=data["family"], a=data.get("a"), cap=data.get("cap")
         )
+
+
+def shared_level(
+    members: Sequence[tuple[float, UtilitySpec]], total: float
+) -> float:
+    """The level delta with sum_k inverse_marginal(delta / w_k) == total.
+
+    ``members`` are (w_k > 0, u_k) pairs of one family (one exponent for
+    power; caps may differ), each taken on its interior branch, where its
+    inverse marginal is positive and finite: x = w^2 / (4 delta^2) for sqrt,
+    w / delta - 1 for log1p, (delta / (a w))^(1 / (a - 1)) for power and
+    (cap - delta / w) / 2 for the capped quadratic.  ``total`` > 0.  The
+    result may lie outside the range where every member is interior.
+    """
+    u = members[0][1]
+    fam = u.family
+    if fam == SQRT:
+        return 0.5 * math.sqrt(sum(w * w for w, _ in members) / total)
+    if fam == LOG1P:
+        return sum(w for w, _ in members) / (total + len(members))
+    if fam == CAPPED_QUADRATIC:
+        caps = sum(v.cap for _, v in members)
+        return (caps - 2.0 * total) / sum(1.0 / w for w, _ in members)
+    if fam == POWER and u.a != 1.0:
+        # total = delta^p * sum_k (a w_k)^-p with p = 1 / (a - 1) < 0, in logs
+        p = 1.0 / (u.a - 1.0)
+        logs = [-p * math.log(u.a * w) for w, _ in members]
+        top = max(logs)
+        log_sum = top + math.log(sum(math.exp(v - top) for v in logs))
+        log_delta = (math.log(total) - log_sum) / p
+        return math.exp(log_delta) if log_delta < 700.0 else INF
+    raise ValueError(f"{fam} utilities have no interior branch")

@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import OPT, PESS, make_spec, path3_spec, profile_of, single_edge_spec
 from netalloc.bestresponse import (
+    _water_fill,
     best_response,
     brute_force_best_response,
     ideal_allocation,
@@ -12,7 +15,14 @@ from netalloc.bestresponse import (
     oracle_tolerance,
     quantize_allocation,
 )
-from netalloc.dynamics import RandomFeasible, init_profile
+from netalloc.dynamics import (
+    Converged,
+    DynamicsConfig,
+    RandomFeasible,
+    RandomSeeded,
+    init_profile,
+    run_sequential,
+)
 from netalloc.game import (
     FrequencyProfile,
     outcome_summary,
@@ -109,6 +119,184 @@ def test_no_neighbors_and_zero_budget():
     br2 = best_response(lonely, FrequencyProfile.zeros(lonely), 0)
     assert br2.proposals == {}
     assert br2.slack_after == 5
+
+
+# -- the water level ------------------------------------------------------------
+
+def _utilities(exponents):
+    return st.one_of(
+        st.just(UtilitySpec.linear()),
+        st.just(UtilitySpec.sqrt()),
+        st.just(UtilitySpec.log1p()),
+        st.sampled_from(exponents).map(UtilitySpec.power),
+        st.sampled_from([0.3, 1.0, 2.5]).map(UtilitySpec.capped_quadratic),
+    )
+
+
+# power(0.999) demands (m / a)^-1000: it underflows to 0.0 on a short range
+# of m, where a bisection on the float demand can no longer see it
+UTILITIES = _utilities([0.2, 0.5, 0.8, 0.999, 1.0])
+RESOLVED_UTILITIES = _utilities([0.2, 0.5, 0.8, 1.0])
+WEIGHTS = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+ETAS = st.sampled_from([0.05, 0.1, 0.25, 1.0])
+
+
+@st.composite
+def neighbourhoods(draw, grid):
+    """(weights, utilities, caps in eta units, budget units, eta).  Grid caps
+    are ints; continuous ones may be 0.0, off-grid floats or INF."""
+    eta = draw(ETAS)
+    budget = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        # a sqrt neighbour demanding t < budget units at the linear weight
+        # w: with the linear cap at the budget the root is the jump at w
+        w = draw(st.floats(0.05, 1.0))
+        t = draw(st.floats(0.01, 0.99)) * budget
+        weights = [2.0 * w * math.sqrt(t * eta), w]
+        utils = [UtilitySpec.sqrt(), UtilitySpec.linear()]
+        caps = [draw(st.integers(math.ceil(t), 15)), budget]
+        if not grid:
+            caps = [float(c) if c < 15 else INF for c in caps]
+        return weights, utils, caps, budget, eta
+    deg = draw(st.integers(1, 4))
+    weights = draw(st.lists(WEIGHTS, min_size=deg, max_size=deg))
+    pool = UTILITIES if grid else RESOLVED_UTILITIES
+    utils = draw(st.lists(pool, min_size=deg, max_size=deg))
+    cap = (
+        st.integers(0, 15)
+        if grid
+        else st.one_of(st.just(0.0), st.just(INF), st.floats(0.0, 15.0))
+    )
+    caps = draw(st.lists(cap, min_size=deg, max_size=deg))
+    return weights, utils, caps, budget, eta
+
+
+def _bisection_level(weights, utils, caps, budget, eta):
+    """Reference: smallest delta where the demand fits, by plain bisection.
+    The demand is compared with the budget exactly (``fsum``), so a tiny
+    demand next to a large one is not rounded away."""
+
+    def overfull(delta):
+        terms = [-budget]
+        for w, u, c in zip(weights, utils, caps):
+            if w > 0.0:
+                terms.append(min(c, budget, u.inverse_marginal(delta / w) / eta))
+        return math.fsum(terms) > 0.0
+
+    if not overfull(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while overfull(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        if overfull(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _one_player_spec(weights, utils, caps, budget, eta):
+    deg = len(weights)
+    edges = [(0, k + 1, weights[k], 1.0, utils[k], utils[k]) for k in range(deg)]
+    spec = make_spec(deg + 1, eta, edges, [budget * eta] + [16 * eta] * deg)
+    counts = {e: 0 for e in spec.directed_edges}
+    for k in range(deg):
+        counts[(k + 1, 0)] = caps[k]
+    return spec, FrequencyProfile(counts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(neighbourhoods(grid=True))
+def test_grid_best_response_matches_exhaustive_oracle(hood):
+    spec, profile = _one_player_spec(*hood)
+    br = best_response(spec, profile, 0)
+    _, oracle = brute_force_best_response(spec, profile, 0)
+    gap = oracle - br.realized_utility
+    assert gap <= oracle_tolerance(spec, 0)
+    assert gap >= -1e-9  # the grid oracle is exhaustive
+    assert sum(br.proposals.values()) <= hood[3]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(neighbourhoods(grid=False))
+def test_water_level_matches_bisection(hood):
+    weights, utils, caps, budget, eta = hood
+    delta, targets = _water_fill(weights, utils, caps, budget, eta)
+    assert math.fsum(targets) <= budget
+    for w, c, t in zip(weights, caps, targets):
+        assert 0.0 <= t <= min(c, budget)
+        if w <= 0.0:
+            assert t == 0.0
+    ref = _bisection_level(weights, utils, caps, budget, eta)
+    assert delta == pytest.approx(ref, rel=1e-9, abs=1e-300)
+
+
+def test_water_level_on_a_linear_jump(monkeypatch):
+    # sqrt demands 56.25 units at the linear weight 0.4 and the linear
+    # neighbour's cap of 80 overfills the budget of 100 below it: the
+    # demand jumps across the budget at delta = 0.4 exactly
+    w_sqrt, w_lin, eta = 0.6, 0.4, 0.01
+    sweeps = []
+    inverse = UtilitySpec.inverse_marginal
+
+    def counted(self, m):
+        sweeps.append(m)
+        return inverse(self, m)
+
+    monkeypatch.setattr(UtilitySpec, "inverse_marginal", counted)
+    for caps in ([200, 80], [200.0, 80.0], [INF, 80.5]):
+        del sweeps[:]
+        delta, targets = _water_fill(
+            [w_sqrt, w_lin], [UtilitySpec.sqrt(), UtilitySpec.linear()], caps, 100, eta
+        )
+        assert delta == w_lin
+        assert targets[0] == pytest.approx(56.25)
+        assert targets[1] == 0.0
+        assert len(sweeps) <= 8
+    spec, profile = _one_player_spec(
+        [w_sqrt, w_lin], [UtilitySpec.sqrt(), UtilitySpec.linear()], [200, 80], 100, eta
+    )
+    br = best_response(spec, profile, 0)
+    assert br.dual_level == w_lin
+    assert sum(br.proposals.values()) <= 100
+    assert br.realized_utility == pytest.approx(
+        brute_force_best_response(spec, profile, 0)[1], abs=1e-12
+    )
+
+
+def test_water_level_with_a_subnormal_power_demand():
+    # a neighbourhood met in a random n=150 run: at the root the power(0.999)
+    # neighbour demands about 1e-310, inside a mixed-family active set
+    weights = [
+        0.019208027696888615, 0.06941993724212721, 0.022053457673584277,
+        0.061138567185039815, 0.08868476763203066, 0.09667402658459054,
+        0.0962663312918871, 0.044237630848471036, 0.06141750181597282,
+        0.08288465000633434, 0.0969118872959761, 0.0504942488311384,
+        0.07932424139068955, 0.0952032115266298, 0.036081512978639665,
+    ]
+    s, lin, log = UtilitySpec.sqrt(), UtilitySpec.linear(), UtilitySpec.log1p()
+    utils = [s, lin, UtilitySpec.power(0.999), s, lin, log, lin, lin, s, log,
+             s, UtilitySpec.power(0.965), lin, s, s]
+    caps = [59, 91, 94, 49, 91, 258, 118, 48, 76, 10, 75, 7, 93, 1, 87]
+    delta, targets = _water_fill(weights, utils, caps, 1000, 0.001)
+    assert math.fsum(targets) <= 1000
+    assert delta == pytest.approx(
+        _bisection_level(weights, utils, caps, 1000, 0.001), rel=1e-9
+    )
+
+
+def test_sequential_run_through_linear_jumps():
+    # about one water level in nine of this run sits on a linear jump; a
+    # search that creeps up to such a root ulp by ulp never finishes
+    doc = gen_random_instance(n=150, edge_prob=0.1, seed=12345, budget_units=1000)
+    spec = doc.to_game_spec()
+    init = init_profile(spec, RandomFeasible(1))
+    _, _, status = run_sequential(
+        spec, init, DynamicsConfig(order=RandomSeeded(1)), trace_detail="light"
+    )
+    assert status == Converged(615)
 
 
 # -- quantization ---------------------------------------------------------------

@@ -112,6 +112,18 @@ def test_listed_profile_off_the_edges_exit_code(tmp_path, capsys, command):
     assert "suggested_init: proposal on non-edge (0, 7)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimum", "experiment"])
+def test_repeated_profile_row_exit_code(tmp_path, capsys, command):
+    inst = tmp_path / "twice.json"
+    payload = gen_k5_cycle_instance(0.05).to_json_dict()
+    payload["suggested_init"].insert(0, [0, 1, 0])
+    inst.write_text(json.dumps(payload))
+    assert _run_on(command, inst, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "validation: suggested_init[" in err
+    assert "repeats the proposal from 0 to 1" in err
+
+
 @pytest.mark.parametrize("command", ["optimum", "experiment"])
 def test_reference_profile_over_budget_exit_code(tmp_path, capsys, command):
     inst = tmp_path / "over.json"

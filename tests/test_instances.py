@@ -266,6 +266,18 @@ def test_from_json_dict_names_the_bad_key(edit, message):
     assert isinstance(err.value, ValueError)
 
 
+def test_from_json_dict_rejects_repeated_profile_rows():
+    doc = _k5_payload()
+    doc["suggested_init"].append([0, 2, 1])
+    with pytest.raises(InstanceFormatError) as err:
+        InstanceDocument.from_json_dict(doc)
+    assert "suggested_init[20] repeats the proposal from 0 to 2" in str(err.value)
+    doc = _k5_payload()
+    doc["reference_profiles"] = {"r": [[1, 0, 1], [0, 1, 2], [1, 0, 3]]}
+    with pytest.raises(InstanceFormatError, match=r"'r'\]\[2\] repeats"):
+        InstanceDocument.from_json_dict(doc)
+
+
 def test_load_rejects_non_documents(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2]")

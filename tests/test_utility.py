@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from netalloc.utility import INF, UtilitySpec
+from netalloc.utility import INF, UtilitySpec, shared_level
 
 ALL_FAMILIES = [
     UtilitySpec.linear(),
@@ -96,6 +96,48 @@ def test_marginal_matches_finite_differences(u):
         exact = u.marginal(x)
         assert exact == pytest.approx(approx, rel=1e-6, abs=1e-9)
         checked += 1
+
+
+STRICTLY_CONCAVE = [
+    u for u in ALL_FAMILIES if u.family != "linear" and u.a != 1.0
+]
+
+
+@pytest.mark.parametrize("u", STRICTLY_CONCAVE, ids=str)
+def test_inverse_marginal_slope_matches_finite_differences(u):
+    rng = random.Random(23)
+    top = u.cap / 2.0 * 0.9 if u.family == "capped_quadratic" else 3.0
+    for _ in range(100):
+        m = u.marginal(rng.uniform(0.05, top))
+        h = 1e-6 * m
+        approx = (u.inverse_marginal(m + h) - u.inverse_marginal(m - h)) / (2 * h)
+        slope = u.inverse_marginal_slope(m, u.inverse_marginal(m))
+        assert slope == pytest.approx(approx, rel=1e-5)
+
+
+def test_inverse_marginal_slope_of_a_subnormal_demand():
+    # u''(x) = a (a - 1) x^(a - 2) overflows here; the slope itself is tiny
+    p = UtilitySpec.power(0.999)
+    x = p.inverse_marginal(2.05)
+    assert 0.0 < x < 1e-308
+    assert -1.0 < p.inverse_marginal_slope(2.05, x) < 0.0
+
+
+@pytest.mark.parametrize("u", STRICTLY_CONCAVE, ids=str)
+def test_shared_level_inverts_the_summed_demand(u):
+    rng = random.Random(29)
+    for size in (1, 2, 5):
+        weights = [rng.uniform(0.05, 1.0) for _ in range(size)]
+        if u.family == "capped_quadratic":
+            # pick a level where every member is interior: delta < w * cap
+            delta = 0.9 * min(weights) * u.cap
+        else:
+            delta = rng.uniform(0.05, 0.9) * min(weights)
+        total = sum(u.inverse_marginal(delta / w) for w in weights)
+        level = shared_level([(w, u) for w in weights], total)
+        assert level == pytest.approx(delta, rel=1e-12)
+    with pytest.raises(ValueError, match="no interior branch"):
+        shared_level([(0.5, UtilitySpec.linear())], 1.0)
 
 
 @pytest.mark.parametrize("u", ALL_FAMILIES, ids=str)
