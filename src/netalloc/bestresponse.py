@@ -382,13 +382,16 @@ def best_response(
             leftover -= take
 
     # Optimistic disposal: spread what is left over the (now fully matched)
-    # neighborhood, round-robin one quantum at a time.
+    # neighborhood, round-robin one quantum at a time -- on the grid each of
+    # the m matched neighbors gets leftover // m and the first leftover % m
+    # one more.
     if behavior is Behavior.OPTIMISTIC and leftover > 0:
         lose = [k for k in range(deg) if alloc[k] >= caps[k]]
         if lose:
             if grid:
-                for t in range(int(leftover)):
-                    alloc[lose[t % len(lose)]] += 1
+                q, r = divmod(int(leftover), len(lose))
+                for p, k in enumerate(lose):
+                    alloc[k] += q + (p < r)
                 leftover = 0
             else:
                 share = leftover / len(lose)

@@ -1,7 +1,11 @@
 """Command-line surface: gen, simulate, optimum, experiment, verify.
 
+``verify`` runs acceptance criteria 1-7 from ``netalloc.verify``, the same
+functions the acceptance tests call.
+
 Exit codes: 0 success/converged, 2 round limit hit, 3 cycle detected,
-4 instance validation failure, 5 verification-suite failure.
+4 instance validation failure or bad parameter, 5 verification-suite
+failure.
 """
 
 from __future__ import annotations
@@ -62,41 +66,44 @@ EXIT_VERIFY_FAILED = 5
 def _utility_from_name(name: str, param: float | None) -> UtilitySpec:
     if name == "power":
         if param is None:
-            raise SystemExit("--utility power needs --utility-param")
+            raise ValueError("--utility power needs --utility-param")
         return UtilitySpec.power(param)
     if name == "capped_quadratic":
         if param is None:
-            raise SystemExit("--utility capped_quadratic needs --utility-param")
+            raise ValueError("--utility capped_quadratic needs --utility-param")
         return UtilitySpec.capped_quadratic(param)
     return UtilitySpec(name)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.kind == "torus":
-        doc = gen_torus_grid(
-            width=args.width,
-            height=args.height,
-            beta=args.beta,
-            eta=args.eta,
-            weight_seed=args.seed,
-            utility=_utility_from_name(args.utility, args.utility_param),
-            behavior=args.behavior,
-        )
-    elif args.kind == "k5":
-        doc = gen_k5_cycle_instance(args.eps)
-    elif args.kind == "poa-grid":
-        doc, _, _ = gen_poa_grid_instance(
-            args.width, args.height, args.eps, args.beta
-        )
-    else:
-        doc = gen_random_instance(
-            n=args.n,
-            edge_prob=args.edge_prob,
-            seed=args.seed,
-            beta=args.beta,
-            budget_units=args.budget_units,
-            behavior=args.behavior if args.behavior != "mixed" else None,
-        )
+    try:
+        if args.kind == "torus":
+            doc = gen_torus_grid(
+                width=args.width,
+                height=args.height,
+                beta=args.beta,
+                eta=args.eta,
+                weight_seed=args.seed,
+                utility=_utility_from_name(args.utility, args.utility_param),
+                behavior=args.behavior,
+            )
+        elif args.kind == "k5":
+            doc = gen_k5_cycle_instance(args.eps)
+        elif args.kind == "poa-grid":
+            doc, _, _ = gen_poa_grid_instance(
+                args.width, args.height, args.eps, args.beta
+            )
+        else:
+            doc = gen_random_instance(
+                n=args.n,
+                edge_prob=args.edge_prob,
+                seed=args.seed,
+                beta=args.beta,
+                budget_units=args.budget_units,
+                behavior=args.behavior if args.behavior != "mixed" else None,
+            )
+    except ValueError as exc:
+        return _invalid(exc)
     doc.save(args.out)
     print(f"wrote {args.out} (n={doc.n}, edges={len(doc.edges)})")
     return EXIT_OK
@@ -120,22 +127,32 @@ def _profile_violations(doc: InstanceDocument, spec: GameSpec) -> list[str]:
     return bad
 
 
+def _invalid(problem: object) -> int:
+    print(f"validation: {problem}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def _load_valid_instance(path: str) -> InstanceDocument | None:
     try:
         doc = InstanceDocument.load(path)
-    except InstanceFormatError as exc:
-        print(f"validation: {exc}", file=sys.stderr)
+    except (InstanceFormatError, OSError) as exc:
+        _invalid(exc)
         return None
     spec = doc.to_game_spec()
     violations = list(validate_game(spec).violations)
     if not violations:
         violations = _profile_violations(doc, spec)
     for v in violations:
-        print(f"validation: {v}", file=sys.stderr)
+        _invalid(v)
     return None if violations else doc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    order = RoundRobin() if args.order == "rr" else RandomSeeded(args.seed)
+    try:
+        cfg = DynamicsConfig(order=order, max_rounds=args.max_rounds, tol=args.tol)
+    except ValueError as exc:
+        return _invalid(exc)
     doc = _load_valid_instance(args.instance)
     if doc is None:
         return EXIT_INVALID
@@ -150,8 +167,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         policy = Given(suggested) if suggested is not None else Zero()
     start = init_profile(spec, policy)
 
-    order = RoundRobin() if args.order == "rr" else RandomSeeded(args.seed)
-    cfg = DynamicsConfig(order=order, max_rounds=args.max_rounds, tol=args.tol)
     runner = run_sequential if args.mode == "seq" else run_simultaneous
     final, trace, status = runner(spec, start, cfg, ranking=doc.ranking_system())
 
@@ -179,11 +194,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimum(args: argparse.Namespace) -> int:
+    try:
+        cfg = OptimizerConfig(max_iters=args.max_iters, gap_tol=args.gap_tol)
+    except ValueError as exc:
+        return _invalid(exc)
     doc = _load_valid_instance(args.instance)
     if doc is None:
         return EXIT_INVALID
     spec = doc.to_game_spec()
-    cfg = OptimizerConfig(max_iters=args.max_iters, gap_tol=args.gap_tol)
     result = global_optimum(spec, cfg)
     # relative duality gap, the quantity --gap-tol bounds
     gap = (result.upper_bound - result.welfare) / max(1.0, result.welfare)
@@ -210,24 +228,20 @@ def _cmd_optimum(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    try:
+        cfg = ExperimentConfig(
+            runs=args.runs,
+            seed=args.seed,
+            behavior=args.behavior,
+            dynamics=DynamicsConfig(max_rounds=args.max_rounds, tol=args.tol),
+            bins=args.bins,
+            n_jobs=args.n_jobs,
+        )
+    except ValueError as exc:
+        return _invalid(exc)
     doc = _load_valid_instance(args.instance)
     if doc is None:
         return EXIT_INVALID
-    overrides: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    cfg = ExperimentConfig(
-        runs=overrides.get("runs", args.runs),
-        seed=overrides.get("seed", args.seed),
-        behavior=overrides.get("behavior", args.behavior),
-        dynamics=DynamicsConfig(
-            max_rounds=overrides.get("max_rounds", args.max_rounds),
-            tol=overrides.get("tol", args.tol),
-        ),
-        bins=overrides.get("bins", args.bins),
-        n_jobs=overrides.get("n_jobs", args.n_jobs),
-    )
     report = run_batch_experiment(doc, cfg)
     prefix = args.out_prefix
     write_histogram_csv(report, f"{prefix}.histogram.csv")
@@ -324,11 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--max-rounds", type=int, default=1_000_000)
     exp.add_argument("--tol", type=float, default=1e-9)
     exp.add_argument("--n-jobs", type=int, default=1)
-    exp.add_argument("--config", help="JSON file overriding the flags")
     exp.add_argument("--out-prefix", required=True)
     exp.set_defaults(func=_cmd_experiment)
 
-    ver = sub.add_parser("verify", help="run the reference-results suite")
+    ver = sub.add_parser("verify", help="run acceptance criteria 1-7")
     ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -41,7 +41,8 @@ class InvariantViolation(AssertionError):
 
 @dataclass(frozen=True)
 class RoundRobin:
-    """Cycle player ids, skipping the ones already best-responding."""
+    """Cycle player ids 0, 1, ..., n-1, skipping the ones already
+    best-responding (the ``ExplicitList`` of every id in order)."""
 
 
 @dataclass(frozen=True)
@@ -340,6 +341,16 @@ def _check_slack_suffix(records: list[RoundRecord]) -> None:
             )
 
 
+def _potential_of(spec: GameSpec, ranking):
+    """The weighted potential as a function of the profile, or None when no
+    ranking is attached."""
+    if ranking is None:
+        return None
+    from .analysis import potential_value
+
+    return lambda profile: potential_value(spec, ranking, profile)
+
+
 def run_sequential(
     spec: GameSpec,
     init: FrequencyProfile,
@@ -360,11 +371,7 @@ def run_sequential(
     check_feasible(spec, init)
     integral = init.is_integral()
 
-    potential_of = None
-    if ranking is not None:
-        from .analysis import potential_value
-
-        potential_of = lambda p: potential_value(spec, ranking, p)  # noqa: E731
+    potential_of = _potential_of(spec, ranking)
 
     state = _SeqState(spec, init, config.tol)
     trace = Trace()
@@ -402,36 +409,29 @@ def run_sequential(
     record(0, None)
 
     order = config.order
-    rr_next = 0
-    explicit_pos = 0
     rng = random.Random(order.seed) if isinstance(order, RandomSeeded) else None
     if isinstance(order, ExplicitList):
         if set(order.order) != set(range(spec.n)):
             raise ValueError(
                 "explicit order must cover every player and name no other id"
             )
+        seq = order.order
+    else:
+        seq = tuple(range(spec.n))  # round robin (unused when random)
+    pos = 0
 
     t = 0
     while state.not_br and t < config.max_rounds:
         t += 1
-        if isinstance(order, RoundRobin):
-            mover = -1
-            for k in range(spec.n):
-                cand = (rr_next + k) % spec.n
-                if cand in state.not_br:
-                    mover = cand
-                    break
-            rr_next = (mover + 1) % spec.n
-        elif isinstance(order, RandomSeeded):
+        if rng is not None:
             mover = rng.choice(sorted(state.not_br))
         else:
-            seq = order.order
             mover = -1
             for k in range(len(seq)):
-                cand = seq[(explicit_pos + k) % len(seq)]
+                cand = seq[(pos + k) % len(seq)]
                 if cand in state.not_br:
                     mover = cand
-                    explicit_pos = (explicit_pos + k + 1) % len(seq)
+                    pos = (pos + k + 1) % len(seq)
                     break
         br = state.not_br[mover]
         prev_slack = state.total_slack()
@@ -472,11 +472,7 @@ def run_simultaneous(
     """
     check_feasible(spec, init)
 
-    potential_of = None
-    if ranking is not None:
-        from .analysis import potential_value
-
-        potential_of = lambda p: potential_value(spec, ranking, p)  # noqa: E731
+    potential_of = _potential_of(spec, ranking)
 
     trace = Trace()
 

@@ -80,6 +80,20 @@ def test_single_neighbor_pessimistic_vs_optimistic():
     assert opt.realized_utility == pess.realized_utility
 
 
+def test_optimistic_disposal_splits_the_remainder_in_neighbor_order():
+    # every cap is 1, so 5 of the 8 quanta are left over after matching:
+    # each of the 3 neighbors gets 5 // 3 more, the first 5 % 3 one extra
+    u = UtilitySpec.sqrt()
+    spec = make_spec(
+        4, 1.0, [(0, j, 1.0, 1.0, u, u) for j in (1, 2, 3)], [8.0] + [1.0] * 3
+    )
+    profile = profile_of(spec, {j: {0: 1} for j in (1, 2, 3)})
+    br = best_response(spec, profile, 0, behavior=OPT)
+    assert br.proposals == {1: 3, 2: 3, 3: 2}
+    assert all(type(c) is int for c in br.proposals.values())
+    assert br.slack_after == 5
+
+
 def test_grid_mode_follows_the_players_own_caps():
     u = UtilitySpec.sqrt()
     spec = make_spec(

@@ -17,6 +17,45 @@ def _run_on(command, inst, tmp_path):
     return main(args)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["gen", "k5", "--eps", "2"], "eps must be in (0, 1/4)"),
+        (["gen", "torus", "--width", "2"], "width and height >= 3"),
+        (["gen", "torus", "--utility", "power"], "needs --utility-param"),
+        (["simulate", "--max-rounds", "0"], "max_rounds must be >= 1"),
+        (["simulate", "--tol", "-1"], "tol must be >= 0"),
+        (["optimum", "--max-iters", "0"], "must be positive"),
+        (["experiment", "--runs", "0"], "runs must be >= 1"),
+        (["experiment", "--bins", "1"], "bins must be >= 2"),
+        (["experiment", "--max-rounds", "0"], "max_rounds must be >= 1"),
+    ],
+)
+def test_bad_parameter_exit_code(tmp_path, capsys, args, message):
+    inst = tmp_path / "k5.json"
+    main(["gen", "k5", "--out", str(inst)])
+    capsys.readouterr()
+    rest = ["--out", str(tmp_path / "g.json")]
+    if args[0] != "gen":
+        rest = ["--instance", str(inst)]
+        if args[0] == "experiment":
+            rest += ["--out-prefix", str(tmp_path / "exp")]
+    assert main(args + rest) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation: ")
+    assert message in err
+    assert not (tmp_path / "g.json").exists()
+    assert not (tmp_path / "exp.summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimum", "experiment"])
+def test_missing_instance_file_exit_code(tmp_path, capsys, command):
+    assert _run_on(command, tmp_path / "absent.json", tmp_path) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation: ")
+    assert "absent.json" in err
+
+
 def test_gen_and_simulate_k5_cycle(tmp_path, capsys):
     inst = tmp_path / "k5.json"
     assert main(["gen", "k5", "--eps", "0.05", "--out", str(inst)]) == 0
@@ -205,28 +244,6 @@ def test_experiment_command(tmp_path, capsys):
     assert all(r["ratio"] <= 1.0 + 1e-6 for r in runs)
 
 
-def test_experiment_config_file_overrides(tmp_path):
-    inst = tmp_path / "t.json"
-    main(
-        [
-            "gen", "torus", "--width", "3", "--height", "3",
-            "--beta", "40", "--eta", "1", "--out", str(inst),
-        ]
-    )
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"runs": 2, "bins": 5}))
-    prefix = str(tmp_path / "exp2")
-    code = main(
-        [
-            "experiment", "--instance", str(inst), "--runs", "99",
-            "--config", str(cfg), "--out-prefix", prefix,
-        ]
-    )
-    assert code == 0
-    runs = (tmp_path / "exp2.runs.jsonl").read_text().splitlines()
-    assert len(runs) == 2
-
-
 def test_gen_poa_grid_embeds_reference_profiles(tmp_path):
     inst = tmp_path / "poa.json"
     code = main(
@@ -243,8 +260,23 @@ def test_gen_poa_grid_embeds_reference_profiles(tmp_path):
 def test_verify_command(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 6
-    assert "all 6 checks passed" in out
+    passed = [
+        line.split(":")[0].removeprefix("[PASS] ")
+        for line in out.splitlines()
+        if line.startswith("[PASS] ")
+    ]
+    assert passed == [
+        "k5-cycle",
+        "slack-laws",
+        "potential-identity",
+        "optimum-is-equilibrium",
+        "poa-closed-form",
+        "solver-vs-oracle",
+        "matched-equilibria-convex",
+    ]
+    assert "[FAIL]" not in out
+    assert "period=2" in out
+    assert "all 7 checks passed" in out
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

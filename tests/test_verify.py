@@ -1,30 +1,33 @@
+import pytest
+
 import netalloc.verify as verify_mod
-from netalloc.verify import verify_reference_suite
-
-
-def test_suite_all_pass():
-    results = verify_reference_suite()
-    names = [r.name for r in results]
-    assert names == [
-        "k5-cycle",
-        "poa-closed-form",
-        "potential-identity",
-        "optimum-is-equilibrium",
-        "solver-vs-oracle",
-        "matched-equilibria-convex",
-    ]
-    for r in results:
-        assert r.passed, f"{r.name}: {r.details}"
-    k5 = results[0]
-    assert "period=2" in k5.details
+from netalloc.verify import CheckResult, CriterionFailed, verify_reference_suite
 
 
 def test_suite_catches_broken_match_down(monkeypatch):
     # fault injection: a match-down that forgets to lower over-proposals
-    # must fail the optimum-is-equilibrium check
+    # must fail the optimum-is-equilibrium criterion
     def broken(spec, profile):
         return profile
 
     monkeypatch.setattr(verify_mod.analysis, "match_down", broken)
-    result = verify_mod._check_optimum_is_equilibrium(n_instances=2)
-    assert not result.passed
+    with pytest.raises(CriterionFailed, match="match-down changed|unmatched"):
+        verify_mod.optimum_is_equilibrium()
+
+
+def test_suite_reports_failures_and_skips_the_batch_experiment(monkeypatch):
+    def fails():
+        raise CriterionFailed("injected failure")
+
+    def batch():
+        raise RuntimeError("the batch experiment must not run in the suite")
+
+    monkeypatch.setattr(
+        verify_mod,
+        "CRITERIA",
+        (("ok", lambda: "fine"), ("bad", fails), ("batch-shape", batch)),
+    )
+    assert verify_reference_suite() == [
+        CheckResult("ok", True, "fine"),
+        CheckResult("bad", False, "injected failure"),
+    ]
