@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analysis import OptimizerConfig, global_optimum
@@ -104,6 +105,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             )
     except ValueError as exc:
         return _invalid(exc)
+    violations = validate_game(doc.to_game_spec()).violations
+    for v in violations:
+        _invalid(v)
+    if violations:
+        return EXIT_INVALID
     doc.save(args.out)
     print(f"wrote {args.out} (n={doc.n}, edges={len(doc.edges)})")
     return EXIT_OK
@@ -132,6 +138,19 @@ def _invalid(problem: object) -> int:
     return EXIT_INVALID
 
 
+def _unwritable(path: str) -> str | None:
+    """Why a file cannot be written at ``path`` (None if it can): checked
+    before the work starts, so a finished run is not lost to a bad path."""
+    if os.path.isdir(path):
+        return f"output path {path} is a directory"
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"output directory {parent} does not exist"
+    if not os.access(parent, os.W_OK):
+        return f"output directory {parent} is not writable"
+    return None
+
+
 def _load_valid_instance(path: str) -> InstanceDocument | None:
     try:
         doc = InstanceDocument.load(path)
@@ -153,6 +172,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = DynamicsConfig(order=order, max_rounds=args.max_rounds, tol=args.tol)
     except ValueError as exc:
         return _invalid(exc)
+    problem = args.trace_out and _unwritable(args.trace_out)
+    if problem:
+        return _invalid(problem)
     doc = _load_valid_instance(args.instance)
     if doc is None:
         return EXIT_INVALID
@@ -198,6 +220,9 @@ def _cmd_optimum(args: argparse.Namespace) -> int:
         cfg = OptimizerConfig(max_iters=args.max_iters, gap_tol=args.gap_tol)
     except ValueError as exc:
         return _invalid(exc)
+    problem = args.out and _unwritable(args.out)
+    if problem:
+        return _invalid(problem)
     doc = _load_valid_instance(args.instance)
     if doc is None:
         return EXIT_INVALID
@@ -239,14 +264,21 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         return _invalid(exc)
+    paths = [
+        f"{args.out_prefix}.{suffix}"
+        for suffix in ("histogram.csv", "summary.json", "runs.jsonl")
+    ]
+    for path in paths:
+        problem = _unwritable(path)
+        if problem:
+            return _invalid(problem)
     doc = _load_valid_instance(args.instance)
     if doc is None:
         return EXIT_INVALID
     report = run_batch_experiment(doc, cfg)
-    prefix = args.out_prefix
-    write_histogram_csv(report, f"{prefix}.histogram.csv")
-    write_summary_json(report, f"{prefix}.summary.json")
-    write_runs_jsonl(report, f"{prefix}.runs.jsonl")
+    write_histogram_csv(report, paths[0])
+    write_summary_json(report, paths[1])
+    write_runs_jsonl(report, paths[2])
     print(
         f"runs={len(report.runs)} mean={report.mean:.6f} std={report.std:.6f} "
         f"mode_count={report.mode_count} non_converged={report.non_converged}"

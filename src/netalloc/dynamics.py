@@ -8,6 +8,19 @@ with an empty win set only grows).  Simultaneous play updates everyone at
 once against the previous round and need not converge, so the engine detects
 exact profile revisits (integer state makes equality exact) and reports the
 cycle's start and period.
+
+Most status checks in a sequential run are about neighbors of the mover,
+whose incoming proposals changed: do they still best-respond?  On integral
+profiles that question is first put to a one-pass exchange test (see
+``_SeqState.certainly_improves``), which can prove a player is not at a best
+response without solving for the response; the response is then solved only
+if that player is picked to move (and, with invariant checks on, must improve
+on the player's utility by more than ``tol``).  The test answers only when
+the best single-quantum move gains more than ``tol`` plus a margin (about
+1e-9 relative to an upper bound on the player's utility, plus 1e-12 per
+budget quantum) that covers float rounding and the solver's polish
+threshold; every other case is solved as before, so statuses, random picks
+and results are bit-identical to solving every status in full.
 """
 
 from __future__ import annotations
@@ -27,9 +40,16 @@ from .game import (
     player_utility,
     social_welfare,
 )
+from .utility import INF
 
 FULL_PROFILE_ROUNDS = 10_000  # past this, traces keep hashes + a tail window
 TAIL_PROFILES = 100
+
+# Margin of the exchange test (``_SeqState.certainly_improves``): relative to
+# an upper bound on the player's best utility, plus per budget quantum.
+EXCHANGE_REL_MARGIN = 1e-9
+EXCHANGE_QUANTUM_MARGIN = 1e-12
+EXCHANGE_REL_QUANTUM_MARGIN = 1e-15
 
 
 class InvariantViolation(AssertionError):
@@ -245,7 +265,16 @@ class _SeqState:
     Starts from :func:`outcome_summary`.  Only the mover's row changes per
     round, so per-player slack, win-set sizes, the stable set (empty win
     set) and best-response statuses are then patched for the mover and the
-    neighbors whose incoming proposal actually changed.
+    neighbors whose incoming proposal actually changed.  On integral
+    profiles the total slack is kept as a running integer too.
+
+    ``not_br`` maps every player that can still improve by more than
+    ``tol`` to its best response, or to ``None`` when the exchange test
+    (:meth:`certainly_improves`) settled the status without solving it.  A
+    player's response depends only on its caps (the proposals made to it),
+    and any change to them re-runs :meth:`_status`, so solving a ``None``
+    entry when the player is picked gives the response the status check
+    would have stored, bit for bit.
     """
 
     def __init__(self, spec: GameSpec, init: FrequencyProfile, tol: float):
@@ -255,27 +284,118 @@ class _SeqState:
         self.view = FrequencyProfile._wrap(self.counts)
         summary = outcome_summary(spec, init)
         self.slack = [summary.slack[i] for i in range(spec.n)]
+        self.integral = init.is_integral()
+        self._total_slack = sum(self.slack)  # exact on integral profiles
         self.win_count = [len(summary.win[i]) for i in range(spec.n)]
         self.stable = set(summary.stable)
         self._stable_view: frozenset[int] | None = summary.stable
-        # players that can still improve, with their (current) best response
-        self.not_br: dict[int, BRResult] = {}
+        if self.integral:
+            # exchange-test terms of player i at the position k of neighbor
+            # j (integral profiles only), see certainly_improves
+            self._edge = {
+                (i, j): (k, spec.weights[(i, j)], spec.utilities[(i, j)].value)
+                for i in range(spec.n)
+                for k, j in enumerate(spec.neighbors[i])
+            }
+            self._util = [[0.0] * spec.degree(i) for i in range(spec.n)]
+            self._up = [[0.0] * spec.degree(i) for i in range(spec.n)]
+            self._down = [[0.0] * spec.degree(i) for i in range(spec.n)]
+            for (i, j) in self._edge:
+                self._set_terms(i, j)
+        # players that can still improve, with their best response or None
+        self.not_br: dict[int, BRResult | None] = {}
         for i in range(spec.n):
             ok, br = self._status(i)
             if not ok:
                 self.not_br[i] = br
 
     def total_slack(self) -> float:
-        return sum(self.slack)
+        return self._total_slack if self.integral else sum(self.slack)
 
     def _status(self, i: int) -> tuple[bool, BRResult | None]:
         if self.win_count[i] == 0:
             return True, None  # matching everyone: no unilateral gain exists
+        if self.integral and self.certainly_improves(i):
+            return False, None
         br = best_response(self.spec, self.view, i)
         improvement = br.realized_utility - player_utility(
             self.spec, self.view, i
         )
         return improvement <= self.tol, br
+
+    def _set_terms(self, i: int, j: int) -> None:
+        """Recompute i's exchange-test terms on edge (i, j) from the agreed
+        amount a = min(f_ij, f_ji): w u(a), the gain of one more quantum
+        (-inf unless one fits below f_ji) and the loss of one less (inf at
+        a = 0; zero-weight edges give a quantum up at no loss)."""
+        f = self.counts[(i, j)]
+        cap = self.counts[(j, i)]
+        a = f if f < cap else cap
+        k, w, value = self._edge[(i, j)]
+        util, up = 0.0, -INF
+        down = INF if a == 0 else 0.0
+        if w != 0.0:
+            eta = self.spec.eta
+            if a:
+                util = w * value(a * eta)
+                down = util - w * value((a - 1) * eta) if a > 1 else util
+            if a < cap:
+                up = w * value((a + 1) * eta) - util
+        self._util[i][k] = util
+        self._up[i][k] = up
+        self._down[i][k] = down
+
+    def certainly_improves(self, i: int) -> bool:
+        """Exchange test: True only if i's best response improves on its
+        current utility by more than ``tol`` (integral profiles only).
+
+        From i's realized allocation a_k = min(f_ik, f_ki) and spare budget
+        s = budget_units(i) - sum_k a_k it takes the best single-quantum
+        move: an add (s >= 1) to some k with a_k + 1 <= f_ki, or an exchange
+        of one quantum from j to such a k != j with a_j >= 1.  The per-edge
+        gains and losses are kept up to date by :meth:`apply_move`, so this
+        is O(deg) with the top two gains and the lowest two losses.  Every
+        such move is a feasible grid response, so the exact grid best
+        response gains at least the move's gain g.  The answer is True when
+        g > tol + margin, with
+
+            margin = 1e-9 * Z + B * (1e-12 + 1e-15 * Z),
+
+        B = budget_units(i) and Z = U(a) + B * max(0, best add gain), an
+        upper bound on i's best utility (by concavity, no allocation gains
+        more than the best single-quantum add gain per quantum added).  The margin
+        covers, with room to spare for degrees and budgets below a million:
+
+        * the float sums of ``BRResult.realized_utility`` and
+          ``player_utility`` (each within about (deg + 2) ulps of Z);
+        * the rounding in g (a few ulps of Z);
+        * the solver's exchange polish, which stops once no single move
+          gains more than 1e-13: by exchange optimality (separable concave
+          objective) its allocation is then within B * (1e-13 + a few ulps
+          of Z) of the grid optimum.
+
+        When the answer is False the caller solves the response as before.
+        """
+        up = self._up[i]
+        down = self._down[i]
+        up1 = max(up)
+        k = up.index(up1)
+        down1 = min(down)
+        if down.index(down1) != k:
+            gain = up1 - down1
+        else:
+            gain = max(
+                up1 - min(down[:k] + down[k + 1 :], default=INF),
+                max(up[:k] + up[k + 1 :], default=-INF) - down1,
+            )
+        if self.slack[i] >= 1 and up1 > gain:
+            gain = up1
+        budget = self.spec.budget_units(i)
+        z = sum(self._util[i]) + budget * max(up1, 0.0)
+        margin = EXCHANGE_REL_MARGIN * z + budget * (
+            EXCHANGE_QUANTUM_MARGIN + EXCHANGE_REL_QUANTUM_MARGIN * z
+        )
+        return gain > self.tol + margin
 
     def apply_move(self, mover: int, br: BRResult) -> None:
         counts = self.counts
@@ -284,18 +404,27 @@ class _SeqState:
             old = counts[(mover, j)]
             if new == old:
                 continue
+            counts[(mover, j)] = new
             cji = counts[(j, mover)]
             old_a = old if old < cji else cji
             new_a = new if new < cji else cji
-            if new_a != old_a:
+            # the edge's exchange terms change with its agreed amount or
+            # with which side binds
+            retally = new_a != old_a
+            if retally:
                 d = new_a - old_a
                 self.slack[mover] -= d
                 self.slack[j] -= d
+                self._total_slack -= 2 * d
             if (old < cji) != (new < cji):
                 self._shift_wins(mover, 1 if new < cji else -1)
+                retally = True
             if (cji < old) != (cji < new):
                 self._shift_wins(j, 1 if cji < new else -1)
-            counts[(mover, j)] = new
+                retally = True
+            if retally and self.integral:
+                self._set_terms(mover, j)
+                self._set_terms(j, mover)
             changed.append(j)
         self.not_br.pop(mover, None)
         for j in changed:
@@ -434,6 +563,17 @@ def run_sequential(
                     pos = (pos + k + 1) % len(seq)
                     break
         br = state.not_br[mover]
+        if br is None:  # its status came from the exchange test: solve now
+            br = best_response(spec, state.view, mover)
+            if config.check_invariants:
+                gain = br.realized_utility - player_utility(
+                    spec, state.view, mover
+                )
+                if not gain > config.tol:
+                    raise InvariantViolation(
+                        f"exchange test picked mover {mover} at round {t}, "
+                        f"but its best response gains only {gain!r}"
+                    )
         prev_slack = state.total_slack()
         state.apply_move(mover, br)
         if config.check_invariants:

@@ -135,8 +135,8 @@ class ValidationReport:
 def validate_game(spec: GameSpec) -> ValidationReport:
     """Collect every structural violation; violations are data, not errors."""
     bad: list[str] = []
-    if spec.n < 0:
-        bad.append(f"player count {spec.n} is negative")
+    if spec.n < 1:
+        bad.append(f"player count {spec.n}: a game needs at least one player")
     if not spec.eta > 0.0:
         bad.append(f"eta must be positive, got {spec.eta}")
 

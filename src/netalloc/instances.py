@@ -315,6 +315,10 @@ def gen_torus_grid(
     """
     if width < 3 or height < 3:
         raise ValueError("torus needs width and height >= 3")
+    if not eta > 0.0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if beta / eta == float("inf"):
+        raise ValueError(f"beta / eta overflows ({beta} / {eta})")
     n = width * height
     budget_units = round(beta / eta)
     if abs(budget_units * eta - beta) > 1e-9 * max(1.0, beta):
@@ -544,6 +548,12 @@ def gen_random_instance(
     ``behavior``/``family`` None means random per player / per direction;
     ``symmetric_utilities`` forces one utility per edge (both directions).
     """
+    if budget_units < 1:
+        raise ValueError(f"budget_units must be >= 1, got {budget_units}")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
     rng = random.Random(seed)
     eta = beta / budget_units
     edge_list = [

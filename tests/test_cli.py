@@ -48,6 +48,61 @@ def test_bad_parameter_exit_code(tmp_path, capsys, args, message):
     assert not (tmp_path / "exp.summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["torus", "--beta", "-1"], "budget of player 0 is negative (-1.0)"),
+        (["random", "--n", "0"], "player count 0: a game needs at least one"),
+        (["random", "--budget-units", "0"], "budget_units must be >= 1"),
+        (["torus", "--eta", "0"], "eta must be positive"),
+        (["torus", "--beta", "1e300", "--eta", "1e-300"], "beta / eta overflows"),
+        (["random", "--edge-prob", "2"], "edge_prob must be in [0, 1]"),
+        (["random", "--beta", "0"], "beta must be positive"),
+    ],
+)
+def test_gen_validates_before_writing(tmp_path, capsys, args, message):
+    out = tmp_path / "g.json"
+    assert main(["gen", *args, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation: ")
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, work",
+    [
+        ("simulate", "--trace-out", "run_sequential"),
+        ("optimum", "--out", "global_optimum"),
+        ("experiment", "--out-prefix", "run_batch_experiment"),
+    ],
+)
+def test_missing_output_directory_exit_code(
+    tmp_path, capsys, monkeypatch, command, option, work
+):
+    import netalloc.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work started before the output path check")
+
+    monkeypatch.setattr(cli_mod, work, never)
+    inst = tmp_path / "k5.json"
+    main(["gen", "k5", "--out", str(inst)])
+    capsys.readouterr()
+    missing = tmp_path / "absent"
+    args = [command, "--instance", str(inst), option, str(missing / "out")]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err == f"validation: output directory {missing} does not exist\n"
+    assert not missing.exists()
+    # a directory where the output file should go is refused up front too
+    target = tmp_path / "taken"
+    (tmp_path / ("taken.summary.json" if command == "experiment" else "taken")).mkdir()
+    args[-1] = str(target)
+    assert main(args) == 4
+    assert "is a directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "optimum", "experiment"])
 def test_missing_instance_file_exit_code(tmp_path, capsys, command):
     assert _run_on(command, tmp_path / "absent.json", tmp_path) == 4

@@ -1,12 +1,18 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_spec, profile_of, single_edge_spec
+from netalloc.bestresponse import best_response, is_best_response
 from netalloc.dynamics import (
     Converged,
     CycleDetected,
     DynamicsConfig,
     ExplicitList,
     Given,
+    InvariantViolation,
     MaxRoundsExceeded,
     NotEquilibrium,
     OptimisticNE,
@@ -126,12 +132,72 @@ def test_incremental_state_matches_outcome_summary_after_every_move():
             assert state.win_count == [len(s.win[i]) for i in range(spec.n)]
             assert state.stable_players() == s.stable
             assert state.total_slack() == s.total_slack
+            assert type(state.total_slack()) is type(s.total_slack)
+            fresh = _SeqState(spec, state.view, 1e-9)
+            assert (state._util, state._up, state._down) == (
+                fresh._util, fresh._up, fresh._down
+            )
             if not state.not_br:
                 break
             mover = min(state.not_br)
-            state.apply_move(mover, state.not_br[mover])
+            state.apply_move(mover, _response(state, spec, mover))
             moves += 1
         assert moves > 0
+
+
+def _response(state, spec, mover):
+    """The mover's response as run_sequential takes it: the stored one, or
+    solved now when the exchange test decided the status."""
+    br = state.not_br[mover]
+    return best_response(spec, state.view, mover) if br is None else br
+
+
+@pytest.mark.parametrize(
+    "behavior", ["optimistic", "pessimistic", "mixed"]
+)
+def test_lazy_statuses_match_is_best_response_after_every_move(behavior):
+    if behavior == "mixed":
+        spec = gen_random_instance(
+            n=30, edge_prob=0.3, seed=41, budget_units=60
+        ).to_game_spec()
+    else:
+        spec = gen_torus_grid(
+            10, 10, beta=1000.0, eta=1.0, weight_seed=7,
+            utility=UtilitySpec.sqrt(),
+        ).to_game_spec(behavior_override=behavior)
+    rng = random.Random(1000)
+    state = _SeqState(spec, init_profile(spec, RandomFeasible(1000)), 1e-9)
+    lazy = 0
+    while True:
+        movable = {
+            i for i in range(spec.n)
+            if not is_best_response(spec, state.view, i)[0]
+        }
+        assert set(state.not_br) == movable
+        lazy += sum(br is None for br in state.not_br.values())
+        if not state.not_br:
+            break
+        mover = rng.choice(sorted(state.not_br))
+        state.apply_move(mover, _response(state, spec, mover))
+    assert lazy > 0
+
+
+def test_lazy_mover_that_cannot_improve_raises(monkeypatch):
+    # player 0 is past the peak of a satiating utility: it wins on the
+    # edge (3 < 5) yet has nothing to gain, so it is at a best response
+    u = UtilitySpec.capped_quadratic(1.0)
+    spec = single_edge_spec(u=u, eta=0.25, budgets=(1.25, 1.25))
+    init = profile_of(spec, {0: {1: 3}, 1: {0: 5}})
+    assert is_best_response(spec, init, 0) == (True, 0.0)
+    monkeypatch.setattr(
+        _SeqState, "certainly_improves", lambda self, i: True
+    )
+    with pytest.raises(InvariantViolation, match="exchange test picked mover 0"):
+        run_sequential(spec, init, DynamicsConfig())
+    final, _, status = run_sequential(
+        spec, init, DynamicsConfig(check_invariants=False)
+    )
+    assert status == Converged(t=1)
 
 
 def test_sequential_trace_round_indices_strictly_increase():
@@ -425,3 +491,55 @@ def test_classification_matches_exhaustive_deviation_check():
                         disagreements += 1
         assert checked == 4 * 15 * 4
         assert disagreements == 0, f"{disagreements} of {checked} (u={u})"
+
+
+# -- the exchange test ------------------------------------------------------------
+
+EXCHANGE_UTILITIES = st.one_of(
+    st.just(UtilitySpec.linear()),
+    st.just(UtilitySpec.sqrt()),
+    st.just(UtilitySpec.log1p()),
+    st.sampled_from([0.2, 0.5, 0.999, 1.0]).map(UtilitySpec.power),
+    # satiate within a few quanta
+    st.sampled_from([0.3, 1.0, 2.5]).map(UtilitySpec.capped_quadratic),
+)
+
+
+@st.composite
+def exchange_games(draw):
+    """Player 0 with 1-5 neighbors (zero weights allowed), integer caps
+    below and above its budget, and a feasible integer row of its own."""
+    eta = draw(st.sampled_from([0.05, 0.25, 1.0]))
+    budget = draw(st.integers(1, 12))
+    deg = draw(st.integers(1, 5))
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+            min_size=deg, max_size=deg,
+        )
+    )
+    utils = draw(st.lists(EXCHANGE_UTILITIES, min_size=deg, max_size=deg))
+    caps = draw(st.lists(st.integers(0, 15), min_size=deg, max_size=deg))
+    row = []
+    left = budget
+    for _ in range(deg):
+        f = draw(st.integers(0, left))
+        row.append(f)
+        left -= f
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    edges = [(0, k + 1, weights[k], 1.0, utils[k], utils[k]) for k in range(deg)]
+    spec = make_spec(deg + 1, eta, edges, [budget * eta] + [15 * eta] * deg)
+    rows = {0: {k + 1: row[k] for k in range(deg)}}
+    rows.update({k + 1: {0: caps[k]} for k in range(deg)})
+    return spec, profile_of(spec, rows), tol
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(exchange_games())
+def test_exchange_test_only_flags_players_that_improve(game):
+    spec, profile, tol = game
+    state = _SeqState(spec, profile, tol)
+    if state.win_count[0] and state.certainly_improves(0):
+        ok, improvement = is_best_response(spec, profile, 0, tol)
+        assert not ok
+        assert improvement > tol
