@@ -14,7 +14,6 @@ from .analysis import (
     grid_reference_welfare,
     match_down,
     ne_quality,
-    partition_players,
     poa_grid_ratio,
     potential_value,
 )
@@ -22,7 +21,6 @@ from .bestresponse import (
     BRResult,
     best_response,
     brute_force_best_response,
-    ideal_allocation,
     is_best_response,
     oracle_tolerance,
     quantize_allocation,
@@ -46,7 +44,6 @@ from .dynamics import (
     Zero,
     classify_equilibrium,
     init_profile,
-    min_positive_utility_gain,
     run_sequential,
     run_simultaneous,
 )

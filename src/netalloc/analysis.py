@@ -16,16 +16,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .bestresponse import BRUTE_FORCE_LIMIT
 from .game import (
     FrequencyProfile,
     GameSpec,
     PlayerId,
     check_feasible,
-    outcome_summary,
     social_welfare,
 )
 
 WEIGHT_MATCH_TOL = 1e-9
+# continuous_equilibrium_polish: the improvement it leaves, and its round cap
+POLISH_TOL = 1e-12
+POLISH_MAX_ROUNDS = 100_000
 
 
 # -- rank-induced weights and the potential ----------------------------------
@@ -133,12 +136,11 @@ def convex_combine(
     profile_a: FrequencyProfile,
     profile_b: FrequencyProfile,
     alpha: float,
-    snap: bool = False,
 ) -> FrequencyProfile:
     """Edgewise mix alpha*a + (1-alpha)*b (feasible by convexity).
 
-    Returns real-valued counts in general; ``snap`` floors back to the grid.
-    The endpoints return exact copies so integer profiles stay integer.
+    Returns real-valued counts in general.  The endpoints return exact
+    copies so integer profiles stay integer.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
@@ -154,26 +156,11 @@ def convex_combine(
         e: alpha * profile_a.counts[e] + (1.0 - alpha) * profile_b.counts[e]
         for e in profile_a.counts
     }
-    if snap:
-        counts = {e: int(math.floor(c)) for e, c in counts.items()}
     return FrequencyProfile(counts)
 
 
-def partition_players(
-    spec: GameSpec, profile: FrequencyProfile
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Split players into (stable, active): stable players match every
-    neighbor's proposal (empty win set) and have nothing to gain; the rest
-    are still out-proposed somewhere."""
-    stable = outcome_summary(spec, profile).stable
-    return stable, frozenset(range(spec.n)) - stable
-
-
 def continuous_equilibrium_polish(
-    spec: GameSpec,
-    profile: FrequencyProfile,
-    tol: float = 1e-12,
-    max_rounds: int = 100_000,
+    spec: GameSpec, profile: FrequencyProfile
 ) -> FrequencyProfile:
     """Settle a profile into a continuous-deviation equilibrium.
 
@@ -182,7 +169,8 @@ def continuous_equilibrium_polish(
     when classifying real-valued transforms (convex combinations, optimum
     profiles) at tight tolerances.  This reruns sequential best responses on
     a real-valued copy of the profile until no player improves by more than
-    ``tol``; starting from a grid equilibrium it settles within a few moves.
+    ``POLISH_TOL``; starting from a grid equilibrium it settles within a few
+    moves.
     """
     from .dynamics import Converged, DynamicsConfig, run_sequential
 
@@ -192,12 +180,12 @@ def continuous_equilibrium_polish(
     final, _, status = run_sequential(
         spec,
         start,
-        DynamicsConfig(tol=tol, max_rounds=max_rounds, check_invariants=False),
+        DynamicsConfig(tol=POLISH_TOL, max_rounds=POLISH_MAX_ROUNDS),
         trace_detail="light",
     )
     if not isinstance(status, Converged):
         raise RuntimeError(
-            f"continuous polish did not settle within {max_rounds} rounds"
+            f"continuous polish did not settle within {POLISH_MAX_ROUNDS} rounds"
         )
     return final
 
@@ -229,7 +217,7 @@ class OptimizerConfig:
     gap_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.max_iters <= 0 or self.gap_tol <= 0:
+        if self.max_iters <= 0 or not self.gap_tol > 0:
             raise ValueError("all optimizer parameters must be positive")
 
 
@@ -653,9 +641,10 @@ def brute_force_optimum(spec: GameSpec) -> tuple[SymmetricProfile, float]:
     size = 1.0
     for (i, j) in edges:
         size *= min(budgets[i], budgets[j]) + 1
-        if size > 10_000_000:
+        if size > BRUTE_FORCE_LIMIT:
             raise ValueError(
-                f"brute-force optimum search space exceeds 1e7 (>= {size:.0f})"
+                f"brute-force optimum search space exceeds the limit "
+                f"{BRUTE_FORCE_LIMIT} (>= {size:.0f})"
             )
 
     pairs = [
@@ -723,16 +712,25 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _grid_reference_utilities(eps, beta) -> tuple[Fraction, Fraction]:
-    """Exact per-player utility of the skewed grid's high and low matched
-    reference profiles."""
+def _grid_parameters(eps, beta) -> tuple[Fraction, Fraction]:
+    """The skewed grid's eps and beta as exact rationals, checked: beta > 0
+    and 0 < eps < min(1/2, beta/2)."""
     e = _as_fraction(eps)
     b = _as_fraction(beta)
-    half = Fraction(1, 2)
-    if not (0 < e < min(half, b / 2)):
+    if not b > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    if not (0 < e < min(Fraction(1, 2), b / 2)):
         raise ValueError(
             f"eps must be in (0, min(1/2, beta/2)), got eps={eps} beta={beta}"
         )
+    return e, b
+
+
+def _grid_reference_utilities(eps, beta) -> tuple[Fraction, Fraction]:
+    """Exact per-player utility of the skewed grid's high and low matched
+    reference profiles."""
+    e, b = _grid_parameters(eps, beta)
+    half = Fraction(1, 2)
     good = 2 * (half - e) * (b / 2 - e) * (b / 2 + e) + 2 * e * e * (b - e)
     bad = 2 * e * (b / 2 - e) * (b / 2 + e) + 2 * (half - e) * e * (b - e)
     return good, bad

@@ -65,17 +65,13 @@ class BRResult:
     """Outcome of one best-response computation.
 
     ``proposals`` are per-neighbor amounts in eta units (ints when the
-    player's caps are, see :func:`best_response`).  ``dual_level`` is the
-    water level delta; ``cap_duals`` carry the shadow price of each binding
-    neighbor cap.
-    ``realized_utility`` is computed from the agreed amounts min(f_j, cap_j),
-    not from the raw proposals, and ``slack_after`` is the budget (eta units)
-    that ends up unrealized.
+    player's caps are, see :func:`best_response`).  ``realized_utility`` is
+    computed from the agreed amounts min(f_j, cap_j), not from the raw
+    proposals, and ``slack_after`` is the budget (eta units) that ends up
+    unrealized.
     """
 
     proposals: dict[PlayerId, float]
-    dual_level: float
-    cap_duals: dict[PlayerId, float]
     realized_utility: float
     slack_after: float
 
@@ -318,29 +314,19 @@ def best_response(
     spec: GameSpec,
     profile: FrequencyProfile,
     i: PlayerId,
-    behavior: Behavior | None = None,
 ) -> BRResult:
     """Best response of player i against everyone else's standing proposals.
 
     Grid rule: the response is on the eta grid (``int`` proposals) exactly
     when every cap ``profile.counts[(j, i)]`` is an ``int``; otherwise it is
     the continuous solution, as analysis code wants for real-valued profiles.
-    ``behavior`` defaults to the player's configured one.
     """
-    if behavior is None:
-        behavior = spec.behaviors[i]
     nbrs = spec.neighbors[i]
     budget = spec.budget_units(i)
     caps = [profile.counts[(j, i)] for j in nbrs]
     grid = all(isinstance(c, int) for c in caps)
     if not nbrs:
-        return BRResult(
-            proposals={},
-            dual_level=0.0,
-            cap_duals={},
-            realized_utility=0.0,
-            slack_after=budget,
-        )
+        return BRResult(proposals={}, realized_utility=0.0, slack_after=budget)
 
     eta = spec.eta
     weights = [spec.weights[(i, j)] for j in nbrs]
@@ -351,13 +337,11 @@ def best_response(
         zero = 0 if grid else 0.0
         return BRResult(
             proposals={j: zero for j in nbrs},
-            dual_level=0.0,
-            cap_duals={j: 0.0 for j in nbrs},
             realized_utility=0.0,
             slack_after=zero,
         )
 
-    delta, targets = _water_fill(weights, utils, caps, budget, eta)
+    _, targets = _water_fill(weights, utils, caps, budget, eta)
     marginals = list(zip(weights, utils))
 
     if grid:
@@ -385,7 +369,7 @@ def best_response(
     # neighborhood, round-robin one quantum at a time -- on the grid each of
     # the m matched neighbors gets leftover // m and the first leftover % m
     # one more.
-    if behavior is Behavior.OPTIMISTIC and leftover > 0:
+    if spec.behaviors[i] is Behavior.OPTIMISTIC and leftover > 0:
         lose = [k for k in range(deg) if alloc[k] >= caps[k]]
         if lose:
             if grid:
@@ -401,21 +385,13 @@ def best_response(
 
     realized_utility = 0.0
     realized_total = 0.0
-    cap_duals: dict[PlayerId, float] = {}
-    for k, j in enumerate(nbrs):
+    for k in range(deg):
         agreed = alloc[k] if alloc[k] < caps[k] else caps[k]
         realized_total += agreed
         realized_utility += weights[k] * utils[k].value(agreed * eta)
-        if targets[k] >= caps[k] and caps[k] < INF:
-            lam = weights[k] * utils[k].marginal(caps[k] * eta) - delta
-            cap_duals[j] = lam if lam > 0.0 else 0.0
-        else:
-            cap_duals[j] = 0.0
 
     return BRResult(
         proposals={j: alloc[k] for k, j in enumerate(nbrs)},
-        dual_level=delta,
-        cap_duals=cap_duals,
         realized_utility=realized_utility,
         slack_after=budget - realized_total,
     )
@@ -493,33 +469,6 @@ def brute_force_best_response(
     recurse(0, budget, 0.0)
     assert best_alloc is not None
     return {j: best_alloc[k] for k, j in enumerate(nbrs)}, best_util
-
-
-def ideal_allocation(
-    spec: GameSpec, i: PlayerId
-) -> tuple[dict[PlayerId, float], float]:
-    """Unconstrained-by-neighbors optimum: water-filling with no caps.
-
-    Returns per-neighbor amounts in resource units and the optimum value,
-    an upper bound on i's utility at any profile.
-    """
-    nbrs = spec.neighbors[i]
-    if not nbrs:
-        return {}, 0.0
-    eta = spec.eta
-    budget = spec.budget_units(i)
-    if budget <= 0:
-        return {j: 0.0 for j in nbrs}, 0.0
-    weights = [spec.weights[(i, j)] for j in nbrs]
-    utils = [spec.utilities[(i, j)] for j in nbrs]
-    caps = [INF] * len(nbrs)
-    _, targets = _water_fill(weights, utils, caps, budget, eta)
-    alloc = list(targets)
-    _greedy_fill(alloc, caps, budget, eta, list(zip(weights, utils)), grid=False)
-    value = sum(
-        weights[k] * utils[k].value(alloc[k] * eta) for k in range(len(nbrs))
-    )
-    return {j: alloc[k] * eta for k, j in enumerate(nbrs)}, value
 
 
 def oracle_tolerance(spec: GameSpec, i: PlayerId) -> float:

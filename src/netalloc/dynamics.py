@@ -14,23 +14,27 @@ whose incoming proposals changed: do they still best-respond?  On integral
 profiles that question is first put to a one-pass exchange test (see
 ``_SeqState.certainly_improves``), which can prove a player is not at a best
 response without solving for the response; the response is then solved only
-if that player is picked to move (and, with invariant checks on, must improve
-on the player's utility by more than ``tol``).  The test answers only when
-the best single-quantum move gains more than ``tol`` plus a margin (about
-1e-9 relative to an upper bound on the player's utility, plus 1e-12 per
-budget quantum) that covers float rounding and the solver's polish
-threshold; every other case is solved as before, so statuses, random picks
-and results are bit-identical to solving every status in full.
+if that player is picked to move (and must then improve on the player's
+utility by more than ``tol``).  The test answers only when the best
+single-quantum move gains more than ``tol`` plus a margin (about 1e-9
+relative to an upper bound on the player's utility, plus 1e-12 per budget
+quantum) that covers float rounding and the solver's polish threshold;
+every other case is solved as before, so statuses, random picks and results
+are bit-identical to solving every status in full.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
-from .bestresponse import BRResult, best_response
+from .bestresponse import (
+    BRResult,
+    best_response,
+    is_best_response,
+    quantize_allocation,
+)
 from .game import (
     FrequencyProfile,
     GameSpec,
@@ -42,8 +46,7 @@ from .game import (
 )
 from .utility import INF
 
-FULL_PROFILE_ROUNDS = 10_000  # past this, traces keep hashes + a tail window
-TAIL_PROFILES = 100
+FULL_PROFILE_ROUNDS = 10_000  # past this, traces keep only profile hashes
 
 # Margin of the exchange test (``_SeqState.certainly_improves``): relative to
 # an upper bound on the player's best utility, plus per budget quantum.
@@ -111,12 +114,11 @@ class DynamicsConfig:
     order: OrderPolicy = RoundRobin()
     max_rounds: int = 1_000_000
     tol: float = 1e-9
-    check_invariants: bool = True
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
 
 
@@ -165,7 +167,6 @@ class RoundRecord:
 @dataclass
 class Trace:
     records: list[RoundRecord] = field(default_factory=list)
-    tail_profiles: deque = field(default_factory=lambda: deque(maxlen=TAIL_PROFILES))
 
 
 def profile_hash(spec: GameSpec, profile: FrequencyProfile) -> str:
@@ -203,8 +204,6 @@ def classify_equilibrium(
     A pessimistic equilibrium has proposals matched exactly on every edge;
     any equilibrium with a strictly over-matched proposal is optimistic.
     """
-    from .bestresponse import is_best_response
-
     for i in range(spec.n):
         ok, improvement = is_best_response(spec, profile, i, tol)
         if not ok:
@@ -220,8 +219,6 @@ def classify_equilibrium(
 
 def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
     """Build a feasible starting profile (deterministic per policy/seed)."""
-    from .bestresponse import quantize_allocation
-
     if isinstance(policy, Zero):
         return FrequencyProfile.zeros(spec)
     if isinstance(policy, Given):
@@ -515,7 +512,6 @@ def run_sequential(
                 else None
             )
             phash = profile_hash(spec, state.view)
-            trace.tail_profiles.append((t, FrequencyProfile(state.counts)))
         welfare = (
             social_welfare(spec, state.view) if trace_detail == "full" else None
         )
@@ -565,33 +561,28 @@ def run_sequential(
         br = state.not_br[mover]
         if br is None:  # its status came from the exchange test: solve now
             br = best_response(spec, state.view, mover)
-            if config.check_invariants:
-                gain = br.realized_utility - player_utility(
-                    spec, state.view, mover
+            gain = br.realized_utility - player_utility(spec, state.view, mover)
+            if not gain > config.tol:
+                raise InvariantViolation(
+                    f"exchange test picked mover {mover} at round {t}, "
+                    f"but its best response gains only {gain!r}"
                 )
-                if not gain > config.tol:
-                    raise InvariantViolation(
-                        f"exchange test picked mover {mover} at round {t}, "
-                        f"but its best response gains only {gain!r}"
-                    )
         prev_slack = state.total_slack()
         state.apply_move(mover, br)
-        if config.check_invariants:
-            now = state.total_slack()
-            bound = prev_slack if integral else prev_slack + 1e-9
-            if now > bound:
-                raise InvariantViolation(
-                    f"total slack increased at round {t}: "
-                    f"{prev_slack} -> {now} (mover {mover})"
-                )
+        now = state.total_slack()
+        bound = prev_slack if integral else prev_slack + 1e-9
+        if now > bound:
+            raise InvariantViolation(
+                f"total slack increased at round {t}: "
+                f"{prev_slack} -> {now} (mover {mover})"
+            )
         record(t, mover)
 
     if state.not_br:
         status: TerminationStatus = MaxRoundsExceeded(config.max_rounds)
     else:
         status = Converged(t)
-        if config.check_invariants:
-            _check_slack_suffix(trace.records)
+        _check_slack_suffix(trace.records)
     return FrequencyProfile(state.counts), trace, status
 
 
@@ -619,7 +610,6 @@ def run_simultaneous(
     def record(t: int, profile: FrequencyProfile) -> None:
         summary = outcome_summary(spec, profile)
         snapshot = profile if t < FULL_PROFILE_ROUNDS else None
-        trace.tail_profiles.append((t, profile))
         trace.records.append(
             RoundRecord(
                 t=t,
@@ -664,26 +654,3 @@ def run_simultaneous(
         profile = new_profile
 
     return profile, trace, MaxRoundsExceeded(config.max_rounds)
-
-
-def min_positive_utility_gain(spec: GameSpec, trace: Trace) -> float | None:
-    """Smallest positive utility improvement any mover realized in a full
-    trace (None if no move improved, or profiles were not recorded).
-
-    Diagnostic counterpart of the per-move progress floor that bounds how
-    long the stable-slack phase of a sequential run can last.
-    """
-    best: float | None = None
-    recs = trace.records
-    for t in range(1, len(recs)):
-        mover = recs[t].mover
-        if not isinstance(mover, int):
-            continue
-        if recs[t].profile is None or recs[t - 1].profile is None:
-            continue
-        gain = player_utility(spec, recs[t].profile, mover) - player_utility(
-            spec, recs[t - 1].profile, mover
-        )
-        if gain > 0 and (best is None or gain < best):
-            best = gain
-    return best

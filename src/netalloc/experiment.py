@@ -45,6 +45,8 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
+        if self.n_jobs < 1:
+            raise ValueError("n_jobs must be >= 1")
         if self.behavior not in (None, "pessimistic", "optimistic"):
             raise ValueError(f"unknown behavior {self.behavior!r}")
 
@@ -145,9 +147,10 @@ def run_batch_experiment(
     opt_sw = opt.welfare
 
     tasks = [(r, config.seed + r) for r in range(config.runs)]
-    if config.n_jobs > 1:
+    workers = min(config.n_jobs, config.runs)
+    if workers > 1:
         with multiprocessing.Pool(
-            processes=config.n_jobs,
+            processes=workers,
             initializer=_pool_init,
             initargs=(
                 doc.to_json_dict(),

@@ -213,9 +213,6 @@ class FrequencyProfile:
         p.counts = counts
         return p
 
-    def __getitem__(self, edge: DirectedEdge) -> float:
-        return self.counts[edge]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FrequencyProfile) and self.counts == other.counts
@@ -275,8 +272,8 @@ class OutcomeSummary:
     """Realized interaction per edge plus the per-player leftovers.
 
     ``agreed`` maps each undirected edge to min(f_ij, f_ji); ``slack`` is the
-    budget each player did not realize; ``win``/``lose`` split each player's
-    neighborhood by whether the player's own proposal is the binding one;
+    budget each player did not realize; ``win`` holds the neighbors on which
+    the player's own proposal is the binding one (see :func:`win_set`);
     ``stable`` holds the players with an empty win set.  All amounts are in
     eta units.  This is the one whole-profile source of these quantities;
     the sequential engine patches them per move from here.
@@ -286,7 +283,6 @@ class OutcomeSummary:
     slack: dict[PlayerId, float]
     total_slack: float
     win: dict[PlayerId, frozenset[int]]
-    lose: dict[PlayerId, frozenset[int]]
     stable: frozenset[PlayerId]
 
 
@@ -309,19 +305,16 @@ def outcome_summary(spec: GameSpec, profile: FrequencyProfile) -> OutcomeSummary
         agreed[(i, j)] = min(profile.counts[(i, j)], profile.counts[(j, i)])
     slack: dict[PlayerId, float] = {}
     win: dict[PlayerId, frozenset[int]] = {}
-    lose: dict[PlayerId, frozenset[int]] = {}
     for i in range(spec.n):
         nbrs = spec.neighbors[i]
         realized = sum(agreed[_normalize_edge(i, j)] for j in nbrs)
         slack[i] = spec.budget_units(i) - realized
         win[i] = frozenset(win_set(spec, profile, i))
-        lose[i] = frozenset(nbrs) - win[i]
     return OutcomeSummary(
         agreed=agreed,
         slack=slack,
         total_slack=sum(slack.values()),
         win=win,
-        lose=lose,
         stable=frozenset(i for i in range(spec.n) if not win[i]),
     )
 

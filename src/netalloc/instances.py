@@ -24,7 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import RankingSystem, _as_fraction, global_ranking_weights
+from .analysis import (
+    RankingSystem,
+    _as_fraction,
+    _grid_parameters,
+    global_ranking_weights,
+)
 from .game import Behavior, FrequencyProfile, GameSpec
 from .utility import UtilitySpec
 
@@ -440,10 +445,7 @@ def gen_poa_grid_instance(
     """
     if width < 3 or height < 3:
         raise ValueError("grid needs width and height >= 3")
-    e = _as_fraction(eps)
-    b = _as_fraction(beta)
-    if not (0 < e < min(Fraction(1, 2), b / 2)):
-        raise ValueError(f"eps must be in (0, min(1/2, beta/2)), got {eps}")
+    e, b = _grid_parameters(eps, beta)
 
     # exact quantum dividing eps, beta/2 - eps and beta
     quantum = _fraction_gcd(e, b / 2 - e)

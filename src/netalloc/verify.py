@@ -101,7 +101,7 @@ def slack_laws() -> str:
         _, trace, status = run_sequential(
             spec,
             init_profile(spec, RandomFeasible(k)),
-            DynamicsConfig(order=RandomSeeded(k), check_invariants=True),
+            DynamicsConfig(order=RandomSeeded(k)),
             trace_detail="light",
         )
         _require(isinstance(status, Converged), f"instance {k}: {status}")

@@ -10,7 +10,6 @@ from netalloc.bestresponse import (
     _water_fill,
     best_response,
     brute_force_best_response,
-    ideal_allocation,
     is_best_response,
     oracle_tolerance,
     quantize_allocation,
@@ -53,7 +52,15 @@ def test_k5_best_response_matches_incoming_weights():
     # each neighbor's cap binds exactly: propose what they proposed to you
     assert br.proposals == {1: 4, 2: 4, 3: 6, 4: 6}
     assert br.slack_after == 0
-    assert br.dual_level == 0.0
+    nbrs = spec.neighbors[0]
+    delta, _ = _water_fill(
+        [spec.weights[(0, j)] for j in nbrs],
+        [spec.utilities[(0, j)] for j in nbrs],
+        [start.counts[(j, 0)] for j in nbrs],
+        spec.budget_units(0),
+        spec.eta,
+    )
+    assert delta == 0.0
 
 
 def test_k5_best_response_with_open_caps_recovers_own_weights():
@@ -69,12 +76,16 @@ def test_k5_best_response_with_open_caps_recovers_own_weights():
 
 
 def test_single_neighbor_pessimistic_vs_optimistic():
-    spec = single_edge_spec(UtilitySpec.sqrt(), eta=1.0, budgets=(5.0, 5.0))
-    profile = profile_of(spec, {1: {0: 3}})
-    pess = best_response(spec, profile, 0, behavior=PESS)
+    def response(behavior):
+        spec = single_edge_spec(
+            UtilitySpec.sqrt(), 1.0, (5.0, 5.0), behaviors={0: behavior, 1: PESS}
+        )
+        return best_response(spec, profile_of(spec, {1: {0: 3}}), 0)
+
+    pess = response(PESS)
     assert pess.proposals == {1: 3}
     assert pess.slack_after == 2
-    opt = best_response(spec, profile, 0, behavior=OPT)
+    opt = response(OPT)
     assert opt.proposals == {1: 5}
     assert opt.slack_after == 2  # realized interaction still 3
     assert opt.realized_utility == pess.realized_utility
@@ -85,10 +96,14 @@ def test_optimistic_disposal_splits_the_remainder_in_neighbor_order():
     # each of the 3 neighbors gets 5 // 3 more, the first 5 % 3 one extra
     u = UtilitySpec.sqrt()
     spec = make_spec(
-        4, 1.0, [(0, j, 1.0, 1.0, u, u) for j in (1, 2, 3)], [8.0] + [1.0] * 3
+        4,
+        1.0,
+        [(0, j, 1.0, 1.0, u, u) for j in (1, 2, 3)],
+        [8.0] + [1.0] * 3,
+        {i: OPT for i in range(4)},
     )
     profile = profile_of(spec, {j: {0: 1} for j in (1, 2, 3)})
-    br = best_response(spec, profile, 0, behavior=OPT)
+    br = best_response(spec, profile, 0)
     assert br.proposals == {1: 3, 2: 3, 3: 2}
     assert all(type(c) is int for c in br.proposals.values())
     assert br.slack_after == 5
@@ -273,7 +288,6 @@ def test_water_level_on_a_linear_jump(monkeypatch):
         [w_sqrt, w_lin], [UtilitySpec.sqrt(), UtilitySpec.linear()], [200, 80], 100, eta
     )
     br = best_response(spec, profile, 0)
-    assert br.dual_level == w_lin
     assert sum(br.proposals.values()) <= 100
     assert br.realized_utility == pytest.approx(
         brute_force_best_response(spec, profile, 0)[1], abs=1e-12
@@ -460,10 +474,10 @@ def test_br_never_leaves_spare_budget_with_open_win():
             budget_units=30,
             family="capped_quadratic",
         )
-        spec = doc.to_game_spec()
+        spec = doc.to_game_spec(behavior_override="pessimistic")
         profile = init_profile(spec, RandomFeasible(seed + 99))
         for i in range(spec.n):
-            br = best_response(spec, profile, i, behavior=PESS)
+            br = best_response(spec, profile, i)
             moved = profile.with_proposals(i, br.proposals)
             s = outcome_summary(spec, moved)
             assert not (s.slack[i] >= 1 and s.win[i])
@@ -472,44 +486,15 @@ def test_br_never_leaves_spare_budget_with_open_win():
 def test_pessimistic_matched_exactly_when_no_wins_remain():
     for seed in range(25):
         doc = gen_random_instance(n=6, edge_prob=0.6, seed=seed, budget_units=30)
-        spec = doc.to_game_spec()
+        spec = doc.to_game_spec(behavior_override="pessimistic")
         profile = init_profile(spec, RandomFeasible(seed))
         for i in range(spec.n):
-            br = best_response(spec, profile, i, behavior=PESS)
+            br = best_response(spec, profile, i)
             moved = profile.with_proposals(i, br.proposals)
             s = outcome_summary(spec, moved)
             if s.slack[i] >= 1:
                 for j in spec.neighbors[i]:
                     assert br.proposals[j] == profile.counts[(j, i)]
-
-
-def test_kkt_witness():
-    for seed in range(10):
-        doc = gen_random_instance(n=6, edge_prob=0.6, seed=seed, budget_units=12)
-        spec = doc.to_game_spec()
-        profile = init_profile(spec, RandomFeasible(seed))
-        for i in range(spec.n):
-            br = best_response(spec, profile, i)
-            assert br.dual_level >= 0.0
-            for j in spec.neighbors[i]:
-                assert br.cap_duals[j] >= 0.0
-                agreed = min(br.proposals[j], profile.counts[(j, i)])
-                if agreed > 0:
-                    marg = spec.weights[(i, j)] * spec.utilities[
-                        (i, j)
-                    ].marginal(agreed * spec.eta)
-                    slack_price = br.dual_level + br.cap_duals[j]
-                    # marginals above the water level only via the cap dual,
-                    # up to one quantum of grid movement
-                    one_step = spec.weights[(i, j)] * (
-                        spec.utilities[(i, j)].marginal(
-                            max(0.0, (agreed - 1)) * spec.eta
-                        )
-                        - marg
-                    )
-                    assert marg <= slack_price + one_step + 1e-9 or math.isinf(
-                        one_step
-                    )
 
 
 # -- is_best_response ---------------------------------------------------------------
@@ -567,56 +552,3 @@ def test_brute_force_refuses_large_instances():
     profile = FrequencyProfile.zeros(spec)
     with pytest.raises(ValueError, match="enumerate"):
         brute_force_best_response(spec, profile, 0)
-
-
-# -- unconstrained optimum ---------------------------------------------------------------
-
-
-def test_ideal_allocation_k5_is_weight_row():
-    doc = gen_k5_cycle_instance(0.05)
-    spec = doc.to_game_spec()
-    alloc, value = ideal_allocation(spec, 0)
-    assert alloc[1] == pytest.approx(0.30, abs=1e-9)
-    assert alloc[2] == pytest.approx(0.30, abs=1e-9)
-    assert alloc[3] == pytest.approx(0.20, abs=1e-9)
-    assert alloc[4] == pytest.approx(0.20, abs=1e-9)
-
-
-def test_ideal_allocation_linear_corner():
-    u = UtilitySpec.linear()
-    spec = make_spec(
-        4,
-        0.5,
-        [
-            (0, 1, 0.2, 1.0, u, u),
-            (0, 2, 0.5, 1.0, u, u),
-            (0, 3, 0.3, 1.0, u, u),
-        ],
-        [2.0, 2.0, 2.0, 2.0],
-    )
-    alloc, value = ideal_allocation(spec, 0)
-    assert alloc == {1: 0.0, 2: 2.0, 3: 0.0}
-    assert value == pytest.approx(1.0)
-
-
-def test_ideal_allocation_linear_tie_by_index():
-    u = UtilitySpec.linear()
-    spec = make_spec(
-        3,
-        1.0,
-        [(0, 1, 0.5, 1.0, u, u), (0, 2, 0.5, 1.0, u, u)],
-        [4.0, 4.0, 4.0],
-    )
-    alloc, _ = ideal_allocation(spec, 0)
-    assert alloc == {1: 4.0, 2: 0.0}
-
-
-def test_ideal_allocation_upper_bounds_any_profile():
-    for seed in range(15):
-        doc = gen_random_instance(n=6, edge_prob=0.6, seed=seed, budget_units=10)
-        spec = doc.to_game_spec()
-        bounds = {i: ideal_allocation(spec, i)[1] for i in range(spec.n)}
-        for init_seed in range(4):
-            profile = init_profile(spec, RandomFeasible(init_seed))
-            for i in range(spec.n):
-                assert player_utility(spec, profile, i) <= bounds[i] + 1e-9

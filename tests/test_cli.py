@@ -24,11 +24,16 @@ def _run_on(command, inst, tmp_path):
         (["gen", "torus", "--width", "2"], "width and height >= 3"),
         (["gen", "torus", "--utility", "power"], "needs --utility-param"),
         (["simulate", "--max-rounds", "0"], "max_rounds must be >= 1"),
+        (["gen", "poa-grid", "--beta", "-1"], "beta must be positive"),
         (["simulate", "--tol", "-1"], "tol must be >= 0"),
+        (["simulate", "--tol", "nan"], "tol must be >= 0"),
         (["optimum", "--max-iters", "0"], "must be positive"),
+        (["optimum", "--gap-tol", "nan"], "must be positive"),
         (["experiment", "--runs", "0"], "runs must be >= 1"),
         (["experiment", "--bins", "1"], "bins must be >= 2"),
         (["experiment", "--max-rounds", "0"], "max_rounds must be >= 1"),
+        (["experiment", "--tol", "nan"], "tol must be >= 0"),
+        (["experiment", "--n-jobs", "0"], "n_jobs must be >= 1"),
     ],
 )
 def test_bad_parameter_exit_code(tmp_path, capsys, args, message):

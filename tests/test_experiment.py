@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 
 import pytest
 
@@ -71,6 +72,35 @@ def test_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_pool_never_outnumbers_the_runs(monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker process starts
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    doc = small_torus()
+    serial = run_batch_experiment(doc, ExperimentConfig(runs=3, seed=9))
+    capped = run_batch_experiment(doc, ExperimentConfig(runs=3, seed=9, n_jobs=8))
+    assert started == [3]
+    assert capped == serial
+    run_batch_experiment(doc, ExperimentConfig(runs=1, seed=9, n_jobs=8))
+    assert started == [3]  # one run needs no pool
+
+
 def test_mode_count_shapes():
     assert smoothed_mode_count([0, 1, 5, 9, 5, 1, 0]) == 1
     assert smoothed_mode_count([9, 5, 1, 0, 0, 1, 5, 9]) == 2
@@ -87,6 +117,9 @@ def test_config_validation():
         ExperimentConfig(runs=1, bins=1)
     with pytest.raises(ValueError):
         ExperimentConfig(runs=1, behavior="bold")
+    for n_jobs in (0, -3):
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            ExperimentConfig(runs=1, n_jobs=n_jobs)
 
 
 def test_report_files(tmp_path):

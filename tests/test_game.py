@@ -102,8 +102,8 @@ def test_outcome_summary_win_lose_and_min():
     profile = profile_of(spec, {0: {1: 3}, 1: {0: 5}})
     s = outcome_summary(spec, profile)
     assert s.agreed[(0, 1)] == 3
-    assert s.win[0] == {1} and s.lose[0] == frozenset()
-    assert s.win[1] == frozenset() and s.lose[1] == {0}
+    assert s.win[0] == {1}
+    assert s.win[1] == frozenset()
     assert s.slack[0] == 5 and s.slack[1] == 5
     assert s.total_slack == 10
 
@@ -117,7 +117,7 @@ def test_outcome_summary_k5_initial():
     assert all(s.slack[i] == 4 for i in range(5))
     assert s.total_slack == 20
     for i in range(5):
-        assert len(s.win[i]) == 2 and len(s.lose[i]) == 2
+        assert len(s.win[i]) == 2
 
 
 def test_outcome_summary_zero_profile():
@@ -192,8 +192,11 @@ def test_outcome_invariants_on_random_profiles():
             assert a == min(profile.counts[(i, j)], profile.counts[(j, i)])
         for i in range(spec.n):
             assert s.slack[i] >= 0
-            assert s.win[i] | s.lose[i] == frozenset(spec.neighbors[i])
-            assert not (s.win[i] & s.lose[i])
+            assert s.win[i] == {
+                j
+                for j in spec.neighbors[i]
+                if profile.counts[(i, j)] < profile.counts[(j, i)]
+            }
         assert s.total_slack == sum(s.slack.values())
 
 

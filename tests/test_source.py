@@ -1,0 +1,59 @@
+"""Source checks that need no linter: every name a module imports is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "netalloc"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotation_names(node):
+    """Names inside string annotations ("FrequencyProfile")."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval")
+        except SyntaxError:
+            return set()
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                used |= _annotation_names(node.returns)
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in used
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_sees_a_leftover():
+    source = (
+        "from .game import outcome_summary, social_welfare\n"
+        "import math\n"
+        "def f(x: 'Sequence') -> float:\n"
+        "    return social_welfare(x)\n"
+    )
+    assert unused_imports(source) == ["line 1: outcome_summary", "line 2: math"]
