@@ -712,9 +712,17 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _require_finite(**params) -> None:
+    """Reject a NaN or infinite float parameter, naming it."""
+    for name, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _grid_parameters(eps, beta) -> tuple[Fraction, Fraction]:
-    """The skewed grid's eps and beta as exact rationals, checked: beta > 0
-    and 0 < eps < min(1/2, beta/2)."""
+    """The skewed grid's eps and beta as exact rationals, checked: both
+    finite, beta > 0 and 0 < eps < min(1/2, beta/2)."""
+    _require_finite(eps=eps, beta=beta)
     e = _as_fraction(eps)
     b = _as_fraction(beta)
     if not b > 0:

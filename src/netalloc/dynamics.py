@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .bestresponse import (
@@ -148,10 +149,12 @@ TerminationStatus = Converged | CycleDetected | MaxRoundsExceeded
 class RoundRecord:
     """State snapshot after round t (t=0 is the initial profile).
 
-    ``stable_players`` are those with an empty win set; on a slack-stable
-    suffix of a sequential run this set only grows.  ``profile`` is omitted
-    in light traces and for very long runs (the hash always identifies the
-    exact integer state).
+    The stable players are those with an empty win set; on a slack-stable
+    suffix of a sequential run this set only grows.  Each record holds the
+    players that joined and left it in round t (sorted; record 0 lists the
+    initial set as joined), and :meth:`Trace.stable_sets` rebuilds the sets.
+    ``profile`` is omitted in light traces and for very long runs (the hash
+    always identifies the exact integer state).
     """
 
     t: int
@@ -161,12 +164,25 @@ class RoundRecord:
     total_slack: float
     welfare: float | None
     potential: float | None
-    stable_players: frozenset[int]
+    stable_joined: tuple[int, ...]
+    stable_left: tuple[int, ...]
 
 
 @dataclass
 class Trace:
     records: list[RoundRecord] = field(default_factory=list)
+
+    def stable_sets(self) -> Iterator[frozenset[int]]:
+        """The stable set after each record's round, in record order (the
+        same object while it does not change)."""
+        current: set[int] = set()
+        view: frozenset[int] = frozenset()
+        for rec in self.records:
+            if rec.stable_joined or rec.stable_left:
+                current.difference_update(rec.stable_left)
+                current.update(rec.stable_joined)
+                view = frozenset(current)
+            yield view
 
 
 def profile_hash(spec: GameSpec, profile: FrequencyProfile) -> str:
@@ -256,14 +272,86 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
 # -- sequential dynamics -------------------------------------------------------
 
 
+class _SlotTree:
+    """Order statistics over a set of players: a Fenwick tree of 0/1 marks
+    over the slots of an order sequence ``seq``, in which a member marks
+    every slot that names it.  Adding or removing a member, the k-th marked
+    slot and the first marked slot at or after a position are all
+    O(log len(seq)); ``member`` answers membership with one byte read."""
+
+    def __init__(self, seq: Sequence[int], n: int, members) -> None:
+        m = len(seq)
+        self.m = m
+        self.top = (1 << m.bit_length()) >> 1  # highest power of two <= m
+        slots: list[list[int]] = [[] for _ in range(n)]
+        for s, i in enumerate(seq):
+            slots[i].append(s + 1)  # tree positions are 1-based
+        self.slots = [tuple(x) for x in slots]
+        self.member = bytearray(n)
+        tree = [0] * (m + 1)
+        for i in members:
+            self.member[i] = 1
+            for s in self.slots[i]:
+                tree[s] = 1
+        self.size = sum(tree)  # marked slots
+        for s in range(1, m + 1):
+            up = s + (s & -s)
+            if up <= m:
+                tree[up] += tree[s]
+        self.tree = tree
+
+    def add(self, i: int) -> None:
+        self.member[i] = 1
+        tree, m = self.tree, self.m
+        for s in self.slots[i]:
+            self.size += 1
+            while s <= m:
+                tree[s] += 1
+                s += s & -s
+
+    def remove(self, i: int) -> None:
+        self.member[i] = 0
+        tree, m = self.tree, self.m
+        for s in self.slots[i]:
+            self.size -= 1
+            while s <= m:
+                tree[s] -= 1
+                s += s & -s
+
+    def kth(self, k: int) -> int:
+        """The marked slot with k marked slots before it (0 <= k < size)."""
+        tree, m = self.tree, self.m
+        pos = 0
+        step = self.top
+        while step:
+            nxt = pos + step
+            if nxt <= m and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            step >>= 1
+        return pos
+
+    def first_from(self, start: int) -> int:
+        """The first marked slot at or after ``start``, wrapping around to
+        the first marked slot (at least one slot must be marked)."""
+        tree = self.tree
+        before = 0
+        s = start
+        while s:
+            before += tree[s]
+            s &= s - 1
+        return self.kth(before if before < self.size else 0)
+
+
 class _SeqState:
     """Incrementally maintained quantities for the sequential loop.
 
     Starts from :func:`outcome_summary`.  Only the mover's row changes per
-    round, so per-player slack, win-set sizes, the stable set (empty win
-    set) and best-response statuses are then patched for the mover and the
-    neighbors whose incoming proposal actually changed.  On integral
-    profiles the total slack is kept as a running integer too.
+    round, so per-player slack, win-set sizes and best-response statuses
+    are then patched for the mover and the neighbors whose incoming proposal
+    actually changed.  On integral profiles the total slack is kept as a
+    running integer too.  The stable set (empty win set) is kept only as
+    zero win counts; :meth:`take_stable_delta` reports who joined or left.
 
     ``not_br`` maps every player that can still improve by more than
     ``tol`` to its best response, or to ``None`` when the exchange test
@@ -271,10 +359,18 @@ class _SeqState:
     player's response depends only on its caps (the proposals made to it),
     and any change to them re-runs :meth:`_status`, so solving a ``None``
     entry when the player is picked gives the response the status check
-    would have stored, bit for bit.
+    would have stored, bit for bit.  ``movers`` mirrors the keys of
+    ``not_br`` as a :class:`_SlotTree` over the slots of the order sequence
+    ``seq`` (the player ids by default).
     """
 
-    def __init__(self, spec: GameSpec, init: FrequencyProfile, tol: float):
+    def __init__(
+        self,
+        spec: GameSpec,
+        init: FrequencyProfile,
+        tol: float,
+        seq: Sequence[int] | None = None,
+    ):
         self.spec = spec
         self.tol = tol
         self.counts = dict(init.counts)
@@ -284,8 +380,9 @@ class _SeqState:
         self.integral = init.is_integral()
         self._total_slack = sum(self.slack)  # exact on integral profiles
         self.win_count = [len(summary.win[i]) for i in range(spec.n)]
-        self.stable = set(summary.stable)
-        self._stable_view: frozenset[int] | None = summary.stable
+        # players whose win count crossed zero since take_stable_delta, and
+        # whether each was stable then
+        self._flipped: dict[int, bool] = {}
         if self.integral:
             # exchange-test terms of player i at the position k of neighbor
             # j (integral profiles only), see certainly_improves
@@ -305,6 +402,9 @@ class _SeqState:
             ok, br = self._status(i)
             if not ok:
                 self.not_br[i] = br
+        self.movers = _SlotTree(
+            range(spec.n) if seq is None else seq, spec.n, self.not_br
+        )
 
     def total_slack(self) -> float:
         return self._total_slack if self.integral else sum(self.slack)
@@ -423,48 +523,50 @@ class _SeqState:
                 self._set_terms(mover, j)
                 self._set_terms(j, mover)
             changed.append(j)
-        self.not_br.pop(mover, None)
+        not_br = self.not_br
+        movers = self.movers
+        member = movers.member
+        if member[mover]:
+            del not_br[mover]
+            movers.remove(mover)
         for j in changed:
             ok, brj = self._status(j)
             if ok:
-                self.not_br.pop(j, None)
+                if member[j]:
+                    del not_br[j]
+                    movers.remove(j)
             else:
-                self.not_br[j] = brj
+                if not member[j]:
+                    movers.add(j)
+                not_br[j] = brj
 
     def _shift_wins(self, i: int, d: int) -> None:
-        """Move i's win count by d (+1 or -1), keeping the stable set."""
+        """Move i's win count by d (+1 or -1), noting a crossing of zero."""
         wc = self.win_count[i] + d
         self.win_count[i] = wc
-        if wc == 0:
-            self.stable.add(i)
-            self._stable_view = None
-        elif wc == 1 and d == 1:
-            self.stable.discard(i)
-            self._stable_view = None
+        if wc == 0 or (wc == 1 and d == 1):
+            # i joins (wc == 0) or leaves the stable set; keep its first state
+            self._flipped.setdefault(i, wc != 0)
 
-    def stable_players(self) -> frozenset[int]:
-        """The stable set; the same object until a win count crosses zero."""
-        if self._stable_view is None:
-            self._stable_view = frozenset(self.stable)
-        return self._stable_view
-
-
-def _check_slack_suffix(records: list[RoundRecord]) -> None:
-    """Once total slack stops changing, the stable set must only grow."""
-    if len(records) < 2:
-        return
-    t0 = 0
-    for k in range(1, len(records)):
-        if records[k].total_slack != records[k - 1].total_slack:
-            t0 = k
-    for k in range(t0, len(records) - 1):
-        before, after = records[k].stable_players, records[k + 1].stable_players
-        if before is not after and not before <= after:
-            lost = before - after
-            raise InvariantViolation(
-                f"stable set shrank on the slack-stable suffix at round "
-                f"{records[k + 1].t}: lost players {sorted(lost)}"
-            )
+    def take_stable_delta(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The players that joined and left the stable set since the last
+        call, sorted (a player that left and rejoined is in neither)."""
+        flipped = self._flipped
+        if not flipped:
+            return (), ()
+        wc = self.win_count
+        joined = []
+        left = []
+        for i, was in flipped.items():
+            if was:
+                if wc[i]:
+                    left.append(i)
+            elif not wc[i]:
+                joined.append(i)
+        flipped.clear()
+        joined.sort()
+        left.sort()
+        return tuple(joined), tuple(left)
 
 
 def _potential_of(spec: GameSpec, ranking):
@@ -497,12 +599,24 @@ def run_sequential(
     check_feasible(spec, init)
     integral = init.is_integral()
 
+    order = config.order
+    rng = random.Random(order.seed) if isinstance(order, RandomSeeded) else None
+    if isinstance(order, ExplicitList):
+        if set(order.order) != set(range(spec.n)):
+            raise ValueError(
+                "explicit order must cover every player and name no other id"
+            )
+        seq = order.order
+    else:
+        seq = tuple(range(spec.n))
+
     potential_of = _potential_of(spec, ranking)
 
-    state = _SeqState(spec, init, config.tol)
+    state = _SeqState(spec, init, config.tol, seq)
+    movers = state.movers
     trace = Trace()
 
-    def record(t: int, mover) -> None:
+    def record(t: int, mover, total_slack, joined, left) -> None:
         snapshot = None
         phash = ""
         if trace_detail == "full":
@@ -524,40 +638,32 @@ def run_sequential(
                 mover=mover,
                 profile=snapshot,
                 profile_hash=phash,
-                total_slack=state.total_slack(),
+                total_slack=total_slack,
                 welfare=welfare,
                 potential=potential,
-                stable_players=state.stable_players(),
+                stable_joined=joined,
+                stable_left=left,
             )
         )
 
-    record(0, None)
+    slack = state.total_slack()
+    initial_stable = tuple(i for i, wc in enumerate(state.win_count) if wc == 0)
+    record(0, None, slack, initial_stable, ())
 
-    order = config.order
-    rng = random.Random(order.seed) if isinstance(order, RandomSeeded) else None
-    if isinstance(order, ExplicitList):
-        if set(order.order) != set(range(spec.n)):
-            raise ValueError(
-                "explicit order must cover every player and name no other id"
-            )
-        seq = order.order
-    else:
-        seq = tuple(range(spec.n))  # round robin (unused when random)
-    pos = 0
-
+    # the first stable-set loss since total slack last changed; once the run
+    # converges, the set must only have grown on that slack-stable suffix
+    first_loss: tuple[int, tuple[int, ...]] | None = None
+    pos = 0  # the slot of seq to look at first (round robin, explicit list)
     t = 0
     while state.not_br and t < config.max_rounds:
         t += 1
         if rng is not None:
-            mover = rng.choice(sorted(state.not_br))
+            # the same draw as rng.choice(sorted(state.not_br))
+            mover = seq[movers.kth(rng.randrange(len(state.not_br)))]
         else:
-            mover = -1
-            for k in range(len(seq)):
-                cand = seq[(pos + k) % len(seq)]
-                if cand in state.not_br:
-                    mover = cand
-                    pos = (pos + k + 1) % len(seq)
-                    break
+            slot = movers.first_from(pos)
+            mover = seq[slot]
+            pos = slot + 1
         br = state.not_br[mover]
         if br is None:  # its status came from the exchange test: solve now
             br = best_response(spec, state.view, mover)
@@ -567,22 +673,31 @@ def run_sequential(
                     f"exchange test picked mover {mover} at round {t}, "
                     f"but its best response gains only {gain!r}"
                 )
-        prev_slack = state.total_slack()
+        prev_slack = slack
         state.apply_move(mover, br)
-        now = state.total_slack()
+        slack = state.total_slack()
         bound = prev_slack if integral else prev_slack + 1e-9
-        if now > bound:
+        if slack > bound:
             raise InvariantViolation(
                 f"total slack increased at round {t}: "
-                f"{prev_slack} -> {now} (mover {mover})"
+                f"{prev_slack} -> {slack} (mover {mover})"
             )
-        record(t, mover)
+        joined, left = state.take_stable_delta()
+        if slack != prev_slack:
+            first_loss = None
+        elif left and first_loss is None:
+            first_loss = (t, left)
+        record(t, mover, slack, joined, left)
 
     if state.not_br:
         status: TerminationStatus = MaxRoundsExceeded(config.max_rounds)
     else:
         status = Converged(t)
-        _check_slack_suffix(trace.records)
+        if first_loss is not None:
+            raise InvariantViolation(
+                f"stable set shrank on the slack-stable suffix at round "
+                f"{first_loss[0]}: lost players {list(first_loss[1])}"
+            )
     return FrequencyProfile(state.counts), trace, status
 
 
@@ -606,8 +721,10 @@ def run_simultaneous(
     potential_of = _potential_of(spec, ranking)
 
     trace = Trace()
+    stable: frozenset[int] = frozenset()
 
     def record(t: int, profile: FrequencyProfile) -> None:
+        nonlocal stable
         summary = outcome_summary(spec, profile)
         snapshot = profile if t < FULL_PROFILE_ROUNDS else None
         trace.records.append(
@@ -625,9 +742,11 @@ def run_simultaneous(
                 potential=(
                     potential_of(profile) if potential_of is not None else None
                 ),
-                stable_players=summary.stable,
+                stable_joined=tuple(sorted(summary.stable - stable)),
+                stable_left=tuple(sorted(stable - summary.stable)),
             )
         )
+        stable = summary.stable
 
     profile = FrequencyProfile(init.counts)
     seen: dict[tuple, int] = {profile.key(spec): 0}

@@ -250,14 +250,14 @@ def write_trace_jsonl(
     if profiles not in ("full", "hash"):
         raise ValueError(f"unknown profile mode {profiles!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in trace.records:
+        for rec, stable in zip(trace.records, trace.stable_sets()):
             row: dict = {
                 "t": rec.t,
                 "mover": rec.mover,
                 "total_slack": rec.total_slack,
                 "welfare": rec.welfare,
                 "potential": rec.potential,
-                "stable_players": sorted(rec.stable_players),
+                "stable_players": sorted(stable),
             }
             if profiles == "full" and rec.profile is not None:
                 row["profile"] = [

@@ -28,6 +28,7 @@ from .analysis import (
     RankingSystem,
     _as_fraction,
     _grid_parameters,
+    _require_finite,
     global_ranking_weights,
 )
 from .game import Behavior, FrequencyProfile, GameSpec
@@ -320,6 +321,11 @@ def gen_torus_grid(
     """
     if width < 3 or height < 3:
         raise ValueError("torus needs width and height >= 3")
+    if behavior not in ("pessimistic", "optimistic"):
+        raise ValueError(
+            f"behavior must be 'pessimistic' or 'optimistic', got {behavior!r}"
+        )
+    _require_finite(beta=beta, eta=eta)
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     if beta / eta == float("inf"):
@@ -373,6 +379,7 @@ def gen_k5_cycle_instance(eps: float) -> InstanceDocument:
     unconstrained optimum; from there the joint update keeps transposing the
     proposal matrix forever.
     """
+    _require_finite(eps=eps)
     e = _as_fraction(eps)
     if not (0 < e < Fraction(1, 4)):
         raise ValueError(f"eps must be in (0, 1/4), got {eps}")
@@ -550,6 +557,7 @@ def gen_random_instance(
     ``behavior``/``family`` None means random per player / per direction;
     ``symmetric_utilities`` forces one utility per edge (both directions).
     """
+    _require_finite(beta=beta)
     if budget_units < 1:
         raise ValueError(f"budget_units must be >= 1, got {budget_units}")
     if not 0.0 <= edge_prob <= 1.0:

@@ -56,8 +56,8 @@ class UtilitySpec:
         elif self.a is not None:
             raise ValueError(f"{self.family} takes no exponent")
         if self.family == CAPPED_QUADRATIC:
-            if self.cap is None or self.cap <= 0.0:
-                raise ValueError("capped quadratic needs cap > 0")
+            if self.cap is None or not 0.0 < self.cap < INF:
+                raise ValueError("capped quadratic needs a finite cap > 0")
         elif self.cap is not None:
             raise ValueError(f"{self.family} takes no cap")
 

@@ -119,9 +119,10 @@ def slack_laws() -> str:
         for t in range(1, len(records)):
             if slacks[t] != slacks[t - 1]:
                 t0 = t
+        stable = list(trace.stable_sets())
         for t in range(t0, len(records) - 1):
             _require(
-                records[t].stable_players <= records[t + 1].stable_players,
+                stable[t] <= stable[t + 1],
                 f"instance {k}: stable set shrank at round {t + 1} on the "
                 f"slack-stable suffix",
             )

@@ -25,6 +25,17 @@ def _run_on(command, inst, tmp_path):
         (["gen", "torus", "--utility", "power"], "needs --utility-param"),
         (["simulate", "--max-rounds", "0"], "max_rounds must be >= 1"),
         (["gen", "poa-grid", "--beta", "-1"], "beta must be positive"),
+        (
+            ["gen", "torus", "--behavior", "mixed"],
+            "behavior must be 'pessimistic' or 'optimistic', got 'mixed'",
+        ),
+        (["gen", "torus", "--beta", "nan"], "beta must be finite, got nan"),
+        (["gen", "k5", "--eps", "nan"], "eps must be finite, got nan"),
+        (["gen", "poa-grid", "--eps", "inf"], "eps must be finite, got inf"),
+        (
+            ["gen", "torus", "--utility", "capped_quadratic", "--utility-param", "inf"],
+            "capped quadratic needs a finite cap > 0",
+        ),
         (["simulate", "--tol", "-1"], "tol must be >= 0"),
         (["simulate", "--tol", "nan"], "tol must be >= 0"),
         (["optimum", "--max-iters", "0"], "must be positive"),
@@ -175,6 +186,18 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     code = main(["simulate", "--instance", str(inst)])
     assert code == 4
     assert "validation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", [float("inf"), float("nan")])
+def test_non_finite_cap_exit_code(tmp_path, capsys, cap):
+    inst = tmp_path / "cap.json"
+    payload = gen_k5_cycle_instance(0.05).to_json_dict()
+    payload["edges"][0]["utility_ij"]["cap"] = cap
+    inst.write_text(json.dumps(payload))  # written as Infinity / NaN
+    assert main(["simulate", "--instance", str(inst)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation: edges[0].utility_ij: ")
+    assert "capped quadratic needs a finite cap > 0" in err
 
 
 def test_simulate_missing_suggested_proposal_exit_code(tmp_path, capsys):

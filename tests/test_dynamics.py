@@ -126,12 +126,29 @@ def test_incremental_state_matches_outcome_summary_after_every_move():
         doc = gen_random_instance(n=10, edge_prob=0.5, seed=70 + seed, budget_units=40)
         spec = doc.to_game_spec()
         state = _SeqState(spec, init_profile(spec, RandomFeasible(seed)), 1e-9)
+        stable = set(outcome_summary(spec, state.view).stable)
         moves = 0
         while True:
             s = outcome_summary(spec, state.view)
             assert state.slack == [s.slack[i] for i in range(spec.n)]
             assert state.win_count == [len(s.win[i]) for i in range(spec.n)]
-            assert state.stable_players() == s.stable
+            joined, left = state.take_stable_delta()
+            assert not set(joined) & stable and set(left) <= stable
+            stable = (stable - set(left)) | set(joined)
+            assert stable == s.stable
+            movers = state.movers
+            assert [i for i in range(spec.n) if movers.member[i]] == sorted(
+                state.not_br
+            )
+            assert movers.size == len(state.not_br)
+            assert [movers.kth(k) for k in range(movers.size)] == sorted(
+                state.not_br
+            )
+            if state.not_br:
+                assert [movers.first_from(k) for k in range(spec.n)] == [
+                    min((i for i in state.not_br if i >= k), default=min(state.not_br))
+                    for k in range(spec.n)
+                ]
             assert state.total_slack() == s.total_slack
             assert type(state.total_slack()) is type(s.total_slack)
             fresh = _SeqState(spec, state.view, 1e-9)
@@ -181,6 +198,138 @@ def test_lazy_statuses_match_is_best_response_after_every_move(behavior):
         mover = rng.choice(sorted(state.not_br))
         state.apply_move(mover, _response(state, spec, mover))
     assert lazy > 0
+
+
+def _reference_movers(spec, init, order, max_rounds):
+    """The movers of a sequential run picked the direct way: a choice from
+    the sorted non-best-responders, or a scan of the order sequence."""
+    state = _SeqState(spec, init, 1e-9)
+    rng = random.Random(order.seed) if isinstance(order, RandomSeeded) else None
+    seq = order.order if isinstance(order, ExplicitList) else tuple(range(spec.n))
+    pos = 0
+    movers = []
+    while state.not_br and len(movers) < max_rounds:
+        if rng is not None:
+            mover = rng.choice(sorted(state.not_br))
+        else:
+            for k in range(len(seq)):
+                cand = seq[(pos + k) % len(seq)]
+                if cand in state.not_br:
+                    mover = cand
+                    pos = (pos + k + 1) % len(seq)
+                    break
+        state.apply_move(mover, _response(state, spec, mover))
+        movers.append(mover)
+    return movers
+
+
+@st.composite
+def ordered_games(draw):
+    """A small random game, a seed, and one order of each kind: seeded
+    random, round robin, and an explicit permutation with one id repeated."""
+    n = draw(st.integers(2, 12))
+    spec = gen_random_instance(
+        n=n,
+        edge_prob=draw(st.sampled_from([0.3, 0.6, 1.0])),
+        seed=draw(st.integers(0, 10_000)),
+        budget_units=draw(st.integers(1, 30)),
+    ).to_game_spec()
+    seed = draw(st.integers(0, 10_000))
+    order = draw(st.permutations(range(n)))
+    at = draw(st.integers(0, n))
+    repeated = order[:at] + [draw(st.sampled_from(order))] + order[at:]
+    orders = (RandomSeeded(seed), RoundRobin(), ExplicitList(tuple(repeated)))
+    return spec, seed, orders
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ordered_games())
+def test_mover_picks_match_reference_loop(game):
+    spec, seed, orders = game
+    init = init_profile(spec, RandomFeasible(seed))
+    for order in orders:
+        cfg = DynamicsConfig(order=order, max_rounds=400)
+        _, trace, _ = run_sequential(spec, init, cfg, trace_detail="light")
+        movers = [r.mover for r in trace.records[1:]]
+        assert movers == _reference_movers(spec, init, order, cfg.max_rounds)
+
+
+def test_randrange_draws_like_choice():
+    # the random order takes the k-th non-best-responder by rng.randrange,
+    # which must consume and return what rng.choice on the sorted list did
+    sizes = [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 100, 255, 256, 257, 1600, 10_000]
+    for seed in (0, 7, 1000, 4242):
+        by_choice, by_randrange = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            for k in sizes:
+                assert by_choice.choice(range(k)) == by_randrange.randrange(k)
+        assert by_choice.random() == by_randrange.random()
+
+
+def test_stable_set_loss_on_slack_stable_suffix_raises(monkeypatch):
+    spec = gen_random_instance(
+        n=10, edge_prob=0.4, seed=19, budget_units=50
+    ).to_game_spec()
+    init = init_profile(spec, RandomFeasible(19))
+    cfg = DynamicsConfig(order=RandomSeeded(19))
+    _, trace, status = run_sequential(spec, init, cfg, trace_detail="light")
+    assert isinstance(status, Converged)
+    slacks = [r.total_slack for r in trace.records]
+    last_change = max(t for t in range(1, len(slacks)) if slacks[t] != slacks[t - 1])
+    assert last_change < status.t  # the run has a slack-stable suffix
+    stable = list(trace.stable_sets())
+
+    def run_losing(at_round, **config):
+        """Run again, reporting one stable player as lost at at_round."""
+        lost = min(stable[at_round - 1])
+        calls = []
+        original = _SeqState.take_stable_delta
+
+        def lossy(self):
+            joined, left = original(self)
+            calls.append(None)
+            if len(calls) == at_round:
+                return joined, tuple(sorted(left + (lost,)))
+            return joined, left
+
+        monkeypatch.setattr(_SeqState, "take_stable_delta", lossy)
+        try:
+            return lost, run_sequential(
+                spec, init, DynamicsConfig(order=RandomSeeded(19), **config),
+                trace_detail="light",
+            )
+        finally:
+            monkeypatch.undo()
+
+    # a loss in the round that changed slack, or before it, is allowed
+    run_losing(last_change)
+    # a loss after the last slack change is reported once the run converges
+    at = last_change + 1
+    with pytest.raises(InvariantViolation) as err:
+        run_losing(at)
+    lost = min(stable[at - 1])
+    assert str(err.value) == (
+        f"stable set shrank on the slack-stable suffix at round {at}: "
+        f"lost players [{lost}]"
+    )
+    # a run stopped by the round limit is not checked
+    _, (_, _, status) = run_losing(at, max_rounds=at)
+    assert status == MaxRoundsExceeded(rounds=at)
+
+
+def test_stable_sets_rebuild_from_joins_and_leaves():
+    spec = gen_random_instance(n=12, edge_prob=0.4, seed=8, budget_units=40).to_game_spec()
+    init = init_profile(spec, RandomFeasible(8))
+    for run in (run_sequential, run_simultaneous):
+        _, trace, _ = run(spec, init, DynamicsConfig(max_rounds=60))
+        sets = list(trace.stable_sets())
+        assert len(sets) == len(trace.records)
+        previous = frozenset()
+        for rec, stable in zip(trace.records, sets):
+            assert stable == outcome_summary(spec, rec.profile).stable
+            assert rec.stable_joined == tuple(sorted(stable - previous))
+            assert rec.stable_left == tuple(sorted(previous - stable))
+            previous = stable
 
 
 def test_lazy_mover_that_cannot_improve_raises(monkeypatch):
@@ -233,12 +382,13 @@ def test_active_player_utilities_nondecreasing_on_stable_suffix():
         )
         assert isinstance(status, Converged)
         recs = trace.records
+        stable = list(trace.stable_sets())
         t0 = 0
         for k in range(1, len(recs)):
             if recs[k].total_slack != recs[k - 1].total_slack:
                 t0 = k
         for k in range(t0, len(recs) - 1):
-            active = set(range(spec.n)) - recs[k].stable_players
+            active = set(range(spec.n)) - stable[k]
             for i in active:
                 u_now = player_utility(spec, recs[k].profile, i)
                 u_next = player_utility(spec, recs[k + 1].profile, i)

@@ -61,8 +61,9 @@ def test_bad_parameters_rejected():
         UtilitySpec.power(0.0)
     with pytest.raises(ValueError):
         UtilitySpec.power(1.5)
-    with pytest.raises(ValueError):
-        UtilitySpec.capped_quadratic(0.0)
+    for cap in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite cap > 0"):
+            UtilitySpec.capped_quadratic(cap)
     with pytest.raises(ValueError):
         UtilitySpec("nope")
     with pytest.raises(ValueError):
