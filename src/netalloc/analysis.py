@@ -70,23 +70,16 @@ def global_ranking_weights(
     return weights
 
 
-def potential_value(
-    spec: GameSpec, ranking: RankingSystem, profile: FrequencyProfile
-) -> float:
-    """Weighted potential of a rank-weighted game with symmetric edge
-    utilities: sum over directed edges of rank(i)*rank(j)*u(agreed).
-
-    A single player's move shifts this by exactly twice her rank times her
-    neighbor rank sum times her own utility change, which is what makes
-    sequential dynamics monotone here.  Refuses games whose edge utilities
-    differ by direction or whose weights do not come from the ranking.
-    """
-    for (i, j) in spec.edges:
-        if spec.utilities[(i, j)] != spec.utilities[(j, i)]:
-            raise ValueError(
-                f"edge ({i},{j}) has direction-dependent utilities; "
-                "the potential requires a symmetric utility on each edge"
-            )
+def ranking_violations(spec: GameSpec, ranking: RankingSystem) -> list[str]:
+    """Why the weighted potential does not hold for this game and ranking:
+    edges whose utility depends on the direction, and weights that the
+    ranking does not induce (an empty list when it holds)."""
+    bad = [
+        f"edge ({i},{j}) has direction-dependent utilities; "
+        "the potential requires a symmetric utility on each edge"
+        for (i, j) in sorted(spec.edges)
+        if spec.utilities[(i, j)] != spec.utilities[(j, i)]
+    ]
     for i in range(spec.n):
         nbrs = spec.neighbors[i]
         if not nbrs:
@@ -95,10 +88,27 @@ def potential_value(
         for j in nbrs:
             expected = ranking.rank(j) / total
             if abs(spec.weights[(i, j)] - expected) > WEIGHT_MATCH_TOL:
-                raise ValueError(
+                bad.append(
                     f"weight of ({i},{j}) is {spec.weights[(i, j)]}, "
                     f"not induced by the ranking ({expected})"
                 )
+    return bad
+
+
+def potential_value(
+    spec: GameSpec, ranking: RankingSystem, profile: FrequencyProfile
+) -> float:
+    """Weighted potential of a rank-weighted game with symmetric edge
+    utilities: sum over directed edges of rank(i)*rank(j)*u(agreed).
+
+    A single player's move shifts this by exactly twice its rank times its
+    neighbor rank sum times its own utility change, which is what makes
+    sequential dynamics monotone here.  Refuses games that fail
+    :func:`ranking_violations`.
+    """
+    bad = ranking_violations(spec, ranking)
+    if bad:
+        raise ValueError(bad[0])
     eta = spec.eta
     counts = profile.counts
     total_phi = 0.0

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .analysis import OptimizerConfig, global_optimum
+from .analysis import OptimizerConfig, global_optimum, ranking_violations
 from .dynamics import (
     Converged,
     CycleDetected,
@@ -161,6 +161,13 @@ def _load_valid_instance(path: str) -> InstanceDocument | None:
     violations = list(validate_game(spec).violations)
     if not violations:
         violations = _profile_violations(doc, spec)
+    if not violations and doc.ranking is not None:
+        # positive ranks that induce the weights on symmetric utilities
+        try:
+            bad = ranking_violations(spec, doc.ranking_system())
+        except ValueError as exc:
+            bad = [str(exc)]
+        violations = [f"ranking: {v}" for v in bad]
     for v in violations:
         _invalid(v)
     return None if violations else doc
@@ -190,10 +197,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     start = init_profile(spec, policy)
 
     runner = run_sequential if args.mode == "seq" else run_simultaneous
-    final, trace, status = runner(spec, start, cfg, ranking=doc.ranking_system())
+    final, trace, status = runner(spec, start, cfg)
 
     if args.trace_out:
-        write_trace_jsonl(trace, args.trace_out, profiles=args.trace_profiles)
+        write_trace_jsonl(
+            trace,
+            args.trace_out,
+            profiles=args.trace_profiles,
+            ranking=doc.ranking_system(),
+        )
 
     sw = social_welfare(spec, final)
     slack = trace.records[-1].total_slack
@@ -275,7 +287,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     doc = _load_valid_instance(args.instance)
     if doc is None:
         return EXIT_INVALID
-    report = run_batch_experiment(doc, cfg)
+    try:
+        report = run_batch_experiment(doc, cfg)
+    except ValueError as exc:
+        return _invalid(exc)
     write_histogram_csv(report, paths[0])
     write_summary_json(report, paths[1])
     write_runs_jsonl(report, paths[2])

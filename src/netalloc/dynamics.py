@@ -25,7 +25,6 @@ are bit-identical to solving every status in full.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -37,17 +36,15 @@ from .bestresponse import (
     quantize_allocation,
 )
 from .game import (
+    DirectedEdge,
     FrequencyProfile,
     GameSpec,
     PlayerId,
     check_feasible,
     outcome_summary,
     player_utility,
-    social_welfare,
 )
 from .utility import INF
-
-FULL_PROFILE_ROUNDS = 10_000  # past this, traces keep only profile hashes
 
 # Margin of the exchange test (``_SeqState.certainly_improves``): relative to
 # an upper bound on the player's best utility, plus per budget quantum.
@@ -145,32 +142,48 @@ class MaxRoundsExceeded:
 TerminationStatus = Converged | CycleDetected | MaxRoundsExceeded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
-    """State snapshot after round t (t=0 is the initial profile).
+    """What round t did (t=0 is the initial profile).
+
+    ``changes`` holds the proposals the round set, keyed by directed edge:
+    the mover's new row in a sequential round, the new profile's counts in a
+    simultaneous one; it is None in record 0 and in light traces.
+    :meth:`Trace.profiles` replays the profiles from it.
 
     The stable players are those with an empty win set; on a slack-stable
     suffix of a sequential run this set only grows.  Each record holds the
     players that joined and left it in round t (sorted; record 0 lists the
     initial set as joined), and :meth:`Trace.stable_sets` rebuilds the sets.
-    ``profile`` is omitted in light traces and for very long runs (the hash
-    always identifies the exact integer state).
     """
 
     t: int
     mover: PlayerId | str | None
-    profile: FrequencyProfile | None
-    profile_hash: str
+    changes: dict[DirectedEdge, float] | None
     total_slack: float
-    welfare: float | None
-    potential: float | None
     stable_joined: tuple[int, ...]
     stable_left: tuple[int, ...]
 
 
 @dataclass
 class Trace:
+    """The round records of one run, with its game and initial profile
+    (None in a light trace, whose records hold no changes)."""
+
+    spec: GameSpec
+    init: FrequencyProfile | None
     records: list[RoundRecord] = field(default_factory=list)
+
+    def profiles(self) -> Iterator[FrequencyProfile]:
+        """The profile after each record's round, in record order, replayed
+        from the initial profile (raises ValueError on a light trace)."""
+        if self.init is None:
+            raise ValueError("a light trace records no moves to replay")
+        counts = dict(self.init.counts)
+        for rec in self.records:
+            if rec.changes is not None:
+                counts.update(rec.changes)
+            yield FrequencyProfile(counts)
 
     def stable_sets(self) -> Iterator[frozenset[int]]:
         """The stable set after each record's round, in record order (the
@@ -183,11 +196,6 @@ class Trace:
                 current.update(rec.stable_joined)
                 view = frozenset(current)
             yield view
-
-
-def profile_hash(spec: GameSpec, profile: FrequencyProfile) -> str:
-    key = profile.key(spec)
-    return hashlib.sha1(repr(key).encode()).hexdigest()[:16]
 
 
 # -- equilibrium classification ----------------------------------------------
@@ -569,30 +577,18 @@ class _SeqState:
         return tuple(joined), tuple(left)
 
 
-def _potential_of(spec: GameSpec, ranking):
-    """The weighted potential as a function of the profile, or None when no
-    ranking is attached."""
-    if ranking is None:
-        return None
-    from .analysis import potential_value
-
-    return lambda profile: potential_value(spec, ranking, profile)
-
-
 def run_sequential(
     spec: GameSpec,
     init: FrequencyProfile,
     config: DynamicsConfig,
-    ranking=None,
     trace_detail: str = "full",
 ) -> tuple[FrequencyProfile, Trace, TerminationStatus]:
     """One-player-per-round best-response dynamics.
 
     The order policy picks the next mover among players that can still
     improve by more than ``config.tol``; the run converges when no such
-    player remains.  ``ranking`` (a RankingSystem) attaches the weighted
-    potential to each round record.  ``trace_detail`` "light" skips profile
-    snapshots and welfare, keeping slack/stable-set data for invariants.
+    player remains.  ``trace_detail`` "light" records no moves, keeping
+    slack/stable-set data for invariants.
     """
     if trace_detail not in ("full", "light"):
         raise ValueError(f"unknown trace detail {trace_detail!r}")
@@ -610,45 +606,15 @@ def run_sequential(
     else:
         seq = tuple(range(spec.n))
 
-    potential_of = _potential_of(spec, ranking)
-
+    full = trace_detail == "full"
     state = _SeqState(spec, init, config.tol, seq)
     movers = state.movers
-    trace = Trace()
-
-    def record(t: int, mover, total_slack, joined, left) -> None:
-        snapshot = None
-        phash = ""
-        if trace_detail == "full":
-            snapshot = (
-                FrequencyProfile(state.counts)
-                if t < FULL_PROFILE_ROUNDS
-                else None
-            )
-            phash = profile_hash(spec, state.view)
-        welfare = (
-            social_welfare(spec, state.view) if trace_detail == "full" else None
-        )
-        potential = (
-            potential_of(state.view) if potential_of is not None else None
-        )
-        trace.records.append(
-            RoundRecord(
-                t=t,
-                mover=mover,
-                profile=snapshot,
-                profile_hash=phash,
-                total_slack=total_slack,
-                welfare=welfare,
-                potential=potential,
-                stable_joined=joined,
-                stable_left=left,
-            )
-        )
+    trace = Trace(spec, init if full else None)
+    records = trace.records
 
     slack = state.total_slack()
     initial_stable = tuple(i for i, wc in enumerate(state.win_count) if wc == 0)
-    record(0, None, slack, initial_stable, ())
+    records.append(RoundRecord(0, None, None, slack, initial_stable, ()))
 
     # the first stable-set loss since total slack last changed; once the run
     # converges, the set must only have grown on that slack-stable suffix
@@ -687,7 +653,10 @@ def run_sequential(
             first_loss = None
         elif left and first_loss is None:
             first_loss = (t, left)
-        record(t, mover, slack, joined, left)
+        changes = (
+            {(mover, j): c for j, c in br.proposals.items()} if full else None
+        )
+        records.append(RoundRecord(t, mover, changes, slack, joined, left))
 
     if state.not_br:
         status: TerminationStatus = MaxRoundsExceeded(config.max_rounds)
@@ -708,7 +677,6 @@ def run_simultaneous(
     spec: GameSpec,
     init: FrequencyProfile,
     config: DynamicsConfig,
-    ranking=None,
     trace_detail: str = "full",
 ) -> tuple[FrequencyProfile, Trace, TerminationStatus]:
     """All players best-respond at once to the previous round's profile.
@@ -717,59 +685,34 @@ def run_simultaneous(
     an earlier integer profile is reported as a cycle (start, period).
     """
     check_feasible(spec, init)
-
-    potential_of = _potential_of(spec, ranking)
-
-    trace = Trace()
+    full = trace_detail == "full"
+    profile = FrequencyProfile(init.counts)
+    trace = Trace(spec, profile if full else None)
     stable: frozenset[int] = frozenset()
-
-    def record(t: int, profile: FrequencyProfile) -> None:
-        nonlocal stable
-        summary = outcome_summary(spec, profile)
-        snapshot = profile if t < FULL_PROFILE_ROUNDS else None
-        trace.records.append(
-            RoundRecord(
-                t=t,
-                mover=None if t == 0 else "all",
-                profile=snapshot if trace_detail == "full" else None,
-                profile_hash=profile_hash(spec, profile),
-                total_slack=summary.total_slack,
-                welfare=(
-                    social_welfare(spec, profile)
-                    if trace_detail == "full"
-                    else None
-                ),
-                potential=(
-                    potential_of(profile) if potential_of is not None else None
-                ),
-                stable_joined=tuple(sorted(summary.stable - stable)),
-                stable_left=tuple(sorted(stable - summary.stable)),
+    seen: dict[tuple, int] = {}
+    for t in range(config.max_rounds + 1):
+        if t:
+            new_profile = FrequencyProfile(
+                {
+                    (i, j): c
+                    for i in range(spec.n)
+                    for j, c in best_response(spec, profile, i).proposals.items()
+                }
             )
+            if new_profile == profile:
+                return profile, trace, Converged(t - 1)
+            profile = new_profile
+        summary = outcome_summary(spec, profile)
+        joined = tuple(sorted(summary.stable - stable))
+        left = tuple(sorted(stable - summary.stable))
+        changes = profile.counts if full and t else None
+        mover = "all" if t else None
+        trace.records.append(
+            RoundRecord(t, mover, changes, summary.total_slack, joined, left)
         )
         stable = summary.stable
-
-    profile = FrequencyProfile(init.counts)
-    seen: dict[tuple, int] = {profile.key(spec): 0}
-    record(0, profile)
-
-    for t in range(1, config.max_rounds + 1):
-        new_counts: dict[tuple[int, int], float] = {}
-        for i in range(spec.n):
-            br = best_response(spec, profile, i)
-            for j, c in br.proposals.items():
-                new_counts[(i, j)] = c
-        new_profile = FrequencyProfile(new_counts)
-        if new_profile == profile:
-            return profile, trace, Converged(t - 1)
-        key = new_profile.key(spec)
-        record(t, new_profile)
+        key = profile.key(spec)
         if key in seen:
-            return (
-                new_profile,
-                trace,
-                CycleDetected(start=seen[key], period=t - seen[key]),
-            )
+            return profile, trace, CycleDetected(seen[key], t - seen[key])
         seen[key] = t
-        profile = new_profile
-
     return profile, trace, MaxRoundsExceeded(config.max_rounds)

@@ -10,14 +10,16 @@ identical whether runs execute serially or across worker processes.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import math
 import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import global_optimum
+from .analysis import RankingSystem, global_optimum, potential_value
 from .dynamics import (
     Converged,
     DynamicsConfig,
@@ -27,7 +29,7 @@ from .dynamics import (
     init_profile,
     run_sequential,
 )
-from .game import GameSpec, social_welfare
+from .game import FrequencyProfile, GameSpec, social_welfare
 from .instances import InstanceDocument
 
 
@@ -141,10 +143,14 @@ def run_batch_experiment(
     doc: InstanceDocument, config: ExperimentConfig
 ) -> HistogramReport:
     """Sequential dynamics from ``runs`` random starts; ratios vs the
-    instance's global optimum, binned over [min ratio, 1]."""
+    instance's global optimum, binned over [min ratio, 1].  Raises
+    ValueError before any run when the optimum welfare is not positive."""
     spec = doc.to_game_spec(behavior_override=config.behavior)
-    opt = global_optimum(spec)
-    opt_sw = opt.welfare
+    opt_sw = global_optimum(spec).welfare
+    if not opt_sw > 0:
+        raise ValueError(
+            f"the optimum welfare is {opt_sw}, so quality ratios are undefined"
+        )
 
     tasks = [(r, config.seed + r) for r in range(config.runs)]
     workers = min(config.n_jobs, config.runs)
@@ -208,17 +214,20 @@ def write_histogram_csv(report: HistogramReport, path: str | Path) -> None:
 
 
 def write_summary_json(report: HistogramReport, path: str | Path) -> None:
+    """Standard JSON: a NaN mean and std (no run converged) become null."""
+    converged = not math.isnan(report.mean)
     Path(path).write_text(
         json.dumps(
             {
-                "mean": report.mean,
-                "std": report.std,
+                "mean": report.mean if converged else None,
+                "std": report.std if converged else None,
                 "mode_count": report.mode_count,
                 "non_converged_count": report.non_converged,
                 "opt_welfare": report.opt_welfare,
                 "runs": len(report.runs),
             },
             indent=2,
+            allow_nan=False,
         )
         + "\n",
         encoding="utf-8",
@@ -243,26 +252,46 @@ def write_runs_jsonl(report: HistogramReport, path: str | Path) -> None:
             )
 
 
+FULL_PROFILE_ROUNDS = 10_000  # from this round on, traces hold profile hashes
+
+
+def profile_hash(spec: GameSpec, profile: FrequencyProfile) -> str:
+    key = profile.key(spec)
+    return hashlib.sha1(repr(key).encode()).hexdigest()[:16]
+
+
 def write_trace_jsonl(
-    trace: Trace, path: str | Path, profiles: str = "full"
+    trace: Trace,
+    path: str | Path,
+    profiles: str = "full",
+    ranking: RankingSystem | None = None,
 ) -> None:
-    """One JSON record per round; ``profiles`` "hash" drops full profiles."""
+    """One JSON record per round of a full trace, with the welfare and,
+    given a ranking, the weighted potential of the profile after it.  The
+    profile itself is written before round ``FULL_PROFILE_ROUNDS``, its hash
+    from then on and throughout with ``profiles`` "hash"."""
     if profiles not in ("full", "hash"):
         raise ValueError(f"unknown profile mode {profiles!r}")
+    spec = trace.spec
     with open(path, "w", encoding="utf-8") as fh:
-        for rec, stable in zip(trace.records, trace.stable_sets()):
+        for rec, stable, profile in zip(
+            trace.records, trace.stable_sets(), trace.profiles()
+        ):
+            potential = (
+                None if ranking is None else potential_value(spec, ranking, profile)
+            )
             row: dict = {
                 "t": rec.t,
                 "mover": rec.mover,
                 "total_slack": rec.total_slack,
-                "welfare": rec.welfare,
-                "potential": rec.potential,
+                "welfare": social_welfare(spec, profile),
+                "potential": potential,
                 "stable_players": sorted(stable),
             }
-            if profiles == "full" and rec.profile is not None:
+            if profiles == "full" and rec.t < FULL_PROFILE_ROUNDS:
                 row["profile"] = [
-                    [i, j, c] for (i, j), c in sorted(rec.profile.counts.items())
+                    [i, j, c] for (i, j), c in sorted(profile.counts.items())
                 ]
             else:
-                row["profile_hash"] = rec.profile_hash
+                row["profile_hash"] = profile_hash(spec, profile)
             fh.write(json.dumps(row) + "\n")

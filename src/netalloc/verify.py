@@ -67,7 +67,7 @@ def k5_cycle() -> str:
     transposed = FrequencyProfile(
         {(j, i): c for (i, j), c in start.counts.items()}
     )
-    round_one = trace.records[1].profile
+    round_one = list(trace.profiles())[1]
     _require(
         round_one == transposed,  # exact integer equality
         "round-1 profile is not the transpose of the start",
@@ -152,16 +152,17 @@ def potential_identity() -> str:
             spec,
             init_profile(spec, RandomFeasible(k)),
             DynamicsConfig(order=RandomSeeded(k)),
-            ranking=ranking,
         )
         _require(isinstance(status, Converged), f"instance {k}: {status}")
         recs = trace.records
+        profiles = list(trace.profiles())
+        phi = [analysis.potential_value(spec, ranking, p) for p in profiles]
         for t in range(1, len(recs)):
             mover = recs[t].mover
-            d_phi = recs[t].potential - recs[t - 1].potential
+            d_phi = phi[t] - phi[t - 1]
             d_u = player_utility(
-                spec, recs[t].profile, mover
-            ) - player_utility(spec, recs[t - 1].profile, mover)
+                spec, profiles[t], mover
+            ) - player_utility(spec, profiles[t - 1], mover)
             scale = (
                 2
                 * ranking.rank(mover)

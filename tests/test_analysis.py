@@ -152,17 +152,18 @@ def test_potential_identity_along_sequential_moves():
             spec,
             init_profile(spec, RandomFeasible(seed)),
             DynamicsConfig(),
-            ranking=ranking,
         )
         assert isinstance(status, Converged)
         recs = trace.records
         from netalloc.game import player_utility
 
+        profiles = list(trace.profiles())
+        phi = [potential_value(spec, ranking, p) for p in profiles]
         for t in range(1, len(recs)):
             mover = recs[t].mover
-            d_phi = recs[t].potential - recs[t - 1].potential
-            d_u = player_utility(spec, recs[t].profile, mover) - player_utility(
-                spec, recs[t - 1].profile, mover
+            d_phi = phi[t] - phi[t - 1]
+            d_u = player_utility(spec, profiles[t], mover) - player_utility(
+                spec, profiles[t - 1], mover
             )
             scale = 2 * ranking.rank(mover) * ranking.neighbor_rank_sum(
                 spec.neighbors, mover

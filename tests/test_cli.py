@@ -7,6 +7,7 @@ from netalloc.instances import (
     InstanceDocument,
     gen_k5_cycle_instance,
     gen_poa_grid_instance,
+    gen_ranked_instance,
 )
 
 
@@ -278,6 +279,55 @@ def test_fractional_listed_count_exit_code(tmp_path, capsys):
     assert "suggested_init[0] must be an [i, j, count] row of integers" in (
         capsys.readouterr().err
     )
+
+
+def test_experiment_zero_optimum_exit_code(tmp_path, capsys):
+    inst = tmp_path / "apart.json"
+    inst.write_text(
+        json.dumps(
+            {
+                "n": 2, "eta": 1.0, "budgets": [5, 5],
+                "behaviors": ["optimistic"] * 2, "edges": [],
+            }
+        )
+    )
+    assert _run_on("experiment", inst, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation: the optimum welfare is 0.0")
+    assert not (tmp_path / "exp.summary.json").exists()
+
+
+def _zero_rank(payload):
+    payload["ranking"][0] = 0
+
+
+def _bump_rank(payload):
+    payload["ranking"][0] += 1
+
+
+def _asymmetric_utility(payload):
+    payload["edges"][0]["utility_ij"] = {"family": "linear"}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_zero_rank, "validation: ranking: rank of player 0 must be a positive int"),
+        (_bump_rank, "not induced by the ranking"),
+        (_asymmetric_utility, "has direction-dependent utilities"),
+    ],
+)
+def test_invalid_ranking_exit_code(tmp_path, capsys, edit, message):
+    inst = tmp_path / "ranked.json"
+    payload = gen_ranked_instance(
+        n=6, edge_prob=0.6, seed=1, budget_units=20
+    ).to_json_dict()
+    edit(payload)
+    inst.write_text(json.dumps(payload))
+    assert main(["simulate", "--instance", str(inst)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation: ranking: ")
+    assert message in err
 
 
 def test_optimum_command(tmp_path, capsys):

@@ -24,7 +24,6 @@ from netalloc.dynamics import (
     _SeqState,
     classify_equilibrium,
     init_profile,
-    profile_hash,
     run_sequential,
     run_simultaneous,
 )
@@ -325,8 +324,8 @@ def test_stable_sets_rebuild_from_joins_and_leaves():
         sets = list(trace.stable_sets())
         assert len(sets) == len(trace.records)
         previous = frozenset()
-        for rec, stable in zip(trace.records, sets):
-            assert stable == outcome_summary(spec, rec.profile).stable
+        for rec, stable, profile in zip(trace.records, sets, trace.profiles()):
+            assert stable == outcome_summary(spec, profile).stable
             assert rec.stable_joined == tuple(sorted(stable - previous))
             assert rec.stable_left == tuple(sorted(previous - stable))
             previous = stable
@@ -366,10 +365,11 @@ def test_sequential_mover_never_loses_utility():
         spec, init_profile(spec, RandomFeasible(2)), DynamicsConfig()
     )
     assert isinstance(status, Converged)
+    profiles = list(trace.profiles())
     for k in range(1, len(trace.records)):
         mover = trace.records[k].mover
-        before = player_utility(spec, trace.records[k - 1].profile, mover)
-        after = player_utility(spec, trace.records[k].profile, mover)
+        before = player_utility(spec, profiles[k - 1], mover)
+        after = player_utility(spec, profiles[k], mover)
         assert after >= before - 1e-12
 
 
@@ -383,6 +383,7 @@ def test_active_player_utilities_nondecreasing_on_stable_suffix():
         assert isinstance(status, Converged)
         recs = trace.records
         stable = list(trace.stable_sets())
+        profiles = list(trace.profiles())
         t0 = 0
         for k in range(1, len(recs)):
             if recs[k].total_slack != recs[k - 1].total_slack:
@@ -390,12 +391,12 @@ def test_active_player_utilities_nondecreasing_on_stable_suffix():
         for k in range(t0, len(recs) - 1):
             active = set(range(spec.n)) - stable[k]
             for i in active:
-                u_now = player_utility(spec, recs[k].profile, i)
-                u_next = player_utility(spec, recs[k + 1].profile, i)
+                u_now = player_utility(spec, profiles[k], i)
+                u_next = player_utility(spec, profiles[k + 1], i)
                 assert u_next >= u_now - 1e-12
             # active players on the stable suffix hold no leftover budget
             for i in active:
-                prof = recs[k].profile
+                prof = profiles[k]
                 realized = sum(
                     min(prof.counts[(i, j)], prof.counts[(j, i)])
                     for j in spec.neighbors[i]
@@ -458,8 +459,9 @@ def test_k5_simultaneous_cycle():
     transposed = FrequencyProfile(
         {(j, i): c for (i, j), c in start.counts.items()}
     )
-    assert trace.records[1].profile == transposed
-    assert trace.records[2].profile == start
+    profiles = list(trace.profiles())
+    assert profiles[1] == transposed
+    assert profiles[2] == start
 
 
 def test_simultaneous_fixed_point_at_matched_profile():
@@ -524,37 +526,47 @@ def test_converged_profiles_classify_as_equilibria():
             )
 
 
-def test_trace_compression_policy(monkeypatch):
-    import netalloc.dynamics as dyn
-
-    monkeypatch.setattr(dyn, "FULL_PROFILE_ROUNDS", 3)
-    doc = gen_random_instance(n=8, edge_prob=0.6, seed=13, budget_units=40)
-    spec = doc.to_game_spec()
-    final, trace, status = run_sequential(
-        spec, init_profile(spec, RandomFeasible(4)), DynamicsConfig()
-    )
-    assert isinstance(status, Converged)
-    assert status.t > 4  # long enough to cross the snapshot horizon
-    for rec in trace.records:
-        if rec.t < 3:
-            assert rec.profile is not None
-        else:
-            assert rec.profile is None
-        assert rec.profile_hash  # hashes identify every round regardless
-    assert trace.records[-1].profile_hash == profile_hash(spec, final)
-
-
-def test_light_trace_skips_welfare_and_profiles():
+def test_light_trace_records_no_moves():
     doc = gen_random_instance(n=6, edge_prob=0.5, seed=2, budget_units=10)
     spec = doc.to_game_spec()
-    _, trace, _ = run_sequential(
-        spec,
-        init_profile(spec, RandomFeasible(0)),
-        DynamicsConfig(),
-        trace_detail="light",
-    )
-    assert all(r.profile is None and r.welfare is None for r in trace.records)
-    assert all(r.total_slack >= 0 for r in trace.records)
+    for run in (run_sequential, run_simultaneous):
+        _, trace, _ = run(
+            spec,
+            init_profile(spec, RandomFeasible(0)),
+            DynamicsConfig(max_rounds=20),
+            trace_detail="light",
+        )
+        assert len(trace.records) > 1
+        assert trace.init is None
+        assert all(r.changes is None for r in trace.records)
+        assert all(r.total_slack >= 0 for r in trace.records)
+        assert not hasattr(trace.records[0], "__dict__")  # slotted records
+        with pytest.raises(ValueError, match="light trace"):
+            next(trace.profiles())
+
+
+def test_replayed_profiles_match_shorter_runs():
+    """The profile replayed after round t is the final profile of the same
+    run stopped after t rounds, and the last one is the returned final."""
+    spec = gen_random_instance(
+        n=9, edge_prob=0.5, seed=6, budget_units=30
+    ).to_game_spec()
+    k5 = gen_k5_cycle_instance(0.05)
+    cases = [
+        (run_sequential, spec, init_profile(spec, RandomFeasible(6)), RandomSeeded(6)),
+        (run_simultaneous, k5.to_game_spec(), k5.init_profile(), RoundRobin()),
+    ]
+    for run, spec, init, order in cases:
+        final, trace, _ = run(spec, init, DynamicsConfig(order=order))
+        profiles = list(trace.profiles())
+        assert len(profiles) == len(trace.records) > 2
+        assert profiles[0] == init and profiles[-1] == final
+        for t in range(1, len(profiles)):
+            stopped, _, _ = run(
+                spec, init, DynamicsConfig(order=order, max_rounds=t),
+                trace_detail="light",
+            )
+            assert profiles[t] == stopped
 
 
 def _all_rows(budget, caps_any, deg):

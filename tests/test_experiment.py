@@ -4,9 +4,18 @@ import multiprocessing
 
 import pytest
 
-from netalloc.dynamics import DynamicsConfig
+import netalloc.experiment as experiment
+from netalloc.analysis import potential_value
+from netalloc.dynamics import (
+    Converged,
+    DynamicsConfig,
+    RandomFeasible,
+    init_profile,
+    run_sequential,
+)
 from netalloc.experiment import (
     ExperimentConfig,
+    profile_hash,
     run_batch_experiment,
     smoothed_mode_count,
     write_histogram_csv,
@@ -14,7 +23,13 @@ from netalloc.experiment import (
     write_summary_json,
     write_trace_jsonl,
 )
-from netalloc.instances import gen_random_instance, gen_torus_grid
+from netalloc.game import social_welfare
+from netalloc.instances import (
+    InstanceDocument,
+    gen_random_instance,
+    gen_ranked_instance,
+    gen_torus_grid,
+)
 from netalloc.utility import UtilitySpec
 
 
@@ -148,9 +163,71 @@ def test_report_files(tmp_path):
     assert lines[0]["seed"] == 1
 
 
-def test_trace_jsonl(tmp_path):
-    from netalloc.dynamics import RandomFeasible, init_profile, run_sequential
+def test_zero_optimum_refused_before_any_run(monkeypatch):
+    doc = InstanceDocument(
+        n=2, eta=1.0, budgets=(10, 10), behaviors=("pessimistic",) * 2, edges=()
+    )
+    monkeypatch.setattr(experiment, "_single_run", None)  # no run may start
+    with pytest.raises(ValueError, match="optimum welfare is 0.0"):
+        run_batch_experiment(doc, ExperimentConfig(runs=3))
 
+
+def test_summary_without_converged_runs_is_standard_json(tmp_path):
+    cfg = ExperimentConfig(runs=2, dynamics=DynamicsConfig(max_rounds=1))
+    report = run_batch_experiment(small_torus(), cfg)
+    assert report.non_converged == 2
+    path = tmp_path / "s.json"
+    write_summary_json(report, path)
+    text = path.read_text()
+    assert "NaN" not in text
+    summary = json.loads(text)
+    assert summary["mean"] is None and summary["std"] is None
+    assert summary["non_converged_count"] == 2
+
+
+def test_trace_compression_policy(monkeypatch, tmp_path):
+    monkeypatch.setattr(experiment, "FULL_PROFILE_ROUNDS", 3)
+    doc = gen_random_instance(n=8, edge_prob=0.6, seed=13, budget_units=40)
+    spec = doc.to_game_spec()
+    final, trace, status = run_sequential(
+        spec, init_profile(spec, RandomFeasible(4)), DynamicsConfig()
+    )
+    assert isinstance(status, Converged)
+    assert status.t > 4  # long enough to cross the snapshot horizon
+    path = tmp_path / "t.jsonl"
+    write_trace_jsonl(trace, path)
+    rows = [json.loads(l) for l in path.read_text().splitlines()]
+    assert len(rows) == len(trace.records)
+    for row, profile in zip(rows, trace.profiles()):
+        if row["t"] < 3:
+            assert row["profile"] == [
+                [i, j, c] for (i, j), c in sorted(profile.counts.items())
+            ]
+        else:
+            assert "profile" not in row
+        assert row["welfare"] == social_welfare(spec, profile)
+    assert all(row["profile_hash"] for row in rows[3:])
+    assert rows[-1]["profile_hash"] == profile_hash(spec, final)
+
+
+def test_trace_potential_column(tmp_path):
+    doc = gen_ranked_instance(n=7, edge_prob=0.5, seed=3, budget_units=30)
+    spec = doc.to_game_spec()
+    ranking = doc.ranking_system()
+    _, trace, _ = run_sequential(
+        spec, init_profile(spec, RandomFeasible(3)), DynamicsConfig()
+    )
+    path = tmp_path / "t.jsonl"
+    write_trace_jsonl(trace, path, ranking=ranking)
+    rows = [json.loads(l) for l in path.read_text().splitlines()]
+    assert len(rows) > 1
+    for row, profile in zip(rows, trace.profiles()):
+        assert row["potential"] == potential_value(spec, ranking, profile)
+    write_trace_jsonl(trace, path)
+    assert all(json.loads(l)["potential"] is None for l in path.read_text().splitlines())
+
+
+def test_trace_jsonl(tmp_path):
     doc = gen_random_instance(n=6, edge_prob=0.5, seed=2, budget_units=10)
     spec = doc.to_game_spec()
     _, trace, _ = run_sequential(
