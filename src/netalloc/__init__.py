@@ -29,7 +29,6 @@ from .dynamics import (
     Converged,
     CycleDetected,
     DynamicsConfig,
-    ExplicitList,
     Given,
     InvariantViolation,
     MaxRoundsExceeded,

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bestresponse import BRUTE_FORCE_LIMIT
+from .bestresponse import BRUTE_FORCE_LIMIT, best_response, is_best_response
 from .game import (
     FrequencyProfile,
     GameSpec,
@@ -26,7 +26,7 @@ from .game import (
 )
 
 WEIGHT_MATCH_TOL = 1e-9
-# continuous_equilibrium_polish: the improvement it leaves, and its round cap
+# continuous_equilibrium_polish: the improvement it leaves, and its move cap
 POLISH_TOL = 1e-12
 POLISH_MAX_ROUNDS = 100_000
 
@@ -177,27 +177,31 @@ def continuous_equilibrium_polish(
     Grid equilibria are exact for grid deviations but can leave up to a
     quantum's worth of continuous improvement on the table, which matters
     when classifying real-valued transforms (convex combinations, optimum
-    profiles) at tight tolerances.  This reruns sequential best responses on
-    a real-valued copy of the profile until no player improves by more than
-    ``POLISH_TOL``; starting from a grid equilibrium it settles within a few
-    moves.
+    profiles) at tight tolerances.  This visits the players of a real-valued
+    copy of the profile round robin, moving each one that can improve by
+    more than ``POLISH_TOL`` to its (continuous) best response, until a full
+    pass moves no one; starting from a grid equilibrium it settles within a
+    few moves.
     """
-    from .dynamics import Converged, DynamicsConfig, run_sequential
-
-    start = FrequencyProfile(
-        {e: float(c) for e, c in profile.counts.items()}
-    )
-    final, _, status = run_sequential(
-        spec,
-        start,
-        DynamicsConfig(tol=POLISH_TOL, max_rounds=POLISH_MAX_ROUNDS),
-        trace_detail="light",
-    )
-    if not isinstance(status, Converged):
-        raise RuntimeError(
-            f"continuous polish did not settle within {POLISH_MAX_ROUNDS} rounds"
-        )
-    return final
+    check_feasible(spec, profile)
+    current = FrequencyProfile({e: float(c) for e, c in profile.counts.items()})
+    moves = 0
+    idle = 0  # players visited since the last move
+    i = 0
+    while idle < spec.n:
+        if is_best_response(spec, current, i, POLISH_TOL)[0]:
+            idle += 1
+        elif moves == POLISH_MAX_ROUNDS:
+            raise RuntimeError(
+                f"continuous polish did not settle within {POLISH_MAX_ROUNDS} moves"
+            )
+        else:
+            br = best_response(spec, current, i)
+            current = current.with_proposals(i, br.proposals)
+            moves += 1
+            idle = 0
+        i = (i + 1) % spec.n
+    return current
 
 
 # -- global optimum -------------------------------------------------------------

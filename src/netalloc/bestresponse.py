@@ -67,13 +67,11 @@ class BRResult:
     ``proposals`` are per-neighbor amounts in eta units (ints when the
     player's caps are, see :func:`best_response`).  ``realized_utility`` is
     computed from the agreed amounts min(f_j, cap_j), not from the raw
-    proposals, and ``slack_after`` is the budget (eta units) that ends up
-    unrealized.
+    proposals.
     """
 
     proposals: dict[PlayerId, float]
     realized_utility: float
-    slack_after: float
 
 
 def _fits(targets: Sequence[float], budget_units: float) -> bool:
@@ -326,7 +324,7 @@ def best_response(
     caps = [profile.counts[(j, i)] for j in nbrs]
     grid = all(isinstance(c, int) for c in caps)
     if not nbrs:
-        return BRResult(proposals={}, realized_utility=0.0, slack_after=budget)
+        return BRResult(proposals={}, realized_utility=0.0)
 
     eta = spec.eta
     weights = [spec.weights[(i, j)] for j in nbrs]
@@ -335,11 +333,7 @@ def best_response(
 
     if budget <= 0:
         zero = 0 if grid else 0.0
-        return BRResult(
-            proposals={j: zero for j in nbrs},
-            realized_utility=0.0,
-            slack_after=zero,
-        )
+        return BRResult(proposals={j: zero for j in nbrs}, realized_utility=0.0)
 
     _, targets = _water_fill(weights, utils, caps, budget, eta)
     marginals = list(zip(weights, utils))
@@ -384,16 +378,13 @@ def best_response(
                 leftover = 0.0
 
     realized_utility = 0.0
-    realized_total = 0.0
     for k in range(deg):
         agreed = alloc[k] if alloc[k] < caps[k] else caps[k]
-        realized_total += agreed
         realized_utility += weights[k] * utils[k].value(agreed * eta)
 
     return BRResult(
         proposals={j: alloc[k] for k, j in enumerate(nbrs)},
         realized_utility=realized_utility,
-        slack_after=budget - realized_total,
     )
 
 

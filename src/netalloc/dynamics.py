@@ -1,17 +1,17 @@
 """Best-response dynamics: sequential and simultaneous play.
 
 Sequential play updates one non-best-responding player per round and, on
-quantized profiles, provably terminates at a Nash equilibrium; the engine
-checks the two monotonicity facts that drive that argument at runtime (total
-slack never increases, and once total slack has stabilized the set of players
-with an empty win set only grows).  Simultaneous play updates everyone at
+the integer profiles it accepts, provably terminates at a Nash equilibrium;
+the engine checks the two monotonicity facts that drive that argument at
+runtime (total slack never increases, and once total slack has stabilized the
+set of players with an empty win set only grows).  Simultaneous play updates everyone at
 once against the previous round and need not converge, so the engine detects
 exact profile revisits (integer state makes equality exact) and reports the
 cycle's start and period.
 
 Most status checks in a sequential run are about neighbors of the mover,
-whose incoming proposals changed: do they still best-respond?  On integral
-profiles that question is first put to a one-pass exchange test (see
+whose incoming proposals changed: do they still best-respond?  That question
+is first put to a one-pass exchange test (see
 ``_SeqState.certainly_improves``), which can prove a player is not at a best
 response without solving for the response; the response is then solved only
 if that player is picked to move (and must then improve on the player's
@@ -26,7 +26,7 @@ are bit-identical to solving every status in full.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .bestresponse import (
@@ -42,7 +42,6 @@ from .game import (
     PlayerId,
     check_feasible,
     outcome_summary,
-    player_utility,
 )
 from .utility import INF
 
@@ -63,7 +62,7 @@ class InvariantViolation(AssertionError):
 @dataclass(frozen=True)
 class RoundRobin:
     """Cycle player ids 0, 1, ..., n-1, skipping the ones already
-    best-responding (the ``ExplicitList`` of every id in order)."""
+    best-responding."""
 
 
 @dataclass(frozen=True)
@@ -73,15 +72,7 @@ class RandomSeeded:
     seed: int
 
 
-@dataclass(frozen=True)
-class ExplicitList:
-    """Cycle a fixed id sequence (must cover every player), skipping
-    best-responders.  Meant for experimentation with adversarial orders."""
-
-    order: tuple[int, ...]
-
-
-OrderPolicy = RoundRobin | RandomSeeded | ExplicitList
+OrderPolicy = RoundRobin | RandomSeeded
 
 
 # -- initial profile policies ------------------------------------------------
@@ -280,68 +271,61 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
 # -- sequential dynamics -------------------------------------------------------
 
 
-class _SlotTree:
-    """Order statistics over a set of players: a Fenwick tree of 0/1 marks
-    over the slots of an order sequence ``seq``, in which a member marks
-    every slot that names it.  Adding or removing a member, the k-th marked
-    slot and the first marked slot at or after a position are all
-    O(log len(seq)); ``member`` answers membership with one byte read."""
+class _IdTree:
+    """A set of player ids with order statistics: a Fenwick tree of 0/1
+    marks, player i at position i + 1.  Adding or removing a member, the
+    k-th member and the first member at or after an id are all O(log n);
+    ``member`` answers membership with one byte read."""
 
-    def __init__(self, seq: Sequence[int], n: int, members) -> None:
-        m = len(seq)
-        self.m = m
-        self.top = (1 << m.bit_length()) >> 1  # highest power of two <= m
-        slots: list[list[int]] = [[] for _ in range(n)]
-        for s, i in enumerate(seq):
-            slots[i].append(s + 1)  # tree positions are 1-based
-        self.slots = [tuple(x) for x in slots]
+    def __init__(self, n: int, members) -> None:
+        self.n = n
+        self.top = (1 << n.bit_length()) >> 1  # highest power of two <= n
         self.member = bytearray(n)
-        tree = [0] * (m + 1)
+        tree = [0] * (n + 1)
         for i in members:
             self.member[i] = 1
-            for s in self.slots[i]:
-                tree[s] = 1
-        self.size = sum(tree)  # marked slots
-        for s in range(1, m + 1):
+            tree[i + 1] = 1
+        self.size = sum(tree)
+        for s in range(1, n + 1):
             up = s + (s & -s)
-            if up <= m:
+            if up <= n:
                 tree[up] += tree[s]
         self.tree = tree
 
     def add(self, i: int) -> None:
         self.member[i] = 1
-        tree, m = self.tree, self.m
-        for s in self.slots[i]:
-            self.size += 1
-            while s <= m:
-                tree[s] += 1
-                s += s & -s
+        self.size += 1
+        tree, n = self.tree, self.n
+        s = i + 1
+        while s <= n:
+            tree[s] += 1
+            s += s & -s
 
     def remove(self, i: int) -> None:
         self.member[i] = 0
-        tree, m = self.tree, self.m
-        for s in self.slots[i]:
-            self.size -= 1
-            while s <= m:
-                tree[s] -= 1
-                s += s & -s
+        self.size -= 1
+        tree, n = self.tree, self.n
+        s = i + 1
+        while s <= n:
+            tree[s] -= 1
+            s += s & -s
 
     def kth(self, k: int) -> int:
-        """The marked slot with k marked slots before it (0 <= k < size)."""
-        tree, m = self.tree, self.m
+        """The member with k members below it (0 <= k < size)."""
+        tree, n = self.tree, self.n
         pos = 0
         step = self.top
         while step:
             nxt = pos + step
-            if nxt <= m and tree[nxt] <= k:
+            if nxt <= n and tree[nxt] <= k:
                 pos = nxt
                 k -= tree[nxt]
             step >>= 1
         return pos
 
     def first_from(self, start: int) -> int:
-        """The first marked slot at or after ``start``, wrapping around to
-        the first marked slot (at least one slot must be marked)."""
+        """The first member at or after ``start``, wrapping around to the
+        first member (the set must not be empty)."""
         tree = self.tree
         before = 0
         s = start
@@ -357,9 +341,9 @@ class _SeqState:
     Starts from :func:`outcome_summary`.  Only the mover's row changes per
     round, so per-player slack, win-set sizes and best-response statuses
     are then patched for the mover and the neighbors whose incoming proposal
-    actually changed.  On integral profiles the total slack is kept as a
-    running integer too.  The stable set (empty win set) is kept only as
-    zero win counts; :meth:`take_stable_delta` reports who joined or left.
+    actually changed, and the total slack is kept as a running integer.
+    The stable set (empty win set) is kept only as zero win counts;
+    :meth:`take_stable_delta` reports who joined or left.
 
     ``not_br`` maps every player that can still improve by more than
     ``tol`` to its best response, or to ``None`` when the exchange test
@@ -368,65 +352,54 @@ class _SeqState:
     and any change to them re-runs :meth:`_status`, so solving a ``None``
     entry when the player is picked gives the response the status check
     would have stored, bit for bit.  ``movers`` mirrors the keys of
-    ``not_br`` as a :class:`_SlotTree` over the slots of the order sequence
-    ``seq`` (the player ids by default).
+    ``not_br`` as an :class:`_IdTree`.
     """
 
-    def __init__(
-        self,
-        spec: GameSpec,
-        init: FrequencyProfile,
-        tol: float,
-        seq: Sequence[int] | None = None,
-    ):
+    def __init__(self, spec: GameSpec, init: FrequencyProfile, tol: float):
         self.spec = spec
         self.tol = tol
         self.counts = dict(init.counts)
         self.view = FrequencyProfile._wrap(self.counts)
         summary = outcome_summary(spec, init)
         self.slack = [summary.slack[i] for i in range(spec.n)]
-        self.integral = init.is_integral()
-        self._total_slack = sum(self.slack)  # exact on integral profiles
+        self.total_slack = summary.total_slack
         self.win_count = [len(summary.win[i]) for i in range(spec.n)]
         # players whose win count crossed zero since take_stable_delta, and
         # whether each was stable then
         self._flipped: dict[int, bool] = {}
-        if self.integral:
-            # exchange-test terms of player i at the position k of neighbor
-            # j (integral profiles only), see certainly_improves
-            self._edge = {
-                (i, j): (k, spec.weights[(i, j)], spec.utilities[(i, j)].value)
-                for i in range(spec.n)
-                for k, j in enumerate(spec.neighbors[i])
-            }
-            self._util = [[0.0] * spec.degree(i) for i in range(spec.n)]
-            self._up = [[0.0] * spec.degree(i) for i in range(spec.n)]
-            self._down = [[0.0] * spec.degree(i) for i in range(spec.n)]
-            for (i, j) in self._edge:
-                self._set_terms(i, j)
+        # per-edge terms of player i at the position k of neighbor j: its
+        # utility (summed by _status), and the exchange test's gains and
+        # losses (see certainly_improves)
+        self._edge = {
+            (i, j): (k, spec.weights[(i, j)], spec.utilities[(i, j)].value)
+            for i in range(spec.n)
+            for k, j in enumerate(spec.neighbors[i])
+        }
+        self._util = [[0.0] * spec.degree(i) for i in range(spec.n)]
+        self._up = [[0.0] * spec.degree(i) for i in range(spec.n)]
+        self._down = [[0.0] * spec.degree(i) for i in range(spec.n)]
+        for (i, j) in self._edge:
+            self._set_terms(i, j)
         # players that can still improve, with their best response or None
         self.not_br: dict[int, BRResult | None] = {}
         for i in range(spec.n):
             ok, br = self._status(i)
             if not ok:
                 self.not_br[i] = br
-        self.movers = _SlotTree(
-            range(spec.n) if seq is None else seq, spec.n, self.not_br
-        )
-
-    def total_slack(self) -> float:
-        return self._total_slack if self.integral else sum(self.slack)
+        self.movers = _IdTree(spec.n, self.not_br)
 
     def _status(self, i: int) -> tuple[bool, BRResult | None]:
         if self.win_count[i] == 0:
             return True, None  # matching everyone: no unilateral gain exists
-        if self.integral and self.certainly_improves(i):
+        if self.certainly_improves(i):
             return False, None
         br = best_response(self.spec, self.view, i)
-        improvement = br.realized_utility - player_utility(
-            self.spec, self.view, i
-        )
-        return improvement <= self.tol, br
+        return br.realized_utility - self.utility(i) <= self.tol, br
+
+    def utility(self, i: int) -> float:
+        """i's current utility: the terms ``game.player_utility`` adds,
+        summed in the same (neighbor) order."""
+        return sum(self._util[i])
 
     def _set_terms(self, i: int, j: int) -> None:
         """Recompute i's exchange-test terms on edge (i, j) from the agreed
@@ -452,7 +425,7 @@ class _SeqState:
 
     def certainly_improves(self, i: int) -> bool:
         """Exchange test: True only if i's best response improves on its
-        current utility by more than ``tol`` (integral profiles only).
+        current utility by more than ``tol``.
 
         From i's realized allocation a_k = min(f_ik, f_ki) and spare budget
         s = budget_units(i) - sum_k a_k it takes the best single-quantum
@@ -471,8 +444,8 @@ class _SeqState:
         more than the best single-quantum add gain per quantum added).  The margin
         covers, with room to spare for degrees and budgets below a million:
 
-        * the float sums of ``BRResult.realized_utility`` and
-          ``player_utility`` (each within about (deg + 2) ulps of Z);
+        * the float sums of ``BRResult.realized_utility`` and of i's
+          utility terms (each within about (deg + 2) ulps of Z);
         * the rounding in g (a few ulps of Z);
         * the solver's exchange polish, which stops once no single move
           gains more than 1e-13: by exchange optimality (separable concave
@@ -520,14 +493,14 @@ class _SeqState:
                 d = new_a - old_a
                 self.slack[mover] -= d
                 self.slack[j] -= d
-                self._total_slack -= 2 * d
+                self.total_slack -= 2 * d
             if (old < cji) != (new < cji):
                 self._shift_wins(mover, 1 if new < cji else -1)
                 retally = True
             if (cji < old) != (cji < new):
                 self._shift_wins(j, 1 if cji < new else -1)
                 retally = True
-            if retally and self.integral:
+            if retally:
                 self._set_terms(mover, j)
                 self._set_terms(j, mover)
             changed.append(j)
@@ -587,53 +560,45 @@ def run_sequential(
 
     The order policy picks the next mover among players that can still
     improve by more than ``config.tol``; the run converges when no such
-    player remains.  ``trace_detail`` "light" records no moves, keeping
+    player remains.  The profile must hold integer counts (ValueError
+    otherwise).  ``trace_detail`` "light" records no moves, keeping
     slack/stable-set data for invariants.
     """
     if trace_detail not in ("full", "light"):
         raise ValueError(f"unknown trace detail {trace_detail!r}")
     check_feasible(spec, init)
-    integral = init.is_integral()
+    if not init.is_integral():
+        raise ValueError("sequential dynamics need a profile of integer counts")
 
     order = config.order
     rng = random.Random(order.seed) if isinstance(order, RandomSeeded) else None
-    if isinstance(order, ExplicitList):
-        if set(order.order) != set(range(spec.n)):
-            raise ValueError(
-                "explicit order must cover every player and name no other id"
-            )
-        seq = order.order
-    else:
-        seq = tuple(range(spec.n))
-
     full = trace_detail == "full"
-    state = _SeqState(spec, init, config.tol, seq)
+    state = _SeqState(spec, init, config.tol)
     movers = state.movers
     trace = Trace(spec, init if full else None)
     records = trace.records
 
-    slack = state.total_slack()
+    slack = state.total_slack
     initial_stable = tuple(i for i, wc in enumerate(state.win_count) if wc == 0)
     records.append(RoundRecord(0, None, None, slack, initial_stable, ()))
 
     # the first stable-set loss since total slack last changed; once the run
     # converges, the set must only have grown on that slack-stable suffix
     first_loss: tuple[int, tuple[int, ...]] | None = None
-    pos = 0  # the slot of seq to look at first (round robin, explicit list)
+    pos = 0  # the player to look at first (round robin)
     t = 0
     while state.not_br and t < config.max_rounds:
         t += 1
         if rng is not None:
             # the same draw as rng.choice(sorted(state.not_br))
-            mover = seq[movers.kth(rng.randrange(len(state.not_br)))]
+            mover = movers.kth(rng.randrange(len(state.not_br)))
         else:
-            slot = movers.first_from(pos)
-            mover = seq[slot]
-            pos = slot + 1
+            mover = movers.first_from(pos)
+            pos = mover + 1
         br = state.not_br[mover]
         if br is None:  # its status came from the exchange test: solve now
             br = best_response(spec, state.view, mover)
-            gain = br.realized_utility - player_utility(spec, state.view, mover)
+            gain = br.realized_utility - state.utility(mover)
             if not gain > config.tol:
                 raise InvariantViolation(
                     f"exchange test picked mover {mover} at round {t}, "
@@ -641,9 +606,8 @@ def run_sequential(
                 )
         prev_slack = slack
         state.apply_move(mover, br)
-        slack = state.total_slack()
-        bound = prev_slack if integral else prev_slack + 1e-9
-        if slack > bound:
+        slack = state.total_slack
+        if slack > prev_slack:
             raise InvariantViolation(
                 f"total slack increased at round {t}: "
                 f"{prev_slack} -> {slack} (mover {mover})"

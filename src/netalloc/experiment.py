@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import RankingSystem, global_optimum, potential_value
+from .analysis import RankingSystem, global_optimum, ranking_violations
 from .dynamics import (
     Converged,
     DynamicsConfig,
@@ -269,28 +269,61 @@ def write_trace_jsonl(
     """One JSON record per round of a full trace, with the welfare and,
     given a ranking, the weighted potential of the profile after it.  The
     profile itself is written before round ``FULL_PROFILE_ROUNDS``, its hash
-    from then on and throughout with ``profiles`` "hash"."""
+    from then on and throughout with ``profiles`` "hash".
+
+    Both values are kept as per-directed-edge terms and re-evaluated only on
+    the edges whose proposals a round set, then summed in the order of
+    :func:`~netalloc.game.social_welfare` and
+    :func:`~netalloc.analysis.potential_value`, which they equal bit for
+    bit."""
     if profiles not in ("full", "hash"):
         raise ValueError(f"unknown profile mode {profiles!r}")
     spec = trace.spec
+    if ranking is not None and (bad := ranking_violations(spec, ranking)):
+        raise ValueError(bad[0])
+    # per directed edge, in spec order: w_ij u_ij(agreed) and, given a
+    # ranking, rank(i) rank(j) u_ij(agreed)
+    utility = dict.fromkeys(spec.directed_edges, 0.0)
+    phi = dict(utility)
+    players = [0.0] * spec.n  # player_utility of each player
     with open(path, "w", encoding="utf-8") as fh:
         for rec, stable, profile in zip(
             trace.records, trace.stable_sets(), trace.profiles()
         ):
-            potential = (
-                None if ranking is None else potential_value(spec, ranking, profile)
-            )
+            counts = profile.counts
+            # record 0 and simultaneous rounds set the whole profile
+            if rec.t == 0 or rec.mover == "all":
+                edges, touched = spec.directed_edges, range(spec.n)
+            else:
+                edges = [e for (i, j) in rec.changes for e in ((i, j), (j, i))]
+                touched = {rec.mover, *(j for _, j in rec.changes)}
+            for (i, j) in edges:
+                agreed = min(counts[(i, j)], counts[(j, i)])
+                value = spec.utilities[(i, j)].value(agreed * spec.eta)
+                utility[(i, j)] = spec.weights[(i, j)] * value
+                if ranking is not None:
+                    phi[(i, j)] = ranking.rank(i) * ranking.rank(j) * value
+            for i in touched:
+                total = 0.0
+                for j in spec.neighbors[i]:
+                    total += utility[(i, j)]
+                players[i] = total
+            potential = None
+            if ranking is not None:
+                potential = 0.0
+                for term in phi.values():
+                    potential += term
             row: dict = {
                 "t": rec.t,
                 "mover": rec.mover,
                 "total_slack": rec.total_slack,
-                "welfare": social_welfare(spec, profile),
+                "welfare": sum(players),
                 "potential": potential,
                 "stable_players": sorted(stable),
             }
             if profiles == "full" and rec.t < FULL_PROFILE_ROUNDS:
                 row["profile"] = [
-                    [i, j, c] for (i, j), c in sorted(profile.counts.items())
+                    [i, j, c] for (i, j), c in sorted(counts.items())
                 ]
             else:
                 row["profile_hash"] = profile_hash(spec, profile)

@@ -228,9 +228,6 @@ class FrequencyProfile:
         """Canonical hashable snapshot (exact equality, no collisions)."""
         return tuple(self.counts[e] for e in spec.directed_edges)
 
-    def out_total(self, spec: GameSpec, i: PlayerId) -> float:
-        return sum(self.counts[(i, j)] for j in spec.neighbors[i])
-
     def with_proposals(
         self, i: PlayerId, proposals: Mapping[PlayerId, float]
     ) -> "FrequencyProfile":

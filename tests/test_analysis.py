@@ -28,6 +28,7 @@ from netalloc.dynamics import (
     OptimisticNE,
     PessimisticNE,
     RandomFeasible,
+    RandomSeeded,
     classify_equilibrium,
     init_profile,
     run_sequential,
@@ -500,6 +501,27 @@ def test_continuous_polish_removes_grid_slack():
         assert (
             br.realized_utility - player_utility(spec, settled, i) <= 1e-9
         )
+    assert not isinstance(
+        classify_equilibrium(spec, settled, tol=1e-9), NotEquilibrium
+    )
+
+
+def test_continuous_polish_ignores_float_dust():
+    # settling this grid equilibrium moves player 4 to propose
+    # 7.000000000000002 against player 0's 7: float dust of the optimistic
+    # disposal, not a lost equilibrium
+    from netalloc.analysis import continuous_equilibrium_polish
+
+    spec = gen_random_instance(
+        n=10, edge_prob=0.45, seed=321, budget_units=30, behavior="optimistic"
+    ).to_game_spec()
+    final, _, status = run_sequential(
+        spec,
+        init_profile(spec, RandomFeasible(17)),
+        DynamicsConfig(order=RandomSeeded(17)),
+    )
+    assert isinstance(status, Converged)
+    settled = continuous_equilibrium_polish(spec, final)
     assert not isinstance(
         classify_equilibrium(spec, settled, tol=1e-9), NotEquilibrium
     )

@@ -41,6 +41,13 @@ def _realized_utility(spec, i, proposals, caps_profile):
     return total
 
 
+def _slack_after(spec, i, proposals, caps_profile):
+    """The budget (eta units) that the response leaves unrealized."""
+    return spec.budget_units(i) - sum(
+        min(proposals[j], caps_profile.counts[(j, i)]) for j in spec.neighbors[i]
+    )
+
+
 # -- the solver against hand examples -----------------------------------------
 
 
@@ -51,7 +58,7 @@ def test_k5_best_response_matches_incoming_weights():
     br = best_response(spec, start, 0)
     # each neighbor's cap binds exactly: propose what they proposed to you
     assert br.proposals == {1: 4, 2: 4, 3: 6, 4: 6}
-    assert br.slack_after == 0
+    assert _slack_after(spec, 0, br.proposals, start) == 0
     nbrs = spec.neighbors[0]
     delta, _ = _water_fill(
         [spec.weights[(0, j)] for j in nbrs],
@@ -80,14 +87,16 @@ def test_single_neighbor_pessimistic_vs_optimistic():
         spec = single_edge_spec(
             UtilitySpec.sqrt(), 1.0, (5.0, 5.0), behaviors={0: behavior, 1: PESS}
         )
-        return best_response(spec, profile_of(spec, {1: {0: 3}}), 0)
+        profile = profile_of(spec, {1: {0: 3}})
+        br = best_response(spec, profile, 0)
+        return br, _slack_after(spec, 0, br.proposals, profile)
 
-    pess = response(PESS)
+    pess, pess_slack = response(PESS)
     assert pess.proposals == {1: 3}
-    assert pess.slack_after == 2
-    opt = response(OPT)
+    assert pess_slack == 2
+    opt, opt_slack = response(OPT)
     assert opt.proposals == {1: 5}
-    assert opt.slack_after == 2  # realized interaction still 3
+    assert opt_slack == 2  # realized interaction still 3
     assert opt.realized_utility == pess.realized_utility
 
 
@@ -106,7 +115,7 @@ def test_optimistic_disposal_splits_the_remainder_in_neighbor_order():
     br = best_response(spec, profile, 0)
     assert br.proposals == {1: 3, 2: 3, 3: 2}
     assert all(type(c) is int for c in br.proposals.values())
-    assert br.slack_after == 5
+    assert _slack_after(spec, 0, br.proposals, profile) == 5
 
 
 def test_grid_mode_follows_the_players_own_caps():
@@ -145,9 +154,10 @@ def test_no_neighbors_and_zero_budget():
     assert br.proposals == {1: 0}
     assert br.realized_utility == 0.0
     lonely = make_spec(1, 1.0, [], [5.0])
-    br2 = best_response(lonely, FrequencyProfile.zeros(lonely), 0)
+    lonely_profile = FrequencyProfile.zeros(lonely)
+    br2 = best_response(lonely, lonely_profile, 0)
     assert br2.proposals == {}
-    assert br2.slack_after == 5
+    assert _slack_after(lonely, 0, br2.proposals, lonely_profile) == 5
 
 
 # -- the water level ------------------------------------------------------------

@@ -10,7 +10,6 @@ from netalloc.dynamics import (
     Converged,
     CycleDetected,
     DynamicsConfig,
-    ExplicitList,
     Given,
     InvariantViolation,
     MaxRoundsExceeded,
@@ -148,8 +147,8 @@ def test_incremental_state_matches_outcome_summary_after_every_move():
                     min((i for i in state.not_br if i >= k), default=min(state.not_br))
                     for k in range(spec.n)
                 ]
-            assert state.total_slack() == s.total_slack
-            assert type(state.total_slack()) is type(s.total_slack)
+            assert state.total_slack == s.total_slack
+            assert type(state.total_slack) is type(s.total_slack)
             fresh = _SeqState(spec, state.view, 1e-9)
             assert (state._util, state._up, state._down) == (
                 fresh._util, fresh._up, fresh._down
@@ -201,21 +200,21 @@ def test_lazy_statuses_match_is_best_response_after_every_move(behavior):
 
 def _reference_movers(spec, init, order, max_rounds):
     """The movers of a sequential run picked the direct way: a choice from
-    the sorted non-best-responders, or a scan of the order sequence."""
+    the sorted non-best-responders, or a scan of the player ids."""
     state = _SeqState(spec, init, 1e-9)
     rng = random.Random(order.seed) if isinstance(order, RandomSeeded) else None
-    seq = order.order if isinstance(order, ExplicitList) else tuple(range(spec.n))
+    n = spec.n
     pos = 0
     movers = []
     while state.not_br and len(movers) < max_rounds:
         if rng is not None:
             mover = rng.choice(sorted(state.not_br))
         else:
-            for k in range(len(seq)):
-                cand = seq[(pos + k) % len(seq)]
+            for k in range(n):
+                cand = (pos + k) % n
                 if cand in state.not_br:
                     mover = cand
-                    pos = (pos + k + 1) % len(seq)
+                    pos = (cand + 1) % n
                     break
         state.apply_move(mover, _response(state, spec, mover))
         movers.append(mover)
@@ -225,7 +224,7 @@ def _reference_movers(spec, init, order, max_rounds):
 @st.composite
 def ordered_games(draw):
     """A small random game, a seed, and one order of each kind: seeded
-    random, round robin, and an explicit permutation with one id repeated."""
+    random and round robin."""
     n = draw(st.integers(2, 12))
     spec = gen_random_instance(
         n=n,
@@ -234,11 +233,7 @@ def ordered_games(draw):
         budget_units=draw(st.integers(1, 30)),
     ).to_game_spec()
     seed = draw(st.integers(0, 10_000))
-    order = draw(st.permutations(range(n)))
-    at = draw(st.integers(0, n))
-    repeated = order[:at] + [draw(st.sampled_from(order))] + order[at:]
-    orders = (RandomSeeded(seed), RoundRobin(), ExplicitList(tuple(repeated)))
-    return spec, seed, orders
+    return spec, seed, (RandomSeeded(seed), RoundRobin())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -408,7 +403,7 @@ def test_sequential_orders_equivalent_convergence():
     doc = gen_random_instance(n=9, edge_prob=0.5, seed=21, budget_units=40)
     spec = doc.to_game_spec()
     init = init_profile(spec, RandomFeasible(5))
-    for order in (RoundRobin(), RandomSeeded(3), ExplicitList(tuple(range(8, -1, -1)))):
+    for order in (RoundRobin(), RandomSeeded(3)):
         final, _, status = run_sequential(
             spec, init, DynamicsConfig(order=order)
         )
@@ -416,12 +411,12 @@ def test_sequential_orders_equivalent_convergence():
         assert not isinstance(classify_equilibrium(spec, final), NotEquilibrium)
 
 
-def test_explicit_order_must_cover_players():
+def test_sequential_refuses_float_profiles():
     spec = gen_random_instance(n=4, edge_prob=1.0, seed=2).to_game_spec()
-    for order in ((0, 1), (0, 1, 2, 9)):
-        cfg = DynamicsConfig(order=ExplicitList(order))
-        with pytest.raises(ValueError, match="cover"):
-            run_sequential(spec, init_profile(spec, Zero()), cfg)
+    ints = init_profile(spec, RandomFeasible(2))
+    floats = FrequencyProfile({e: float(c) for e, c in ints.counts.items()})
+    with pytest.raises(ValueError, match="integer"):
+        run_sequential(spec, floats, DynamicsConfig())
 
 
 def test_max_rounds_exceeded_returns_trace():

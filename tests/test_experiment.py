@@ -5,13 +5,14 @@ import multiprocessing
 import pytest
 
 import netalloc.experiment as experiment
-from netalloc.analysis import potential_value
+from netalloc.analysis import RankingSystem, potential_value
 from netalloc.dynamics import (
     Converged,
     DynamicsConfig,
     RandomFeasible,
     init_profile,
     run_sequential,
+    run_simultaneous,
 )
 from netalloc.experiment import (
     ExperimentConfig,
@@ -210,6 +211,18 @@ def test_trace_compression_policy(monkeypatch, tmp_path):
     assert rows[-1]["profile_hash"] == profile_hash(spec, final)
 
 
+def _assert_trace_values(trace, ranking, path):
+    """Every row's welfare and potential equal the whole-profile values
+    exactly (the writer patches per-edge terms)."""
+    spec = trace.spec
+    write_trace_jsonl(trace, path, ranking=ranking)
+    rows = [json.loads(l) for l in path.read_text().splitlines()]
+    assert len(rows) == len(trace.records) > 1
+    for row, profile in zip(rows, trace.profiles()):
+        assert row["welfare"] == social_welfare(spec, profile)
+        assert row["potential"] == potential_value(spec, ranking, profile)
+
+
 def test_trace_potential_column(tmp_path):
     doc = gen_ranked_instance(n=7, edge_prob=0.5, seed=3, budget_units=30)
     spec = doc.to_game_spec()
@@ -218,13 +231,21 @@ def test_trace_potential_column(tmp_path):
         spec, init_profile(spec, RandomFeasible(3)), DynamicsConfig()
     )
     path = tmp_path / "t.jsonl"
-    write_trace_jsonl(trace, path, ranking=ranking)
-    rows = [json.loads(l) for l in path.read_text().splitlines()]
-    assert len(rows) > 1
-    for row, profile in zip(rows, trace.profiles()):
-        assert row["potential"] == potential_value(spec, ranking, profile)
+    _assert_trace_values(trace, ranking, path)
     write_trace_jsonl(trace, path)
     assert all(json.loads(l)["potential"] is None for l in path.read_text().splitlines())
+    unranked = RankingSystem({i: 1 + (i == 0) for i in range(spec.n)})
+    with pytest.raises(ValueError, match="not induced"):
+        write_trace_jsonl(trace, path, ranking=unranked)
+
+
+def test_trace_values_of_simultaneous_rounds(tmp_path):
+    doc = gen_ranked_instance(n=7, edge_prob=0.5, seed=3, budget_units=30)
+    spec = doc.to_game_spec()
+    _, trace, _ = run_simultaneous(
+        spec, init_profile(spec, RandomFeasible(3)), DynamicsConfig()
+    )
+    _assert_trace_values(trace, doc.ranking_system(), tmp_path / "t.jsonl")
 
 
 def test_trace_jsonl(tmp_path):

@@ -168,7 +168,8 @@ def test_monotone_in_single_proposal():
         counts = profile.counts
         base = outcome_summary(spec, profile)
         i, j = spec.directed_edges[rng.randrange(len(spec.directed_edges))]
-        if profile.out_total(spec, i) + 1 > spec.budget_units(i):
+        out_total = sum(counts[(i, k)] for k in spec.neighbors[i])
+        if out_total + 1 > spec.budget_units(i):
             continue
         bumped = profile.with_proposals(i, {j: counts[(i, j)] + 1})
         after = outcome_summary(spec, bumped)
