@@ -9,18 +9,18 @@ once against the previous round and need not converge, so the engine detects
 exact profile revisits (integer state makes equality exact) and reports the
 cycle's start and period.
 
-Most status checks in a sequential run are about neighbors of the mover,
-whose incoming proposals changed: do they still best-respond?  That question
-is first put to a one-pass exchange test (see
-``_SeqState.certainly_improves``), which can prove a player is not at a best
-response without solving for the response; the response is then solved only
-if that player is picked to move (and must then improve on the player's
-utility by more than ``tol``).  The test answers only when the best
-single-quantum move gains more than ``tol`` plus a margin (about 1e-9
-relative to an upper bound on the player's utility, plus 1e-12 per budget
-quantum) that covers float rounding and the solver's polish threshold;
-every other case is solved as before, so statuses, random picks and results
-are bit-identical to solving every status in full.
+A player's status in a sequential run is a boolean: can it still improve by
+more than ``tol``?  Most status checks are about neighbors of the mover,
+whose incoming proposals changed.  Each is first put to a one-pass exchange
+test (see ``_SeqState.certainly_improves``), which can prove a player is not
+at a best response without solving for the response; a status the test
+cannot settle is solved, and the response is discarded.  Every mover is
+solved when it is picked, and must then improve on its utility by more than
+``tol``.  The test answers only when the best single-quantum move gains more
+than ``tol`` plus a margin (about 1e-9 relative to an upper bound on the
+player's utility, plus 1e-12 per budget quantum) that covers float rounding
+and the solver's polish threshold; every other case is solved, so statuses,
+random picks and results are bit-identical to solving every status in full.
 """
 
 from __future__ import annotations
@@ -339,20 +339,15 @@ class _SeqState:
     """Incrementally maintained quantities for the sequential loop.
 
     Starts from :func:`outcome_summary`.  Only the mover's row changes per
-    round, so per-player slack, win-set sizes and best-response statuses
-    are then patched for the mover and the neighbors whose incoming proposal
-    actually changed, and the total slack is kept as a running integer.
-    The stable set (empty win set) is kept only as zero win counts;
+    round, so per-player slack, win-set sizes and statuses are then patched
+    for the mover and the neighbors whose incoming proposal actually
+    changed, and the total slack is kept as a running integer.  The stable
+    set (empty win set) is kept only as zero win counts;
     :meth:`take_stable_delta` reports who joined or left.
 
-    ``not_br`` maps every player that can still improve by more than
-    ``tol`` to its best response, or to ``None`` when the exchange test
-    (:meth:`certainly_improves`) settled the status without solving it.  A
-    player's response depends only on its caps (the proposals made to it),
-    and any change to them re-runs :meth:`_status`, so solving a ``None``
-    entry when the player is picked gives the response the status check
-    would have stored, bit for bit.  ``movers`` mirrors the keys of
-    ``not_br`` as an :class:`_IdTree`.
+    A status is a boolean (:meth:`_can_improve`), and ``movers``, an
+    :class:`_IdTree`, is the set of players whose status is True.  No
+    response is kept: the run solves each mover when it picks it.
     """
 
     def __init__(self, spec: GameSpec, init: FrequencyProfile, tol: float):
@@ -380,21 +375,17 @@ class _SeqState:
         self._down = [[0.0] * spec.degree(i) for i in range(spec.n)]
         for (i, j) in self._edge:
             self._set_terms(i, j)
-        # players that can still improve, with their best response or None
-        self.not_br: dict[int, BRResult | None] = {}
-        for i in range(spec.n):
-            ok, br = self._status(i)
-            if not ok:
-                self.not_br[i] = br
-        self.movers = _IdTree(spec.n, self.not_br)
+        # the players that can still improve
+        self.movers = _IdTree(spec.n, filter(self._can_improve, range(spec.n)))
 
-    def _status(self, i: int) -> tuple[bool, BRResult | None]:
+    def _can_improve(self, i: int) -> bool:
+        """i's status: can its best response gain more than ``tol``?"""
         if self.win_count[i] == 0:
-            return True, None  # matching everyone: no unilateral gain exists
+            return False  # matching everyone: no unilateral gain exists
         if self.certainly_improves(i):
-            return False, None
+            return True
         br = best_response(self.spec, self.view, i)
-        return br.realized_utility - self.utility(i) <= self.tol, br
+        return br.realized_utility - self.utility(i) > self.tol
 
     def utility(self, i: int) -> float:
         """i's current utility: the terms ``game.player_utility`` adds,
@@ -452,7 +443,7 @@ class _SeqState:
           objective) its allocation is then within B * (1e-13 + a few ulps
           of Z) of the grid optimum.
 
-        When the answer is False the caller solves the response as before.
+        When the answer is False the caller solves the response.
         """
         up = self._up[i]
         down = self._down[i]
@@ -469,7 +460,7 @@ class _SeqState:
         if self.slack[i] >= 1 and up1 > gain:
             gain = up1
         budget = self.spec.budget_units(i)
-        z = sum(self._util[i]) + budget * max(up1, 0.0)
+        z = self.utility(i) + budget * max(up1, 0.0)
         margin = EXCHANGE_REL_MARGIN * z + budget * (
             EXCHANGE_QUANTUM_MARGIN + EXCHANGE_REL_QUANTUM_MARGIN * z
         )
@@ -504,22 +495,16 @@ class _SeqState:
                 self._set_terms(mover, j)
                 self._set_terms(j, mover)
             changed.append(j)
-        not_br = self.not_br
         movers = self.movers
         member = movers.member
         if member[mover]:
-            del not_br[mover]
             movers.remove(mover)
         for j in changed:
-            ok, brj = self._status(j)
-            if ok:
-                if member[j]:
-                    del not_br[j]
-                    movers.remove(j)
-            else:
+            if self._can_improve(j):
                 if not member[j]:
                     movers.add(j)
-                not_br[j] = brj
+            elif member[j]:
+                movers.remove(j)
 
     def _shift_wins(self, i: int, d: int) -> None:
         """Move i's win count by d (+1 or -1), noting a crossing of zero."""
@@ -587,23 +572,21 @@ def run_sequential(
     first_loss: tuple[int, tuple[int, ...]] | None = None
     pos = 0  # the player to look at first (round robin)
     t = 0
-    while state.not_br and t < config.max_rounds:
+    while movers.size and t < config.max_rounds:
         t += 1
         if rng is not None:
-            # the same draw as rng.choice(sorted(state.not_br))
-            mover = movers.kth(rng.randrange(len(state.not_br)))
+            # the same draw as rng.choice over the sorted movers
+            mover = movers.kth(rng.randrange(movers.size))
         else:
             mover = movers.first_from(pos)
             pos = mover + 1
-        br = state.not_br[mover]
-        if br is None:  # its status came from the exchange test: solve now
-            br = best_response(spec, state.view, mover)
-            gain = br.realized_utility - state.utility(mover)
-            if not gain > config.tol:
-                raise InvariantViolation(
-                    f"exchange test picked mover {mover} at round {t}, "
-                    f"but its best response gains only {gain!r}"
-                )
+        br = best_response(spec, state.view, mover)
+        gain = br.realized_utility - state.utility(mover)
+        if not gain > config.tol:
+            raise InvariantViolation(
+                f"exchange test picked mover {mover} at round {t}, "
+                f"but its best response gains only {gain!r}"
+            )
         prev_slack = slack
         state.apply_move(mover, br)
         slack = state.total_slack
@@ -622,7 +605,7 @@ def run_sequential(
         )
         records.append(RoundRecord(t, mover, changes, slack, joined, left))
 
-    if state.not_br:
+    if movers.size:
         status: TerminationStatus = MaxRoundsExceeded(config.max_rounds)
     else:
         status = Converged(t)

@@ -21,6 +21,7 @@ incoming proposal gets the continuous best response instead.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -31,6 +32,8 @@ DirectedEdge = tuple[int, int]
 
 WEIGHT_SUM_TOL = 1e-9
 GRID_TOL = 1e-9
+# budgets stay below 2**53 quanta, where floats still hold every integer count
+MAX_BUDGET_UNITS = 2**53
 FEASIBILITY_TOL = 1e-9
 
 
@@ -137,8 +140,9 @@ def validate_game(spec: GameSpec) -> ValidationReport:
     bad: list[str] = []
     if spec.n < 1:
         bad.append(f"player count {spec.n}: a game needs at least one player")
-    if not spec.eta > 0.0:
-        bad.append(f"eta must be positive, got {spec.eta}")
+    eta_ok = 0.0 < spec.eta < math.inf
+    if not eta_ok:
+        bad.append(f"eta must be positive and finite, got {spec.eta}")
 
     for (i, j) in sorted(spec.edges):
         if i == j:
@@ -155,6 +159,8 @@ def validate_game(spec: GameSpec) -> ValidationReport:
     for e in sorted(spec.weights):
         if e not in directed:
             bad.append(f"weight given for non-edge {e}")
+        elif not math.isfinite(spec.weights[e]):
+            bad.append(f"weight of edge {e} is not finite ({spec.weights[e]})")
         elif spec.weights[e] < 0.0:
             bad.append(f"weight of edge {e} is negative ({spec.weights[e]})")
     for e in sorted(spec.utilities):
@@ -168,9 +174,14 @@ def validate_game(spec: GameSpec) -> ValidationReport:
         beta = spec.budgets[i]
         if beta < 0.0:
             bad.append(f"budget of player {i} is negative ({beta})")
-        elif spec.eta > 0.0:
+        elif eta_ok:
             units = beta / spec.eta
-            if abs(units - round(units)) > GRID_TOL * max(1.0, abs(units)):
+            if not units < MAX_BUDGET_UNITS:  # also inf and nan
+                bad.append(
+                    f"budget of player {i} ({beta}) is not a finite count "
+                    f"below 2**53 quanta"
+                )
+            elif abs(units - round(units)) > GRID_TOL * max(1.0, abs(units)):
                 bad.append(
                     f"budget of player {i} ({beta}) is not a multiple of eta"
                 )

@@ -11,8 +11,8 @@ from netalloc.instances import (
 )
 
 
-def _run_on(command, inst, tmp_path):
-    args = [command, "--instance", str(inst)]
+def _run_on(command, inst, tmp_path, *options):
+    args = [command, "--instance", str(inst), *options]
     if command == "experiment":
         args += ["--runs", "2", "--out-prefix", str(tmp_path / "exp")]
     return main(args)
@@ -187,6 +187,44 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     code = main(["simulate", "--instance", str(inst)])
     assert code == 4
     assert "validation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimum", "experiment"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (("budgets", 0), float("inf"), "budget of player 0 (inf) is not a finite"),
+        (("budgets", 0), float("nan"), "budget of player 0 (nan) is not a finite"),
+        (("eta",), float("inf"), "eta must be positive and finite, got inf"),
+        (
+            ("edges", 0, "w_ij"),
+            float("nan"),
+            "weight of edge (0, 1) is not finite (nan)",
+        ),
+        # past 2**53 quanta the random start's fill no longer finishes
+        (("budgets", 0), 10**30, "(1e+30) is not a finite count below 2**53 quanta"),
+        (("budgets", 0), 1e308, "(1e+308) is not a finite count below 2**53 quanta"),
+    ],
+    ids=["budget-inf", "budget-nan", "eta-inf", "weight-nan", "budget-1e30", "budget-1e308"],
+)
+def test_non_finite_or_oversized_number_exit_code(
+    tmp_path, capsys, command, field, value, message
+):
+    inst = tmp_path / "bad.json"
+    main(["gen", "torus", "--width", "3", "--height", "3", "--out", str(inst)])
+    capsys.readouterr()
+    payload = json.loads(inst.read_text())
+    *path, last = field
+    target = payload
+    for key in path:
+        target = target[key]
+    target[last] = value
+    inst.write_text(json.dumps(payload))  # written as Infinity / NaN
+    options = ["--init", "random"] if command == "simulate" else []
+    assert _run_on(command, inst, tmp_path, *options) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation: ")
+    assert message in err
 
 
 @pytest.mark.parametrize("cap", [float("inf"), float("nan")])

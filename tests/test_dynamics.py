@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -119,6 +120,11 @@ def test_sequential_random_instances_converge_with_monotone_slack():
         assert not isinstance(classify_equilibrium(spec, final), NotEquilibrium)
 
 
+def _members(state):
+    """The players in the state's mover set, by its membership bytes."""
+    return [i for i in range(state.spec.n) if state.movers.member[i]]
+
+
 def test_incremental_state_matches_outcome_summary_after_every_move():
     for seed in range(4):
         doc = gen_random_instance(n=10, edge_prob=0.5, seed=70 + seed, budget_units=40)
@@ -135,16 +141,12 @@ def test_incremental_state_matches_outcome_summary_after_every_move():
             stable = (stable - set(left)) | set(joined)
             assert stable == s.stable
             movers = state.movers
-            assert [i for i in range(spec.n) if movers.member[i]] == sorted(
-                state.not_br
-            )
-            assert movers.size == len(state.not_br)
-            assert [movers.kth(k) for k in range(movers.size)] == sorted(
-                state.not_br
-            )
-            if state.not_br:
+            members = _members(state)
+            assert movers.size == len(members)
+            assert [movers.kth(k) for k in range(movers.size)] == members
+            if members:
                 assert [movers.first_from(k) for k in range(spec.n)] == [
-                    min((i for i in state.not_br if i >= k), default=min(state.not_br))
+                    min((i for i in members if i >= k), default=members[0])
                     for k in range(spec.n)
                 ]
             assert state.total_slack == s.total_slack
@@ -153,19 +155,13 @@ def test_incremental_state_matches_outcome_summary_after_every_move():
             assert (state._util, state._up, state._down) == (
                 fresh._util, fresh._up, fresh._down
             )
-            if not state.not_br:
+            assert members == _members(fresh)
+            if not members:
                 break
-            mover = min(state.not_br)
-            state.apply_move(mover, _response(state, spec, mover))
+            mover = members[0]
+            state.apply_move(mover, best_response(spec, state.view, mover))
             moves += 1
         assert moves > 0
-
-
-def _response(state, spec, mover):
-    """The mover's response as run_sequential takes it: the stored one, or
-    solved now when the exchange test decided the status."""
-    br = state.not_br[mover]
-    return best_response(spec, state.view, mover) if br is None else br
 
 
 @pytest.mark.parametrize(
@@ -189,12 +185,14 @@ def test_lazy_statuses_match_is_best_response_after_every_move(behavior):
             i for i in range(spec.n)
             if not is_best_response(spec, state.view, i)[0]
         }
-        assert set(state.not_br) == movable
-        lazy += sum(br is None for br in state.not_br.values())
-        if not state.not_br:
+        members = _members(state)
+        assert set(members) == movable
+        # movers whose status the exchange test settled without a solve
+        lazy += sum(state.certainly_improves(i) for i in members)
+        if not members:
             break
-        mover = rng.choice(sorted(state.not_br))
-        state.apply_move(mover, _response(state, spec, mover))
+        mover = rng.choice(members)
+        state.apply_move(mover, best_response(spec, state.view, mover))
     assert lazy > 0
 
 
@@ -206,17 +204,17 @@ def _reference_movers(spec, init, order, max_rounds):
     n = spec.n
     pos = 0
     movers = []
-    while state.not_br and len(movers) < max_rounds:
+    while (members := _members(state)) and len(movers) < max_rounds:
         if rng is not None:
-            mover = rng.choice(sorted(state.not_br))
+            mover = rng.choice(members)
         else:
             for k in range(n):
                 cand = (pos + k) % n
-                if cand in state.not_br:
+                if cand in members:
                     mover = cand
                     pos = (cand + 1) % n
                     break
-        state.apply_move(mover, _response(state, spec, mover))
+        state.apply_move(mover, best_response(spec, state.view, mover))
         movers.append(mover)
     return movers
 
@@ -258,6 +256,71 @@ def test_randrange_draws_like_choice():
             for k in sizes:
                 assert by_choice.choice(range(k)) == by_randrange.randrange(k)
         assert by_choice.random() == by_randrange.random()
+
+
+# criterion-8 runs on the 10x10 torus: seed, rounds and the sha256 of
+# repr(final.key(spec)).  Integers only: welfare reprs may differ where float
+# sums round differently (Python 3.12's sum compensates).
+C8_PINS = {
+    "optimistic": [
+        (1000, 306, "9a643ccaf88c0030a0c2f90f74d625f598266daf30bab5c4cb728f0cc30bc37a"),
+        (1001, 290, "d61f7eab6ea7e2a2955a6e8bdc0bfcf4caa1a53e8654ab145e9e9c1c7dc8c6ea"),
+        (1002, 338, "f039b9fe263c1d973ef794ee766718748098a3a23b5881a0df9677ebf831954b"),
+        (1003, 262, "9b5b8651c67fad7cfec9b403ffdc03956ce01911e5f4fd2e30a3cf7ec09df30f"),
+        (1004, 305, "58b24057b2bb689d02fa1ddfd0792a2f0319b78b5c3fa629eb6e842a5de20bc9"),
+        (1005, 273, "74f9db264020e2bb08d430e2b428d0ef1042281fa37d8a8878cab29f434e8eab"),
+        (1006, 284, "ceecfc2087ba714bbd68a84772adb04b06dbaf5807eddf63c527acbff2403ac1"),
+        (1007, 250, "71d3b1006ffc22f9e95179360a40d75a04aadf3d70902562cf2019428b232e97"),
+        (1008, 289, "b6bd68513752f9c0f26dcaf051a441392faff65566b79973426eb18e1aaabd68"),
+        (1009, 280, "77bd23908afd551cf751e514fe643a50cf09f13c5cd25d9c0c7dfe8085973b08"),
+        (1010, 259, "a44bb2227773d960c2f239246c7f798dd9a083612f82fd9a53acdaf6d08f1078"),
+        (1011, 231, "d9f7c447cdb7fca82b1e5c15adbb35cee51b56b7717960dc84ac1ffd5ba01760"),
+        (1012, 297, "84f7581b48cef2453a738ae659521c49356b9dfbfc0d038b7e37522401e6c14a"),
+        (1013, 314, "f2a4c244c6f280bef749b40057321b653f56d7249eb42a1fe8be4f1f916beea9"),
+        (1014, 320, "4934a9aeb3d959ede7e45b8cb39491e26031f06ac992c70d8262d316906f6549"),
+        (1015, 255, "c272186e09e6d6f1d3d354da4308ada043f1baf4d9a00d0f6cee81b9f738f6c5"),
+        (1016, 244, "9f2a45b885bce80f324082e83da0dee14bafd8bfc5ee722affa78566c638291e"),
+        (1017, 256, "3c5aba824c823452af4e7ca8d37cb7f16fb314eda155cdd75ade4e3c45dd8755"),
+        (1018, 250, "e5c66953630ac80e71df5af812747b975fb47930dbe402025b9a19866c93bd97"),
+        (1019, 239, "ae58218a197f80e8e586e72e8ea310e28f0baee231b479257eb69a70514823be"),
+    ],
+    "pessimistic": [
+        (1000, 82, "b4d1d587e9d5d3b4f628fb34b73cba667c05b060351a7b0156665e0ae3e11830"),
+        (1001, 85, "c45968418b00e9c3f304169553be9a49baac54c2cdd591d9810f9a1ca40d211d"),
+        (1002, 82, "a625cb42b530438b1024bdd7ce07f5d537dae0e92cea83534157090aca41709a"),
+        (1003, 78, "beed1c76fbdf0e2667deecbb28aae0aa50600b85c61c6956216e5883037ffe0e"),
+        (1004, 81, "b2f84389a5b74a263462ce4668cff626e0c2e37f6be222d85280b97657df51a8"),
+        (1005, 84, "15e653fecdea16c829437e7e2c08e94b6b53b81facd112b1ca295d8bfa5cd7af"),
+        (1006, 77, "d6c5834dd839f2effdce7c752bb58478f812b2c078bd93dea636acf8a13d27c3"),
+        (1007, 79, "7c3b1ea1a880364a5c8763ea1108291c1f6008676ef24e7361d93ba72a8ad1ba"),
+        (1008, 81, "54611657be302bb87febe39ed64237c3ac66828ba150e291b91c3ecdadd8b8b0"),
+        (1009, 86, "d864be6fc015d7f0e728ecdd70443a073bb42aa70edc6c2b6a673aeb590a4467"),
+        (1010, 84, "6696166777b5325aac45147f08272dca628150fa31431eeebbe7753ae64bfb49"),
+        (1011, 87, "d23263faa116c7964b3e2850d0522ee76121ac3a584da6be51976673ad7094de"),
+        (1012, 80, "1fe8575e60d962c9d0095e6a6b2db54248c2e4af0cbf7888595ea246790840da"),
+        (1013, 76, "3a0374716683390c76aee4174e17c69d7e914937f159d04a0c5a770aaab3e113"),
+        (1014, 82, "9f9b155a400dc567cec2656dddd56d7a4ef7c0c71431f84f8a7d43531f47af24"),
+        (1015, 78, "1745e919bb1026caa3e5604f7de9516a877f509020cee101bf14040ffeb7f3ab"),
+        (1016, 79, "efb7365f16edcc62ed1911082cb39604d856ee925723eec57e223129f4db288a"),
+        (1017, 84, "85b2bc8d94d5530c3c6966bec77c744c39698e2de510ac3addfb663f290ce3b2"),
+        (1018, 79, "94bcac2d17f879a0af57cb01f71bab0217fa31fde1c93710d7c9626bc3c9ed38"),
+        (1019, 83, "03c5af64db5777694841cf9cf8131fc6727a910f8601dcf3ce37b9a91adfe50e"),
+    ],
+}
+
+
+@pytest.mark.parametrize("behavior", sorted(C8_PINS))
+def test_criterion_8_runs_keep_rounds_and_final_profiles(behavior):
+    spec = gen_torus_grid(
+        10, 10, beta=1000.0, eta=1.0, weight_seed=7, utility=UtilitySpec.sqrt()
+    ).to_game_spec(behavior_override=behavior)
+    for seed, rounds, digest in C8_PINS[behavior]:
+        init = init_profile(spec, RandomFeasible(seed))
+        cfg = DynamicsConfig(order=RandomSeeded(seed))
+        final, _, status = run_sequential(spec, init, cfg, trace_detail="light")
+        assert status == Converged(t=rounds), seed
+        key = repr(final.key(spec)).encode()
+        assert hashlib.sha256(key).hexdigest() == digest, seed
 
 
 def test_stable_set_loss_on_slack_stable_suffix_raises(monkeypatch):
