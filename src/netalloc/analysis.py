@@ -23,6 +23,7 @@ from .game import (
     PlayerId,
     check_feasible,
     social_welfare,
+    validate_game,
 )
 
 WEIGHT_MATCH_TOL = 1e-9
@@ -580,8 +581,12 @@ def global_optimum(
     each is kept.  The sweeps stop once the gap is within gap_tol *
     max(1, welfare) (``certified``) or after max_iters.  Restricting to
     matched profiles loses nothing: match-down turns any profile into a
-    matched one with identical welfare.
+    matched one with identical welfare.  Raises ValueError with the first
+    :func:`~netalloc.game.validate_game` violation of an invalid spec.
     """
+    bad = validate_game(spec).violations
+    if bad:
+        raise ValueError(bad[0])
     if config is None:
         config = OptimizerConfig()
     edges = sorted(spec.edges)

@@ -14,9 +14,11 @@ solution is then snapped to the eta grid.
 Three clean-up phases follow the continuous core:
 
 1. greedy grid fill and exchange polish -- leftover quanta go one at a time
-   to the neighbor with the highest current weighted marginal, then
-   single-quantum exchanges run until none improves, which makes the grid
-   allocation exactly optimal (separable concave objective);
+   to the neighbor with the highest current weighted marginal, then the best
+   single-quantum move (:func:`best_move` over the per-neighbor terms of
+   :func:`edge_terms`) is applied until none gains more than 1e-13, which
+   makes the grid allocation exactly optimal (separable concave objective);
+   the sequential engine's exchange test reads the same two functions;
 2. cap matching -- remaining budget is parked on still-unmatched neighbors up
    to their caps, ascending index.  This never changes the mover's utility
    (those marginals are zero by phase 1) but keeps two guarantees exact even
@@ -56,6 +58,9 @@ NEWTON_MAX_STEPS = 50
 NEWTON_REL_STEP = 1e-15
 FINISH_REL_NUDGE = 2.0**-50
 FINISH_STEPS = 17
+
+# the exchange polish applies only moves that gain more than this
+POLISH_MIN_GAIN = 1e-13
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -250,6 +255,67 @@ def _greedy_fill(
         leftover -= take
 
 
+def edge_terms(
+    w: float, value, a: int, cap: float, eta: float
+) -> tuple[float, float, float]:
+    """One neighbor's terms at ``a`` agreed quanta, with room up to ``cap``:
+    util = w u(a eta); up = w u((a+1) eta) - util, the gain of one quantum
+    more (-inf when a >= cap or w = 0); down = util - w u((a-1) eta), the
+    loss of one quantum less (inf at a = 0).  ``value`` is u (u(0) = 0 in
+    every family)."""
+    util, up = 0.0, -INF
+    down = INF if a == 0 else 0.0
+    if w != 0.0:
+        if a:
+            util = w * value(a * eta)
+            down = util - w * value((a - 1) * eta) if a > 1 else util
+        if a < cap:
+            up = w * value((a + 1) * eta) - util
+    return util, up, down
+
+
+def best_move(
+    up: list[float], down: list[float], can_add: bool
+) -> tuple[float, int, int]:
+    """The best single-quantum move, (gain, src, dst), in O(deg), from the
+    :func:`edge_terms` gains and losses of at least one neighbor.
+
+    A move adds a spare quantum to dst (src = -1; only with ``can_add``),
+    gaining up[dst], or shifts one from src to dst != src, gaining up[dst]
+    - down[src].  The gain is -inf when no move exists.  No loss may be
+    negative (weights >= 0, non-decreasing utilities), so with ``can_add``
+    the best add is a best move, and an add wins ties.  The best exchange
+    pairs the largest gain with the lowest loss; where both are at one
+    neighbor k, it is the better of k giving to the runner-up gain and the
+    runner-up loss giving to k.  Ties go to the lowest index: the first of
+    equal gains, the first of equal losses, then the lower giver.
+
+    A separable concave objective with one budget is at a grid optimum
+    exactly when no move gains anything.
+    """
+    up1 = max(up)
+    k = up.index(up1)
+    if can_add:
+        return up1, -1, k
+    down1 = min(down)
+    j = down.index(down1)
+    if j != k:
+        return up1 - down1, j, k
+    rest_up = up[:k] + up[k + 1 :]
+    if not rest_up:
+        return -INF, -1, -1
+    rest_down = down[:k] + down[k + 1 :]
+    k2 = rest_up.index(max(rest_up))
+    j2 = rest_down.index(min(rest_down))
+    k2 += k2 >= k
+    j2 += j2 >= k
+    give = up[k2] - down1  # from k to k2
+    take = up1 - down[j2]  # from j2 to k
+    if give > take or (give == take and k < j2):
+        return give, k, k2
+    return take, j2, k
+
+
 def _polish_exchanges(
     alloc: list[int],
     caps_units: Sequence[float],
@@ -257,55 +323,31 @@ def _polish_exchanges(
     eta: float,
     marginals: Sequence[tuple[float, UtilitySpec]],
 ) -> None:
-    """Single-quantum improvement moves until none is left.
-
-    For a separable concave objective with one budget constraint, a grid
-    point with no improving add or shift of a single quantum is a global
-    grid optimum, so this turns the floor-and-greedy allocation into an
-    exact one.  Each move strictly improves utility; moves are scored by
-    gain (ties to the lowest index) for determinism.
-    """
+    """Apply :func:`best_move` (the largest gain, ties as there) to ``alloc``
+    in place while it gains more than ``POLISH_MIN_GAIN``, which leaves a
+    grid optimum.  Only the giver's and the receiver's terms are redone."""
     deg = len(alloc)
+    up = [0.0] * deg
+    down = [0.0] * deg
 
-    def gain_up(k: int) -> float:
+    def settle(k: int) -> None:
         w, u = marginals[k]
-        a = alloc[k]
-        if a + 1 > caps_units[k] or w <= 0.0:
-            return 0.0
-        return w * (u.value((a + 1) * eta) - u.value(a * eta))
+        _, up[k], down[k] = edge_terms(w, u.value, alloc[k], caps_units[k], eta)
 
-    def loss_down(j: int) -> float:
-        w, u = marginals[j]
-        a = alloc[j]
-        return w * (u.value(a * eta) - u.value((a - 1) * eta))
-
-    threshold = 1e-13
+    for k in range(deg):
+        settle(k)
+    spare = budget_units - sum(alloc)
     for _ in range(100_000):
-        ups = [gain_up(k) for k in range(deg)]
-        best_gain = 0.0
-        best_move: tuple[int, int] | None = None  # (source or -1, dest)
-        if sum(alloc) < budget_units:
-            for k in range(deg):
-                if ups[k] > best_gain + threshold:
-                    best_gain = ups[k]
-                    best_move = (-1, k)
-        for j in range(deg):
-            if alloc[j] <= 0:
-                continue
-            down = loss_down(j)
-            for k in range(deg):
-                if k == j:
-                    continue
-                gain = ups[k] - down
-                if gain > best_gain + threshold:
-                    best_gain = gain
-                    best_move = (j, k)
-        if best_move is None:
+        gain, src, dst = best_move(up, down, spare > 0)
+        if not gain > POLISH_MIN_GAIN:
             return
-        src, dst = best_move
-        if src >= 0:
+        if src < 0:
+            spare -= 1
+        else:
             alloc[src] -= 1
+            settle(src)
         alloc[dst] += 1
+        settle(dst)
 
 
 def best_response(

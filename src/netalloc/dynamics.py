@@ -31,11 +31,14 @@ from dataclasses import dataclass, field
 
 from .bestresponse import (
     BRResult,
+    best_move,
     best_response,
+    edge_terms,
     is_best_response,
     quantize_allocation,
 )
 from .game import (
+    MAX_BUDGET_UNITS,
     DirectedEdge,
     FrequencyProfile,
     GameSpec,
@@ -43,7 +46,6 @@ from .game import (
     check_feasible,
     outcome_summary,
 )
-from .utility import INF
 
 # Margin of the exchange test (``_SeqState.certainly_improves``): relative to
 # an upper bound on the player's best utility, plus per budget quantum.
@@ -233,7 +235,15 @@ def classify_equilibrium(
 
 
 def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
-    """Build a feasible starting profile (deterministic per policy/seed)."""
+    """Build a feasible starting profile (deterministic per policy/seed).
+    Raises ValueError on a budget that is not a finite count below 2**53
+    quanta (no fill could place it)."""
+    for i, beta in spec.budgets.items():
+        if not beta / spec.eta < MAX_BUDGET_UNITS:  # also inf and nan
+            raise ValueError(
+                f"budget of player {i} ({beta}) is not a finite count "
+                f"below 2**53 quanta"
+            )
     if isinstance(policy, Zero):
         return FrequencyProfile.zeros(spec)
     if isinstance(policy, Given):
@@ -363,8 +373,8 @@ class _SeqState:
         # whether each was stable then
         self._flipped: dict[int, bool] = {}
         # per-edge terms of player i at the position k of neighbor j: its
-        # utility (summed by _status), and the exchange test's gains and
-        # losses (see certainly_improves)
+        # utility (summed by utility), and the gain and the loss of one
+        # quantum (see edge_terms)
         self._edge = {
             (i, j): (k, spec.weights[(i, j)], spec.utilities[(i, j)].value)
             for i in range(spec.n)
@@ -393,40 +403,27 @@ class _SeqState:
         return sum(self._util[i])
 
     def _set_terms(self, i: int, j: int) -> None:
-        """Recompute i's exchange-test terms on edge (i, j) from the agreed
-        amount a = min(f_ij, f_ji): w u(a), the gain of one more quantum
-        (-inf unless one fits below f_ji) and the loss of one less (inf at
-        a = 0; zero-weight edges give a quantum up at no loss)."""
+        """Recompute i's :func:`~netalloc.bestresponse.edge_terms` on edge
+        (i, j): the agreed amount is a = min(f_ij, f_ji), with room up to
+        f_ji."""
         f = self.counts[(i, j)]
         cap = self.counts[(j, i)]
-        a = f if f < cap else cap
         k, w, value = self._edge[(i, j)]
-        util, up = 0.0, -INF
-        down = INF if a == 0 else 0.0
-        if w != 0.0:
-            eta = self.spec.eta
-            if a:
-                util = w * value(a * eta)
-                down = util - w * value((a - 1) * eta) if a > 1 else util
-            if a < cap:
-                up = w * value((a + 1) * eta) - util
-        self._util[i][k] = util
-        self._up[i][k] = up
-        self._down[i][k] = down
+        self._util[i][k], self._up[i][k], self._down[i][k] = edge_terms(
+            w, value, f if f < cap else cap, cap, self.spec.eta
+        )
 
     def certainly_improves(self, i: int) -> bool:
         """Exchange test: True only if i's best response improves on its
         current utility by more than ``tol``.
 
-        From i's realized allocation a_k = min(f_ik, f_ki) and spare budget
-        s = budget_units(i) - sum_k a_k it takes the best single-quantum
-        move: an add (s >= 1) to some k with a_k + 1 <= f_ki, or an exchange
-        of one quantum from j to such a k != j with a_j >= 1.  The per-edge
-        gains and losses are kept up to date by :meth:`apply_move`, so this
-        is O(deg) with the top two gains and the lowest two losses.  Every
+        It takes the gain g of i's :func:`~netalloc.bestresponse.best_move`
+        from its realized allocation a_k = min(f_ik, f_ki), with an add
+        allowed when i has a spare quantum (slack >= 1).  The per-edge terms
+        are kept up to date by :meth:`apply_move`, so this is O(deg).  Every
         such move is a feasible grid response, so the exact grid best
-        response gains at least the move's gain g.  The answer is True when
-        g > tol + margin, with
+        response gains at least g.  The answer is True when g > tol +
+        margin, with
 
             margin = 1e-9 * Z + B * (1e-12 + 1e-15 * Z),
 
@@ -446,21 +443,9 @@ class _SeqState:
         When the answer is False the caller solves the response.
         """
         up = self._up[i]
-        down = self._down[i]
-        up1 = max(up)
-        k = up.index(up1)
-        down1 = min(down)
-        if down.index(down1) != k:
-            gain = up1 - down1
-        else:
-            gain = max(
-                up1 - min(down[:k] + down[k + 1 :], default=INF),
-                max(up[:k] + up[k + 1 :], default=-INF) - down1,
-            )
-        if self.slack[i] >= 1 and up1 > gain:
-            gain = up1
+        gain, _, _ = best_move(up, self._down[i], self.slack[i] >= 1)
         budget = self.spec.budget_units(i)
-        z = self.utility(i) + budget * max(up1, 0.0)
+        z = self.utility(i) + budget * max(max(up), 0.0)
         margin = EXCHANGE_REL_MARGIN * z + budget * (
             EXCHANGE_QUANTUM_MARGIN + EXCHANGE_REL_QUANTUM_MARGIN * z
         )
@@ -621,10 +606,7 @@ def run_sequential(
 
 
 def run_simultaneous(
-    spec: GameSpec,
-    init: FrequencyProfile,
-    config: DynamicsConfig,
-    trace_detail: str = "full",
+    spec: GameSpec, init: FrequencyProfile, config: DynamicsConfig
 ) -> tuple[FrequencyProfile, Trace, TerminationStatus]:
     """All players best-respond at once to the previous round's profile.
 
@@ -632,9 +614,8 @@ def run_simultaneous(
     an earlier integer profile is reported as a cycle (start, period).
     """
     check_feasible(spec, init)
-    full = trace_detail == "full"
     profile = FrequencyProfile(init.counts)
-    trace = Trace(spec, profile if full else None)
+    trace = Trace(spec, profile)
     stable: frozenset[int] = frozenset()
     seen: dict[tuple, int] = {}
     for t in range(config.max_rounds + 1):
@@ -652,7 +633,7 @@ def run_simultaneous(
         summary = outcome_summary(spec, profile)
         joined = tuple(sorted(summary.stable - stable))
         left = tuple(sorted(stable - summary.stable))
-        changes = profile.counts if full and t else None
+        changes = profile.counts if t else None
         mover = "all" if t else None
         trace.records.append(
             RoundRecord(t, mover, changes, summary.total_slack, joined, left)

@@ -10,6 +10,7 @@ identical whether runs execute serially or across worker processes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -101,27 +102,6 @@ def _single_run(
     )
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(doc_json: dict, behavior, dynamics, opt_sw) -> None:
-    doc = InstanceDocument.from_json_dict(doc_json)
-    _POOL_STATE["spec"] = doc.to_game_spec(behavior_override=behavior)
-    _POOL_STATE["dynamics"] = dynamics
-    _POOL_STATE["opt_sw"] = opt_sw
-
-
-def _pool_run(args: tuple[int, int]) -> RunOutcome:
-    run, seed = args
-    return _single_run(
-        _POOL_STATE["spec"],
-        _POOL_STATE["dynamics"],
-        _POOL_STATE["opt_sw"],
-        run,
-        seed,
-    )
-
-
 def smoothed_mode_count(counts) -> int:
     """Strict local maxima of the 3-bin moving average of the counts."""
     counts = list(counts)
@@ -155,17 +135,9 @@ def run_batch_experiment(
     tasks = [(r, config.seed + r) for r in range(config.runs)]
     workers = min(config.n_jobs, config.runs)
     if workers > 1:
-        with multiprocessing.Pool(
-            processes=workers,
-            initializer=_pool_init,
-            initargs=(
-                doc.to_json_dict(),
-                config.behavior,
-                config.dynamics,
-                opt_sw,
-            ),
-        ) as pool:
-            outcomes = pool.map(_pool_run, tasks)
+        run = functools.partial(_single_run, spec, config.dynamics, opt_sw)
+        with multiprocessing.Pool(processes=workers) as pool:
+            outcomes = pool.starmap(run, tasks)
     else:
         outcomes = [
             _single_run(spec, config.dynamics, opt_sw, r, s) for (r, s) in tasks

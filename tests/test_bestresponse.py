@@ -2,12 +2,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import OPT, PESS, make_spec, path3_spec, profile_of, single_edge_spec
 from netalloc.bestresponse import (
     _water_fill,
+    best_move,
     best_response,
     brute_force_best_response,
     is_best_response,
@@ -335,6 +336,49 @@ def test_sequential_run_through_linear_jumps():
         spec, init, DynamicsConfig(order=RandomSeeded(1)), trace_detail="light"
     )
     assert status == Converged(615)
+
+
+# -- the single-quantum move rule ------------------------------------------------
+
+# few distinct values, so equal gains and equal losses are common
+GAINS = st.one_of(
+    st.sampled_from([-INF, 0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 2.0)
+)
+LOSSES = st.one_of(
+    st.sampled_from([INF, 0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 2.0)
+)
+
+
+@st.composite
+def move_terms(draw):
+    deg = draw(st.integers(1, 6))
+    up = draw(st.lists(GAINS, min_size=deg, max_size=deg))
+    down = draw(st.lists(LOSSES, min_size=deg, max_size=deg))
+    return up, down, draw(st.booleans())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(move_terms())
+@example(([0.5], [0.0], False))  # one neighbour, no spare budget: no move
+@example(([1.0, 0.5], [0.5, 0.0], True))  # an add ties an exchange
+def test_best_move_matches_enumeration(terms):
+    up, down, can_add = terms
+    deg = len(up)
+    moves = [(up[k], -1, k) for k in range(deg) if can_add]
+    moves += [
+        (up[k] - down[j], j, k) for j in range(deg) for k in range(deg) if j != k
+    ]
+    gain, src, dst = best_move(up, down, can_add)
+    assert gain == max((g for g, _, _ in moves), default=-INF)
+    if not moves:
+        assert gain == -INF
+        return
+    if src == -1:
+        assert can_add and up[dst] == gain
+    else:
+        assert src != dst and up[dst] - down[src] == gain
+    if any(g == gain for g, j, _ in moves if j == -1):
+        assert src == -1  # an add wins exact ties
 
 
 # -- quantization ---------------------------------------------------------------

@@ -587,20 +587,19 @@ def test_converged_profiles_classify_as_equilibria():
 def test_light_trace_records_no_moves():
     doc = gen_random_instance(n=6, edge_prob=0.5, seed=2, budget_units=10)
     spec = doc.to_game_spec()
-    for run in (run_sequential, run_simultaneous):
-        _, trace, _ = run(
-            spec,
-            init_profile(spec, RandomFeasible(0)),
-            DynamicsConfig(max_rounds=20),
-            trace_detail="light",
-        )
-        assert len(trace.records) > 1
-        assert trace.init is None
-        assert all(r.changes is None for r in trace.records)
-        assert all(r.total_slack >= 0 for r in trace.records)
-        assert not hasattr(trace.records[0], "__dict__")  # slotted records
-        with pytest.raises(ValueError, match="light trace"):
-            next(trace.profiles())
+    _, trace, _ = run_sequential(
+        spec,
+        init_profile(spec, RandomFeasible(0)),
+        DynamicsConfig(max_rounds=20),
+        trace_detail="light",
+    )
+    assert len(trace.records) > 1
+    assert trace.init is None
+    assert all(r.changes is None for r in trace.records)
+    assert all(r.total_slack >= 0 for r in trace.records)
+    assert not hasattr(trace.records[0], "__dict__")  # slotted records
+    with pytest.raises(ValueError, match="light trace"):
+        next(trace.profiles())
 
 
 def test_replayed_profiles_match_shorter_runs():
@@ -621,8 +620,7 @@ def test_replayed_profiles_match_shorter_runs():
         assert profiles[0] == init and profiles[-1] == final
         for t in range(1, len(profiles)):
             stopped, _, _ = run(
-                spec, init, DynamicsConfig(order=order, max_rounds=t),
-                trace_detail="light",
+                spec, init, DynamicsConfig(order=order, max_rounds=t)
             )
             assert profiles[t] == stopped
 

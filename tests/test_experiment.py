@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -90,13 +91,12 @@ def test_parallel_matches_serial():
 
 def test_pool_never_outnumbers_the_runs(monkeypatch):
     # a stand-in pool records its size and maps in this process, so no
-    # worker process starts
+    # worker process starts; it pickles the function as a real pool would
     started = []
 
     class RecordingPool:
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             started.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -104,8 +104,9 @@ def test_pool_never_outnumbers_the_runs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+        def starmap(self, fn, tasks):
+            fn = pickle.loads(pickle.dumps(fn))
+            return [fn(*t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     doc = small_torus()

@@ -1,6 +1,13 @@
 """Edge-configuration regressions: satiation-heavy games, zero weights,
-non-terminating-decimal quanta, unit budgets, simultaneous-mode sweeps."""
+non-terminating-decimal quanta, unit budgets, simultaneous-mode sweeps,
+invalid specs handed to the library entry points."""
 
+import math
+import time
+
+import pytest
+
+from netalloc.analysis import global_optimum
 from netalloc.bestresponse import best_response
 from netalloc.dynamics import (
     Converged,
@@ -16,7 +23,11 @@ from netalloc.dynamics import (
     run_simultaneous,
 )
 from netalloc.game import Behavior, FrequencyProfile, GameSpec, validate_game
-from netalloc.instances import InstanceDocument, gen_random_instance
+from netalloc.instances import (
+    InstanceDocument,
+    gen_random_instance,
+    gen_torus_grid,
+)
 from netalloc.utility import UtilitySpec
 
 
@@ -125,3 +136,42 @@ def test_simultaneous_sweep_terminates_with_classified_statuses():
         else:
             assert isinstance(status, (CycleDetected, MaxRoundsExceeded))
     assert seen  # every run ended with a classified status
+
+
+def _torus_with(weight=None, budget=None):
+    """The 3x3 sqrt torus, with one weight or every budget replaced."""
+    spec = gen_torus_grid(
+        3, 3, beta=10.0, eta=1.0, weight_seed=3, utility=UtilitySpec.sqrt()
+    ).to_game_spec()
+    weights = dict(spec.weights)
+    if weight is not None:
+        weights[(0, 1)] = weight
+    budgets = dict(spec.budgets)
+    if budget is not None:
+        budgets = dict.fromkeys(budgets, budget)
+    return GameSpec.build(
+        spec.n, spec.eta, spec.edges, weights, budgets, spec.utilities,
+        spec.behaviors,
+    )
+
+
+@pytest.mark.parametrize(
+    "call, spec, message",
+    [
+        (global_optimum, _torus_with(weight=math.nan), "not finite"),
+        (global_optimum, _torus_with(budget=1e30), "below 2\\*\\*53"),
+        (lambda s: init_profile(s, RandomFeasible(1)), _torus_with(budget=1e30),
+         "below 2\\*\\*53"),
+        (lambda s: init_profile(s, RandomFeasible(1)), _torus_with(budget=math.nan),
+         "below 2\\*\\*53"),
+    ],
+    ids=["optimum-nan-weight", "optimum-huge-budget", "init-huge-budget",
+         "init-nan-budget"],
+)
+def test_library_entry_points_refuse_invalid_specs(call, spec, message):
+    # before validation these ran for more than 20 s (a NaN weight kept the
+    # optimum's price search going; 1e30 quanta kept the random fill going)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        call(spec)
+    assert time.perf_counter() - start < 1.0
