@@ -22,8 +22,6 @@ from .bestresponse import (
     best_response,
     brute_force_best_response,
     is_best_response,
-    oracle_tolerance,
-    quantize_allocation,
 )
 from .dynamics import (
     Converged,

@@ -8,23 +8,26 @@ min(cap_j, x_j) where x_j is the point at which the weighted marginal
 w_j * u_j'(x) drops to delta.  We find delta exactly: a binary search over
 the breakpoints of the monotone total-demand function brackets it, then a
 closed form (one utility family) or Newton's method (several) solves for it
-on the neighbors strictly between cap and zero there.  The continuous
-solution is then snapped to the eta grid.
+on the neighbors strictly between cap and zero there.
 
 Three clean-up phases follow the continuous core:
 
-1. greedy grid fill and exchange polish -- leftover quanta go one at a time
-   to the neighbor with the highest current weighted marginal, then the best
+1. grid snap -- on the eta grid the targets are floored, then the best
    single-quantum move (:func:`best_move` over the per-neighbor terms of
-   :func:`edge_terms`) is applied until none gains more than 1e-13, which
-   makes the grid allocation exactly optimal (separable concave objective);
-   the sequential engine's exchange test reads the same two functions;
+   :func:`edge_terms`) is applied until none gains more than 1e-13: an add
+   while budget is spare, which places the quanta the floors leave, else an
+   exchange.  A separable concave objective with one budget is at a grid
+   optimum exactly when no such move gains, so this one rule makes the grid
+   allocation optimal; the sequential engine's exchange test reads the same
+   two functions.  Off the grid, leftover budget is poured continuously at
+   the highest weighted marginal;
 2. cap matching -- remaining budget is parked on still-unmatched neighbors up
-   to their caps, ascending index.  This never changes the mover's utility
-   (those marginals are zero by phase 1) but keeps two guarantees exact even
-   for utilities with a satiation plateau: a finished mover never holds both
-   spare budget and an unmatched over-proposing neighbor, and her realized
-   interaction total never drops below its pre-move value;
+   to their caps, ascending index.  This changes the mover's utility by at
+   most 1e-13 a quantum (phase 1 left no larger gain) but keeps two
+   guarantees exact even for utilities with a satiation plateau: a finished
+   mover never holds both spare budget and an unmatched over-proposing
+   neighbor, and her realized interaction total never drops below its
+   pre-move value;
 3. optimistic disposal -- an optimistic player spreads any remaining budget
    over matched neighbors in round-robin quanta (ascending index), proposing
    above their caps in the hope of future reciprocation.  A pessimistic
@@ -202,46 +205,28 @@ def _water_fill(
     return hi, targets_at(hi)
 
 
-def quantize_allocation(
-    targets: Sequence[float],
-    caps_units: Sequence[float],
-    budget_units: int,
-    eta: float,
-    marginals: Sequence[tuple[float, UtilitySpec]],
-) -> list[int]:
-    """Snap continuous targets to the eta grid without wasting quanta.
-
-    Floors every target, then greedy-fills the leftover one quantum at a
-    time (see :func:`_greedy_fill`).
-    """
-    alloc = [int(math.floor(t)) for t in targets]
-    _greedy_fill(alloc, caps_units, budget_units, eta, marginals, grid=True)
-    return alloc
-
-
 def _greedy_fill(
-    alloc: list,
+    alloc: list[float],
     caps_units: Sequence[float],
     budget_units: float,
     eta: float,
     marginals: Sequence[tuple[float, UtilitySpec]],
-    grid: bool,
 ) -> None:
-    """Pour leftover budget into ``alloc`` in place, always at the neighbor
-    with the highest current weighted marginal that still has room below its
-    cap (and the budget).  Each step places one quantum on the grid, and as
-    much as fits off it.  Ties go to the lowest index; the loop stops once
-    every eligible marginal is zero.  Off the grid only flat-marginal
-    families (linear) ever leave more than rounding dust here."""
+    """Continuous pour: put leftover budget into ``alloc`` in place, always
+    at the neighbor with the highest current weighted marginal that still
+    has room below its cap (and the budget), as much as fits there.  Ties go
+    to the lowest index; the loop stops once every eligible marginal is
+    zero.  Only flat-marginal families (linear) ever leave more than
+    rounding dust here."""
     leftover = budget_units - sum(alloc)
-    tiny = 0 if grid else 1e-12 * max(1.0, budget_units)
+    tiny = 1e-12 * max(1.0, budget_units)
     while leftover > tiny:
         best_k = -1
         best_score = 0.0
         best_room = 0.0
         for k, (w, u) in enumerate(marginals):
             room = min(caps_units[k], budget_units) - alloc[k]
-            if (room < 1 if grid else room <= 0) or w <= 0.0:
+            if room <= 0 or w <= 0.0:
                 continue
             score = w * u.marginal((alloc[k] + MARGINAL_SHIFT) * eta)
             if score > best_score:
@@ -250,7 +235,7 @@ def _greedy_fill(
                 best_room = room
         if best_k < 0:
             break
-        take = 1 if grid else min(best_room, leftover)
+        take = min(best_room, leftover)
         alloc[best_k] += take
         leftover -= take
 
@@ -325,7 +310,9 @@ def _polish_exchanges(
 ) -> None:
     """Apply :func:`best_move` (the largest gain, ties as there) to ``alloc``
     in place while it gains more than ``POLISH_MIN_GAIN``, which leaves a
-    grid optimum.  Only the giver's and the receiver's terms are redone."""
+    grid optimum.  While budget is spare the best move is an add, so this
+    also places every quantum the starting floors leave.  Only the giver's
+    and the receiver's terms are redone."""
     deg = len(alloc)
     up = [0.0] * deg
     down = [0.0] * deg
@@ -337,7 +324,9 @@ def _polish_exchanges(
     for k in range(deg):
         settle(k)
     spare = budget_units - sum(alloc)
-    for _ in range(100_000):
+    # an added quantum is never taken back to spare, so adds number at most
+    # the spare; the constant bounds the exchanges
+    for _ in range(spare + 100_000):
         gain, src, dst = best_move(up, down, spare > 0)
         if not gain > POLISH_MIN_GAIN:
             return
@@ -381,15 +370,15 @@ def best_response(
     marginals = list(zip(weights, utils))
 
     if grid:
-        alloc = quantize_allocation(targets, caps, budget, eta, marginals)
+        alloc = [int(math.floor(t)) for t in targets]
         _polish_exchanges(alloc, caps, budget, eta, marginals)
     else:
         alloc = list(targets)
-        _greedy_fill(alloc, caps, budget, eta, marginals, grid=False)
+        _greedy_fill(alloc, caps, budget, eta, marginals)
     leftover = budget - sum(alloc)
 
-    # Cap matching: remaining budget parks on unmatched neighbors (utility
-    # neutral; every positive-marginal quantum was already placed above).
+    # Cap matching: remaining budget parks on unmatched neighbors (no
+    # quantum left to place there gains more than POLISH_MIN_GAIN).
     if leftover > (0 if grid else 1e-12 * budget):
         for k in range(deg):
             if leftover <= 0:
@@ -502,19 +491,3 @@ def brute_force_best_response(
     recurse(0, budget, 0.0)
     assert best_alloc is not None
     return {j: best_alloc[k] for k, j in enumerate(nbrs)}, best_util
-
-
-def oracle_tolerance(spec: GameSpec, i: PlayerId) -> float:
-    """Quantization error bound used when comparing the solver against the
-    exhaustive oracle: degree * eta * max weighted marginal at zero.  Infinite
-    (vacuous) for families whose slope blows up at zero; zero-weight
-    neighbors count for nothing."""
-    worst = max(
-        (
-            spec.weights[(i, j)] * spec.utilities[(i, j)].marginal(0.0)
-            for j in spec.neighbors[i]
-            if spec.weights[(i, j)] > 0.0
-        ),
-        default=0.0,
-    )
-    return spec.degree(i) * spec.eta * worst

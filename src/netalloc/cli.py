@@ -210,7 +210,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sw = social_welfare(spec, final)
     slack = trace.records[-1].total_slack
     if isinstance(status, Converged):
-        kind = type(classify_equilibrium(spec, final)).__name__
+        kind = type(classify_equilibrium(spec, final, cfg.tol)).__name__
         print(
             f"converged at round {status.t}: welfare={sw!r} "
             f"total_slack={slack} units class={kind}"

@@ -25,17 +25,18 @@ random picks and results are bit-identical to solving every status in full.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .bestresponse import (
+    MARGINAL_SHIFT,
     BRResult,
     best_move,
     best_response,
     edge_terms,
     is_best_response,
-    quantize_allocation,
 )
 from .game import (
     MAX_BUDGET_UNITS,
@@ -236,8 +237,13 @@ def classify_equilibrium(
 
 def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
     """Build a feasible starting profile (deterministic per policy/seed).
-    Raises ValueError on a budget that is not a finite count below 2**53
-    quanta (no fill could place it)."""
+
+    ``RandomFeasible`` splits each player's whole budget over the player's
+    neighbors in proportion to uniform draws, floors the shares to quanta,
+    and gives each leftover quantum to the first neighbor with the highest
+    positive weighted marginal w u'((a + MARGINAL_SHIFT) eta) at its current
+    count a.  Raises ValueError on a budget that is not a finite count below
+    2**53 quanta (no fill could place it)."""
     for i, beta in spec.budgets.items():
         if not beta / spec.eta < MAX_BUDGET_UNITS:  # also inf and nan
             raise ValueError(
@@ -254,7 +260,7 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
 
     rng = random.Random(policy.seed)
     counts: dict[tuple[int, int], int] = {}
-    inf = float("inf")
+    eta = spec.eta
     for i in range(spec.n):
         nbrs = spec.neighbors[i]
         budget = spec.budget_units(i)
@@ -266,13 +272,20 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
             continue
         draws = [rng.random() for _ in nbrs]
         total = sum(draws)
-        targets = [budget * d / total for d in draws]
+        alloc = [int(math.floor(budget * d / total)) for d in draws]
         marginals = [
             (spec.weights[(i, j)], spec.utilities[(i, j)]) for j in nbrs
         ]
-        alloc = quantize_allocation(
-            targets, [inf] * len(nbrs), budget, spec.eta, marginals
-        )
+        for _ in range(budget - sum(alloc)):
+            best_k, best_score = -1, 0.0
+            for k, (w, u) in enumerate(marginals):
+                if w > 0.0:
+                    score = w * u.marginal((alloc[k] + MARGINAL_SHIFT) * eta)
+                    if score > best_score:
+                        best_k, best_score = k, score
+            if best_k < 0:
+                break
+            alloc[best_k] += 1
         for k, j in enumerate(nbrs):
             counts[(i, j)] = alloc[k]
     return FrequencyProfile(counts)

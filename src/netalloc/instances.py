@@ -239,14 +239,23 @@ class InstanceDocument:
                     f"got {b!r}"
                 )
         edges = []
+        first: dict[tuple[int, int], int] = {}
         for k, e in enumerate(_field(doc, "edges", list)):
             where = f"edges[{k}]"
             if not isinstance(e, dict):
                 raise InstanceFormatError(f"{where} must be a JSON object")
+            i, j = _field(e, "i", int, where), _field(e, "j", int, where)
+            pair = (i, j) if i <= j else (j, i)
+            if pair in first:
+                raise InstanceFormatError(
+                    f"{where} repeats the edge between {pair[0]} and {pair[1]} "
+                    f"(first given in edges[{first[pair]}])"
+                )
+            first[pair] = k
             edges.append(
                 EdgeSpec(
-                    i=_field(e, "i", int, where),
-                    j=_field(e, "j", int, where),
+                    i=i,
+                    j=j,
                     w_ij=_field(e, "w_ij", _NUMBER, where),
                     w_ji=_field(e, "w_ji", _NUMBER, where),
                     utility_ij=_utility(e, "utility_ij", where),

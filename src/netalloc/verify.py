@@ -273,8 +273,8 @@ def poa_closed_form() -> str:
 
 
 def solver_vs_oracle() -> str:
-    """Criterion 6: the best-response solver stays within the quantization
-    bound of the exhaustive oracle and never beats it."""
+    """Criterion 6: the best-response solver's utility equals the exhaustive
+    oracle's up to rounding (1e-9 relative)."""
     rng = random.Random(60_617)
     found = 0
     checked_players = 0
@@ -294,17 +294,16 @@ def solver_vs_oracle() -> str:
             br = bestresponse.best_response(spec, profile, i)
             _, oracle = bestresponse.brute_force_best_response(spec, profile, i)
             gap = oracle - br.realized_utility
-            tol = bestresponse.oracle_tolerance(spec, i)
+            tol = 1e-9 * max(1.0, oracle)
             _require(
-                -1e-9 <= gap <= tol,
+                abs(gap) <= tol,
                 f"instance seed {60_000 + seed} player {i}: gap {gap} "
-                f"outside [-1e-9, {tol}]",
+                f"outside +-{tol}",
             )
             checked_players += 1
     return (
         f"100 instances, {checked_players} player/profile pairs: solver "
-        f"utility within the quantization bound of the exhaustive oracle, "
-        f"never above it"
+        f"utility equals the exhaustive oracle's up to rounding"
     )
 
 

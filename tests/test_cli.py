@@ -1,8 +1,24 @@
+import copy
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from netalloc.cli import main
+from netalloc.dynamics import (
+    Converged,
+    DynamicsConfig,
+    NotEquilibrium,
+    RandomFeasible,
+    RandomSeeded,
+    classify_equilibrium,
+    init_profile,
+    run_sequential,
+)
 from netalloc.instances import (
     InstanceDocument,
     gen_k5_cycle_instance,
@@ -161,6 +177,27 @@ def test_simulate_sequential_converges(tmp_path, capsys):
     assert "converged at round 6" in capsys.readouterr().out
 
 
+def test_simulate_classifies_at_its_own_tolerance(tmp_path, capsys):
+    inst = tmp_path / "t.json"
+    main(["gen", "torus", "--width", "6", "--height", "6", "--seed", "7",
+          "--out", str(inst)])
+    options = ["--init", "random", "--seed", "3", "--order", "random"]
+    code = main(["simulate", "--instance", str(inst), *options, "--tol", "0.5"])
+    assert code == 0
+    out = capsys.readouterr().out
+    # replay the run to classify its final profile independently
+    spec = InstanceDocument.load(inst).to_game_spec()
+    start = init_profile(spec, RandomFeasible(3))
+    cfg = DynamicsConfig(order=RandomSeeded(3), tol=0.5)
+    final, _, status = run_sequential(spec, start, cfg)
+    assert isinstance(status, Converged)
+    kind = type(classify_equilibrium(spec, final, 0.5)).__name__
+    assert f"converged at round {status.t}: " in out
+    assert out.rstrip().endswith(f"class={kind}")
+    # at the default 1e-9 the same profile is no equilibrium
+    assert isinstance(classify_equilibrium(spec, final), NotEquilibrium)
+
+
 def test_simulate_max_rounds_exit_code(tmp_path):
     inst = tmp_path / "t.json"
     main(
@@ -283,6 +320,19 @@ def test_repeated_profile_row_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "validation: suggested_init[" in err
     assert "repeats the proposal from 0 to 1" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimum", "experiment"])
+def test_repeated_edge_exit_code(tmp_path, capsys, command):
+    inst = tmp_path / "twice.json"
+    payload = gen_k5_cycle_instance(0.05).to_json_dict()
+    first = payload["edges"][0]
+    payload["edges"].append(dict(first, i=first["j"], j=first["i"]))
+    inst.write_text(json.dumps(payload))
+    assert _run_on(command, inst, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation: ")
+    assert f"repeats the edge between {first['i']} and {first['j']}" in err
 
 
 @pytest.mark.parametrize("command", ["optimum", "experiment"])
@@ -461,3 +511,81 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     )
     assert main(["verify"]) == 5
     assert "[FAIL] stub" in capsys.readouterr().out
+
+
+# -- mutated documents -----------------------------------------------------------
+
+
+def _small_document():
+    """A valid 4-player ranked document with every optional section."""
+    doc = gen_ranked_instance(n=4, edge_prob=0.7, seed=2, budget_units=4).to_json_dict()
+    rows = [[e["i"], e["j"], 1] for e in doc["edges"]]
+    rows += [[e["j"], e["i"], 1] for e in doc["edges"]]
+    doc["suggested_init"] = rows
+    doc["reference_profiles"] = {"ones": copy.deepcopy(rows)}
+    return doc
+
+
+BAD_VALUES = [
+    None, "x", [], {}, True, -1, 0, 4, 99, 2**60, -(2**60), 0.5, 1e308,
+    math.nan, math.inf, -math.inf,
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """Up to three edits, each at a drawn place in the document: delete it,
+    replace it by a value of a wrong type or range, or repeat it (a list
+    entry; an edge may come back reversed)."""
+    doc = _small_document()
+    for _ in range(draw(st.integers(1, 3))):
+        if not doc:
+            break
+        parent, key = doc, draw(st.sampled_from(sorted(doc)))
+        while (
+            isinstance(parent[key], (dict, list))
+            and parent[key]
+            and draw(st.booleans())
+        ):
+            parent = parent[key]
+            keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+            key = draw(st.sampled_from(keys))
+        op = draw(st.sampled_from(["delete", "set", "repeat"]))
+        if op == "delete":
+            del parent[key]
+        elif op == "repeat" and isinstance(parent, list):
+            entry = copy.deepcopy(parent[key])
+            reversible = isinstance(entry, dict) and {"i", "j"} <= set(entry)
+            if reversible and draw(st.booleans()):
+                entry["i"], entry["j"] = entry["j"], entry["i"]
+            parent.insert(draw(st.integers(0, len(parent))), entry)
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+    return doc
+
+
+MUTANT_COMMANDS = [
+    ["simulate"],
+    ["simulate", "--init", "random", "--order", "random", "--seed", "1"],
+    ["optimum"],
+    ["experiment", "--runs", "2", "--n-jobs", "1"],
+]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mutated_documents())
+def test_mutated_documents_end_in_a_documented_exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst = Path(tmp) / "doc.json"
+        inst.write_text(json.dumps(doc))  # NaN and inf as NaN / Infinity
+        for command in MUTANT_COMMANDS:
+            args = [*command, "--instance", str(inst)]
+            if command[0] == "experiment":
+                args += ["--out-prefix", str(Path(tmp) / "exp")]
+            assert main(args) in (0, 2, 3, 4), command

@@ -75,6 +75,112 @@ def test_init_given_validates():
     assert init_profile(spec, Given(good)) == good
 
 
+def _star_spec(budget, weights, u):
+    """Player 0 proposes to players 1..len(weights) with these weights."""
+    edges = [(0, k + 1, w, 1.0, u, u) for k, w in enumerate(weights)]
+    return make_spec(len(weights) + 1, 1.0, edges, [budget] + [1.0] * len(weights))
+
+
+def _star_floors(spec, seed):
+    """Player 0's floored random split: its draws are the seed's first."""
+    rng = random.Random(seed)
+    draws = [rng.random() for _ in spec.neighbors[0]]
+    budget = spec.budget_units(0)
+    return [int(budget * d / sum(draws)) for d in draws]
+
+
+def _star_row(spec, seed):
+    profile = init_profile(spec, RandomFeasible(seed))
+    return [profile.counts[(0, j)] for j in spec.neighbors[0]]
+
+
+def test_init_leftover_goes_to_higher_weighted_marginal():
+    for seed in range(20):
+        # linear: the marginal is the weight, so the heavier neighbor wins
+        spec = _star_spec(7.0, [0.3, 0.7], UtilitySpec.linear())
+        floors = _star_floors(spec, seed)
+        assert sum(floors) == 6
+        assert _star_row(spec, seed) == [floors[0], floors[1] + 1]
+        # sqrt at equal weights: the smaller count has the higher marginal
+        spec = _star_spec(7.0, [0.5, 0.5], UtilitySpec.sqrt())
+        floors = _star_floors(spec, seed)
+        low = floors.index(min(floors))
+        expected = list(floors)
+        expected[low] += 1
+        assert _star_row(spec, seed) == expected
+
+
+def test_init_leftover_ties_go_to_the_first_neighbor():
+    for seed in range(20):
+        spec = _star_spec(10.0, [0.25, 0.25, 0.25, 0.25], UtilitySpec.linear())
+        floors = _star_floors(spec, seed)
+        row = _star_row(spec, seed)
+        assert row == [floors[0] + 10 - sum(floors)] + floors[1:]
+
+
+def test_init_zero_budget_or_zero_weight_gets_no_leftover():
+    spec = _star_spec(0.0, [0.5, 0.5], UtilitySpec.sqrt())
+    assert _star_row(spec, 3) == [0, 0]
+    for seed in range(20):
+        # sqrt's marginal at the shifted count is finite, so w = 0 scores 0
+        spec = _star_spec(7.0, [0.0, 1.0], UtilitySpec.sqrt())
+        floors = _star_floors(spec, seed)
+        assert _star_row(spec, seed) == [floors[0], floors[1] + 1]
+        # no neighbor with a positive weight: the leftover stays unspent
+        spec = _star_spec(7.0, [0.0, 0.0], UtilitySpec.sqrt())
+        assert _star_row(spec, seed) == _star_floors(spec, seed)
+
+
+# sha256 of repr(init_profile(spec, RandomFeasible(seed)).key(spec)) on the
+# criterion-8 torus, and on the first two mixed_dense instances of benchmark
+# seed 1000 (gen_random_instance(n=150, edge_prob=0.1, budget_units=1000),
+# the instance seed also seeding the start)
+INIT_TORUS_PINS = [
+    (1000, "f137e807bb94866501bae7e2f050e7a53f07653fff5fce369e39b4723e781cd3"),
+    (1001, "f77d37843ad03deb52cc02c73486b0b9add1fb943b40f8623f7fc7347426e035"),
+    (1002, "418da16ebbd7c51a6457e136b3226d7ea0b7ccf45b1119a6721e44cbd8cb9c47"),
+    (1003, "39918a1df1c51d393c362b0e1decb65315b947fbec777625b3cda78884b3ff40"),
+    (1004, "5c32601b4ee5babc55378407483fa09e9114531b8fa1b10ab2821a229028851c"),
+    (1005, "3918a9604d94403ff6d7eada7bccd83be4aa771fd344382622ffdedbb6a47a61"),
+    (1006, "fe8ceea78326b1f0802cbb4af498b8f6bd031d12120148c6c5c1c26c9bb05773"),
+    (1007, "cf3e3e7fcd7adb53a1d2f6f0aabebf9c78921887c093329ed0a05b6fdb4a269a"),
+    (1008, "a5f96564de1f1483ccec1a226960f036abd50b7da6e34c4d99080c4bebfa21f7"),
+    (1009, "cf86e2f8c012bf491b2232623004c4f29a418bd2a6a1d6c2cdc4c7ebb947404e"),
+    (1010, "baf585108996ba2511ad6b1dbfec5180e13397368b224a9c2c27e27d0eb054d6"),
+    (1011, "cb8696b9736d96b6d8162112e928074cc4bd4d6d3aba97416f0b2d4161fb210d"),
+    (1012, "44788ea169999861b43f43f6d4c4ade65127793f771a7768fdd171a337803541"),
+    (1013, "b0b2bccb68015fc8425ba31ba030dd99513931568290a13f374034ced72daf5e"),
+    (1014, "66fc71a6ee7c2bee98d783052efdc524df964720ce586de69443995bdd367aeb"),
+    (1015, "00d9b1020bed154a5e74df01921bbcba619f7bcf81d1704807a5ddca554ad78a"),
+    (1016, "c8234453ef2690e13a8f4bf28023ce95d0932ba2e1461c2e048ac2e5a03201a6"),
+    (1017, "d8dcd844be78f6a7903c74da60a93be160b346a41c3180149902a769f04d6870"),
+    (1018, "6436394f87db9606bff58f84800d8229c71b47c182e2d32391df582f79bdd5df"),
+    (1019, "d5f32e3828670366a1c271cdfb79377a69155faf4ad77f18bdb163516411300e"),
+]
+INIT_MIXED_PINS = [
+    (1261265115, "e9ea32ec7fa29b80a4111d73650858d51a582bed275e2ebe0017b375e4e8dfe8"),
+    (612283998, "5f496e171daa0e462f82db84afbbabb9fad2834ceb8db907fd7c3a55adb0dba1"),
+]
+
+
+def _init_digest(spec, seed):
+    key = repr(init_profile(spec, RandomFeasible(seed)).key(spec)).encode()
+    return hashlib.sha256(key).hexdigest()
+
+
+def test_random_start_keeps_its_pinned_profiles():
+    spec = gen_torus_grid(
+        10, 10, beta=1000.0, eta=1.0, weight_seed=7, utility=UtilitySpec.sqrt()
+    ).to_game_spec()
+    for seed, digest in INIT_TORUS_PINS:
+        assert _init_digest(spec, seed) == digest, seed
+    for seed, digest in INIT_MIXED_PINS:
+        spec = gen_random_instance(
+            n=150, edge_prob=0.1, seed=seed, budget_units=1000
+        ).to_game_spec()
+        assert _init_digest(spec, seed) == digest, seed
+
+
 # -- sequential -------------------------------------------------------------------
 
 

@@ -278,6 +278,37 @@ def test_from_json_dict_rejects_repeated_profile_rows():
         InstanceDocument.from_json_dict(doc)
 
 
+def _two_player_payload(second):
+    """Two players, one edge listed twice: sqrt/sqrt, then ``second`` as
+    (i, j) with linear/log1p."""
+    sqrt, linear, log1p = (
+        UtilitySpec.sqrt().to_json(),
+        UtilitySpec.linear().to_json(),
+        UtilitySpec.log1p().to_json(),
+    )
+    return {
+        "n": 2,
+        "eta": 1.0,
+        "budgets": [4, 4],
+        "behaviors": ["optimistic"] * 2,
+        "edges": [
+            {"i": 0, "j": 1, "w_ij": 1.0, "w_ji": 1.0,
+             "utility_ij": sqrt, "utility_ji": sqrt},
+            {"i": second[0], "j": second[1], "w_ij": 1.0, "w_ji": 1.0,
+             "utility_ij": linear, "utility_ji": log1p},
+        ],
+    }
+
+
+@pytest.mark.parametrize("second", [(0, 1), (1, 0)], ids=["same", "reversed"])
+def test_from_json_dict_rejects_repeated_edges(second):
+    with pytest.raises(InstanceFormatError) as err:
+        InstanceDocument.from_json_dict(_two_player_payload(second))
+    assert "edges[1] repeats the edge between 0 and 1 (first given in edges[0])" in (
+        str(err.value)
+    )
+
+
 def test_load_rejects_non_documents(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2]")
