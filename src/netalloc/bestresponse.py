@@ -8,26 +8,29 @@ min(cap_j, x_j) where x_j is the point at which the weighted marginal
 w_j * u_j'(x) drops to delta.  We find delta exactly: a binary search over
 the breakpoints of the monotone total-demand function brackets it, then a
 closed form (one utility family) or Newton's method (several) solves for it
-on the neighbors strictly between cap and zero there.
+on the neighbors strictly between cap and zero there.  Where delta is a
+linear neighbor's weight, at which its demand jumps from its cap to 0, that
+neighbor takes what the others leave.  So the targets spend the whole budget
+(up to rounding) unless every neighbor is capped or satiated at delta = 0.
 
 Three clean-up phases follow the continuous core:
 
 1. grid snap -- on the eta grid the targets are floored, then the best
    single-quantum move (:func:`best_move` over the per-neighbor terms of
    :func:`edge_terms`) is applied until none gains more than 1e-13: an add
-   while budget is spare, which places the quanta the floors leave, else an
-   exchange.  A separable concave objective with one budget is at a grid
+   while budget is spare, which places the few quanta the floors drop, else
+   an exchange.  A separable concave objective with one budget is at a grid
    optimum exactly when no such move gains, so this one rule makes the grid
    allocation optimal; the sequential engine's exchange test reads the same
-   two functions.  Off the grid, leftover budget is poured continuously at
-   the highest weighted marginal;
+   two functions.  Off the grid the targets are the allocation;
 2. cap matching -- remaining budget is parked on still-unmatched neighbors up
-   to their caps, ascending index.  This changes the mover's utility by at
-   most 1e-13 a quantum (phase 1 left no larger gain) but keeps two
-   guarantees exact even for utilities with a satiation plateau: a finished
-   mover never holds both spare budget and an unmatched over-proposing
-   neighbor, and her realized interaction total never drops below its
-   pre-move value;
+   to their caps, ascending index.  Apart from budget that no neighbor's
+   marginal pays for, that is at most the quanta the floors drop, fewer than
+   one per neighbor plus rounding, each changing the mover's utility by at
+   most 1e-13 (phase 1 left no larger gain).  It keeps two guarantees exact
+   even for utilities with a satiation plateau: a finished mover never holds
+   both spare budget and an unmatched over-proposing neighbor, and her
+   realized interaction total never drops below its pre-move value;
 3. optimistic disposal -- an optimistic player spreads any remaining budget
    over matched neighbors in round-robin quanta (ascending index), proposing
    above their caps in the hope of future reciprocation.  A pessimistic
@@ -49,10 +52,6 @@ from .game import (
     win_set,
 )
 from .utility import INF, UtilitySpec, shared_level
-
-# Marginal scores are sampled a hair inside the next quantum so families with
-# an unbounded slope at zero still compare by their weights.
-MARGINAL_SHIFT = 1e-9
 
 # Newton on the active set converges in a few steps; the caps only bound the
 # work on degenerate input.  A root found to within rounding is nudged up by
@@ -111,7 +110,12 @@ def _water_fill(
     solved in closed form when they are of one family, else by Newton's
     method, which rises monotonically to the root from a lower bound because
     every interior demand is convex and decreasing in delta.  A root at or
-    past the bracket's top (a linear neighbor's jump) returns the top.
+    past the bracket's top returns the top.  Only a linear neighbor's demand
+    jumps, so the demand just below the top overfills the budget only by
+    the caps of the linear neighbors whose jump the top is; indifferent at
+    that level, they take the budget the others leave, ascending index, each
+    up to its cap.  The targets thus spend the budget unless they fit at
+    delta = 0.
     """
     deg = len(weights)
     eff = [c if c < budget_units else budget_units for c in caps_units]
@@ -158,86 +162,62 @@ def _water_fill(
         elif zero[k] > lo:
             groups.setdefault((utils[k].family, utils[k].a), []).append(k)
     rest = math.fsum(held)
-    if rest <= 0 or not groups:
-        return hi, targets_at(hi)
+    if rest > 0 and groups:
+        # every family's own root is a lower bound: the others only add demand
+        goal = rest * eta
+        delta = lo
+        for members in groups.values():
+            level = shared_level([(weights[k], utils[k]) for k in members], goal)
+            if level > delta:
+                delta = level
+        if len(groups) > 1:
+            active = [k for members in groups.values() for k in members]
+            for _ in range(NEWTON_MAX_STEPS):
+                if delta >= hi:
+                    break
+                excess = -goal
+                slope = 0.0
+                for k in active:
+                    w, u = weights[k], utils[k]
+                    m = delta / w
+                    x = u.inverse_marginal(m)
+                    excess += x
+                    if x > 0.0:
+                        slope += u.inverse_marginal_slope(m, x) / w
+                if excess <= 0.0 or slope >= 0.0:
+                    break
+                step = excess / -slope
+                delta += step
+                if step <= NEWTON_REL_STEP * delta:
+                    break
 
-    # every family's own root is a lower bound: the others only add demand
-    goal = rest * eta
-    delta = lo
-    for members in groups.values():
-        level = shared_level([(weights[k], utils[k]) for k in members], goal)
-        if level > delta:
-            delta = level
-    if len(groups) > 1:
-        active = [k for members in groups.values() for k in members]
-        for _ in range(NEWTON_MAX_STEPS):
+        # rounding may leave the summed targets a hair over budget: step up
+        nudge = (delta if delta > 0.0 else hi) * FINISH_REL_NUDGE
+        for _ in range(FINISH_STEPS):
             if delta >= hi:
                 break
-            excess = -goal
-            slope = 0.0
-            for k in active:
-                w, u = weights[k], utils[k]
-                m = delta / w
-                x = u.inverse_marginal(m)
-                excess += x
-                if x > 0.0:
-                    slope += u.inverse_marginal_slope(m, x) / w
-            if excess <= 0.0 or slope >= 0.0:
+            targets = targets_at(delta)
+            if _fits(targets, budget_units):
+                return delta, targets
+            delta += nudge
+            nudge *= 8.0
+
+    # The root is the bracket's top.  Linear neighbors whose demand jumps
+    # from the cap to 0 there are indifferent at that level, so they take
+    # the budget the others leave, ascending index, each up to its cap.
+    targets = targets_at(hi)
+    last = -1
+    for k in live:
+        if leave[k] == zero[k] == hi < INF:
+            left = -math.fsum([-budget_units, *targets])
+            if left <= 0.0:
                 break
-            step = excess / -slope
-            delta += step
-            if step <= NEWTON_REL_STEP * delta:
-                break
-    if delta >= hi:
-        return hi, targets_at(hi)
-
-    # rounding may leave the summed targets a hair over budget: step up
-    targets = targets_at(delta)
-    nudge = (delta if delta > 0.0 else hi) * FINISH_REL_NUDGE
-    for _ in range(FINISH_STEPS):
-        if _fits(targets, budget_units):
-            return delta, targets
-        delta += nudge
-        nudge *= 8.0
-        if delta >= hi:
-            break
-        targets = targets_at(delta)
-    return hi, targets_at(hi)
-
-
-def _greedy_fill(
-    alloc: list[float],
-    caps_units: Sequence[float],
-    budget_units: float,
-    eta: float,
-    marginals: Sequence[tuple[float, UtilitySpec]],
-) -> None:
-    """Continuous pour: put leftover budget into ``alloc`` in place, always
-    at the neighbor with the highest current weighted marginal that still
-    has room below its cap (and the budget), as much as fits there.  Ties go
-    to the lowest index; the loop stops once every eligible marginal is
-    zero.  Only flat-marginal families (linear) ever leave more than
-    rounding dust here."""
-    leftover = budget_units - sum(alloc)
-    tiny = 1e-12 * max(1.0, budget_units)
-    while leftover > tiny:
-        best_k = -1
-        best_score = 0.0
-        best_room = 0.0
-        for k, (w, u) in enumerate(marginals):
-            room = min(caps_units[k], budget_units) - alloc[k]
-            if room <= 0 or w <= 0.0:
-                continue
-            score = w * u.marginal((alloc[k] + MARGINAL_SHIFT) * eta)
-            if score > best_score:
-                best_score = score
-                best_k = k
-                best_room = room
-        if best_k < 0:
-            break
-        take = min(best_room, leftover)
-        alloc[best_k] += take
-        leftover -= take
+            targets[k] = eff[k] if eff[k] < left else left
+            last = k
+    if last >= 0 and not _fits(targets, budget_units):
+        # the rounded remainder was at most half an ulp too large
+        targets[last] = math.nextafter(targets[last], 0.0)
+    return hi, targets
 
 
 def edge_terms(
@@ -349,6 +329,10 @@ def best_response(
     Grid rule: the response is on the eta grid (``int`` proposals) exactly
     when every cap ``profile.counts[(j, i)]`` is an ``int``; otherwise it is
     the continuous solution, as analysis code wants for real-valued profiles.
+    Either way it starts from the :func:`_water_fill` targets, which spend
+    all the budget that some marginal pays for, at any grid size; on the
+    grid they are floored and polished by single-quantum moves.  Cap
+    matching and optimistic disposal (module docstring) place what is left.
     """
     nbrs = spec.neighbors[i]
     budget = spec.budget_units(i)
@@ -367,14 +351,11 @@ def best_response(
         return BRResult(proposals={j: zero for j in nbrs}, realized_utility=0.0)
 
     _, targets = _water_fill(weights, utils, caps, budget, eta)
-    marginals = list(zip(weights, utils))
-
     if grid:
         alloc = [int(math.floor(t)) for t in targets]
-        _polish_exchanges(alloc, caps, budget, eta, marginals)
+        _polish_exchanges(alloc, caps, budget, eta, list(zip(weights, utils)))
     else:
         alloc = list(targets)
-        _greedy_fill(alloc, caps, budget, eta, marginals)
     leftover = budget - sum(alloc)
 
     # Cap matching: remaining budget parks on unmatched neighbors (no

@@ -54,7 +54,7 @@ from .instances import (
     gen_random_instance,
     gen_torus_grid,
 )
-from .utility import UtilitySpec
+from .utility import FAMILIES, UtilitySpec
 from .verify import verify_reference_suite
 
 EXIT_OK = 0
@@ -337,11 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=10)
     gen.add_argument("--edge-prob", type=float, default=0.4)
     gen.add_argument("--budget-units", type=int, default=100)
-    gen.add_argument(
-        "--utility",
-        choices=["linear", "sqrt", "log1p", "power", "capped_quadratic"],
-        default="sqrt",
-    )
+    gen.add_argument("--utility", choices=FAMILIES, default="sqrt")
     gen.add_argument("--utility-param", type=float, default=None)
     gen.add_argument(
         "--behavior",

@@ -250,12 +250,14 @@ class FrequencyProfile:
 
 
 def check_feasible(spec: GameSpec, profile: FrequencyProfile) -> None:
-    """Raise InfeasibleProfileError naming the first offending player."""
+    """Raise InfeasibleProfileError naming the first offending player.  A
+    row of ints is held to the budget exactly, a row with a float within
+    ``FEASIBILITY_TOL`` of it, relative."""
     for e in profile.counts:
         if e not in spec.directed_edge_set:
             raise InfeasibleProfileError(e[0], f"proposal on non-edge {e}")
     for i in range(spec.n):
-        total = 0.0
+        total = 0  # stays an exact int on integer rows
         for j in spec.neighbors[i]:
             c = profile.counts.get((i, j))
             if c is None:
@@ -268,7 +270,10 @@ def check_feasible(spec: GameSpec, profile: FrequencyProfile) -> None:
                 )
             total += c
         limit = spec.budget_units(i)
-        if total > limit + FEASIBILITY_TOL * max(1.0, limit):
+        allowance = (
+            0 if isinstance(total, int) else FEASIBILITY_TOL * max(1.0, limit)
+        )
+        if total > limit + allowance:
             raise InfeasibleProfileError(
                 i,
                 f"player {i} proposes {total} units, budget is {limit} units",

@@ -32,7 +32,7 @@ from .analysis import (
     global_ranking_weights,
 )
 from .game import Behavior, FrequencyProfile, GameSpec
-from .utility import UtilitySpec
+from .utility import FAMILIES, UtilitySpec
 
 
 # -- document parsing ----------------------------------------------------------
@@ -539,11 +539,8 @@ def gen_poa_grid_instance(
 # -- random instances ------------------------------------------------------------
 
 
-_FAMILY_POOL = ("linear", "sqrt", "log1p", "power", "capped_quadratic")
-
-
 def _random_utility(rng: random.Random, beta: float, family: str | None) -> UtilitySpec:
-    fam = family if family is not None else rng.choice(_FAMILY_POOL)
+    fam = family if family is not None else rng.choice(FAMILIES)
     if fam == "power":
         return UtilitySpec.power(round(rng.uniform(0.2, 1.0), 3))
     if fam == "capped_quadratic":

@@ -33,7 +33,7 @@ from .dynamics import (
 )
 from .experiment import ExperimentConfig, run_batch_experiment
 from .game import FrequencyProfile, outcome_summary, player_utility, social_welfare
-from .utility import UtilitySpec
+from .utility import FAMILIES, UtilitySpec
 
 
 class CriterionFailed(AssertionError):
@@ -128,7 +128,7 @@ def slack_laws() -> str:
             )
         total_rounds += status.t
     _require(
-        families_seen == {"linear", "sqrt", "log1p", "power", "capped_quadratic"},
+        families_seen == set(FAMILIES),
         f"utility families drawn: {sorted(families_seen)}",
     )
     return (

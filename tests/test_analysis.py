@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_spec, profile_of, single_edge_spec, triangle_doc
 from netalloc.analysis import (
@@ -198,6 +200,37 @@ def test_match_down_preserves_welfare_and_yields_equilibrium():
         m = match_down(spec, p)
         assert social_welfare(spec, m) == social_welfare(spec, p)
         assert isinstance(classify_equilibrium(spec, m), PessimisticNE)
+
+
+@st.composite
+def games_and_profiles(draw):
+    """A random game and a feasible profile on it, of ints or of floats."""
+    spec = gen_random_instance(
+        n=draw(st.integers(2, 9)),
+        edge_prob=draw(st.floats(0.2, 1.0)),
+        seed=draw(st.integers(0, 2**32)),
+        budget_units=draw(st.integers(1, 10**6)),
+    ).to_game_spec()
+    real = draw(st.booleans())
+    counts = {}
+    for i in range(spec.n):
+        nbrs = spec.neighbors[i]
+        share = spec.budget_units(i) // max(1, len(nbrs))
+        amount = st.floats(0.0, share) if real else st.integers(0, share)
+        for j in nbrs:
+            counts[(i, j)] = draw(amount)
+    return spec, FrequencyProfile(counts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(games_and_profiles())
+def test_match_down_keeps_welfare_exactly_and_matches_every_edge(game):
+    spec, p = game
+    m = match_down(spec, p)
+    assert social_welfare(spec, m) == social_welfare(spec, p)
+    for (i, j) in spec.edges:
+        agreed = min(p.counts[(i, j)], p.counts[(j, i)])
+        assert m.counts[(i, j)] == m.counts[(j, i)] == agreed
 
 
 # -- convex combinations -------------------------------------------------------------

@@ -1,11 +1,14 @@
+import hashlib
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import OPT, PESS, make_spec, path3_spec, profile_of, single_edge_spec
+from netalloc import bestresponse
 from netalloc.bestresponse import (
     _water_fill,
     best_move,
@@ -272,7 +275,8 @@ def test_water_level_matches_bisection(hood):
 def test_water_level_on_a_linear_jump(monkeypatch):
     # sqrt demands 56.25 units at the linear weight 0.4 and the linear
     # neighbour's cap of 80 overfills the budget of 100 below it: the
-    # demand jumps across the budget at delta = 0.4 exactly
+    # demand jumps across the budget at delta = 0.4 exactly, and the
+    # linear neighbour takes the 43.75 units that sqrt leaves
     w_sqrt, w_lin, eta = 0.6, 0.4, 0.01
     sweeps = []
     inverse = UtilitySpec.inverse_marginal
@@ -289,7 +293,8 @@ def test_water_level_on_a_linear_jump(monkeypatch):
         )
         assert delta == w_lin
         assert targets[0] == pytest.approx(56.25)
-        assert targets[1] == 0.0
+        assert targets[1] == pytest.approx(43.75)
+        assert math.fsum(targets) <= 100
         assert len(sweeps) <= 8
     spec, profile = _one_player_spec(
         [w_sqrt, w_lin], [UtilitySpec.sqrt(), UtilitySpec.linear()], [200, 80], 100, eta
@@ -301,13 +306,25 @@ def test_water_level_on_a_linear_jump(monkeypatch):
     )
 
 
-def test_linear_jump_leaves_more_spare_quanta_than_the_exchange_bound():
-    # the level lands on the linear weight, where the linear target is 0:
-    # the floors leave 199,999 of 200,000 quanta, and the polish adds every
-    # one of them, more than the 100,000 steps it allows for exchanges
+def test_linear_jump_leaves_more_spare_quanta_than_the_exchange_bound(monkeypatch):
+    # the level lands on the linear weight: the linear neighbour takes what
+    # sqrt leaves, so the floors leave at most a quantum or two for the
+    # polish, not one best_move step per spare quantum
     s, lin = UtilitySpec.sqrt(), UtilitySpec.linear()
     caps = [200_000, 200_000]
-    assert _water_fill([0.5, 0.5], [s, lin], caps, 200_000, 1.0)[1] == [0.25, 0.0]
+    assert _water_fill([0.5, 0.5], [s, lin], caps, 200_000, 1.0)[1] == [
+        0.25, 199_999.75
+    ]
+    calls = []
+    move = bestresponse.best_move
+
+    def counted(*args):
+        calls.append(None)
+        if len(calls) > 100:
+            raise AssertionError("more than 100 best_move steps")
+        return move(*args)
+
+    monkeypatch.setattr(bestresponse, "best_move", counted)
     spec, profile = _one_player_spec([0.5, 0.5], [s, lin], caps, 200_000, 1.0)
     br = best_response(spec, profile, 0)
     assert br.proposals == {1: 1, 2: 199_999}
@@ -340,10 +357,83 @@ def test_sequential_run_through_linear_jumps():
     doc = gen_random_instance(n=150, edge_prob=0.1, seed=12345, budget_units=1000)
     spec = doc.to_game_spec()
     init = init_profile(spec, RandomFeasible(1))
-    _, _, status = run_sequential(
+    final, _, status = run_sequential(
         spec, init, DynamicsConfig(order=RandomSeeded(1)), trace_detail="light"
     )
     assert status == Converged(615)
+    assert hashlib.sha256(repr(final.key(spec)).encode()).hexdigest() == (
+        "65c9c1761eb6d594c6221ad0fb873f99f93caf26d59625456b8f3509d71e5e6e"
+    )
+
+
+# -- extreme budgets ----------------------------------------------------------------
+
+
+def test_response_with_the_largest_budget_spends_it():
+    # 2**53 - 1 quanta with the level on the linear weight: sqrt takes one
+    # quantum and the linear neighbour the rest, in a few polish steps
+    budget = 2**53 - 1
+    s, lin = UtilitySpec.sqrt(), UtilitySpec.linear()
+    spec, profile = _one_player_spec(
+        [0.5, 0.5], [s, lin], [budget, budget], budget, 1.0
+    )
+    br = best_response(spec, profile, 0)
+    assert br.proposals == {1: 1, 2: budget - 1}
+
+
+def test_fine_grid_response_reaches_the_continuous_optimum():
+    # 2**52 quanta of 2**-52: one quantum gains less than the polish's
+    # threshold, so the targets must place the budget themselves.  At the
+    # level 0.5 sqrt takes 0.09 and the heavier linear neighbour the rest:
+    # 0.3 * 0.3 + 0.5 * 0.91 = 0.545
+    budget, eta = 2**52, 2.0**-52
+    lin, s = UtilitySpec.linear(), UtilitySpec.sqrt()
+    spec, profile = _one_player_spec(
+        [0.2, 0.5, 0.3], [lin, lin, s], [budget] * 3, budget, eta
+    )
+    br = best_response(spec, profile, 0)
+    assert sum(br.proposals.values()) == budget
+    assert br.realized_utility == pytest.approx(0.545, abs=1e-9)
+
+
+@st.composite
+def large_neighbourhoods(draw):
+    """Grid neighbourhoods with up to 2**53 - 1 quanta, in every family, and
+    half of them with the water level on a linear neighbour's jump."""
+    budget = draw(st.integers(1, 2**53 - 1))
+    eta = draw(st.sampled_from([1.0, 2.0**-20, 2.0**-52]))
+    if draw(st.booleans()):
+        w = draw(st.floats(0.05, 1.0))
+        t = draw(st.floats(0.0, 0.99)) * budget
+        weights = [2.0 * w * math.sqrt(t * eta), w]
+        utils = [UtilitySpec.sqrt(), UtilitySpec.linear()]
+        caps = [draw(st.integers(math.ceil(t), budget)), budget]
+        return weights, utils, caps, budget, eta
+    deg = draw(st.integers(1, 4))
+    weights = draw(st.lists(WEIGHTS, min_size=deg, max_size=deg))
+    utils = draw(st.lists(UTILITIES, min_size=deg, max_size=deg))
+    caps = draw(st.lists(st.integers(0, budget), min_size=deg, max_size=deg))
+    return weights, utils, caps, budget, eta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(large_neighbourhoods())
+def test_large_budget_responses_finish_within_budget(hood):
+    spec, profile = _one_player_spec(*hood)
+    calls = []
+    move = bestresponse.best_move
+
+    def counted(*args):
+        calls.append(None)
+        assert len(calls) <= 1000, "more than 1000 best_move steps"
+        return move(*args)
+
+    with mock.patch.object(bestresponse, "best_move", counted):
+        br = best_response(spec, profile, 0)
+    proposals = list(br.proposals.values())
+    assert all(type(a) is int and a >= 0 for a in proposals)
+    assert sum(proposals) <= hood[3]
+    assert math.isfinite(br.realized_utility)
 
 
 # -- the single-quantum move rule ------------------------------------------------

@@ -24,7 +24,9 @@ from netalloc.instances import (
     gen_k5_cycle_instance,
     gen_poa_grid_instance,
     gen_ranked_instance,
+    gen_torus_grid,
 )
+from netalloc.utility import UtilitySpec
 
 
 def _run_on(command, inst, tmp_path, *options):
@@ -333,6 +335,27 @@ def test_repeated_edge_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("validation: ")
     assert f"repeats the edge between {first['i']} and {first['j']}" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimum", "experiment"])
+def test_suggested_init_a_few_quanta_over_a_large_budget_exit_code(
+    tmp_path, capsys, command
+):
+    # 500 quanta over 2**40 is inside a 1e-9 relative tolerance; integer
+    # rows are compared exactly
+    inst = tmp_path / "over.json"
+    doc = gen_torus_grid(
+        3, 3, beta=2.0**40, eta=1.0, weight_seed=1, utility=UtilitySpec.sqrt()
+    )
+    payload = doc.to_json_dict()
+    rows = [[e.i, e.j, 0] for e in doc.edges] + [[e.j, e.i, 0] for e in doc.edges]
+    rows[0][2] = 2**40 + 500
+    payload["suggested_init"] = rows
+    inst.write_text(json.dumps(payload))
+    assert _run_on(command, inst, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation: ")
+    assert f"suggested_init: player {rows[0][0]} proposes {2**40 + 500} units" in err
 
 
 @pytest.mark.parametrize("command", ["optimum", "experiment"])

@@ -8,6 +8,7 @@ from netalloc.game import (
     FrequencyProfile,
     GameSpec,
     InfeasibleProfileError,
+    check_feasible,
     outcome_summary,
     player_utility,
     social_welfare,
@@ -134,6 +135,18 @@ def test_infeasible_profile_rejected_with_player():
     with pytest.raises(InfeasibleProfileError) as err:
         outcome_summary(spec, profile)
     assert err.value.player == 0
+
+
+def test_integer_rows_are_held_to_the_budget_exactly():
+    # 2**40 quanta: a relative tolerance of 1e-9 would let 1,099 through
+    spec = single_edge_spec(budgets=(2.0**40, 2.0**40))
+    over = profile_of(spec, {0: {1: 2**40 + 1}})
+    with pytest.raises(InfeasibleProfileError) as err:
+        check_feasible(spec, over)
+    assert err.value.player == 0
+    check_feasible(spec, profile_of(spec, {0: {1: 2**40}}))
+    # a float row keeps the relative tolerance
+    check_feasible(spec, profile_of(spec, {0: {1: 2.0**40 + 500.0}}))
 
 
 def test_player_utility_examples():

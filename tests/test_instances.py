@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netalloc.analysis import grid_reference_welfare
 from netalloc.dynamics import PessimisticNE, classify_equilibrium
@@ -14,7 +16,7 @@ from netalloc.instances import (
     gen_ranked_instance,
     gen_torus_grid,
 )
-from netalloc.utility import UtilitySpec
+from netalloc.utility import FAMILIES, UtilitySpec
 
 
 # -- torus ------------------------------------------------------------------
@@ -206,6 +208,65 @@ def test_round_trip_bit_exact(tmp_path, doc):
     again.save(doc2_path)
     assert path.read_text() == doc2_path.read_text()
     assert validate_game(again.to_game_spec()).ok
+
+
+UTILITY_SPECS = st.one_of(
+    st.sampled_from(["linear", "sqrt", "log1p"]).map(UtilitySpec),
+    st.floats(0.01, 1.0).map(UtilitySpec.power),
+    st.floats(0.01, 100.0).map(UtilitySpec.capped_quadratic),
+)
+BEHAVIORS = st.sampled_from(["pessimistic", "optimistic"])
+
+
+@st.composite
+def generated_documents(draw):
+    """A document from one of the five generators, with drawn parameters."""
+    kind = draw(st.sampled_from(["torus", "k5", "poa", "random", "ranked"]))
+    if kind == "torus":
+        eta = draw(st.sampled_from([1.0, 0.5, 0.1, 2.0**-20]))
+        return gen_torus_grid(
+            draw(st.integers(3, 5)),
+            draw(st.integers(3, 5)),
+            beta=draw(st.integers(1, 10**6)) * eta,
+            eta=eta,
+            weight_seed=draw(st.integers(0, 2**32)),
+            utility=draw(UTILITY_SPECS),
+            behavior=draw(BEHAVIORS),
+        )
+    if kind == "k5":
+        return gen_k5_cycle_instance(draw(st.sampled_from([0.01, 0.025, 0.05, 0.125])))
+    if kind == "poa":
+        return gen_poa_grid_instance(
+            draw(st.integers(3, 4)),
+            draw(st.integers(3, 4)),
+            draw(st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.2])),
+            draw(st.sampled_from([0.5, 1.0, 3.0])),
+        )[0]
+    params = dict(
+        n=draw(st.integers(1, 10)),
+        edge_prob=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32)),
+        beta=draw(st.floats(0.01, 1e6)),
+        budget_units=draw(st.integers(1, 2**40)),
+        behavior=draw(st.one_of(st.none(), BEHAVIORS)),
+    )
+    if kind == "ranked":
+        return gen_ranked_instance(max_rank=draw(st.integers(1, 9)), **params)
+    return gen_random_instance(
+        family=draw(st.one_of(st.none(), st.sampled_from(FAMILIES))),
+        symmetric_utilities=draw(st.booleans()),
+        **params,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(generated_documents())
+def test_generated_documents_round_trip_bit_exact(doc):
+    # repr round-trips every float, so equal text means equal bits
+    text = json.dumps(doc.to_json_dict(), indent=2)
+    again = InstanceDocument.from_json_dict(json.loads(text))
+    assert again == doc
+    assert json.dumps(again.to_json_dict(), indent=2) == text
 
 
 def _k5_payload():

@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every name a module imports is used."""
+"""Source checks that need no linter: every name a module imports is used,
+and only the command line prints."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,26 @@ def test_unused_import_check_sees_a_leftover():
         "    return social_welfare(x)\n"
     )
     assert unused_imports(source) == ["line 1: outcome_summary", "line 2: math"]
+
+
+def print_calls(source: str) -> list[int]:
+    """Lines that call the builtin ``print``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "cli.py")
+)
+def test_only_the_cli_prints(module):
+    assert print_calls((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_print_check_sees_a_call():
+    assert print_calls("x = 1\nif x:\n    print(x, file=None)\n") == [3]
+    assert print_calls("log.print(1)\n") == []
