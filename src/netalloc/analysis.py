@@ -232,8 +232,8 @@ class OptimizerConfig:
     gap_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.max_iters <= 0 or not self.gap_tol > 0:
-            raise ValueError("all optimizer parameters must be positive")
+        if self.max_iters <= 0 or not 0 < self.gap_tol < math.inf:
+            raise ValueError("max_iters and gap_tol must be positive and finite")
 
 
 @dataclass(frozen=True)

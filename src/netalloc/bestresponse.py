@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .game import (
     Behavior,
@@ -79,6 +79,24 @@ class BRResult:
 
     proposals: dict[PlayerId, float]
     realized_utility: float
+
+
+class PlayerRow(NamedTuple):
+    """A player's own inputs to its best response, in neighbor order: the
+    neighbors, its weights and utilities on those edges, and its budget in
+    eta quanta."""
+
+    neighbors: tuple[int, ...]
+    weights: list[float]
+    utils: list[UtilitySpec]
+    budget: int
+
+
+def player_row(spec: GameSpec, i: PlayerId) -> PlayerRow:
+    nbrs = spec.neighbors[i]
+    weights = [spec.weights[(i, j)] for j in nbrs]
+    utils = [spec.utilities[(i, j)] for j in nbrs]
+    return PlayerRow(nbrs, weights, utils, spec.budget_units(i))
 
 
 def _fits(targets: Sequence[float], budget_units: float) -> bool:
@@ -323,8 +341,12 @@ def best_response(
     spec: GameSpec,
     profile: FrequencyProfile,
     i: PlayerId,
+    row: PlayerRow | None = None,
 ) -> BRResult:
     """Best response of player i against everyone else's standing proposals.
+
+    ``row`` is i's :func:`player_row`, built here unless the caller keeps
+    one (the sequential engine builds each player's once per run).
 
     Grid rule: the response is on the eta grid (``int`` proposals) exactly
     when every cap ``profile.counts[(j, i)]`` is an ``int``; otherwise it is
@@ -334,16 +356,15 @@ def best_response(
     grid they are floored and polished by single-quantum moves.  Cap
     matching and optimistic disposal (module docstring) place what is left.
     """
-    nbrs = spec.neighbors[i]
-    budget = spec.budget_units(i)
+    if row is None:
+        row = player_row(spec, i)
+    nbrs, weights, utils, budget = row
     caps = [profile.counts[(j, i)] for j in nbrs]
     grid = all(isinstance(c, int) for c in caps)
     if not nbrs:
         return BRResult(proposals={}, realized_utility=0.0)
 
     eta = spec.eta
-    weights = [spec.weights[(i, j)] for j in nbrs]
-    utils = [spec.utilities[(i, j)] for j in nbrs]
     deg = len(nbrs)
 
     if budget <= 0:
@@ -427,8 +448,7 @@ def brute_force_best_response(
     lexicographic order and keeps the first maximizer, so ties resolve to the
     lexicographically smallest allocation.
     """
-    nbrs = spec.neighbors[i]
-    budget = spec.budget_units(i)
+    nbrs, weights, utils, budget = player_row(spec, i)
     deg = len(nbrs)
     if deg == 0:
         return {}, 0.0
@@ -439,8 +459,6 @@ def brute_force_best_response(
             f"(limit {BRUTE_FORCE_LIMIT})"
         )
     eta = spec.eta
-    weights = [spec.weights[(i, j)] for j in nbrs]
-    utils = [spec.utilities[(i, j)] for j in nbrs]
     caps = [profile.counts[(j, i)] for j in nbrs]
 
     best_alloc: list[int] | None = None

@@ -11,16 +11,17 @@ cycle's start and period.
 
 A player's status in a sequential run is a boolean: can it still improve by
 more than ``tol``?  Most status checks are about neighbors of the mover,
-whose incoming proposals changed.  Each is first put to a one-pass exchange
-test (see ``_SeqState.certainly_improves``), which can prove a player is not
-at a best response without solving for the response; a status the test
-cannot settle is solved, and the response is discarded.  Every mover is
+whose incoming proposals changed.  Each is put to a one-pass exchange test on
+the player's best single-quantum move (see ``_SeqState.settled_status``): a
+gain above ``tol`` plus a margin (about 1e-9 relative to an upper bound on
+the player's utility, plus 1e-12 per budget quantum) proves it can improve,
+and a gain that, times its budget in quanta and plus a few ulps of that bound
+per quantum, stays below ``tol`` proves it cannot.  Only a status neither
+bound settles is solved, and the response is discarded.  Every mover is
 solved when it is picked, and must then improve on its utility by more than
-``tol``.  The test answers only when the best single-quantum move gains more
-than ``tol`` plus a margin (about 1e-9 relative to an upper bound on the
-player's utility, plus 1e-12 per budget quantum) that covers float rounding
-and the solver's polish threshold; every other case is solved, so statuses,
-random picks and results are bit-identical to solving every status in full.
+``tol``.  The margins cover float rounding and the solver's polish
+threshold, so statuses, random picks and results are bit-identical to
+solving every status in full.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .bestresponse import (
     best_response,
     edge_terms,
     is_best_response,
+    player_row,
 )
 from .game import (
     MAX_BUDGET_UNITS,
@@ -51,11 +53,13 @@ from .game import (
 # families with an unbounded slope at zero still compare by their weights.
 MARGINAL_SHIFT = 1e-9
 
-# Margin of the exchange test (``_SeqState.certainly_improves``): relative to
-# an upper bound on the player's best utility, plus per budget quantum.
+# Margins of the exchange test (``_SeqState.settled_status``), relative to an
+# upper bound on the player's best utility and per budget quantum: the first
+# three for "can improve", the ulp for "cannot".
 EXCHANGE_REL_MARGIN = 1e-9
 EXCHANGE_QUANTUM_MARGIN = 1e-12
 EXCHANGE_REL_QUANTUM_MARGIN = 1e-15
+EXCHANGE_ULP = 2.0**-52
 
 
 class InvariantViolation(AssertionError):
@@ -113,8 +117,8 @@ class DynamicsConfig:
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if not self.tol >= 0:
-            raise ValueError("tol must be >= 0")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
 
 # -- termination statuses ----------------------------------------------------
@@ -265,8 +269,7 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
     counts: dict[tuple[int, int], int] = {}
     eta = spec.eta
     for i in range(spec.n):
-        nbrs = spec.neighbors[i]
-        budget = spec.budget_units(i)
+        nbrs, weights, utils, budget = player_row(spec, i)
         if not nbrs:
             continue
         if budget <= 0:
@@ -276,12 +279,9 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
         draws = [rng.random() for _ in nbrs]
         total = sum(draws)
         alloc = [int(math.floor(budget * d / total)) for d in draws]
-        marginals = [
-            (spec.weights[(i, j)], spec.utilities[(i, j)]) for j in nbrs
-        ]
         for _ in range(budget - sum(alloc)):
             best_k, best_score = -1, 0.0
-            for k, (w, u) in enumerate(marginals):
+            for k, (w, u) in enumerate(zip(weights, utils)):
                 if w > 0.0:
                     score = w * u.marginal((alloc[k] + MARGINAL_SHIFT) * eta)
                     if score > best_score:
@@ -371,9 +371,12 @@ class _SeqState:
     set (empty win set) is kept only as zero win counts;
     :meth:`take_stable_delta` reports who joined or left.
 
-    A status is a boolean (:meth:`_can_improve`), and ``movers``, an
-    :class:`_IdTree`, is the set of players whose status is True.  No
-    response is kept: the run solves each mover when it picks it.
+    Each player's :func:`~netalloc.bestresponse.player_row` is built once
+    per run, and per-edge terms are kept at its positions.  A status is a
+    boolean (:meth:`_can_improve`), and ``movers``, an :class:`_IdTree`, is
+    the set of players whose status is True.  No response is kept: the run
+    solves each mover when it picks it, and a status only when
+    :meth:`settled_status` cannot settle it.
     """
 
     def __init__(self, spec: GameSpec, init: FrequencyProfile, tol: float):
@@ -388,29 +391,32 @@ class _SeqState:
         # players whose win count crossed zero since take_stable_delta, and
         # whether each was stable then
         self._flipped: dict[int, bool] = {}
-        # per-edge terms of player i at the position k of neighbor j: its
-        # utility (summed by utility), and the gain and the loss of one
-        # quantum (see edge_terms)
-        self._edge = {
-            (i, j): (k, spec.weights[(i, j)], spec.utilities[(i, j)].value)
-            for i in range(spec.n)
-            for k, j in enumerate(spec.neighbors[i])
-        }
-        self._util = [[0.0] * spec.degree(i) for i in range(spec.n)]
-        self._up = [[0.0] * spec.degree(i) for i in range(spec.n)]
-        self._down = [[0.0] * spec.degree(i) for i in range(spec.n)]
-        for (i, j) in self._edge:
-            self._set_terms(i, j)
+        self.rows = rows = [player_row(spec, i) for i in range(spec.n)]
+        # back[i][k]: i's position in the row of its k-th neighbor
+        at = [{j: k for k, j in enumerate(row.neighbors)} for row in rows]
+        self._back = [
+            [at[j][i] for j in row.neighbors] for i, row in enumerate(rows)
+        ]
+        # per-edge terms of player i at position k: its utility (summed by
+        # utility), and the gain and the loss of one quantum (see edge_terms)
+        self._util, self._up, self._down = (
+            [[0.0] * len(row.neighbors) for row in rows] for _ in range(3)
+        )
+        for i, row in enumerate(rows):
+            for k in range(len(row.neighbors)):
+                self._set_terms(i, k)
         # the players that can still improve
         self.movers = _IdTree(spec.n, filter(self._can_improve, range(spec.n)))
 
     def _can_improve(self, i: int) -> bool:
-        """i's status: can its best response gain more than ``tol``?"""
+        """i's status: can its best response gain more than ``tol``?  Solved
+        only when neither the win count nor the exchange test settles it."""
         if self.win_count[i] == 0:
             return False  # matching everyone: no unilateral gain exists
-        if self.certainly_improves(i):
-            return True
-        br = best_response(self.spec, self.view, i)
+        status = self.settled_status(i)
+        if status is not None:
+            return status
+        br = best_response(self.spec, self.view, i, self.rows[i])
         return br.realized_utility - self.utility(i) > self.tol
 
     def utility(self, i: int) -> float:
@@ -418,59 +424,73 @@ class _SeqState:
         summed in the same (neighbor) order."""
         return sum(self._util[i])
 
-    def _set_terms(self, i: int, j: int) -> None:
-        """Recompute i's :func:`~netalloc.bestresponse.edge_terms` on edge
-        (i, j): the agreed amount is a = min(f_ij, f_ji), with room up to
-        f_ji."""
+    def _set_terms(self, i: int, k: int) -> None:
+        """Recompute i's :func:`~netalloc.bestresponse.edge_terms` on the
+        edge to its k-th neighbor j: the agreed amount is a = min(f_ij,
+        f_ji), with room up to f_ji."""
+        nbrs, weights, utils, _ = self.rows[i]
+        j = nbrs[k]
         f = self.counts[(i, j)]
         cap = self.counts[(j, i)]
-        k, w, value = self._edge[(i, j)]
+        a = f if f < cap else cap
         self._util[i][k], self._up[i][k], self._down[i][k] = edge_terms(
-            w, value, f if f < cap else cap, cap, self.spec.eta
+            weights[k], utils[k].value, a, cap, self.spec.eta
         )
 
-    def certainly_improves(self, i: int) -> bool:
-        """Exchange test: True only if i's best response improves on its
-        current utility by more than ``tol``.
+    def settled_status(self, i: int) -> bool | None:
+        """Exchange test: i's status if its exchange terms settle it, else
+        None (the caller then solves the response).
 
         It takes the gain g of i's :func:`~netalloc.bestresponse.best_move`
-        from its realized allocation a_k = min(f_ik, f_ki), with an add
-        allowed when i has a spare quantum (slack >= 1).  The per-edge terms
-        are kept up to date by :meth:`apply_move`, so this is O(deg).  Every
-        such move is a feasible grid response, so the exact grid best
-        response gains at least g.  The answer is True when g > tol +
-        margin, with
+        from its realized allocation a_k = min(f_ik, f_ki), an add allowed
+        when i has a spare quantum (slack >= 1), in O(deg) from the terms
+        :meth:`apply_move` keeps.  B is i's budget in quanta and Z = U(a) +
+        B * max(0, best add gain) bounds i's best utility (by concavity, no
+        quantum added gains more than the best add).
 
-            margin = 1e-9 * Z + B * (1e-12 + 1e-15 * Z),
+        True when g > tol + 1e-9 * Z + B * (1e-12 + 1e-15 * Z).  That move
+        is a feasible grid response, so the best response gains at least g.
+        The margin covers, for degrees and budgets below a million, the
+        float sums of ``BRResult.realized_utility`` and of i's utility
+        (each within (deg + 2) ulps of Z), the rounding in g, and the
+        solver's polish, which stops once no move gains more than 1e-13 and
+        so is within B * (1e-13 + a few ulps of Z) of the grid optimum.
 
-        B = budget_units(i) and Z = U(a) + B * max(0, best add gain), an
-        upper bound on i's best utility (by concavity, no allocation gains
-        more than the best single-quantum add gain per quantum added).  The margin
-        covers, with room to spare for degrees and budgets below a million:
-
-        * the float sums of ``BRResult.realized_utility`` and of i's
-          utility terms (each within about (deg + 2) ulps of Z);
-        * the rounding in g (a few ulps of Z);
-        * the solver's exchange polish, which stops once no single move
-          gains more than 1e-13: by exchange optimality (separable concave
-          objective) its allocation is then within B * (1e-13 + a few ulps
-          of Z) of the grid optimum.
-
-        When the answer is False the caller solves the response.
+        False when B * max(g, 0) + (16 B + 4 (deg + 2)) * 2**-52 * Z < tol.
+        The objective is separable and concave with one budget, so no grid
+        allocation beats a by more than B * max(g*, 0), g* the exact gain:
+        pair each quantum it adds to a neighbor with one it takes from
+        another, or with a spare one when g is an add; each pair gains at
+        most g*, and there are at most B pairs.  The solver's response is
+        such an allocation (an early stop only lowers its gain).  Each term
+        w u(a eta) is at most about Z and within about 3 ulps of its exact
+        value (sqrt and the products round once, log1p and pow within an
+        ulp), so g is within 14 ulps of Z of g* (four terms, three
+        subtractions), and the solver's utility and i's are each within
+        (deg + 2) ulps of Z.  The margin covers that, and the rounding of
+        the left side, so the solver's gain would be at most tol.  The
+        comparison is strict, so with tol = 0 the answer is never False.
         """
         up = self._up[i]
         gain, _, _ = best_move(up, self._down[i], self.slack[i] >= 1)
-        budget = self.spec.budget_units(i)
+        budget = self.rows[i].budget
         z = self.utility(i) + budget * max(max(up), 0.0)
+        tol = self.tol
         margin = EXCHANGE_REL_MARGIN * z + budget * (
             EXCHANGE_QUANTUM_MARGIN + EXCHANGE_REL_QUANTUM_MARGIN * z
         )
-        return gain > self.tol + margin
+        if gain > tol + margin:
+            return True
+        ulps = 16 * budget + 4 * (len(up) + 2)
+        if budget * max(gain, 0.0) + ulps * EXCHANGE_ULP * z < tol:
+            return False
+        return None
 
     def apply_move(self, mover: int, br: BRResult) -> None:
         counts = self.counts
+        back = self._back[mover]
         changed = []
-        for j, new in br.proposals.items():
+        for k, (j, new) in enumerate(br.proposals.items()):  # in row order
             old = counts[(mover, j)]
             if new == old:
                 continue
@@ -493,8 +513,8 @@ class _SeqState:
                 self._shift_wins(j, 1 if cji < new else -1)
                 retally = True
             if retally:
-                self._set_terms(mover, j)
-                self._set_terms(j, mover)
+                self._set_terms(mover, k)
+                self._set_terms(j, back[k])
             changed.append(j)
         movers = self.movers
         member = movers.member
@@ -581,7 +601,7 @@ def run_sequential(
         else:
             mover = movers.first_from(pos)
             pos = mover + 1
-        br = best_response(spec, state.view, mover)
+        br = best_response(spec, state.view, mover, state.rows[mover])
         gain = br.realized_utility - state.utility(mover)
         if not gain > config.tol:
             raise InvariantViolation(

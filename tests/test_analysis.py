@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -339,6 +340,10 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):
         OptimizerConfig(gap_tol=0.0)
+    # an infinite gap tolerance would certify any matched profile
+    for gap_tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="gap_tol must be positive and finite"):
+            OptimizerConfig(gap_tol=gap_tol)
 
 
 def test_global_optimum_reaches_mixed_family_optimum():

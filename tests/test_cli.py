@@ -64,6 +64,9 @@ def _run_on(command, inst, tmp_path, *options):
         (["experiment", "--max-rounds", "0"], "max_rounds must be >= 1"),
         (["experiment", "--tol", "nan"], "tol must be >= 0"),
         (["experiment", "--n-jobs", "0"], "n_jobs must be >= 1"),
+        (["simulate", "--tol", "inf"], "tol must be >= 0 and finite, got inf"),
+        (["optimum", "--gap-tol", "inf"], "gap_tol must be positive and finite"),
+        (["experiment", "--tol", "inf"], "tol must be >= 0 and finite, got inf"),
     ],
 )
 def test_bad_parameter_exit_code(tmp_path, capsys, args, message):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_spec, profile_of, single_edge_spec
+from netalloc import dynamics
 from netalloc.bestresponse import best_response, is_best_response
 from netalloc.dynamics import (
     Converged,
@@ -41,6 +43,14 @@ from netalloc.instances import (
     gen_torus_grid,
 )
 from netalloc.utility import UtilitySpec
+
+
+def test_config_rejects_a_tolerance_that_is_not_finite():
+    # an infinite tolerance would call every start an equilibrium
+    for tol in (math.inf, math.nan, -1e-9):
+        with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
+            DynamicsConfig(tol=tol)
+    assert DynamicsConfig(tol=0.0).tol == 0.0
 
 
 # -- init_profile -----------------------------------------------------------------
@@ -286,6 +296,7 @@ def test_lazy_statuses_match_is_best_response_after_every_move(behavior):
     rng = random.Random(1000)
     state = _SeqState(spec, init_profile(spec, RandomFeasible(1000)), 1e-9)
     lazy = 0
+    settled = 0
     while True:
         movable = {
             i for i in range(spec.n)
@@ -294,12 +305,19 @@ def test_lazy_statuses_match_is_best_response_after_every_move(behavior):
         members = _members(state)
         assert set(members) == movable
         # movers whose status the exchange test settled without a solve
-        lazy += sum(state.certainly_improves(i) for i in members)
+        lazy += sum(state.settled_status(i) is True for i in members)
+        # and players with a winning edge that it settled as best-responding
+        settled += sum(
+            state.settled_status(i) is False
+            for i in range(spec.n)
+            if i not in movable and state.win_count[i]
+        )
         if not members:
             break
         mover = rng.choice(members)
         state.apply_move(mover, best_response(spec, state.view, mover))
     assert lazy > 0
+    assert settled > 0
 
 
 def _reference_movers(spec, init, order, max_rounds):
@@ -416,17 +434,27 @@ C8_PINS = {
 
 
 @pytest.mark.parametrize("behavior", sorted(C8_PINS))
-def test_criterion_8_runs_keep_rounds_and_final_profiles(behavior):
+def test_criterion_8_runs_keep_rounds_and_final_profiles(behavior, monkeypatch):
     spec = gen_torus_grid(
         10, 10, beta=1000.0, eta=1.0, weight_seed=7, utility=UtilitySpec.sqrt()
     ).to_game_spec(behavior_override=behavior)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return best_response(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "best_response", counted)
     for seed, rounds, digest in C8_PINS[behavior]:
+        del solves[:]
         init = init_profile(spec, RandomFeasible(seed))
         cfg = DynamicsConfig(order=RandomSeeded(seed))
         final, _, status = run_sequential(spec, init, cfg, trace_detail="light")
         assert status == Converged(t=rounds), seed
         key = repr(final.key(spec)).encode()
         assert hashlib.sha256(key).hexdigest() == digest, seed
+        # the exchange test settles every status: only movers are solved
+        assert len(solves) == rounds, seed
 
 
 def test_stable_set_loss_on_slack_stable_suffix_raises(monkeypatch):
@@ -504,9 +532,7 @@ def test_lazy_mover_that_cannot_improve_raises(monkeypatch):
     assert is_best_response(spec, init, 0) == (True, 0.0)
     _, _, status = run_sequential(spec, init, DynamicsConfig())
     assert status == Converged(t=0)
-    monkeypatch.setattr(
-        _SeqState, "certainly_improves", lambda self, i: True
-    )
+    monkeypatch.setattr(_SeqState, "settled_status", lambda self, i: True)
     with pytest.raises(InvariantViolation, match="exchange test picked mover 0"):
         run_sequential(spec, init, DynamicsConfig())
 
@@ -839,7 +865,46 @@ def exchange_games(draw):
 def test_exchange_test_only_flags_players_that_improve(game):
     spec, profile, tol = game
     state = _SeqState(spec, profile, tol)
-    if state.win_count[0] and state.certainly_improves(0):
+    if state.win_count[0] and state.settled_status(0) is True:
         ok, improvement = is_best_response(spec, profile, 0, tol)
         assert not ok
         assert improvement > tol
+
+
+def _least_settling_tol(state):
+    """The least tolerance, to a relative 2**-50, at which the exchange test
+    settles player 0 as best-responding (1e-12 if that one does)."""
+    lo, hi = 0.0, 1e-12
+
+    def settles(tol):
+        state.tol = tol
+        return state.settled_status(0) is False
+
+    while not settles(hi):
+        lo, hi = hi, hi * 10.0
+    while lo and hi - lo > hi * 2.0**-50:
+        mid = (lo + hi) / 2.0
+        if settles(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(exchange_games())
+def test_exchange_test_only_settles_players_that_cannot_improve(game):
+    spec, profile, tol = game
+    state = _SeqState(spec, profile, tol)
+    if not state.win_count[0]:
+        return
+    if state.settled_status(0) is False:
+        assert tol > 0  # with tol = 0 the test never settles a status False
+        ok, improvement = is_best_response(spec, profile, 0, tol)
+        assert ok
+        assert improvement <= tol
+    # right at its threshold, where the best move's gain counts in full
+    least = _least_settling_tol(state)
+    ok, improvement = is_best_response(spec, profile, 0, least)
+    assert ok
+    assert improvement <= least
