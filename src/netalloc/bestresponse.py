@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .game import (
     Behavior,
@@ -79,24 +79,6 @@ class BRResult:
 
     proposals: dict[PlayerId, float]
     realized_utility: float
-
-
-class PlayerRow(NamedTuple):
-    """A player's own inputs to its best response, in neighbor order: the
-    neighbors, its weights and utilities on those edges, and its budget in
-    eta quanta."""
-
-    neighbors: tuple[int, ...]
-    weights: list[float]
-    utils: list[UtilitySpec]
-    budget: int
-
-
-def player_row(spec: GameSpec, i: PlayerId) -> PlayerRow:
-    nbrs = spec.neighbors[i]
-    weights = [spec.weights[(i, j)] for j in nbrs]
-    utils = [spec.utilities[(i, j)] for j in nbrs]
-    return PlayerRow(nbrs, weights, utils, spec.budget_units(i))
 
 
 def _fits(targets: Sequence[float], budget_units: float) -> bool:
@@ -304,7 +286,8 @@ def _polish_exchanges(
     caps_units: Sequence[float],
     budget_units: int,
     eta: float,
-    marginals: Sequence[tuple[float, UtilitySpec]],
+    weights: Sequence[float],
+    utils: Sequence[UtilitySpec],
 ) -> None:
     """Apply :func:`best_move` (the largest gain, ties as there) to ``alloc``
     in place while it gains more than ``POLISH_MIN_GAIN``, which leaves a
@@ -316,7 +299,7 @@ def _polish_exchanges(
     down = [0.0] * deg
 
     def settle(k: int) -> None:
-        w, u = marginals[k]
+        w, u = weights[k], utils[k]
         _, up[k], down[k] = edge_terms(w, u.value, alloc[k], caps_units[k], eta)
 
     for k in range(deg):
@@ -339,14 +322,15 @@ def _polish_exchanges(
 
 def best_response(
     spec: GameSpec,
-    profile: FrequencyProfile,
+    profile: FrequencyProfile | None,
     i: PlayerId,
-    row: PlayerRow | None = None,
+    caps: Sequence[float] | None = None,
 ) -> BRResult:
     """Best response of player i against everyone else's standing proposals.
 
-    ``row`` is i's :func:`player_row`, built here unless the caller keeps
-    one (the sequential engine builds each player's once per run).
+    ``caps`` are the proposals made to i, in its neighbor order, read from
+    ``profile`` unless the caller passes them (the sequential engine keeps
+    its profile by edge id, and passes no ``profile``).
 
     Grid rule: the response is on the eta grid (``int`` proposals) exactly
     when every cap ``profile.counts[(j, i)]`` is an ``int``; otherwise it is
@@ -356,10 +340,9 @@ def best_response(
     grid they are floored and polished by single-quantum moves.  Cap
     matching and optimistic disposal (module docstring) place what is left.
     """
-    if row is None:
-        row = player_row(spec, i)
-    nbrs, weights, utils, budget = row
-    caps = [profile.counts[(j, i)] for j in nbrs]
+    nbrs, weights, utils, budget = spec.index.rows[i]
+    if caps is None:
+        caps = [profile.counts[(j, i)] for j in nbrs]
     grid = all(isinstance(c, int) for c in caps)
     if not nbrs:
         return BRResult(proposals={}, realized_utility=0.0)
@@ -374,7 +357,7 @@ def best_response(
     _, targets = _water_fill(weights, utils, caps, budget, eta)
     if grid:
         alloc = [int(math.floor(t)) for t in targets]
-        _polish_exchanges(alloc, caps, budget, eta, list(zip(weights, utils)))
+        _polish_exchanges(alloc, caps, budget, eta, weights, utils)
     else:
         alloc = list(targets)
     leftover = budget - sum(alloc)
@@ -448,7 +431,7 @@ def brute_force_best_response(
     lexicographic order and keeps the first maximizer, so ties resolve to the
     lexicographically smallest allocation.
     """
-    nbrs, weights, utils, budget = player_row(spec, i)
+    nbrs, weights, utils, budget = spec.index.rows[i]
     deg = len(nbrs)
     if deg == 0:
         return {}, 0.0
@@ -467,15 +450,10 @@ def brute_force_best_response(
 
     def recurse(k: int, remaining: int, partial: float) -> None:
         nonlocal best_alloc, best_util
-        if k == deg - 1:
-            for a in range(remaining + 1):
-                agreed = a if a < caps[k] else caps[k]
-                total = partial + weights[k] * utils[k].value(agreed * eta)
-                if total > best_util:
-                    best_util = total
-                    alloc[k] = a
-                    best_alloc = alloc.copy()
-            alloc[k] = 0
+        if k == deg:
+            if partial > best_util:
+                best_util = partial
+                best_alloc = alloc.copy()
             return
         for a in range(remaining + 1):
             alloc[k] = a

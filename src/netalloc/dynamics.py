@@ -10,18 +10,12 @@ exact profile revisits (integer state makes equality exact) and reports the
 cycle's start and period.
 
 A player's status in a sequential run is a boolean: can it still improve by
-more than ``tol``?  Most status checks are about neighbors of the mover,
-whose incoming proposals changed.  Each is put to a one-pass exchange test on
-the player's best single-quantum move (see ``_SeqState.settled_status``): a
-gain above ``tol`` plus a margin (about 1e-9 relative to an upper bound on
-the player's utility, plus 1e-12 per budget quantum) proves it can improve,
-and a gain that, times its budget in quanta and plus a few ulps of that bound
-per quantum, stays below ``tol`` proves it cannot.  Only a status neither
-bound settles is solved, and the response is discarded.  Every mover is
-solved when it is picked, and must then improve on its utility by more than
-``tol``.  The margins cover float rounding and the solver's polish
-threshold, so statuses, random picks and results are bit-identical to
-solving every status in full.
+more than ``tol``?  A one-pass exchange test on the player's best
+single-quantum move (``_SeqState.settled_status``) settles it both ways,
+with margins that keep statuses, random picks and results bit-identical to
+solving every status in full; only a status it cannot settle is solved.
+Every mover is solved when it is picked, and must then improve on its
+utility by more than ``tol``.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ from .bestresponse import (
     best_response,
     edge_terms,
     is_best_response,
-    player_row,
 )
 from .game import (
     MAX_BUDGET_UNITS,
@@ -46,6 +39,8 @@ from .game import (
     GameSpec,
     PlayerId,
     check_feasible,
+    flat_outcome_summary,
+    left_sum,
     outcome_summary,
 )
 
@@ -268,8 +263,7 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
     rng = random.Random(policy.seed)
     counts: dict[tuple[int, int], int] = {}
     eta = spec.eta
-    for i in range(spec.n):
-        nbrs, weights, utils, budget = player_row(spec, i)
+    for i, (nbrs, weights, utils, budget) in enumerate(spec.index.rows):
         if not nbrs:
             continue
         if budget <= 0:
@@ -277,7 +271,7 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
                 counts[(i, j)] = 0
             continue
         draws = [rng.random() for _ in nbrs]
-        total = sum(draws)
+        total = left_sum(draws)
         alloc = [int(math.floor(budget * d / total)) for d in draws]
         for _ in range(budget - sum(alloc)):
             best_k, best_score = -1, 0.0
@@ -364,49 +358,50 @@ class _IdTree:
 class _SeqState:
     """Incrementally maintained quantities for the sequential loop.
 
-    Starts from :func:`outcome_summary`.  Only the mover's row changes per
-    round, so per-player slack, win-set sizes and statuses are then patched
-    for the mover and the neighbors whose incoming proposal actually
-    changed, and the total slack is kept as a running integer.  The stable
-    set (empty win set) is kept only as zero win counts;
-    :meth:`take_stable_delta` reports who joined or left.
+    ``f`` is the profile as one flat list of int proposals by edge id (see
+    :attr:`~netalloc.game.GameSpec.index`): for x = ``off[i] + k``, ``f[x]``
+    is i's proposal to its k-th neighbor j and ``f[rev[x]]`` is j's to i.
+    Starts from :func:`~netalloc.game.flat_outcome_summary`.  Only the
+    mover's row changes per round, so per-player slack, win-set sizes and
+    statuses are then patched for the mover and the neighbors whose
+    incoming proposal actually changed, and the total slack is kept as a
+    running integer.  The stable set (empty win set) is kept only as zero
+    win counts; :meth:`take_stable_delta` reports who joined or left.
 
-    Each player's :func:`~netalloc.bestresponse.player_row` is built once
-    per run, and per-edge terms are kept at its positions.  A status is a
-    boolean (:meth:`_can_improve`), and ``movers``, an :class:`_IdTree`, is
-    the set of players whose status is True.  No response is kept: the run
-    solves each mover when it picks it, and a status only when
-    :meth:`settled_status` cannot settle it.
+    Per-edge terms are kept at the positions of the spec's player rows.  A
+    status is a boolean (:meth:`_can_improve`), and ``movers``, an
+    :class:`_IdTree`, is the set of players whose status is True.  No
+    response is kept: the run solves each mover when it picks it, and a
+    status only when :meth:`settled_status` cannot settle it.
     """
 
-    def __init__(self, spec: GameSpec, init: FrequencyProfile, tol: float):
+    def __init__(self, spec: GameSpec, f: list[int], tol: float):
         self.spec = spec
         self.tol = tol
-        self.counts = dict(init.counts)
-        self.view = FrequencyProfile._wrap(self.counts)
-        summary = outcome_summary(spec, init)
+        self.f = f
+        self.rows, self.off, self.rev = spec.index
+        summary = flat_outcome_summary(spec, f)
         self.slack = [summary.slack[i] for i in range(spec.n)]
         self.total_slack = summary.total_slack
         self.win_count = [len(summary.win[i]) for i in range(spec.n)]
         # players whose win count crossed zero since take_stable_delta, and
         # whether each was stable then
         self._flipped: dict[int, bool] = {}
-        self.rows = rows = [player_row(spec, i) for i in range(spec.n)]
-        # back[i][k]: i's position in the row of its k-th neighbor
-        at = [{j: k for k, j in enumerate(row.neighbors)} for row in rows]
-        self._back = [
-            [at[j][i] for j in row.neighbors] for i, row in enumerate(rows)
-        ]
         # per-edge terms of player i at position k: its utility (summed by
         # utility), and the gain and the loss of one quantum (see edge_terms)
         self._util, self._up, self._down = (
-            [[0.0] * len(row.neighbors) for row in rows] for _ in range(3)
+            [[0.0] * len(row.neighbors) for row in self.rows] for _ in range(3)
         )
-        for i, row in enumerate(rows):
+        for i, row in enumerate(self.rows):
             for k in range(len(row.neighbors)):
                 self._set_terms(i, k)
         # the players that can still improve
         self.movers = _IdTree(spec.n, filter(self._can_improve, range(spec.n)))
+
+    def caps(self, i: int) -> list[int]:
+        """The proposals made to i, in its neighbor order."""
+        f = self.f
+        return [f[r] for r in self.rev[self.off[i] : self.off[i + 1]]]
 
     def _can_improve(self, i: int) -> bool:
         """i's status: can its best response gain more than ``tol``?  Solved
@@ -416,23 +411,22 @@ class _SeqState:
         status = self.settled_status(i)
         if status is not None:
             return status
-        br = best_response(self.spec, self.view, i, self.rows[i])
+        br = best_response(self.spec, None, i, self.caps(i))
         return br.realized_utility - self.utility(i) > self.tol
 
     def utility(self, i: int) -> float:
         """i's current utility: the terms ``game.player_utility`` adds,
         summed in the same (neighbor) order."""
-        return sum(self._util[i])
+        return left_sum(self._util[i])
 
     def _set_terms(self, i: int, k: int) -> None:
         """Recompute i's :func:`~netalloc.bestresponse.edge_terms` on the
         edge to its k-th neighbor j: the agreed amount is a = min(f_ij,
         f_ji), with room up to f_ji."""
-        nbrs, weights, utils, _ = self.rows[i]
-        j = nbrs[k]
-        f = self.counts[(i, j)]
-        cap = self.counts[(j, i)]
-        a = f if f < cap else cap
+        _, weights, utils, _ = self.rows[i]
+        x = self.off[i] + k
+        own, cap = self.f[x], self.f[self.rev[x]]
+        a = own if own < cap else cap
         self._util[i][k], self._up[i][k], self._down[i][k] = edge_terms(
             weights[k], utils[k].value, a, cap, self.spec.eta
         )
@@ -487,15 +481,18 @@ class _SeqState:
         return None
 
     def apply_move(self, mover: int, br: BRResult) -> None:
-        counts = self.counts
-        back = self._back[mover]
+        f, rev, off = self.f, self.rev, self.off
+        base = off[mover]
+        nbrs = self.rows[mover].neighbors
         changed = []
-        for k, (j, new) in enumerate(br.proposals.items()):  # in row order
-            old = counts[(mover, j)]
+        # in row order, so x is the id of the edge to neighbor x - base
+        for x, new in enumerate(br.proposals.values(), base):
+            old = f[x]
             if new == old:
                 continue
-            counts[(mover, j)] = new
-            cji = counts[(j, mover)]
+            f[x] = new
+            j = nbrs[x - base]
+            cji = f[rev[x]]
             old_a = old if old < cji else cji
             new_a = new if new < cji else cji
             # the edge's exchange terms change with its agreed amount or
@@ -513,8 +510,8 @@ class _SeqState:
                 self._shift_wins(j, 1 if cji < new else -1)
                 retally = True
             if retally:
-                self._set_terms(mover, k)
-                self._set_terms(j, back[k])
+                self._set_terms(mover, x - base)
+                self._set_terms(j, rev[x] - off[j])
             changed.append(j)
         movers = self.movers
         member = movers.member
@@ -572,14 +569,14 @@ def run_sequential(
     """
     if trace_detail not in ("full", "light"):
         raise ValueError(f"unknown trace detail {trace_detail!r}")
-    check_feasible(spec, init)
-    if not init.is_integral():
+    flat, integral = check_feasible(spec, init)
+    if not integral:
         raise ValueError("sequential dynamics need a profile of integer counts")
 
     order = config.order
     rng = random.Random(order.seed) if isinstance(order, RandomSeeded) else None
     full = trace_detail == "full"
-    state = _SeqState(spec, init, config.tol)
+    state = _SeqState(spec, flat, config.tol)
     movers = state.movers
     trace = Trace(spec, init if full else None)
     records = trace.records
@@ -601,7 +598,7 @@ def run_sequential(
         else:
             mover = movers.first_from(pos)
             pos = mover + 1
-        br = best_response(spec, state.view, mover, state.rows[mover])
+        br = best_response(spec, None, mover, state.caps(mover))
         gain = br.realized_utility - state.utility(mover)
         if not gain > config.tol:
             raise InvariantViolation(
@@ -635,7 +632,10 @@ def run_sequential(
                 f"stable set shrank on the slack-stable suffix at round "
                 f"{first_loss[0]}: lost players {list(first_loss[1])}"
             )
-    return FrequencyProfile(state.counts), trace, status
+    counts = dict(zip(spec.directed_edges, state.f))
+    if tuple(init.counts) != spec.directed_edges:  # keep the start's order
+        counts = {e: counts[e] for e in init.counts}
+    return FrequencyProfile(counts), trace, status
 
 
 # -- simultaneous dynamics -----------------------------------------------------

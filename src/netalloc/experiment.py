@@ -30,7 +30,13 @@ from .dynamics import (
     init_profile,
     run_sequential,
 )
-from .game import FrequencyProfile, GameSpec, social_welfare
+from .game import (
+    FrequencyProfile,
+    GameSpec,
+    left_sum,
+    player_utility,
+    social_welfare,
+)
 from .instances import InstanceDocument
 
 
@@ -243,21 +249,17 @@ def write_trace_jsonl(
     profile itself is written before round ``FULL_PROFILE_ROUNDS``, its hash
     from then on and throughout with ``profiles`` "hash".
 
-    Both values are kept as per-directed-edge terms and re-evaluated only on
-    the edges whose proposals a round set, then summed in the order of
-    :func:`~netalloc.game.social_welfare` and
-    :func:`~netalloc.analysis.potential_value`, which they equal bit for
-    bit."""
+    Each player's utility and, given a ranking, each directed edge's term
+    rank(i) rank(j) u_ij(agreed) are kept, re-evaluated only for the players
+    a round touched, and summed as :func:`~netalloc.game.social_welfare`
+    and :func:`~netalloc.analysis.potential_value` do, bit for bit."""
     if profiles not in ("full", "hash"):
         raise ValueError(f"unknown profile mode {profiles!r}")
     spec = trace.spec
     if ranking is not None and (bad := ranking_violations(spec, ranking)):
         raise ValueError(bad[0])
-    # per directed edge, in spec order: w_ij u_ij(agreed) and, given a
-    # ranking, rank(i) rank(j) u_ij(agreed)
-    utility = dict.fromkeys(spec.directed_edges, 0.0)
-    phi = dict(utility)
-    players = [0.0] * spec.n  # player_utility of each player
+    players = [0.0] * spec.n
+    phi = dict.fromkeys(spec.directed_edges, 0.0)  # in spec order
     with open(path, "w", encoding="utf-8") as fh:
         for rec, stable, profile in zip(
             trace.records, trace.stable_sets(), trace.profiles()
@@ -265,31 +267,23 @@ def write_trace_jsonl(
             counts = profile.counts
             # record 0 and simultaneous rounds set the whole profile
             if rec.t == 0 or rec.mover == "all":
-                edges, touched = spec.directed_edges, range(spec.n)
+                touched = range(spec.n)
             else:
-                edges = [e for (i, j) in rec.changes for e in ((i, j), (j, i))]
                 touched = {rec.mover, *(j for _, j in rec.changes)}
-            for (i, j) in edges:
-                agreed = min(counts[(i, j)], counts[(j, i)])
-                value = spec.utilities[(i, j)].value(agreed * spec.eta)
-                utility[(i, j)] = spec.weights[(i, j)] * value
-                if ranking is not None:
-                    phi[(i, j)] = ranking.rank(i) * ranking.rank(j) * value
             for i in touched:
-                total = 0.0
+                players[i] = player_utility(spec, profile, i)
+                if ranking is None:
+                    continue
                 for j in spec.neighbors[i]:
-                    total += utility[(i, j)]
-                players[i] = total
-            potential = None
-            if ranking is not None:
-                potential = 0.0
-                for term in phi.values():
-                    potential += term
+                    agreed = min(counts[(i, j)], counts[(j, i)])
+                    value = spec.utilities[(i, j)].value(agreed * spec.eta)
+                    phi[(i, j)] = ranking.rank(i) * ranking.rank(j) * value
+            potential = None if ranking is None else left_sum(phi.values())
             row: dict = {
                 "t": rec.t,
                 "mover": rec.mover,
                 "total_slack": rec.total_slack,
-                "welfare": sum(players),
+                "welfare": left_sum(players),
                 "potential": potential,
                 "stable_players": sorted(stable),
             }

@@ -22,10 +22,13 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .utility import UtilitySpec
+if TYPE_CHECKING:  # utility imports left_sum from here
+    from .utility import UtilitySpec
 
 PlayerId = int
 DirectedEdge = tuple[int, int]
@@ -54,6 +57,37 @@ class InfeasibleProfileError(ValueError):
 
 def _normalize_edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i <= j else (j, i)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0, one rounding per addition:
+    the bits of CPython 3.11's built-in ``sum`` on every version (3.12's
+    compensates).  Float sums that reach an output or a decision use it."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class PlayerRow(NamedTuple):
+    """A player's own inputs to its best response, in neighbor order: the
+    neighbors, its weights and utilities on those edges, and its budget in
+    eta quanta."""
+
+    neighbors: tuple[int, ...]
+    weights: tuple[float, ...]
+    utils: tuple[UtilitySpec, ...]
+    budget: int
+
+
+class SpecIndex(NamedTuple):
+    """A spec's players by directed-edge id, the position in
+    ``directed_edges``.  Player i's row position k is id ``off[i] + k``
+    (``off`` has n + 1 entries), and ``rev[e]`` is the id of e reversed."""
+
+    rows: tuple[PlayerRow, ...]
+    off: list[int]
+    rev: list[int]
 
 
 @dataclass(frozen=True)
@@ -127,6 +161,23 @@ class GameSpec:
 
     def degree(self, i: PlayerId) -> int:
         return len(self.neighbors[i])
+
+    @cached_property
+    def index(self) -> SpecIndex:
+        """Every player's row and the edge ids, built on first use (it needs
+        every weight, utility and budget, and construction never
+        validates); ``directed_edges`` lists the rows player by player."""
+        nbrs = self.neighbors
+        rows = []
+        off = [0]
+        for i in range(self.n):
+            js = nbrs[i]
+            weights = tuple(self.weights[(i, j)] for j in js)
+            utils = tuple(self.utilities[(i, j)] for j in js)
+            rows.append(PlayerRow(js, weights, utils, self.budget_units(i)))
+            off.append(off[-1] + len(js))
+        rev = [off[j] + bisect_left(nbrs[j], i) for (i, j) in self.directed_edges]
+        return SpecIndex(tuple(rows), off, rev)
 
 
 @dataclass(frozen=True)
@@ -217,13 +268,6 @@ class FrequencyProfile:
     def zeros(spec: GameSpec) -> "FrequencyProfile":
         return FrequencyProfile({e: 0 for e in spec.directed_edges})
 
-    @staticmethod
-    def _wrap(counts: dict) -> "FrequencyProfile":
-        # internal: view over an existing dict, no copy (dynamics hot loop)
-        p = FrequencyProfile.__new__(FrequencyProfile)
-        p.counts = counts
-        return p
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FrequencyProfile) and self.counts == other.counts
@@ -249,13 +293,16 @@ class FrequencyProfile:
         return FrequencyProfile(counts)
 
 
-def check_feasible(spec: GameSpec, profile: FrequencyProfile) -> None:
+def check_feasible(spec: GameSpec, profile: FrequencyProfile) -> tuple[list, bool]:
     """Raise InfeasibleProfileError naming the first offending player.  A
     row of ints is held to the budget exactly, a row with a float within
-    ``FEASIBILITY_TOL`` of it, relative."""
+    ``FEASIBILITY_TOL`` of it, relative.  Returns the proposals by edge id
+    (see :attr:`GameSpec.index`) and whether they are all ints."""
     for e in profile.counts:
         if e not in spec.directed_edge_set:
             raise InfeasibleProfileError(e[0], f"proposal on non-edge {e}")
+    flat = []
+    integral = True
     for i in range(spec.n):
         total = 0  # stays an exact int on integer rows
         for j in spec.neighbors[i]:
@@ -269,15 +316,17 @@ def check_feasible(spec: GameSpec, profile: FrequencyProfile) -> None:
                     i, f"negative proposal from {i} to {j}: {c}"
                 )
             total += c
+            flat.append(c)
         limit = spec.budget_units(i)
-        allowance = (
-            0 if isinstance(total, int) else FEASIBILITY_TOL * max(1.0, limit)
-        )
+        exact = isinstance(total, int)
+        integral &= exact
+        allowance = 0 if exact else FEASIBILITY_TOL * max(1.0, limit)
         if total > limit + allowance:
             raise InfeasibleProfileError(
                 i,
                 f"player {i} proposes {total} units, budget is {limit} units",
             )
+    return flat, integral
 
 
 @dataclass(frozen=True)
@@ -312,21 +361,34 @@ def win_set(
 
 
 def outcome_summary(spec: GameSpec, profile: FrequencyProfile) -> OutcomeSummary:
-    check_feasible(spec, profile)
+    return flat_outcome_summary(spec, check_feasible(spec, profile)[0])
+
+
+def flat_outcome_summary(spec: GameSpec, flat: Sequence) -> OutcomeSummary:
+    """:func:`outcome_summary` of a feasible profile's proposals by edge id,
+    as :func:`check_feasible` returns them; int amounts stay exact ints."""
+    rows, off, rev = spec.index
     agreed: dict[tuple[int, int], float] = {}
-    for (i, j) in sorted(spec.edges):
-        agreed[(i, j)] = min(profile.counts[(i, j)], profile.counts[(j, i)])
     slack: dict[PlayerId, float] = {}
     win: dict[PlayerId, frozenset[int]] = {}
-    for i in range(spec.n):
-        nbrs = spec.neighbors[i]
-        realized = sum(agreed[_normalize_edge(i, j)] for j in nbrs)
-        slack[i] = spec.budget_units(i) - realized
-        win[i] = frozenset(win_set(spec, profile, i))
+    total_slack = 0
+    for i, row in enumerate(rows):
+        realized = 0
+        wins = []
+        for x, j in enumerate(row.neighbors, off[i]):
+            r = rev[x]
+            if x < r:  # i < j, so (i, j) is the edge's key
+                agreed[(i, j)] = min(flat[x], flat[r])
+            realized += agreed[(i, j) if x < r else (j, i)]
+            if flat[x] < flat[r]:
+                wins.append(j)
+        slack[i] = row.budget - realized
+        total_slack += slack[i]
+        win[i] = frozenset(wins)
     return OutcomeSummary(
         agreed=agreed,
         slack=slack,
-        total_slack=sum(slack.values()),
+        total_slack=total_slack,
         win=win,
         stable=frozenset(i for i in range(spec.n) if not win[i]),
     )
@@ -339,15 +401,13 @@ def player_utility(
 
     Leftover budget yields nothing; an isolated player scores 0.
     """
-    eta = spec.eta
+    counts = profile.counts
+    nbrs, weights, utils, _ = spec.index.rows[i]
     total = 0.0
-    for j in spec.neighbors[i]:
-        agreed = min(profile.counts[(i, j)], profile.counts[(j, i)])
-        total += spec.weights[(i, j)] * spec.utilities[(i, j)].value(
-            agreed * eta
-        )
+    for j, w, u in zip(nbrs, weights, utils):
+        total += w * u.value(min(counts[(i, j)], counts[(j, i)]) * spec.eta)
     return total
 
 
 def social_welfare(spec: GameSpec, profile: FrequencyProfile) -> float:
-    return sum(player_utility(spec, profile, i) for i in range(spec.n))
+    return left_sum(player_utility(spec, profile, i) for i in range(spec.n))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from .analysis import (
     _require_finite,
     global_ranking_weights,
 )
-from .game import Behavior, FrequencyProfile, GameSpec
+from .game import Behavior, FrequencyProfile, GameSpec, left_sum
 from .utility import FAMILIES, UtilitySpec
 
 
@@ -350,20 +350,13 @@ def gen_torus_grid(
     for i in range(n):
         nbrs = _torus_neighbors(width, height, i)
         draws = [rng.random() for _ in nbrs]
-        total = sum(draws)
+        total = left_sum(draws)
         for j, d in zip(nbrs, draws):
             weights[(i, j)] = d / total
             edge_set.add((min(i, j), max(i, j)))
 
     edges = tuple(
-        EdgeSpec(
-            i=i,
-            j=j,
-            w_ij=weights[(i, j)],
-            w_ji=weights[(j, i)],
-            utility_ij=utility,
-            utility_ji=utility,
-        )
+        EdgeSpec(i, j, weights[(i, j)], weights[(j, i)], utility, utility)
         for (i, j) in sorted(edge_set)
     )
     return InstanceDocument(
@@ -414,27 +407,17 @@ def gen_k5_cycle_instance(eps: float) -> InstanceDocument:
         offset = (j - i) % n
         return high if offset in (1, 2) else low
 
-    edge_specs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edge_specs.append(
-                EdgeSpec(
-                    i=i,
-                    j=j,
-                    w_ij=float(weight(i, j)),
-                    w_ji=float(weight(j, i)),
-                    utility_ij=util,
-                    utility_ji=util,
-                )
-            )
-
-    init = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            units = high_units if (j - i) % n in (1, 2) else low_units
-            init.append((i, j, int(units)))
+    edge_specs = [
+        EdgeSpec(i, j, float(weight(i, j)), float(weight(j, i)), util, util)
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    init = [
+        (i, j, int(high_units if weight(i, j) == high else low_units))
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    ]
 
     return InstanceDocument(
         n=n,
@@ -495,14 +478,7 @@ def gen_poa_grid_instance(
             edge_set.add((min(node, j), max(node, j)))
 
     edges = tuple(
-        EdgeSpec(
-            i=i,
-            j=j,
-            w_ij=weights[(i, j)],
-            w_ji=weights[(j, i)],
-            utility_ij=util,
-            utility_ji=util,
-        )
+        EdgeSpec(i, j, weights[(i, j)], weights[(j, i)], util, util)
         for (i, j) in sorted(edge_set)
     )
 
@@ -588,7 +564,7 @@ def gen_random_instance(
         if not adj[i]:
             continue
         draws = [rng.uniform(0.05, 1.0) for _ in adj[i]]
-        total = sum(draws)
+        total = left_sum(draws)
         for j, d in zip(sorted(adj[i]), draws):
             weights[(i, j)] = d / total
 
@@ -596,16 +572,7 @@ def gen_random_instance(
     for (i, j) in sorted(edge_list):
         u_ij = _random_utility(rng, beta, family)
         u_ji = u_ij if symmetric_utilities else _random_utility(rng, beta, family)
-        edges.append(
-            EdgeSpec(
-                i=i,
-                j=j,
-                w_ij=weights[(i, j)],
-                w_ji=weights[(j, i)],
-                utility_ij=u_ij,
-                utility_ji=u_ji,
-            )
-        )
+        edges.append(EdgeSpec(i, j, weights[(i, j)], weights[(j, i)], u_ij, u_ji))
 
     if behavior is None:
         behaviors = tuple(
@@ -651,13 +618,10 @@ def gen_ranked_instance(
         neighbors[e.j].append(e.i)
     rank_weights = global_ranking_weights(neighbors, ranking)
     edges = tuple(
-        EdgeSpec(
-            i=e.i,
-            j=e.j,
+        replace(
+            e,
             w_ij=float(rank_weights[(e.i, e.j)]),
             w_ji=float(rank_weights[(e.j, e.i)]),
-            utility_ij=e.utility_ij,
-            utility_ji=e.utility_ji,
         )
         for e in base.edges
     )

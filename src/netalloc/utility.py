@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .game import left_sum
+
 INF = float("inf")
 
 LINEAR = "linear"
@@ -195,23 +197,24 @@ def shared_level(
     inverse marginal is positive and finite: x = w^2 / (4 delta^2) for sqrt,
     w / delta - 1 for log1p, (delta / (a w))^(1 / (a - 1)) for power and
     (cap - delta / w) / 2 for the capped quadratic.  ``total`` > 0.  The
-    result may lie outside the range where every member is interior.
+    result may lie outside the range where every member is interior.  Sums
+    are :func:`~netalloc.game.left_sum`'s.
     """
     u = members[0][1]
     fam = u.family
     if fam == SQRT:
-        return 0.5 * math.sqrt(sum(w * w for w, _ in members) / total)
+        return 0.5 * math.sqrt(left_sum(w * w for w, _ in members) / total)
     if fam == LOG1P:
-        return sum(w for w, _ in members) / (total + len(members))
+        return left_sum(w for w, _ in members) / (total + len(members))
     if fam == CAPPED_QUADRATIC:
-        caps = sum(v.cap for _, v in members)
-        return (caps - 2.0 * total) / sum(1.0 / w for w, _ in members)
+        caps = left_sum(v.cap for _, v in members)
+        return (caps - 2.0 * total) / left_sum(1.0 / w for w, _ in members)
     if fam == POWER and u.a != 1.0:
         # total = delta^p * sum_k (a w_k)^-p with p = 1 / (a - 1) < 0, in logs
         p = 1.0 / (u.a - 1.0)
         logs = [-p * math.log(u.a * w) for w, _ in members]
         top = max(logs)
-        log_sum = top + math.log(sum(math.exp(v - top) for v in logs))
+        log_sum = top + math.log(left_sum(math.exp(v - top) for v in logs))
         log_delta = (math.log(total) - log_sum) / p
         return math.exp(log_delta) if log_delta < 700.0 else INF
     raise ValueError(f"{fam} utilities have no interior branch")

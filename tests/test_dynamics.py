@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import math
 import random
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_spec, profile_of, single_edge_spec
-from netalloc import dynamics
+from netalloc import bestresponse, dynamics, game, instances, utility
 from netalloc.bestresponse import best_response, is_best_response
 from netalloc.dynamics import (
     Converged,
@@ -32,6 +33,7 @@ from netalloc.dynamics import (
 from netalloc.game import (
     FrequencyProfile,
     InfeasibleProfileError,
+    check_feasible,
     outcome_summary,
     player_utility,
     social_welfare,
@@ -42,7 +44,7 @@ from netalloc.instances import (
     gen_random_instance,
     gen_torus_grid,
 )
-from netalloc.utility import UtilitySpec
+from netalloc.utility import FAMILIES, UtilitySpec
 
 
 def test_config_rejects_a_tolerance_that_is_not_finite():
@@ -241,15 +243,25 @@ def _members(state):
     return [i for i in range(state.spec.n) if state.movers.member[i]]
 
 
+def _state(spec, profile, tol=1e-9):
+    """The sequential engine's state on a feasible integer profile."""
+    return _SeqState(spec, check_feasible(spec, profile)[0], tol)
+
+
+def _profile(state):
+    """The state's current profile."""
+    return FrequencyProfile(dict(zip(state.spec.directed_edges, state.f)))
+
+
 def test_incremental_state_matches_outcome_summary_after_every_move():
     for seed in range(4):
         doc = gen_random_instance(n=10, edge_prob=0.5, seed=70 + seed, budget_units=40)
         spec = doc.to_game_spec()
-        state = _SeqState(spec, init_profile(spec, RandomFeasible(seed)), 1e-9)
-        stable = set(outcome_summary(spec, state.view).stable)
+        state = _state(spec, init_profile(spec, RandomFeasible(seed)))
+        stable = set(outcome_summary(spec, _profile(state)).stable)
         moves = 0
         while True:
-            s = outcome_summary(spec, state.view)
+            s = outcome_summary(spec, _profile(state))
             assert state.slack == [s.slack[i] for i in range(spec.n)]
             assert state.win_count == [len(s.win[i]) for i in range(spec.n)]
             joined, left = state.take_stable_delta()
@@ -267,7 +279,7 @@ def test_incremental_state_matches_outcome_summary_after_every_move():
                 ]
             assert state.total_slack == s.total_slack
             assert type(state.total_slack) is type(s.total_slack)
-            fresh = _SeqState(spec, state.view, 1e-9)
+            fresh = _state(spec, _profile(state))
             assert (state._util, state._up, state._down) == (
                 fresh._util, fresh._up, fresh._down
             )
@@ -275,7 +287,7 @@ def test_incremental_state_matches_outcome_summary_after_every_move():
             if not members:
                 break
             mover = members[0]
-            state.apply_move(mover, best_response(spec, state.view, mover))
+            state.apply_move(mover, best_response(spec, _profile(state), mover))
             moves += 1
         assert moves > 0
 
@@ -294,13 +306,13 @@ def test_lazy_statuses_match_is_best_response_after_every_move(behavior):
             utility=UtilitySpec.sqrt(),
         ).to_game_spec(behavior_override=behavior)
     rng = random.Random(1000)
-    state = _SeqState(spec, init_profile(spec, RandomFeasible(1000)), 1e-9)
+    state = _state(spec, init_profile(spec, RandomFeasible(1000)))
     lazy = 0
     settled = 0
     while True:
         movable = {
             i for i in range(spec.n)
-            if not is_best_response(spec, state.view, i)[0]
+            if not is_best_response(spec, _profile(state), i)[0]
         }
         members = _members(state)
         assert set(members) == movable
@@ -315,7 +327,7 @@ def test_lazy_statuses_match_is_best_response_after_every_move(behavior):
         if not members:
             break
         mover = rng.choice(members)
-        state.apply_move(mover, best_response(spec, state.view, mover))
+        state.apply_move(mover, best_response(spec, _profile(state), mover))
     assert lazy > 0
     assert settled > 0
 
@@ -323,7 +335,7 @@ def test_lazy_statuses_match_is_best_response_after_every_move(behavior):
 def _reference_movers(spec, init, order, max_rounds):
     """The movers of a sequential run picked the direct way: a choice from
     the sorted non-best-responders, or a scan of the player ids."""
-    state = _SeqState(spec, init, 1e-9)
+    state = _state(spec, init)
     rng = random.Random(order.seed) if isinstance(order, RandomSeeded) else None
     n = spec.n
     pos = 0
@@ -338,7 +350,7 @@ def _reference_movers(spec, init, order, max_rounds):
                     mover = cand
                     pos = (cand + 1) % n
                     break
-        state.apply_move(mover, best_response(spec, state.view, mover))
+        state.apply_move(mover, best_response(spec, _profile(state), mover))
         movers.append(mover)
     return movers
 
@@ -382,53 +394,94 @@ def test_randrange_draws_like_choice():
         assert by_choice.random() == by_randrange.random()
 
 
-# criterion-8 runs on the 10x10 torus: seed, rounds and the sha256 of
-# repr(final.key(spec)).  Integers only: welfare reprs may differ where float
-# sums round differently (Python 3.12's sum compensates).
+# criterion-8 runs on the 10x10 torus: seed, rounds, the sha256 of
+# repr(final.key(spec)) and repr(final welfare), recorded on CPython 3.11.
+# Every float sum on this path is game.left_sum, so the welfare bits hold on
+# the other supported versions too (Python 3.12's built-in sum compensates).
 C8_PINS = {
     "optimistic": [
-        (1000, 306, "9a643ccaf88c0030a0c2f90f74d625f598266daf30bab5c4cb728f0cc30bc37a"),
-        (1001, 290, "d61f7eab6ea7e2a2955a6e8bdc0bfcf4caa1a53e8654ab145e9e9c1c7dc8c6ea"),
-        (1002, 338, "f039b9fe263c1d973ef794ee766718748098a3a23b5881a0df9677ebf831954b"),
-        (1003, 262, "9b5b8651c67fad7cfec9b403ffdc03956ce01911e5f4fd2e30a3cf7ec09df30f"),
-        (1004, 305, "58b24057b2bb689d02fa1ddfd0792a2f0319b78b5c3fa629eb6e842a5de20bc9"),
-        (1005, 273, "74f9db264020e2bb08d430e2b428d0ef1042281fa37d8a8878cab29f434e8eab"),
-        (1006, 284, "ceecfc2087ba714bbd68a84772adb04b06dbaf5807eddf63c527acbff2403ac1"),
-        (1007, 250, "71d3b1006ffc22f9e95179360a40d75a04aadf3d70902562cf2019428b232e97"),
-        (1008, 289, "b6bd68513752f9c0f26dcaf051a441392faff65566b79973426eb18e1aaabd68"),
-        (1009, 280, "77bd23908afd551cf751e514fe643a50cf09f13c5cd25d9c0c7dfe8085973b08"),
-        (1010, 259, "a44bb2227773d960c2f239246c7f798dd9a083612f82fd9a53acdaf6d08f1078"),
-        (1011, 231, "d9f7c447cdb7fca82b1e5c15adbb35cee51b56b7717960dc84ac1ffd5ba01760"),
-        (1012, 297, "84f7581b48cef2453a738ae659521c49356b9dfbfc0d038b7e37522401e6c14a"),
-        (1013, 314, "f2a4c244c6f280bef749b40057321b653f56d7249eb42a1fe8be4f1f916beea9"),
-        (1014, 320, "4934a9aeb3d959ede7e45b8cb39491e26031f06ac992c70d8262d316906f6549"),
-        (1015, 255, "c272186e09e6d6f1d3d354da4308ada043f1baf4d9a00d0f6cee81b9f738f6c5"),
-        (1016, 244, "9f2a45b885bce80f324082e83da0dee14bafd8bfc5ee722affa78566c638291e"),
-        (1017, 256, "3c5aba824c823452af4e7ca8d37cb7f16fb314eda155cdd75ade4e3c45dd8755"),
-        (1018, 250, "e5c66953630ac80e71df5af812747b975fb47930dbe402025b9a19866c93bd97"),
-        (1019, 239, "ae58218a197f80e8e586e72e8ea310e28f0baee231b479257eb69a70514823be"),
+        (1000, 306, "9a643ccaf88c0030a0c2f90f74d625f598266daf30bab5c4cb728f0cc30bc37a",
+         "1580.5801560618395"),
+        (1001, 290, "d61f7eab6ea7e2a2955a6e8bdc0bfcf4caa1a53e8654ab145e9e9c1c7dc8c6ea",
+         "1579.1948913022604"),
+        (1002, 338, "f039b9fe263c1d973ef794ee766718748098a3a23b5881a0df9677ebf831954b",
+         "1578.173169276095"),
+        (1003, 262, "9b5b8651c67fad7cfec9b403ffdc03956ce01911e5f4fd2e30a3cf7ec09df30f",
+         "1560.3297344658756"),
+        (1004, 305, "58b24057b2bb689d02fa1ddfd0792a2f0319b78b5c3fa629eb6e842a5de20bc9",
+         "1575.0453671165528"),
+        (1005, 273, "74f9db264020e2bb08d430e2b428d0ef1042281fa37d8a8878cab29f434e8eab",
+         "1581.945368950397"),
+        (1006, 284, "ceecfc2087ba714bbd68a84772adb04b06dbaf5807eddf63c527acbff2403ac1",
+         "1568.6871023037238"),
+        (1007, 250, "71d3b1006ffc22f9e95179360a40d75a04aadf3d70902562cf2019428b232e97",
+         "1560.9825659240519"),
+        (1008, 289, "b6bd68513752f9c0f26dcaf051a441392faff65566b79973426eb18e1aaabd68",
+         "1570.425883565748"),
+        (1009, 280, "77bd23908afd551cf751e514fe643a50cf09f13c5cd25d9c0c7dfe8085973b08",
+         "1569.5866660225727"),
+        (1010, 259, "a44bb2227773d960c2f239246c7f798dd9a083612f82fd9a53acdaf6d08f1078",
+         "1591.5587761520378"),
+        (1011, 231, "d9f7c447cdb7fca82b1e5c15adbb35cee51b56b7717960dc84ac1ffd5ba01760",
+         "1564.6961201746103"),
+        (1012, 297, "84f7581b48cef2453a738ae659521c49356b9dfbfc0d038b7e37522401e6c14a",
+         "1541.1689292582575"),
+        (1013, 314, "f2a4c244c6f280bef749b40057321b653f56d7249eb42a1fe8be4f1f916beea9",
+         "1567.8596199532187"),
+        (1014, 320, "4934a9aeb3d959ede7e45b8cb39491e26031f06ac992c70d8262d316906f6549",
+         "1553.376361280567"),
+        (1015, 255, "c272186e09e6d6f1d3d354da4308ada043f1baf4d9a00d0f6cee81b9f738f6c5",
+         "1553.1275658356308"),
+        (1016, 244, "9f2a45b885bce80f324082e83da0dee14bafd8bfc5ee722affa78566c638291e",
+         "1567.287318147872"),
+        (1017, 256, "3c5aba824c823452af4e7ca8d37cb7f16fb314eda155cdd75ade4e3c45dd8755",
+         "1546.147656574848"),
+        (1018, 250, "e5c66953630ac80e71df5af812747b975fb47930dbe402025b9a19866c93bd97",
+         "1570.6072510295753"),
+        (1019, 239, "ae58218a197f80e8e586e72e8ea310e28f0baee231b479257eb69a70514823be",
+         "1555.6767524787385"),
     ],
     "pessimistic": [
-        (1000, 82, "b4d1d587e9d5d3b4f628fb34b73cba667c05b060351a7b0156665e0ae3e11830"),
-        (1001, 85, "c45968418b00e9c3f304169553be9a49baac54c2cdd591d9810f9a1ca40d211d"),
-        (1002, 82, "a625cb42b530438b1024bdd7ce07f5d537dae0e92cea83534157090aca41709a"),
-        (1003, 78, "beed1c76fbdf0e2667deecbb28aae0aa50600b85c61c6956216e5883037ffe0e"),
-        (1004, 81, "b2f84389a5b74a263462ce4668cff626e0c2e37f6be222d85280b97657df51a8"),
-        (1005, 84, "15e653fecdea16c829437e7e2c08e94b6b53b81facd112b1ca295d8bfa5cd7af"),
-        (1006, 77, "d6c5834dd839f2effdce7c752bb58478f812b2c078bd93dea636acf8a13d27c3"),
-        (1007, 79, "7c3b1ea1a880364a5c8763ea1108291c1f6008676ef24e7361d93ba72a8ad1ba"),
-        (1008, 81, "54611657be302bb87febe39ed64237c3ac66828ba150e291b91c3ecdadd8b8b0"),
-        (1009, 86, "d864be6fc015d7f0e728ecdd70443a073bb42aa70edc6c2b6a673aeb590a4467"),
-        (1010, 84, "6696166777b5325aac45147f08272dca628150fa31431eeebbe7753ae64bfb49"),
-        (1011, 87, "d23263faa116c7964b3e2850d0522ee76121ac3a584da6be51976673ad7094de"),
-        (1012, 80, "1fe8575e60d962c9d0095e6a6b2db54248c2e4af0cbf7888595ea246790840da"),
-        (1013, 76, "3a0374716683390c76aee4174e17c69d7e914937f159d04a0c5a770aaab3e113"),
-        (1014, 82, "9f9b155a400dc567cec2656dddd56d7a4ef7c0c71431f84f8a7d43531f47af24"),
-        (1015, 78, "1745e919bb1026caa3e5604f7de9516a877f509020cee101bf14040ffeb7f3ab"),
-        (1016, 79, "efb7365f16edcc62ed1911082cb39604d856ee925723eec57e223129f4db288a"),
-        (1017, 84, "85b2bc8d94d5530c3c6966bec77c744c39698e2de510ac3addfb663f290ce3b2"),
-        (1018, 79, "94bcac2d17f879a0af57cb01f71bab0217fa31fde1c93710d7c9626bc3c9ed38"),
-        (1019, 83, "03c5af64db5777694841cf9cf8131fc6727a910f8601dcf3ce37b9a91adfe50e"),
+        (1000, 82, "b4d1d587e9d5d3b4f628fb34b73cba667c05b060351a7b0156665e0ae3e11830",
+         "1490.959165279111"),
+        (1001, 85, "c45968418b00e9c3f304169553be9a49baac54c2cdd591d9810f9a1ca40d211d",
+         "1467.4268056433273"),
+        (1002, 82, "a625cb42b530438b1024bdd7ce07f5d537dae0e92cea83534157090aca41709a",
+         "1446.8513807331094"),
+        (1003, 78, "beed1c76fbdf0e2667deecbb28aae0aa50600b85c61c6956216e5883037ffe0e",
+         "1477.8640027689032"),
+        (1004, 81, "b2f84389a5b74a263462ce4668cff626e0c2e37f6be222d85280b97657df51a8",
+         "1480.5979343484312"),
+        (1005, 84, "15e653fecdea16c829437e7e2c08e94b6b53b81facd112b1ca295d8bfa5cd7af",
+         "1480.748781932319"),
+        (1006, 77, "d6c5834dd839f2effdce7c752bb58478f812b2c078bd93dea636acf8a13d27c3",
+         "1483.4427183013418"),
+        (1007, 79, "7c3b1ea1a880364a5c8763ea1108291c1f6008676ef24e7361d93ba72a8ad1ba",
+         "1476.4300093200213"),
+        (1008, 81, "54611657be302bb87febe39ed64237c3ac66828ba150e291b91c3ecdadd8b8b0",
+         "1471.111242337963"),
+        (1009, 86, "d864be6fc015d7f0e728ecdd70443a073bb42aa70edc6c2b6a673aeb590a4467",
+         "1486.8722586206163"),
+        (1010, 84, "6696166777b5325aac45147f08272dca628150fa31431eeebbe7753ae64bfb49",
+         "1511.8668891258076"),
+        (1011, 87, "d23263faa116c7964b3e2850d0522ee76121ac3a584da6be51976673ad7094de",
+         "1472.1487499204827"),
+        (1012, 80, "1fe8575e60d962c9d0095e6a6b2db54248c2e4af0cbf7888595ea246790840da",
+         "1466.7375981628823"),
+        (1013, 76, "3a0374716683390c76aee4174e17c69d7e914937f159d04a0c5a770aaab3e113",
+         "1446.7095959021274"),
+        (1014, 82, "9f9b155a400dc567cec2656dddd56d7a4ef7c0c71431f84f8a7d43531f47af24",
+         "1464.6963431635222"),
+        (1015, 78, "1745e919bb1026caa3e5604f7de9516a877f509020cee101bf14040ffeb7f3ab",
+         "1498.840238079258"),
+        (1016, 79, "efb7365f16edcc62ed1911082cb39604d856ee925723eec57e223129f4db288a",
+         "1485.4222634714843"),
+        (1017, 84, "85b2bc8d94d5530c3c6966bec77c744c39698e2de510ac3addfb663f290ce3b2",
+         "1466.5647372006167"),
+        (1018, 79, "94bcac2d17f879a0af57cb01f71bab0217fa31fde1c93710d7c9626bc3c9ed38",
+         "1466.117095589187"),
+        (1019, 83, "03c5af64db5777694841cf9cf8131fc6727a910f8601dcf3ce37b9a91adfe50e",
+         "1474.1292443659124"),
     ],
 }
 
@@ -445,7 +498,7 @@ def test_criterion_8_runs_keep_rounds_and_final_profiles(behavior, monkeypatch):
         return best_response(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "best_response", counted)
-    for seed, rounds, digest in C8_PINS[behavior]:
+    for seed, rounds, digest, welfare in C8_PINS[behavior]:
         del solves[:]
         init = init_profile(spec, RandomFeasible(seed))
         cfg = DynamicsConfig(order=RandomSeeded(seed))
@@ -453,8 +506,106 @@ def test_criterion_8_runs_keep_rounds_and_final_profiles(behavior, monkeypatch):
         assert status == Converged(t=rounds), seed
         key = repr(final.key(spec)).encode()
         assert hashlib.sha256(key).hexdigest() == digest, seed
+        assert repr(social_welfare(spec, final)) == welfare, seed
         # the exchange test settles every status: only movers are solved
         assert len(solves) == rounds, seed
+
+
+def _neumaier_sum(values, start=0):
+    """The built-in sum as CPython 3.12 computes it: exact on ints,
+    compensated (Neumaier) once a float is met."""
+    values = list(values)
+    if all(isinstance(v, int) for v in values):
+        return builtins.sum(values, start)
+    total, comp = float(start), 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+    return total + comp
+
+
+def test_criterion_8_runs_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # the compensated sum changes the last bits of most welfare sums, so
+    # any float sum left on this path would show in a welfare repr
+    assert _neumaier_sum([0.1] * 10) != builtins.sum([0.1] * 10)
+    for module in (game, utility, dynamics, bestresponse, instances):
+        monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
+    doc = gen_torus_grid(
+        10, 10, beta=1000.0, eta=1.0, weight_seed=7, utility=UtilitySpec.sqrt()
+    )
+    for behavior in C8_PINS:
+        spec = doc.to_game_spec(behavior_override=behavior)
+        for seed, rounds, digest, welfare in C8_PINS[behavior]:
+            init = init_profile(spec, RandomFeasible(seed))
+            cfg = DynamicsConfig(order=RandomSeeded(seed))
+            final, _, status = run_sequential(spec, init, cfg, trace_detail="light")
+            assert status == Converged(t=rounds), seed
+            key = repr(final.key(spec)).encode()
+            assert hashlib.sha256(key).hexdigest() == digest, seed
+            assert repr(social_welfare(spec, final)) == welfare, seed
+
+
+# random instances with both behaviours and all five utility families: the
+# gen_random_instance seed (also the start's and the order's), rounds and the
+# sha256 of repr(final.key(spec)); recorded before the engine kept its
+# profile by edge id
+MIXED_PINS = [
+    (1, 83, "7518e257da0b5db6a42fcd377a31d0e4dca6e2c3e03ce5b5455327a16a841c82"),
+    (2, 62, "f69230ecd22817d70e6ee74a3a4f00b1034a4e6cdb62ff8446fba9d8a226057a"),
+    (3, 59, "d4896aba746896af9ebac78c22a4d92828b7c91a8d7c1eb5986d39540ceeba16"),
+    (4, 44, "d0baa55ace2513d8de69b0cde8e67c10300545fa19de5d030be587a05947a372"),
+]
+
+
+def test_mixed_instance_runs_keep_rounds_and_final_profiles():
+    families = set()
+    for seed, rounds, digest in MIXED_PINS:
+        spec = gen_random_instance(
+            n=40, edge_prob=0.2, seed=seed, budget_units=100
+        ).to_game_spec()
+        assert {b.value for b in spec.behaviors.values()} == {
+            "optimistic", "pessimistic"
+        }
+        families |= {u.family for u in spec.utilities.values()}
+        init = init_profile(spec, RandomFeasible(seed))
+        cfg = DynamicsConfig(order=RandomSeeded(seed))
+        final, _, status = run_sequential(spec, init, cfg)
+        assert status == Converged(t=rounds), seed
+        key = repr(final.key(spec)).encode()
+        assert hashlib.sha256(key).hexdigest() == digest, seed
+    assert families == set(FAMILIES)
+
+
+def test_round_robin_run_keeps_rounds_and_final_profile():
+    spec = gen_random_instance(
+        n=20, edge_prob=0.35, seed=5, budget_units=40
+    ).to_game_spec()
+    init = init_profile(spec, RandomFeasible(5))
+    final, _, status = run_sequential(spec, init, DynamicsConfig(order=RoundRobin()))
+    assert status == Converged(t=17)
+    assert hashlib.sha256(repr(final.key(spec)).encode()).hexdigest() == (
+        "660945c89efeac42ea88e972420a575a72c5c55b5211560522bfeef759089b87"
+    )
+
+
+def test_given_start_keeps_its_key_order():
+    spec = gen_random_instance(
+        n=16, edge_prob=0.4, seed=9, budget_units=30
+    ).to_game_spec()
+    start = init_profile(spec, RandomFeasible(9))
+    backwards = FrequencyProfile(dict(reversed(list(start.counts.items()))))
+    init = init_profile(spec, Given(backwards))
+    final, _, status = run_sequential(spec, init, DynamicsConfig(order=RandomSeeded(9)))
+    assert status == Converged(t=15)
+    assert list(final.counts) == list(backwards.counts)
+    # the whole profile, items in order
+    assert hashlib.sha256(repr(list(final.counts.items())).encode()).hexdigest() == (
+        "de608949d50e55dcd8683e60614053cdc68704ab58f88914a102a609231645cc"
+    )
 
 
 def test_stable_set_loss_on_slack_stable_suffix_raises(monkeypatch):
@@ -864,7 +1015,7 @@ def exchange_games(draw):
 @given(exchange_games())
 def test_exchange_test_only_flags_players_that_improve(game):
     spec, profile, tol = game
-    state = _SeqState(spec, profile, tol)
+    state = _state(spec, profile, tol)
     if state.win_count[0] and state.settled_status(0) is True:
         ok, improvement = is_best_response(spec, profile, 0, tol)
         assert not ok
@@ -895,7 +1046,7 @@ def _least_settling_tol(state):
 @given(exchange_games())
 def test_exchange_test_only_settles_players_that_cannot_improve(game):
     spec, profile, tol = game
-    state = _SeqState(spec, profile, tol)
+    state = _state(spec, profile, tol)
     if not state.win_count[0]:
         return
     if state.settled_status(0) is False:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import OPT, PESS, make_spec, profile_of, single_edge_spec
 from netalloc.game import (
@@ -14,6 +16,7 @@ from netalloc.game import (
     social_welfare,
     validate_game,
 )
+from netalloc.dynamics import RandomFeasible, init_profile
 from netalloc.instances import gen_k5_cycle_instance, gen_random_instance
 from netalloc.utility import UtilitySpec
 
@@ -239,3 +242,65 @@ def test_profile_key_and_wrap():
 def test_behavior_enum_round_trip():
     assert Behavior("pessimistic") is Behavior.PESSIMISTIC
     assert Behavior("optimistic") is OPT
+
+
+@st.composite
+def indexed_games(draw):
+    """A random game (isolated players and n = 1 included) and a feasible
+    profile on it: a random start, halved into floats on request."""
+    n = draw(st.integers(1, 12))
+    spec = gen_random_instance(
+        n=n,
+        edge_prob=draw(st.sampled_from([0.0, 0.15, 0.4, 1.0])),
+        seed=draw(st.integers(0, 10_000)),
+        budget_units=draw(st.integers(1, 20)),
+    ).to_game_spec()
+    profile = init_profile(spec, RandomFeasible(draw(st.integers(0, 10_000))))
+    if draw(st.booleans()):
+        profile = FrequencyProfile({e: c / 2 for e, c in profile.counts.items()})
+    return spec, profile
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(indexed_games())
+def test_spec_index_matches_the_edge_dicts(game):
+    spec, profile = game
+    rows, off, rev = spec.index
+    edges = spec.directed_edges
+    assert len(rows) == spec.n and len(off) == spec.n + 1
+    assert off[0] == 0 and off[-1] == len(edges) == len(rev)
+    for i, row in enumerate(rows):
+        nbrs = spec.neighbors[i]
+        assert edges[off[i] : off[i + 1]] == tuple((i, j) for j in nbrs)
+        assert row.neighbors == nbrs
+        assert row.weights == tuple(spec.weights[(i, j)] for j in nbrs)
+        assert row.utils == tuple(spec.utilities[(i, j)] for j in nbrs)
+        assert row.budget == spec.budget_units(i)
+    for e, (i, j) in enumerate(edges):
+        assert rev[rev[e]] == e
+        assert edges[rev[e]] == (j, i)
+    assert spec.index is spec.index  # built once
+
+    # outcome_summary against a recomputation from the counts dict
+    counts = profile.counts
+    agreed = {
+        (i, j): min(counts[(i, j)], counts[(j, i)]) for (i, j) in sorted(spec.edges)
+    }
+    slack = {
+        i: spec.budget_units(i)
+        - sum(agreed[(min(i, j), max(i, j))] for j in spec.neighbors[i])
+        for i in range(spec.n)
+    }
+    win = {
+        i: frozenset(j for j in spec.neighbors[i] if counts[(i, j)] < counts[(j, i)])
+        for i in range(spec.n)
+    }
+    s = outcome_summary(spec, profile)
+    assert list(s.agreed.items()) == list(agreed.items())
+    assert s.slack == slack
+    assert s.total_slack == sum(slack.values())
+    assert s.win == win
+    assert s.stable == frozenset(i for i in range(spec.n) if not win[i])
+    flat, integral = check_feasible(spec, profile)
+    assert flat == [counts[e] for e in edges]
+    assert integral == profile.is_integral()
