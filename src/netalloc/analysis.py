@@ -22,6 +22,7 @@ from .game import (
     GameSpec,
     PlayerId,
     check_feasible,
+    left_sum,
     social_welfare,
     validate_game,
 )
@@ -339,7 +340,7 @@ class _Edges:
             )
             if not curved and slope > 0.0:
                 fields["rho"][e] = FLAT_PROX * slope / (box if box > 0 else 1.0)
-            fields["d0"][e] = math.inf if POWER in used else sum(
+            fields["d0"][e] = math.inf if POWER in used else left_sum(
                 w * (p if k == CAPPED else 1.0) for (k, p), w in terms.items()
             )
             if len(terms) == 1 and LINEAR not in used:

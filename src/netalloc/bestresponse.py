@@ -22,7 +22,8 @@ Three clean-up phases follow the continuous core:
    an exchange.  A separable concave objective with one budget is at a grid
    optimum exactly when no such move gains, so this one rule makes the grid
    allocation optimal; the sequential engine's exchange test reads the same
-   two functions.  Off the grid the targets are the allocation;
+   two functions, and takes a grid response's final terms as the mover's
+   own.  Off the grid the targets are the allocation;
 2. cap matching -- remaining budget is parked on still-unmatched neighbors up
    to their caps, ascending index.  Apart from budget that no neighbor's
    marginal pays for, that is at most the quanta the floors drop, fewer than
@@ -48,6 +49,7 @@ from .game import (
     FrequencyProfile,
     GameSpec,
     PlayerId,
+    left_sum,
     player_utility,
     win_set,
 )
@@ -74,11 +76,16 @@ class BRResult:
     ``proposals`` are per-neighbor amounts in eta units (ints when the
     player's caps are, see :func:`best_response`).  ``realized_utility`` is
     computed from the agreed amounts min(f_j, cap_j), not from the raw
-    proposals.
+    proposals.  ``terms`` holds three lists in neighbor order, the
+    :func:`edge_terms` utilities, gains and losses at the agreed amounts
+    with room up to the caps, of a grid response of a player with
+    neighbors and a positive budget; it is None otherwise.  On the grid
+    ``realized_utility`` is the ``left_sum`` of the utilities.
     """
 
     proposals: dict[PlayerId, float]
     realized_utility: float
+    terms: tuple[list[float], list[float], list[float]] | None = None
 
 
 def _fits(targets: Sequence[float], budget_units: float) -> bool:
@@ -90,11 +97,14 @@ def _fits(targets: Sequence[float], budget_units: float) -> bool:
 def _water_fill(
     weights: Sequence[float],
     utils: Sequence[UtilitySpec],
+    zero_marginals: Sequence[float],
     caps_units: Sequence[float],
     budget_units: float,
     eta: float,
 ) -> tuple[float, list[float]]:
     """Continuous core: returns (delta, per-neighbor targets in eta units).
+    ``zero_marginals`` are the w_k u_k'(0) of the player's row
+    (:class:`~netalloc.game.PlayerRow`).
 
     Targets equal min(effective cap, point where the weighted marginal falls
     to delta), and delta is the smallest level at which they sum to at most
@@ -120,12 +130,11 @@ def _water_fill(
     deg = len(weights)
     eff = [c if c < budget_units else budget_units for c in caps_units]
     live = [k for k in range(deg) if weights[k] > 0.0 and eff[k] > 0]
+    # both breakpoint lists are read at live positions only
+    zero = zero_marginals
     leave = [INF] * deg
-    zero = [INF] * deg
     for k in live:
-        w, u = weights[k], utils[k]
-        leave[k] = w * u.marginal(eff[k] * eta)
-        zero[k] = w * u.marginal(0.0)
+        leave[k] = weights[k] * utils[k].marginal(eff[k] * eta)
 
     def targets_at(delta: float) -> list[float]:
         out = [0.0] * deg
@@ -226,8 +235,9 @@ def edge_terms(
     """One neighbor's terms at ``a`` agreed quanta, with room up to ``cap``:
     util = w u(a eta); up = w u((a+1) eta) - util, the gain of one quantum
     more (-inf when a >= cap or w = 0); down = util - w u((a-1) eta), the
-    loss of one quantum less (inf at a = 0).  ``value`` is u (u(0) = 0 in
-    every family)."""
+    loss of one quantum less (inf at a = 0).  ``value`` is the edge's row
+    kernel, u as a plain function (:class:`~netalloc.game.PlayerRow`;
+    u(0) = 0 in every family, so util is +0.0 at a = 0 as w u(0) is)."""
     util, up = 0.0, -INF
     down = INF if a == 0 else 0.0
     if w != 0.0:
@@ -283,24 +293,28 @@ def best_move(
 
 def _polish_exchanges(
     alloc: list[int],
-    caps_units: Sequence[float],
+    caps_units: Sequence[int],
     budget_units: int,
     eta: float,
     weights: Sequence[float],
-    utils: Sequence[UtilitySpec],
-) -> None:
+    kernels: Sequence,
+) -> tuple[int, tuple[list[float], list[float], list[float]]]:
     """Apply :func:`best_move` (the largest gain, ties as there) to ``alloc``
     in place while it gains more than ``POLISH_MIN_GAIN``, which leaves a
     grid optimum.  While budget is spare the best move is an add, so this
     also places every quantum the starting floors leave.  Only the giver's
-    and the receiver's terms are redone."""
+    and the receiver's terms are redone.  No amount passes its cap, so
+    ``alloc`` holds the agreed amounts.  Returns the spare quanta and the
+    final :func:`edge_terms` lists (utilities, gains, losses)."""
     deg = len(alloc)
+    util = [0.0] * deg
     up = [0.0] * deg
     down = [0.0] * deg
 
     def settle(k: int) -> None:
-        w, u = weights[k], utils[k]
-        _, up[k], down[k] = edge_terms(w, u.value, alloc[k], caps_units[k], eta)
+        util[k], up[k], down[k] = edge_terms(
+            weights[k], kernels[k], alloc[k], caps_units[k], eta
+        )
 
     for k in range(deg):
         settle(k)
@@ -310,7 +324,7 @@ def _polish_exchanges(
     for _ in range(spare + 100_000):
         gain, src, dst = best_move(up, down, spare > 0)
         if not gain > POLISH_MIN_GAIN:
-            return
+            break
         if src < 0:
             spare -= 1
         else:
@@ -318,6 +332,7 @@ def _polish_exchanges(
             settle(src)
         alloc[dst] += 1
         settle(dst)
+    return spare, (util, up, down)
 
 
 def best_response(
@@ -339,8 +354,13 @@ def best_response(
     all the budget that some marginal pays for, at any grid size; on the
     grid they are floored and polished by single-quantum moves.  Cap
     matching and optimistic disposal (module docstring) place what is left.
+
+    A grid response carries the polish's per-edge terms (``BRResult.terms``),
+    redone on the edges that cap matching raises; disposal above a cap
+    leaves the agreed amount at the cap, so its terms stand.  The
+    sequential engine installs them as the mover's own.
     """
-    nbrs, weights, utils, budget = spec.index.rows[i]
+    nbrs, weights, utils, budget, kernels, zero_marginals = spec.index.rows[i]
     if caps is None:
         caps = [profile.counts[(j, i)] for j in nbrs]
     grid = all(isinstance(c, int) for c in caps)
@@ -354,13 +374,16 @@ def best_response(
         zero = 0 if grid else 0.0
         return BRResult(proposals={j: zero for j in nbrs}, realized_utility=0.0)
 
-    _, targets = _water_fill(weights, utils, caps, budget, eta)
+    _, targets = _water_fill(weights, utils, zero_marginals, caps, budget, eta)
+    terms = None
     if grid:
         alloc = [int(math.floor(t)) for t in targets]
-        _polish_exchanges(alloc, caps, budget, eta, weights, utils)
+        leftover, terms = _polish_exchanges(
+            alloc, caps, budget, eta, weights, kernels
+        )
     else:
         alloc = list(targets)
-    leftover = budget - sum(alloc)
+        leftover = budget - left_sum(alloc)
 
     # Cap matching: remaining budget parks on unmatched neighbors (no
     # quantum left to place there gains more than POLISH_MIN_GAIN).
@@ -374,6 +397,11 @@ def best_response(
             take = room if room < leftover else leftover
             alloc[k] += take
             leftover -= take
+            if terms is not None:
+                util, up, down = terms
+                util[k], up[k], down[k] = edge_terms(
+                    weights[k], kernels[k], alloc[k], caps[k], eta
+                )
 
     # Optimistic disposal: spread what is left over the (now fully matched)
     # neighborhood, round-robin one quantum at a time -- on the grid each of
@@ -393,14 +421,18 @@ def best_response(
                     alloc[k] += share
                 leftover = 0.0
 
-    realized_utility = 0.0
-    for k in range(deg):
-        agreed = alloc[k] if alloc[k] < caps[k] else caps[k]
-        realized_utility += weights[k] * utils[k].value(agreed * eta)
+    if terms is not None:
+        realized_utility = left_sum(terms[0])
+    else:
+        realized_utility = 0.0
+        for k in range(deg):
+            agreed = alloc[k] if alloc[k] < caps[k] else caps[k]
+            realized_utility += weights[k] * utils[k].value(agreed * eta)
 
     return BRResult(
         proposals={j: alloc[k] for k, j in enumerate(nbrs)},
         realized_utility=realized_utility,
+        terms=terms,
     )
 
 
@@ -431,7 +463,7 @@ def brute_force_best_response(
     lexicographic order and keeps the first maximizer, so ties resolve to the
     lexicographically smallest allocation.
     """
-    nbrs, weights, utils, budget = spec.index.rows[i]
+    nbrs, weights, utils, budget = spec.index.rows[i][:4]
     deg = len(nbrs)
     if deg == 0:
         return {}, 0.0

@@ -20,6 +20,7 @@ utility by more than ``tol``.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections.abc import Iterator
@@ -262,8 +263,8 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
 
     rng = random.Random(policy.seed)
     counts: dict[tuple[int, int], int] = {}
-    eta = spec.eta
-    for i, (nbrs, weights, utils, budget) in enumerate(spec.index.rows):
+    for i, row in enumerate(spec.index.rows):
+        nbrs, weights, utils, budget = row[:4]
         if not nbrs:
             continue
         if budget <= 0:
@@ -273,19 +274,37 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
         draws = [rng.random() for _ in nbrs]
         total = left_sum(draws)
         alloc = [int(math.floor(budget * d / total)) for d in draws]
-        for _ in range(budget - sum(alloc)):
-            best_k, best_score = -1, 0.0
-            for k, (w, u) in enumerate(zip(weights, utils)):
-                if w > 0.0:
-                    score = w * u.marginal((alloc[k] + MARGINAL_SHIFT) * eta)
-                    if score > best_score:
-                        best_k, best_score = k, score
-            if best_k < 0:
-                break
-            alloc[best_k] += 1
+        _place_leftover(alloc, budget - sum(alloc), weights, utils, spec.eta)
         for k, j in enumerate(nbrs):
             counts[(i, j)] = alloc[k]
     return FrequencyProfile(counts)
+
+
+def _place_leftover(alloc, spare, weights, utils, eta) -> None:
+    """Give each of ``spare`` quanta to the first neighbor with the highest
+    positive score w u'((a + MARGINAL_SHIFT) eta) at its current count a,
+    in place; stop early when no score is positive.  A heap of (-score, k)
+    pops the highest score and, among equal ones, the lowest k; only the
+    receiver's score changes, so a quantum costs O(log deg)."""
+    if spare <= 0:
+        return
+    heap = []
+    for k, (w, u) in enumerate(zip(weights, utils)):
+        if w > 0.0:
+            score = w * u.marginal((alloc[k] + MARGINAL_SHIFT) * eta)
+            if score > 0.0:
+                heap.append((-score, k))
+    heapq.heapify(heap)
+    for _ in range(spare):
+        if not heap:
+            return
+        k = heap[0][1]
+        alloc[k] += 1
+        score = weights[k] * utils[k].marginal((alloc[k] + MARGINAL_SHIFT) * eta)
+        if score > 0.0:
+            heapq.heapreplace(heap, (-score, k))
+        else:
+            heapq.heappop(heap)
 
 
 # -- sequential dynamics -------------------------------------------------------
@@ -369,6 +388,9 @@ class _SeqState:
     win counts; :meth:`take_stable_delta` reports who joined or left.
 
     Per-edge terms are kept at the positions of the spec's player rows.  A
+    move installs the lists of the mover's response (``BRResult.terms``,
+    its terms at the new agreed amounts) as the mover's own, so each
+    changed edge's terms are recomputed on the neighbor's side only.  A
     status is a boolean (:meth:`_can_improve`), and ``movers``, an
     :class:`_IdTree`, is the set of players whose status is True.  No
     response is kept: the run solves each mover when it picks it, and a
@@ -423,12 +445,12 @@ class _SeqState:
         """Recompute i's :func:`~netalloc.bestresponse.edge_terms` on the
         edge to its k-th neighbor j: the agreed amount is a = min(f_ij,
         f_ji), with room up to f_ji."""
-        _, weights, utils, _ = self.rows[i]
+        row = self.rows[i]
         x = self.off[i] + k
         own, cap = self.f[x], self.f[self.rev[x]]
         a = own if own < cap else cap
         self._util[i][k], self._up[i][k], self._down[i][k] = edge_terms(
-            weights[k], utils[k].value, a, cap, self.spec.eta
+            row.weights[k], row.kernels[k], a, cap, self.spec.eta
         )
 
     def settled_status(self, i: int) -> bool | None:
@@ -481,6 +503,12 @@ class _SeqState:
         return None
 
     def apply_move(self, mover: int, br: BRResult) -> None:
+        """Install the mover's grid response: patch the proposals, slack,
+        win counts and the neighbors' terms on the edges it changed, take
+        the mover's own terms from ``br.terms`` (its terms at the new agreed
+        amounts, see :class:`~netalloc.bestresponse.BRResult`; a player that
+        can improve has neighbors and budget, so its response has them), and
+        refresh the statuses of those neighbors."""
         f, rev, off = self.f, self.rev, self.off
         base = off[mover]
         nbrs = self.rows[mover].neighbors
@@ -510,9 +538,9 @@ class _SeqState:
                 self._shift_wins(j, 1 if cji < new else -1)
                 retally = True
             if retally:
-                self._set_terms(mover, x - base)
                 self._set_terms(j, rev[x] - off[j])
             changed.append(j)
+        self._util[mover], self._up[mover], self._down[mover] = br.terms
         movers = self.movers
         member = movers.member
         if member[mover]:

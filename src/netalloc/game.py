@@ -72,12 +72,27 @@ def left_sum(values: Iterable[float]) -> float:
 class PlayerRow(NamedTuple):
     """A player's own inputs to its best response, in neighbor order: the
     neighbors, its weights and utilities on those edges, and its budget in
-    eta quanta."""
+    eta quanta.  Per edge it also holds the utility's value kernel
+    (:meth:`~netalloc.utility.UtilitySpec.kernel`) and the zero-level
+    marginal w u'(0) (0.0 where w = 0), so a solver reads them instead of
+    deriving them on every call."""
 
     neighbors: tuple[int, ...]
     weights: tuple[float, ...]
     utils: tuple[UtilitySpec, ...]
     budget: int
+    kernels: tuple
+    zero_marginals: tuple[float, ...]
+
+
+def _zero_marginal(w: float, u: UtilitySpec) -> float:
+    """w u'(0) for w > 0, else 0.0.  Where u'(0) is 1 or inf (every family
+    but the capped quadratic) the product is w or inf itself, so those
+    objects are reused and a row holds no new float for them."""
+    if not w > 0.0:
+        return 0.0
+    m = u.marginal(0.0)
+    return w if m == 1.0 else math.inf if m == math.inf else w * m
 
 
 class SpecIndex(NamedTuple):
@@ -174,7 +189,10 @@ class GameSpec:
             js = nbrs[i]
             weights = tuple(self.weights[(i, j)] for j in js)
             utils = tuple(self.utilities[(i, j)] for j in js)
-            rows.append(PlayerRow(js, weights, utils, self.budget_units(i)))
+            kernels = tuple(u.kernel() for u in utils)
+            zeros = tuple(_zero_marginal(w, u) for w, u in zip(weights, utils))
+            budget = self.budget_units(i)
+            rows.append(PlayerRow(js, weights, utils, budget, kernels, zeros))
             off.append(off[-1] + len(js))
         rev = [off[j] + bisect_left(nbrs[j], i) for (i, j) in self.directed_edges]
         return SpecIndex(tuple(rows), off, rev)
@@ -245,7 +263,7 @@ def validate_game(spec: GameSpec) -> ValidationReport:
         missing = [j for j in spec.neighbors[i] if (i, j) not in spec.weights]
         if missing:
             continue  # already reported above
-        total = sum(spec.weights[(i, j)] for j in spec.neighbors[i])
+        total = left_sum(spec.weights[(i, j)] for j in spec.neighbors[i])
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             bad.append(f"weights of player {i} sum to {total}")
 
@@ -402,9 +420,9 @@ def player_utility(
     Leftover budget yields nothing; an isolated player scores 0.
     """
     counts = profile.counts
-    nbrs, weights, utils, _ = spec.index.rows[i]
+    row = spec.index.rows[i]
     total = 0.0
-    for j, w, u in zip(nbrs, weights, utils):
+    for j, w, u in zip(row.neighbors, row.weights, row.utils):
         total += w * u.value(min(counts[(i, j)], counts[(j, i)]) * spec.eta)
     return total
 

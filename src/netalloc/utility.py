@@ -2,7 +2,8 @@
 
 Every family exposes these views used by the allocation solvers:
 
-* ``value(x)``      -- utility of interacting at level x
+* ``value(x)``      -- utility of interacting at level x; ``kernel()`` is
+  the same map as a plain function, which the game's player rows hold
 * ``marginal(x)``   -- right-derivative u'(x) (may be +inf at x=0)
 * ``inverse_marginal(m)`` -- smallest x >= 0 with u'(x) <= m, or +inf if the
   marginal never falls to m (e.g. a linear utility asked for m < slope)
@@ -20,6 +21,7 @@ region never attracts allocation because its marginal is zero.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +36,10 @@ POWER = "power"
 CAPPED_QUADRATIC = "capped_quadratic"
 
 FAMILIES = (LINEAR, SQRT, LOG1P, POWER, CAPPED_QUADRATIC)
+
+# families whose ``value`` on x >= 0 is one shared function: the identity
+# (``+x`` is x itself) or one math function
+_SHARED_VALUES = {LINEAR: operator.pos, SQRT: math.sqrt, LOG1P: math.log1p}
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,13 @@ class UtilitySpec:
         if x >= half:
             return half * half
         return x * (self.cap - x)
+
+    def kernel(self):
+        """``value`` as a function of x >= 0 with the same bits: one shared
+        function for the linear, sqrt and log1p families (``operator.pos``,
+        ``math.sqrt``, ``math.log1p``), which skips the family dispatch,
+        else the bound ``value``."""
+        return _SHARED_VALUES.get(self.family, self.value)
 
     def marginal(self, x: float) -> float:
         """Right-derivative at x; +inf where the slope blows up at zero."""

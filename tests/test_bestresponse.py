@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from helpers import OPT, PESS, make_spec, path3_spec, profile_of, single_edge_spec
 from netalloc import bestresponse
 from netalloc.bestresponse import (
-    _water_fill,
     best_move,
     best_response,
     brute_force_best_response,
@@ -31,6 +30,13 @@ from netalloc.game import (
 )
 from netalloc.instances import gen_k5_cycle_instance, gen_random_instance
 from netalloc.utility import INF, UtilitySpec
+
+
+def _water_fill(weights, utils, caps, budget, eta):
+    """The solver's water fill, with the zero-level marginals w u'(0) that
+    a player row holds."""
+    zeros = [w * u.marginal(0.0) if w > 0.0 else 0.0 for w, u in zip(weights, utils)]
+    return bestresponse._water_fill(weights, utils, zeros, caps, budget, eta)
 
 
 def _realized_utility(spec, i, proposals, caps_profile):

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import hashlib
 import math
 import random
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_spec, profile_of, single_edge_spec
-from netalloc import bestresponse, dynamics, game, instances, utility
-from netalloc.bestresponse import best_response, is_best_response
+from helpers import OPT, PESS, make_spec, profile_of, single_edge_spec
+from netalloc import analysis, bestresponse, dynamics, game, instances, utility
+from netalloc.analysis import global_optimum
+from netalloc.bestresponse import best_response, edge_terms, is_best_response
 from netalloc.dynamics import (
+    MARGINAL_SHIFT,
     Converged,
     CycleDetected,
     DynamicsConfig,
@@ -24,6 +27,7 @@ from netalloc.dynamics import (
     RandomSeeded,
     RoundRobin,
     Zero,
+    _place_leftover,
     _SeqState,
     classify_equilibrium,
     init_profile,
@@ -34,9 +38,11 @@ from netalloc.game import (
     FrequencyProfile,
     InfeasibleProfileError,
     check_feasible,
+    left_sum,
     outcome_summary,
     player_utility,
     social_welfare,
+    validate_game,
 )
 from netalloc.instances import (
     gen_k5_cycle_instance,
@@ -128,6 +134,56 @@ def test_init_leftover_ties_go_to_the_first_neighbor():
         floors = _star_floors(spec, seed)
         row = _star_row(spec, seed)
         assert row == [floors[0] + 10 - sum(floors)] + floors[1:]
+
+
+def _scan_leftover(alloc, spare, weights, utils, eta):
+    """The random start's first leftover fill, kept as the reference: each
+    quantum rescans every neighbor for the first highest positive score."""
+    for _ in range(spare):
+        best_k, best_score = -1, 0.0
+        for k, (w, u) in enumerate(zip(weights, utils)):
+            if w > 0.0:
+                score = w * u.marginal((alloc[k] + MARGINAL_SHIFT) * eta)
+                if score > best_score:
+                    best_k, best_score = k, score
+        if best_k < 0:
+            break
+        alloc[best_k] += 1
+
+
+LEFTOVER_UTILITIES = st.sampled_from(
+    [
+        UtilitySpec.linear(),
+        UtilitySpec.sqrt(),
+        UtilitySpec.log1p(),
+        UtilitySpec.power(0.5),
+        UtilitySpec.capped_quadratic(3.0),  # its score reaches zero
+    ]
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_leftover_heap_places_quanta_like_the_scan(data):
+    deg = data.draw(st.integers(1, 8))
+    # few distinct weights, so scores tie often
+    weights = data.draw(
+        st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=deg, max_size=deg)
+    )
+    utils = data.draw(
+        st.one_of(
+            st.lists(st.just(UtilitySpec.linear()), min_size=deg, max_size=deg),
+            st.lists(st.just(UtilitySpec.sqrt()), min_size=deg, max_size=deg),
+            st.lists(LEFTOVER_UTILITIES, min_size=deg, max_size=deg),
+        )
+    )
+    alloc = data.draw(st.lists(st.integers(0, 6), min_size=deg, max_size=deg))
+    spare = data.draw(st.integers(-1, 25))
+    eta = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    expected = list(alloc)
+    _scan_leftover(expected, spare, weights, utils, eta)
+    _place_leftover(alloc, spare, weights, utils, eta)
+    assert alloc == expected
 
 
 def test_init_zero_budget_or_zero_weight_gets_no_leftover():
@@ -528,15 +584,42 @@ def _neumaier_sum(values, start=0):
     return total + comp
 
 
+def _sum_sensitive_outputs(doc):
+    """Outputs with float sums off the criterion-8 run path: continuous
+    best responses (optimists whose caps, thirds of quanta, leave budget to
+    dispose of), two optima and a report of weight totals."""
+    spec = doc.to_game_spec(behavior_override="optimistic")
+    thirds = FrequencyProfile(
+        {e: c / 3 for e, c in init_profile(spec, RandomFeasible(3)).counts.items()}
+    )
+    responses = [
+        (br.proposals, repr(br.realized_utility))
+        for br in (best_response(spec, thirds, i) for i in range(spec.n))
+    ]
+    mixed = gen_random_instance(n=12, edge_prob=0.4, seed=0, budget_units=20)
+    optima = [
+        (repr(opt.welfare), repr(opt.upper_bound), opt.iterations)
+        for opt in (global_optimum(spec), global_optimum(mixed.to_game_spec()))
+    ]
+    weights = dict(spec.weights)
+    for j in spec.neighbors[0]:
+        weights[(0, j)] *= 1.1
+    report = validate_game(dataclasses.replace(spec, weights=weights))
+    assert any("weights of player 0 sum to" in v for v in report.violations)
+    return responses, optima, report
+
+
 def test_criterion_8_runs_do_not_depend_on_the_builtin_sum(monkeypatch):
     # the compensated sum changes the last bits of most welfare sums, so
     # any float sum left on this path would show in a welfare repr
     assert _neumaier_sum([0.1] * 10) != builtins.sum([0.1] * 10)
-    for module in (game, utility, dynamics, bestresponse, instances):
-        monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
     doc = gen_torus_grid(
         10, 10, beta=1000.0, eta=1.0, weight_seed=7, utility=UtilitySpec.sqrt()
     )
+    before = _sum_sensitive_outputs(doc)
+    for module in (game, utility, dynamics, bestresponse, instances, analysis):
+        monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
+    assert _sum_sensitive_outputs(doc) == before
     for behavior in C8_PINS:
         spec = doc.to_game_spec(behavior_override=behavior)
         for seed, rounds, digest, welfare in C8_PINS[behavior]:
@@ -1059,3 +1142,53 @@ def test_exchange_test_only_settles_players_that_cannot_improve(game):
     ok, improvement = is_best_response(spec, profile, 0, least)
     assert ok
     assert improvement <= least
+
+
+def _assert_terms_at_agreed(spec, profile, i, br):
+    """``br.terms`` are the edge terms at the response's agreed amounts,
+    recomputed through ``UtilitySpec.value``, bit for bit, and the realized
+    utility is their left-to-right sum."""
+    row = spec.index.rows[i]
+    caps = [profile.counts[(j, i)] for j in row.neighbors]
+    expected = [
+        edge_terms(w, u.value, min(br.proposals[j], c), c, spec.eta)
+        for j, w, u, c in zip(row.neighbors, row.weights, row.utils, caps)
+    ]
+    hexed = [tuple(v.hex() for v in t) for t in zip(*br.terms)]
+    assert hexed == [tuple(v.hex() for v in t) for t in expected]
+    assert br.realized_utility.hex() == left_sum(br.terms[0]).hex()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(exchange_games(), st.sampled_from([PESS, OPT]))
+def test_best_response_terms_are_the_edge_terms_at_the_agreed_amounts(
+    game, behavior
+):
+    spec, profile, _ = game
+    spec = dataclasses.replace(spec, behaviors={**spec.behaviors, 0: behavior})
+    _assert_terms_at_agreed(spec, profile, 0, best_response(spec, profile, 0))
+
+
+def test_best_response_terms_after_cap_matching_and_disposal():
+    # neighbor 2 has zero weight, so only cap matching places quanta there;
+    # the optimist then disposes of the rest above both caps
+    sq = UtilitySpec.sqrt()
+    edges = [(0, 1, 1.0, 1.0, sq, sq), (0, 2, 0.0, 1.0, sq, sq)]
+    for behavior, proposals in ((PESS, {1: 2, 2: 3}), (OPT, {1: 5, 2: 5})):
+        spec = make_spec(3, 1.0, edges, [10.0, 5.0, 5.0], {0: behavior, 1: PESS, 2: PESS})
+        profile = profile_of(spec, {0: {1: 0, 2: 0}, 1: {0: 2}, 2: {0: 3}})
+        br = best_response(spec, profile, 0)
+        assert br.proposals == proposals
+        _assert_terms_at_agreed(spec, profile, 0, br)
+        assert br.terms[1] == [-math.inf, -math.inf]  # both edges matched
+
+
+def test_best_response_has_no_terms_off_the_grid_alone_or_without_budget():
+    sq = UtilitySpec.sqrt()
+    spec = make_spec(3, 1.0, [(0, 1, 1.0, 1.0, sq, sq)], [4.0, 0.0, 4.0])
+    grid = profile_of(spec, {0: {1: 1}, 1: {0: 0}})
+    assert best_response(spec, grid, 0).terms is not None
+    floats = FrequencyProfile({e: float(c) for e, c in grid.counts.items()})
+    assert best_response(spec, floats, 0).terms is None
+    assert best_response(spec, grid, 1).terms is None  # budget 0
+    assert best_response(spec, grid, 2).terms is None  # isolated

@@ -261,6 +261,31 @@ def indexed_games(draw):
     return spec, profile
 
 
+# utility arguments: zero, off-grid, grid, past a capped quadratic's peak
+KERNEL_SAMPLES = (0.0, 1e-300, 0.05, 0.5, 1.0, 2.75, 3.0, 40.0, 1e6)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        UtilitySpec.linear(),
+        UtilitySpec.sqrt(),
+        UtilitySpec.log1p(),
+        UtilitySpec.power(0.3),
+        UtilitySpec.power(1.0),
+        UtilitySpec.capped_quadratic(2.5),
+    ],
+    ids=lambda u: f"{u.family}-{u.a}-{u.cap}",
+)
+def test_row_kernels_give_the_bits_of_value_in_every_family(u):
+    for w in (0.0, 0.5):
+        spec = single_edge_spec(u=u, w=(w, 1.0))
+        row = spec.index.rows[0]
+        for x in KERNEL_SAMPLES:
+            assert row.kernels[0](x).hex() == u.value(x).hex()
+        assert row.zero_marginals == ((w * u.marginal(0.0) if w else 0.0),)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(indexed_games())
 def test_spec_index_matches_the_edge_dicts(game):
@@ -276,6 +301,12 @@ def test_spec_index_matches_the_edge_dicts(game):
         assert row.weights == tuple(spec.weights[(i, j)] for j in nbrs)
         assert row.utils == tuple(spec.utilities[(i, j)] for j in nbrs)
         assert row.budget == spec.budget_units(i)
+        for w, u, value, zero in zip(
+            row.weights, row.utils, row.kernels, row.zero_marginals
+        ):
+            for x in KERNEL_SAMPLES:
+                assert value(x).hex() == u.value(x).hex()
+            assert zero == (w * u.marginal(0.0) if w > 0.0 else 0.0)
     for e, (i, j) in enumerate(edges):
         assert rev[rev[e]] == e
         assert edges[rev[e]] == (j, i)

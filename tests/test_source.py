@@ -81,3 +81,43 @@ def test_only_the_cli_prints(module):
 def test_print_check_sees_a_call():
     assert print_calls("x = 1\nif x:\n    print(x, file=None)\n") == [3]
     assert print_calls("log.print(1)\n") == []
+
+
+# Built-in ``sum`` calls that add ints only, each with its reason.  A float
+# sum that reaches an output or a decision goes through ``game.left_sum``,
+# whose bits do not depend on the CPython version (3.12's ``sum`` is
+# compensated).
+INT_SUMS = {
+    ("analysis.py", "sum(self.ranks[k] for k in neighbors[i])"): "rank sums",
+    ("bestresponse.py", "sum(alloc)"): "spare quanta of an int allocation",
+    ("dynamics.py", "sum(alloc)"): "spare quanta of an int allocation",
+    ("dynamics.py", "sum(tree)"): "Fenwick size: a count of 0/1 marks",
+    ("experiment.py", "sum(window)"): "histogram counts",
+    ("experiment.py", "sum(1 for o in outcomes if not o.converged)"): "run count",
+}
+
+
+def sum_calls(source: str) -> list[str]:
+    """The source of every call to the builtin ``sum``."""
+    return [
+        ast.get_source_segment(source, node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
+
+
+def test_builtin_sums_add_ints_only():
+    found = {
+        (module, call)
+        for module in MODULES + ["__init__.py"]
+        for call in sum_calls((SRC / module).read_text(encoding="utf-8"))
+    }
+    assert found - INT_SUMS.keys() == set(), "use game.left_sum for float sums"
+    assert INT_SUMS.keys() - found == set(), "stale allowlist entry"
+
+
+def test_sum_check_sees_a_call():
+    source = "total = sum(w * u for w, u in pairs)\nx = np.sum(y)\n"
+    assert sum_calls(source) == ["sum(w * u for w, u in pairs)"]
