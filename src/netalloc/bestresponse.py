@@ -463,7 +463,8 @@ def brute_force_best_response(
     lexicographic order and keeps the first maximizer, so ties resolve to the
     lexicographically smallest allocation.
     """
-    nbrs, weights, utils, budget = spec.index.rows[i][:4]
+    row = spec.index.rows[i]
+    nbrs, weights, utils, budget = row.neighbors, row.weights, row.utils, row.budget
     deg = len(nbrs)
     if deg == 0:
         return {}, 0.0

@@ -264,7 +264,7 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
     rng = random.Random(policy.seed)
     counts: dict[tuple[int, int], int] = {}
     for i, row in enumerate(spec.index.rows):
-        nbrs, weights, utils, budget = row[:4]
+        nbrs, budget = row.neighbors, row.budget
         if not nbrs:
             continue
         if budget <= 0:
@@ -274,7 +274,7 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
         draws = [rng.random() for _ in nbrs]
         total = left_sum(draws)
         alloc = [int(math.floor(budget * d / total)) for d in draws]
-        _place_leftover(alloc, budget - sum(alloc), weights, utils, spec.eta)
+        _place_leftover(alloc, budget - sum(alloc), row.weights, row.utils, spec.eta)
         for k, j in enumerate(nbrs):
             counts[(i, j)] = alloc[k]
     return FrequencyProfile(counts)

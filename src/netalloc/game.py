@@ -86,13 +86,8 @@ class PlayerRow(NamedTuple):
 
 
 def _zero_marginal(w: float, u: UtilitySpec) -> float:
-    """w u'(0) for w > 0, else 0.0.  Where u'(0) is 1 or inf (every family
-    but the capped quadratic) the product is w or inf itself, so those
-    objects are reused and a row holds no new float for them."""
-    if not w > 0.0:
-        return 0.0
-    m = u.marginal(0.0)
-    return w if m == 1.0 else math.inf if m == math.inf else w * m
+    """w u'(0) for w > 0, else 0.0."""
+    return w * u.marginal(0.0) if w > 0.0 else 0.0
 
 
 class SpecIndex(NamedTuple):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import OPT, PESS, make_spec, path3_spec, profile_of, single_edge_spec
-from netalloc import bestresponse
+from netalloc import bestresponse, game
 from netalloc.bestresponse import (
     best_move,
     best_response,
@@ -35,7 +35,7 @@ from netalloc.utility import INF, UtilitySpec
 def _water_fill(weights, utils, caps, budget, eta):
     """The solver's water fill, with the zero-level marginals w u'(0) that
     a player row holds."""
-    zeros = [w * u.marginal(0.0) if w > 0.0 else 0.0 for w, u in zip(weights, utils)]
+    zeros = [game._zero_marginal(w, u) for w, u in zip(weights, utils)]
     return bestresponse._water_fill(weights, utils, zeros, caps, budget, eta)
 
 

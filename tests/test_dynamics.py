@@ -613,12 +613,16 @@ def test_criterion_8_runs_do_not_depend_on_the_builtin_sum(monkeypatch):
     # the compensated sum changes the last bits of most welfare sums, so
     # any float sum left on this path would show in a welfare repr
     assert _neumaier_sum([0.1] * 10) != builtins.sum([0.1] * 10)
-    doc = gen_torus_grid(
-        10, 10, beta=1000.0, eta=1.0, weight_seed=7, utility=UtilitySpec.sqrt()
-    )
-    before = _sum_sensitive_outputs(doc)
+    def torus():
+        return gen_torus_grid(
+            10, 10, beta=1000.0, eta=1.0, weight_seed=7, utility=UtilitySpec.sqrt()
+        )
+
+    before = _sum_sensitive_outputs(torus())
     for module in (game, utility, dynamics, bestresponse, instances, analysis):
         monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
+    # generated again under the patch, so the generator's sums are covered too
+    doc = torus()
     assert _sum_sensitive_outputs(doc) == before
     for behavior in C8_PINS:
         spec = doc.to_game_spec(behavior_override=behavior)

@@ -97,22 +97,30 @@ INT_SUMS = {
 }
 
 
-def sum_calls(source: str) -> list[str]:
-    """The source of every call to the builtin ``sum``."""
-    return [
-        ast.get_source_segment(source, node)
-        for node in ast.walk(ast.parse(source))
+def sum_uses(source: str) -> list[str]:
+    """The source of every call to the builtin ``sum``, and the line of
+    every other use of the name (``map(sum, rows)``, ``total = sum``)."""
+    tree = ast.parse(source)
+    calls = [
+        node
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == "sum"
+    ]
+    called = {id(call.func) for call in calls}
+    return [ast.get_source_segment(source, call) for call in calls] + [
+        f"line {node.lineno}: sum"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "sum" and id(node) not in called
     ]
 
 
 def test_builtin_sums_add_ints_only():
     found = {
-        (module, call)
+        (module, use)
         for module in MODULES + ["__init__.py"]
-        for call in sum_calls((SRC / module).read_text(encoding="utf-8"))
+        for use in sum_uses((SRC / module).read_text(encoding="utf-8"))
     }
     assert found - INT_SUMS.keys() == set(), "use game.left_sum for float sums"
     assert INT_SUMS.keys() - found == set(), "stale allowlist entry"
@@ -120,4 +128,5 @@ def test_builtin_sums_add_ints_only():
 
 def test_sum_check_sees_a_call():
     source = "total = sum(w * u for w, u in pairs)\nx = np.sum(y)\n"
-    assert sum_calls(source) == ["sum(w * u for w, u in pairs)"]
+    assert sum_uses(source) == ["sum(w * u for w, u in pairs)"]
+    assert sum_uses("totals = list(map(sum, rows))\n") == ["line 1: sum"]
