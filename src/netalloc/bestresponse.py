@@ -298,6 +298,7 @@ def _polish_exchanges(
     eta: float,
     weights: Sequence[float],
     kernels: Sequence,
+    standing: tuple | None = None,
 ) -> tuple[int, tuple[list[float], list[float], list[float]]]:
     """Apply :func:`best_move` (the largest gain, ties as there) to ``alloc``
     in place while it gains more than ``POLISH_MIN_GAIN``, which leaves a
@@ -305,19 +306,26 @@ def _polish_exchanges(
     also places every quantum the starting floors leave.  Only the giver's
     and the receiver's terms are redone.  No amount passes its cap, so
     ``alloc`` holds the agreed amounts.  Returns the spare quanta and the
-    final :func:`edge_terms` lists (utilities, gains, losses)."""
+    final :func:`edge_terms` lists (utilities, gains, losses).  With
+    ``standing`` (:func:`best_response`), a start at its agreed amount
+    copies its terms from there; the lists passed in are not changed."""
     deg = len(alloc)
-    util = [0.0] * deg
-    up = [0.0] * deg
-    down = [0.0] * deg
 
     def settle(k: int) -> None:
         util[k], up[k], down[k] = edge_terms(
             weights[k], kernels[k], alloc[k], caps_units[k], eta
         )
 
-    for k in range(deg):
-        settle(k)
+    if standing is None:
+        util, up, down = [0.0] * deg, [0.0] * deg, [0.0] * deg
+        for k in range(deg):
+            settle(k)
+    else:
+        own, util, up, down = standing
+        util, up, down = util[:], up[:], down[:]
+        for k, (a, o, c) in enumerate(zip(alloc, own, caps_units)):
+            if a != (o if o < c else c):
+                settle(k)
     spare = budget_units - sum(alloc)
     # an added quantum is never taken back to spare, so adds number at most
     # the spare; the constant bounds the exchanges
@@ -340,6 +348,7 @@ def best_response(
     profile: FrequencyProfile | None,
     i: PlayerId,
     caps: Sequence[float] | None = None,
+    standing: tuple | None = None,
 ) -> BRResult:
     """Best response of player i against everyone else's standing proposals.
 
@@ -358,12 +367,16 @@ def best_response(
     A grid response carries the polish's per-edge terms (``BRResult.terms``),
     redone on the edges that cap matching raises; disposal above a cap
     leaves the agreed amount at the cap, so its terms stand.  The
-    sequential engine installs them as the mover's own.
+    sequential engine installs them as the mover's own and passes them back
+    to i's next solve as ``standing``: (own proposals, utilities, gains,
+    losses) at the agreed amounts min(own, cap) of an integer profile, so
+    such a call is on the grid.  The polish copies an edge's terms where
+    its floor is that amount, so the response is the same.
     """
     nbrs, weights, utils, budget, kernels, zero_marginals = spec.index.rows[i]
     if caps is None:
         caps = [profile.counts[(j, i)] for j in nbrs]
-    grid = all(isinstance(c, int) for c in caps)
+    grid = standing is not None or all(isinstance(c, int) for c in caps)
     if not nbrs:
         return BRResult(proposals={}, realized_utility=0.0)
 
@@ -379,7 +392,7 @@ def best_response(
     if grid:
         alloc = [int(math.floor(t)) for t in targets]
         leftover, terms = _polish_exchanges(
-            alloc, caps, budget, eta, weights, kernels
+            alloc, caps, budget, eta, weights, kernels, standing
         )
     else:
         alloc = list(targets)

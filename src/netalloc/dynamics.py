@@ -390,11 +390,16 @@ class _SeqState:
     Per-edge terms are kept at the positions of the spec's player rows.  A
     move installs the lists of the mover's response (``BRResult.terms``,
     its terms at the new agreed amounts) as the mover's own, so each
-    changed edge's terms are recomputed on the neighbor's side only.  A
-    status is a boolean (:meth:`_can_improve`), and ``movers``, an
+    changed edge's terms are recomputed on the neighbor's side only, and
+    :meth:`respond` hands a player's row and terms back to its next solve.
+    A status is a boolean (:meth:`_can_improve`), and ``movers``, an
     :class:`_IdTree`, is the set of players whose status is True.  No
     response is kept: the run solves each mover when it picks it, and a
-    status only when :meth:`settled_status` cannot settle it.
+    status only when :meth:`settled_status` cannot settle it.  A move
+    refreshes a neighbor's status only when it changed that neighbor's
+    terms, slack or win count, or when the last status was solved
+    (``solved``; the mover's own counts as solved), since only a solve
+    reads the caps.
     """
 
     def __init__(self, spec: GameSpec, f: list[int], tol: float):
@@ -417,24 +422,28 @@ class _SeqState:
         for i, row in enumerate(self.rows):
             for k in range(len(row.neighbors)):
                 self._set_terms(i, k)
-        # the players that can still improve
+        # the players that can still improve, and whose status was solved
+        self.solved = bytearray(spec.n)
         self.movers = _IdTree(spec.n, filter(self._can_improve, range(spec.n)))
 
-    def caps(self, i: int) -> list[int]:
-        """The proposals made to i, in its neighbor order."""
-        f = self.f
-        return [f[r] for r in self.rev[self.off[i] : self.off[i + 1]]]
+    def respond(self, i: int) -> BRResult:
+        """i's best response to the proposals made to it, solved from i's
+        standing row and terms (``best_response``'s ``standing``)."""
+        f, lo, hi = self.f, self.off[i], self.off[i + 1]
+        caps = [f[r] for r in self.rev[lo:hi]]
+        standing = (f[lo:hi], self._util[i], self._up[i], self._down[i])
+        return best_response(self.spec, None, i, caps, standing)
 
     def _can_improve(self, i: int) -> bool:
         """i's status: can its best response gain more than ``tol``?  Solved
         only when neither the win count nor the exchange test settles it."""
-        if self.win_count[i] == 0:
-            return False  # matching everyone: no unilateral gain exists
-        status = self.settled_status(i)
+        status = False  # matching everyone: no unilateral gain exists
+        if self.win_count[i]:
+            status = self.settled_status(i)
+        self.solved[i] = status is None
         if status is not None:
             return status
-        br = best_response(self.spec, None, i, self.caps(i))
-        return br.realized_utility - self.utility(i) > self.tol
+        return self.respond(i).realized_utility - self.utility(i) > self.tol
 
     def utility(self, i: int) -> float:
         """i's current utility: the terms ``game.player_utility`` adds,
@@ -508,8 +517,8 @@ class _SeqState:
         the mover's own terms from ``br.terms`` (its terms at the new agreed
         amounts, see :class:`~netalloc.bestresponse.BRResult`; a player that
         can improve has neighbors and budget, so its response has them), and
-        refresh the statuses of those neighbors."""
-        f, rev, off = self.f, self.rev, self.off
+        refresh the statuses of those neighbors (see the class docstring)."""
+        f, rev, off, solved = self.f, self.rev, self.off, self.solved
         base = off[mover]
         nbrs = self.rows[mover].neighbors
         changed = []
@@ -539,8 +548,10 @@ class _SeqState:
                 retally = True
             if retally:
                 self._set_terms(j, rev[x] - off[j])
-            changed.append(j)
+            if retally or solved[j]:
+                changed.append(j)
         self._util[mover], self._up[mover], self._down[mover] = br.terms
+        solved[mover] = 1
         movers = self.movers
         member = movers.member
         if member[mover]:
@@ -626,7 +637,7 @@ def run_sequential(
         else:
             mover = movers.first_from(pos)
             pos = mover + 1
-        br = best_response(spec, None, mover, state.caps(mover))
+        br = state.respond(mover)
         gain = br.realized_utility - state.utility(mover)
         if not gain > config.tol:
             raise InvariantViolation(

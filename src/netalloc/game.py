@@ -293,7 +293,10 @@ class FrequencyProfile:
         return all(isinstance(c, int) for c in self.counts.values())
 
     def key(self, spec: GameSpec) -> tuple:
-        """Canonical hashable snapshot (exact equality, no collisions)."""
+        """Canonical hashable snapshot (exact equality, no collisions): the
+        counts in ``spec.directed_edges`` order, which most dicts keep."""
+        if tuple(self.counts) == spec.directed_edges:
+            return tuple(self.counts.values())
         return tuple(self.counts[e] for e in spec.directed_edges)
 
     def with_proposals(

@@ -1196,3 +1196,126 @@ def test_best_response_has_no_terms_off_the_grid_alone_or_without_budget():
     assert best_response(spec, floats, 0).terms is None
     assert best_response(spec, grid, 1).terms is None  # budget 0
     assert best_response(spec, grid, 2).terms is None  # isolated
+
+
+def _standing(state, i):
+    """i's standing state as the engine hands it to its solve: its own
+    proposals and its edge-term lists."""
+    lo, hi = state.off[i], state.off[i + 1]
+    return (state.f[lo:hi], state._util[i], state._up[i], state._down[i])
+
+
+@pytest.mark.parametrize("game", ["random", "torus"])
+def test_seeded_solve_matches_the_solve_from_the_profile(game):
+    """A response solved from the player's standing terms is the response
+    solved from the profile, in proposals, utility bits and terms, and the
+    lists handed in stay as they were.  Engine states are reached by random
+    moves; some floors start at the agreed amounts and others do not."""
+    if game == "random":
+        specs = [
+            gen_random_instance(n=16, edge_prob=0.4, seed=s, budget_units=50).to_game_spec()
+            for s in range(90, 94)
+        ]
+    else:
+        doc = gen_torus_grid(
+            10, 10, beta=1000.0, eta=1.0, weight_seed=7, utility=UtilitySpec.sqrt()
+        )
+        specs = [doc.to_game_spec(behavior_override=b) for b in ("optimistic", "pessimistic")]
+    # solves where every floor is an agreed amount, none is, or some are
+    kinds = {"all": 0, "none": 0, "some": 0}
+    families = set()
+    for seed, spec in enumerate(specs):
+        rng = random.Random(seed)
+        state = _state(spec, init_profile(spec, RandomFeasible(1000 + seed)))
+        for _ in range(12):
+            profile = _profile(state)
+            for i, row in enumerate(spec.index.rows):
+                if not row.neighbors or row.budget <= 0:
+                    continue
+                families.update(u.family for u in row.utils)
+                standing = _standing(state, i)
+                before = tuple(list(t) for t in standing)
+                caps = [profile.counts[(j, i)] for j in row.neighbors]
+                seeded = best_response(spec, None, i, caps, standing)
+                plain = best_response(spec, profile, i)
+                assert seeded.proposals == plain.proposals
+                assert repr(seeded.realized_utility) == repr(plain.realized_utility)
+                assert repr(seeded.terms) == repr(plain.terms)
+                assert standing == before
+                _, targets = bestresponse._water_fill(
+                    row.weights, row.utils, row.zero_marginals, caps, row.budget, spec.eta
+                )
+                at = sum(
+                    math.floor(t) == min(o, c)
+                    for t, o, c in zip(targets, standing[0], caps)
+                )
+                kinds["all" if at == len(caps) else "some" if at else "none"] += 1
+            members = _members(state)
+            if not members:
+                break
+            mover = rng.choice(members)
+            state.apply_move(mover, state.respond(mover))
+    assert all(kinds.values()), kinds
+    if game == "random":
+        assert families == set(FAMILIES)
+
+
+def test_solved_statuses_are_refreshed_after_every_move():
+    """With tol = 0 the exchange test never settles "cannot improve", so
+    every unsettled status is solved, and a solve reads the caps.  A move
+    that changes only a neighbor's cap must still refresh such a status:
+    after every move the movers are exactly the players that
+    is_best_response rejects at tol = 0, and the standing terms are those
+    of a fresh state."""
+    solved = moves = 0
+    for seed in range(12):
+        spec = gen_random_instance(
+            n=8, edge_prob=0.5, seed=300 + seed, budget_units=12
+        ).to_game_spec()
+        rng = random.Random(seed)
+        state = _state(spec, init_profile(spec, RandomFeasible(seed)), tol=0.0)
+        for _ in range(40):
+            profile = _profile(state)
+            rejected = [
+                i for i in range(spec.n)
+                if not is_best_response(spec, profile, i, tol=0.0)[0]
+            ]
+            members = _members(state)
+            assert members == rejected
+            fresh = _state(spec, profile, tol=0.0)
+            assert (state._util, state._up, state._down) == (
+                fresh._util, fresh._up, fresh._down
+            )
+            solved += sum(state.solved)
+            if not members:
+                break
+            mover = rng.choice(members)
+            state.apply_move(mover, state.respond(mover))
+            moves += 1
+    assert moves > 0
+    assert solved > 0
+
+    # By concavity a cap change above the agreed amount cannot flip a status
+    # in exact arithmetic, so the random games above never see one flip; a
+    # tie among linear allocations makes it flip by one ulp.  Player 1's
+    # move lowers its over-proposal to player 0 from 7 to 5 and leaves 0's
+    # terms alone, but 0's solver now fills its tied neighbors (5, 4, 0)
+    # instead of (7, 2, 0), whose sum was an ulp above 0's utility.
+    lin, sq = UtilitySpec.linear(), UtilitySpec.sqrt()
+    edges = [
+        (0, 1, 0.1, 1.0, lin, sq), (0, 2, 0.1, 1.0, lin, lin),
+        (0, 3, 0.1, 1.0, lin, lin), (1, 4, 1.0, 1.0, sq, sq),
+    ]
+    behaviors = {0: PESS, 1: OPT, 2: PESS, 3: PESS, 4: PESS}
+    spec = make_spec(5, 1.0, edges, [9.0, 10.0, 20.0, 20.0, 10.0], behaviors)
+    start = profile_of(
+        spec, {0: {1: 2, 2: 3, 3: 4}, 1: {0: 7, 4: 0}, 2: {0: 20}, 3: {0: 20}, 4: {1: 3}}
+    )
+    state = _state(spec, start, tol=0.0)
+    assert _members(state) == [0, 1] and state.solved[0]
+    terms = (state._util[0], state._up[0], state._down[0])
+    state.apply_move(1, state.respond(1))
+    assert state.f[state.off[1]] == 5
+    assert (state._util[0], state._up[0], state._down[0]) == terms
+    assert is_best_response(spec, _profile(state), 0, tol=0.0)[0]
+    assert _members(state) == [4]

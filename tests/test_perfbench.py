@@ -3,10 +3,13 @@
 Each workload in ``perfbench/workloads.py`` runs its set-up and one unit at
 the reduced size, and the benchmark's own output check must count no failed
 operation.  Seed 99 has no recorded reference, so only the runs, the optima
-and their equilibrium checks are compared.  ``perfbench/`` is imported
-without writing bytecode into it.
+and their equilibrium checks are compared.  The full-size ``mixed_dense``
+and ``torus_large`` units at seed 1000 must reproduce their recorded
+digests.  ``perfbench/`` is imported without writing bytecode into it, and
+read only.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -51,3 +54,13 @@ def test_workload_runs_and_passes_its_check(bench, name):
     assert attempted > 1
     assert failed == 0, notes
     assert notes == [f"no reference outputs recorded for seed {SEED}"]
+
+
+@pytest.mark.parametrize("name", ["mixed_dense", "torus_large"])
+def test_full_size_unit_reproduces_its_reference_digest(bench, name):
+    workloads, worker = bench
+    workload = workloads.WORKLOADS[name]
+    cfg = workloads.SIZES["full"][name]
+    outcome = workload.unit(workload.setup(1000, cfg), cfg)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert worker.digest(workload, outcome) == reference[name]["1000"]["sha256"]
