@@ -55,10 +55,6 @@ class InfeasibleProfileError(ValueError):
         self.player = player
 
 
-def _normalize_edge(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i <= j else (j, i)
-
-
 def left_sum(values: Iterable[float]) -> float:
     """The values added left to right from 0.0, one rounding per addition:
     the bits of CPython 3.11's built-in ``sum`` on every version (3.12's
@@ -107,7 +103,9 @@ class GameSpec:
     ``weights`` / ``utilities`` are keyed by directed edge (both directions of
     every undirected edge); ``budgets`` are in resource units and must be
     integer multiples of ``eta``.  Construction never validates -- run
-    :func:`validate_game` to collect violations.
+    :func:`validate_game` to collect violations.  ``directed_edges`` reuses
+    the ``weights`` keys, so a caller that keys both maps and ``edges`` with
+    one tuple per direction keeps one per direction in the whole spec.
     """
 
     n: int
@@ -123,9 +121,6 @@ class GameSpec:
     directed_edges: tuple[DirectedEdge, ...] = field(
         init=False, repr=False, compare=False
     )
-    directed_edge_set: frozenset[DirectedEdge] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         adj: dict[int, list[int]] = {i: [] for i in range(self.n)}
@@ -137,12 +132,13 @@ class GameSpec:
         object.__setattr__(
             self, "neighbors", {i: tuple(sorted(js)) for i, js in adj.items()}
         )
+        keys = {e: e for e in self.weights}
         directed = []
         for i in range(self.n):
             for j in self.neighbors[i]:
-                directed.append((i, j))
+                e = (i, j)
+                directed.append(keys.get(e, e))
         object.__setattr__(self, "directed_edges", tuple(directed))
-        object.__setattr__(self, "directed_edge_set", frozenset(directed))
 
     @staticmethod
     def build(
@@ -154,7 +150,7 @@ class GameSpec:
         utilities: Mapping[DirectedEdge, UtilitySpec],
         behaviors: Mapping[PlayerId, Behavior],
     ) -> "GameSpec":
-        norm = frozenset(_normalize_edge(i, j) for (i, j) in edges)
+        norm = frozenset(e if e[0] <= e[1] else (e[1], e[0]) for e in edges)
         return GameSpec(
             n=n,
             eta=eta,
@@ -314,9 +310,10 @@ def check_feasible(spec: GameSpec, profile: FrequencyProfile) -> tuple[list, boo
     row of ints is held to the budget exactly, a row with a float within
     ``FEASIBILITY_TOL`` of it, relative.  Returns the proposals by edge id
     (see :attr:`GameSpec.index`) and whether they are all ints."""
-    for e in profile.counts:
-        if e not in spec.directed_edge_set:
-            raise InfeasibleProfileError(e[0], f"proposal on non-edge {e}")
+    if tuple(profile.counts) != spec.directed_edges:
+        for e in profile.counts:
+            if e[1] not in spec.neighbors.get(e[0], ()):
+                raise InfeasibleProfileError(e[0], f"proposal on non-edge {e}")
     flat = []
     integral = True
     for i in range(spec.n):

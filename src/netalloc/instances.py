@@ -116,7 +116,7 @@ def _rows(rows, where: str) -> tuple[tuple[int, int, int], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeSpec:
     i: int
     j: int
@@ -145,16 +145,18 @@ class InstanceDocument:
         self, behavior_override: str | None = None
     ) -> GameSpec:
         """Materialize a GameSpec; ``behavior_override`` forces every player
-        pessimistic or optimistic (used by paired experiments)."""
+        pessimistic or optimistic (used by paired experiments).  Every map of
+        the spec keys a direction with the same tuple object."""
         weights = {}
         utilities = {}
         edge_pairs = []
         for e in self.edges:
-            edge_pairs.append((e.i, e.j))
-            weights[(e.i, e.j)] = e.w_ij
-            weights[(e.j, e.i)] = e.w_ji
-            utilities[(e.i, e.j)] = e.utility_ij
-            utilities[(e.j, e.i)] = e.utility_ji
+            ij, ji = (e.i, e.j), (e.j, e.i)
+            edge_pairs.append(ij if e.i <= e.j else ji)
+            weights[ij] = e.w_ij
+            weights[ji] = e.w_ji
+            utilities[ij] = e.utility_ij
+            utilities[ji] = e.utility_ji
         names = (
             [behavior_override] * self.n
             if behavior_override is not None
@@ -521,7 +523,7 @@ def _random_utility(rng: random.Random, beta: float, family: str | None) -> Util
         return UtilitySpec.power(round(rng.uniform(0.2, 1.0), 3))
     if fam == "capped_quadratic":
         return UtilitySpec.capped_quadratic(round(rng.uniform(0.5, 1.5) * beta, 3))
-    return UtilitySpec(fam)
+    return UtilitySpec.from_json({"family": fam})
 
 
 def gen_random_instance(

@@ -42,13 +42,14 @@ FAMILIES = (LINEAR, SQRT, LOG1P, POWER, CAPPED_QUADRATIC)
 _SHARED_VALUES = {LINEAR: operator.pos, SQRT: math.sqrt, LOG1P: math.log1p}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UtilitySpec:
     """One utility function drawn from the admissible concave families.
 
     ``a`` is the exponent for the power family (0 < a <= 1); ``cap`` is the
     satiation parameter of the capped quadratic (peak value cap^2/4 reached
-    at x = cap/2).
+    at x = cap/2).  The constructors and ``from_json`` return one shared
+    instance per parameterless family (linear, sqrt, log1p).
     """
 
     family: str
@@ -73,15 +74,15 @@ class UtilitySpec:
 
     @staticmethod
     def linear() -> "UtilitySpec":
-        return UtilitySpec(LINEAR)
+        return _SHARED[LINEAR]
 
     @staticmethod
     def sqrt() -> "UtilitySpec":
-        return UtilitySpec(SQRT)
+        return _SHARED[SQRT]
 
     @staticmethod
     def log1p() -> "UtilitySpec":
-        return UtilitySpec(LOG1P)
+        return _SHARED[LOG1P]
 
     @staticmethod
     def power(a: float) -> "UtilitySpec":
@@ -195,9 +196,13 @@ class UtilitySpec:
 
     @staticmethod
     def from_json(data: dict) -> "UtilitySpec":
-        return UtilitySpec(
+        u = UtilitySpec(
             family=data["family"], a=data.get("a"), cap=data.get("cap")
         )
+        return _SHARED.get(u.family, u)
+
+
+_SHARED = {fam: UtilitySpec(fam) for fam in _SHARED_VALUES}
 
 
 def shared_level(

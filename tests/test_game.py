@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OPT, PESS, make_spec, profile_of, single_edge_spec
+from helpers import OPT, PESS, make_spec, path3_spec, profile_of, single_edge_spec
 from netalloc.game import (
     Behavior,
     FrequencyProfile,
@@ -150,6 +150,51 @@ def test_integer_rows_are_held_to_the_budget_exactly():
     check_feasible(spec, profile_of(spec, {0: {1: 2**40}}))
     # a float row keeps the relative tolerance
     check_feasible(spec, profile_of(spec, {0: {1: 2.0**40 + 500.0}}))
+
+
+def _non_edge_profiles(spec):
+    """Profiles with a proposal from 0 to its non-neighbour 2: in spec order
+    with (0, 2) in place of (0, 1) or appended, and reordered."""
+    zero = {e: 0 for e in spec.directed_edges}
+    swapped = {((0, 2) if e == (0, 1) else e): c for e, c in zero.items()}
+    return {
+        "in_place": swapped,
+        "appended": {**zero, (0, 2): 0},
+        "reordered": dict(reversed(list(swapped.items()))),
+    }
+
+
+@pytest.mark.parametrize("stray_weight", [False, True])
+@pytest.mark.parametrize("case", ["in_place", "appended", "reordered"])
+def test_proposal_on_a_non_edge_is_rejected(case, stray_weight):
+    spec = path3_spec()
+    if stray_weight:  # an invalid spec: a weight for the non-edge (0, 2)
+        spec = GameSpec(
+            n=spec.n,
+            eta=spec.eta,
+            edges=spec.edges,
+            weights={**spec.weights, (0, 2): 0.0},
+            budgets=spec.budgets,
+            utilities=spec.utilities,
+            behaviors=spec.behaviors,
+        )
+        assert "weight given for non-edge (0, 2)" in validate_game(spec).violations
+    profile = FrequencyProfile(_non_edge_profiles(spec)[case])
+    with pytest.raises(InfeasibleProfileError, match=r"non-edge \(0, 2\)") as err:
+        check_feasible(spec, profile)
+    assert err.value.player == 0
+
+
+def test_non_edge_is_reported_before_a_missing_proposal():
+    spec = path3_spec()
+    counts = {e: 0 for e in spec.directed_edges if e != (1, 0)}
+    counts[(2, 0)] = 0
+    with pytest.raises(InfeasibleProfileError, match=r"non-edge \(2, 0\)") as err:
+        check_feasible(spec, FrequencyProfile(counts))
+    assert err.value.player == 2
+    del counts[(2, 0)]
+    with pytest.raises(InfeasibleProfileError, match="missing proposal from 1 to 0"):
+        check_feasible(spec, FrequencyProfile(counts))
 
 
 def test_player_utility_examples():

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from netalloc.analysis import grid_reference_welfare
 from netalloc.dynamics import PessimisticNE, classify_equilibrium
 from netalloc.game import outcome_summary, social_welfare, validate_game
 from netalloc.instances import (
+    EdgeSpec,
     InstanceDocument,
     InstanceFormatError,
     gen_k5_cycle_instance,
@@ -396,3 +400,97 @@ def test_behavior_override():
     from netalloc.game import Behavior
 
     assert all(spec.behaviors[i] is Behavior.PESSIMISTIC for i in range(5))
+
+
+# -- one tuple per direction, slotted records ------------------------------------
+
+
+def _parsed_document() -> InstanceDocument:
+    """A random document through JSON, every other edge listed j -> i."""
+    doc = gen_random_instance(30, 0.3, seed=5)
+    payload = json.loads(json.dumps(doc.to_json_dict()))
+    for k, e in enumerate(payload["edges"]):
+        if k % 2:
+            e["i"], e["j"] = e["j"], e["i"]
+            e["w_ij"], e["w_ji"] = e["w_ji"], e["w_ij"]
+            e["utility_ij"], e["utility_ji"] = e["utility_ji"], e["utility_ij"]
+    return InstanceDocument.from_json_dict(payload)
+
+
+SHARING_DOCS = {
+    "random": lambda: gen_random_instance(30, 0.3, seed=4),
+    "torus": lambda: gen_torus_grid(
+        5, 4, beta=10.0, eta=1.0, weight_seed=3, utility=UtilitySpec.log1p()
+    ),
+    "parsed": _parsed_document,
+}
+
+
+@pytest.mark.parametrize("make", SHARING_DOCS.values(), ids=SHARING_DOCS.keys())
+def test_spec_shares_one_tuple_per_direction(make):
+    doc = make()
+    spec = doc.to_game_spec()
+    assert validate_game(spec).ok
+    objects = {id(e): e for e in spec.directed_edges}
+    assert len(objects) == len(spec.directed_edges) == 2 * len(doc.edges)
+    for mapping in (spec.weights, spec.utilities):
+        assert len(mapping) == len(objects)
+        for key in mapping:
+            assert objects.get(id(key)) is key
+    assert len(spec.edges) == len(doc.edges)
+    for edge in spec.edges:
+        assert edge[0] < edge[1] and objects.get(id(edge)) is edge
+
+    utilities = [u for e in doc.edges for u in (e.utility_ij, e.utility_ji)]
+    assert not hasattr(doc.edges[0], "__dict__")  # slotted records
+    assert not hasattr(utilities[0], "__dict__")
+    by_family: dict[str, set[int]] = {}
+    for u in utilities:
+        by_family.setdefault(u.family, set()).add(id(u))
+    for fam in ("linear", "sqrt", "log1p"):
+        assert len(by_family.get(fam, {0})) == 1, fam
+    assert len(by_family) == (1 if make is SHARING_DOCS["torus"] else 5)
+
+
+ROUND_TRIP_RECORDS = [
+    UtilitySpec.linear(),
+    UtilitySpec.sqrt(),
+    UtilitySpec.log1p(),
+    UtilitySpec.power(0.4),
+    UtilitySpec.capped_quadratic(2.5),
+    EdgeSpec(0, 1, 0.25, 0.75, UtilitySpec.sqrt(), UtilitySpec.power(0.7)),
+    gen_random_instance(12, 0.4, seed=9),
+]
+
+
+@pytest.mark.parametrize(
+    "record",
+    ROUND_TRIP_RECORDS,
+    ids=["linear", "sqrt", "log1p", "power", "capped_quadratic", "edge", "document"],
+)
+def test_slotted_records_round_trip(record):
+    for copied in (
+        pickle.loads(pickle.dumps(record)),
+        copy.deepcopy(record),
+        dataclasses.replace(record),
+    ):
+        assert copied == record
+        assert hash(copied) == hash(record)
+        assert type(copied) is type(record)
+
+
+def test_pickled_spec_keeps_its_edges_and_index():
+    spec = gen_random_instance(30, 0.3, seed=4).to_game_spec()
+    rows, off, rev = spec.index
+    copied = pickle.loads(pickle.dumps(spec))
+    assert copied == spec
+    assert copied.directed_edges == spec.directed_edges
+    assert copied.neighbors == spec.neighbors
+    objects = {id(e) for e in copied.directed_edges}
+    assert all(id(key) in objects for key in copied.weights)
+    copied.__dict__.pop("index", None)  # rebuild it from the copied maps
+    new_rows, new_off, new_rev = copied.index
+    assert (new_off, new_rev) == (off, rev)
+    for new, old in zip(new_rows, rows):
+        assert new[:4] == old[:4]
+        assert new.zero_marginals == old.zero_marginals
