@@ -26,6 +26,7 @@ from .game import (
     social_welfare,
     validate_game,
 )
+from .utility import FAMILIES, LINEAR, LOG1P, POWER, SQRT, UtilitySpec
 
 WEIGHT_MATCH_TOL = 1e-9
 # continuous_equilibrium_polish: the improvement it leaves, and its move cap
@@ -262,50 +263,29 @@ MAX_SOLVE_STEPS = 100
 # (fastest of 0.01, 0.03, 0.1, 0.3 and 1 on random instances)
 FLAT_PROX = 0.1
 
-# utility term kinds; an edge's kind is its single term's, or SOLVED
-POWER, LOG, CAPPED, LINEAR, SOLVED = range(5)
-_SLOTS = ((LINEAR, 0), (POWER, 0), (POWER, 1), (LOG, 0), (CAPPED, 0), (CAPPED, 1))
-
-
-def _edge_terms(sides) -> dict[tuple[int, float], float]:
-    """An edge objective sum w u(x) over its two sides as {(kind, parameter):
-    weight}, one entry per distinct function; zero weights drop out."""
-    terms: dict[tuple[int, float], float] = {}
-    for w, u in sides:
-        if w == 0.0:
-            continue
-        if u.family == "linear" or (u.family == "power" and u.a == 1.0):
-            key = (LINEAR, 0.0)
-        elif u.family in ("sqrt", "power"):
-            key = (POWER, 0.5 if u.family == "sqrt" else u.a)
-        elif u.family == "log1p":
-            key = (LOG, 0.0)
-        else:
-            key = (CAPPED, u.cap)
-        terms[key] = terms.get(key, 0.0) + w
-    return terms
+# an edge's kind: its single term's index in FAMILIES, or SOLVED
+SOLVED = len(FAMILIES)
 
 
 class _Edges:
     """Edge objectives f_e(x) = w_ij u_ij(x) + w_ji u_ji(x) of a list of
     edges, evaluated with numpy.
 
-    An objective is a sum of terms c x (linear and power-1 sides), c x^a
-    (sqrt is a = 1/2), c log1p(x) and c cq(x; cap) (capped quadratic).
-    ``terms`` holds one (kind, coefficients, parameters) slot per term an
-    edge may carry, zero where it has none.  ``box`` = min(beta_i, beta_j)
-    is the largest feasible amount; ``top`` <= box is where the objective
-    turns flat at slope 0 (an edge with only capped quadratics, past its
-    last peak).  An edge with a single non-linear term has that term's
-    ``kind`` and gets its demand in closed form; the rest are SOLVED by
-    Newton.  Among those, ``rho`` > 0 marks the flat ones: no power or log
-    term, so a positive slope persists past the caps and the demand is
+    ``terms`` maps (family, rank) to (weights, ``a`` or ``cap``) columns, in
+    ``FAMILIES`` order: a side's utility adds its weight to the other
+    side's if they are equal, and an edge has zeros in the columns it does
+    not use.  ``box`` = min(beta_i, beta_j) is the largest feasible amount,
+    ``top`` <= box the last peak of a term, and ``d0`` the slope at 0.  An
+    edge with a single term whose marginal is not constant has its family's
+    ``kind`` and a closed-form demand; the rest are SOLVED by Newton.  Among
+    those, ``rho`` > 0 marks the flat ones: every term is linear or
+    satiates, so a positive slope persists past the peaks and the demand is
     set-valued at that price.
     """
 
-    FIELDS = ("box", "top", "rho", "d0", "dtop", "kind", "w", "par")
+    FIELDS = ("box", "top", "rho", "d0", "dtop", "kind")
 
-    def __init__(self, terms: list, fields: dict):
+    def __init__(self, terms: dict, fields: dict):
         self.terms = terms
         for name in self.FIELDS:
             setattr(self, name, fields[name])
@@ -313,62 +293,54 @@ class _Edges:
     @staticmethod
     def build(spec: GameSpec, edges: list[tuple[int, int]]) -> "_Edges":
         m = len(edges)
-        coef = {slot: np.zeros(m) for slot in _SLOTS}
-        par = {slot: np.zeros(m) for slot in _SLOTS}
+        columns: dict[tuple[str, int], np.ndarray] = {}
         fields = {name: np.zeros(m) for name in _Edges.FIELDS}
-        kind = np.full(m, SOLVED)
+        fields["kind"] = np.full(m, SOLVED)
         for e, (i, j) in enumerate(edges):
-            terms = _edge_terms(
-                [
-                    (spec.weights[(i, j)], spec.utilities[(i, j)]),
-                    (spec.weights[(j, i)], spec.utilities[(j, i)]),
-                ]
-            )
-            used: dict[int, int] = {}
-            for (k, p), w in terms.items():
-                slot = (k, used.get(k, 0))
-                used[k] = slot[1] + 1
-                coef[slot][e], par[slot][e] = w, p
+            terms: dict[UtilitySpec, float] = {}
+            for d in ((i, j), (j, i)):
+                if spec.weights[d] != 0.0:
+                    u = spec.utilities[d]
+                    terms[u] = terms.get(u, 0.0) + spec.weights[d]
+            fams = [u.family for u in terms]
+            for k, (u, w) in enumerate(terms.items()):
+                rank = k - fams.index(u.family)  # earlier terms of its family
+                coef, par = columns.setdefault((u.family, rank), np.zeros((2, m)))
+                coef[e], par[e] = w, u.a or u.cap or 0.0
             box = min(spec.budgets.get(i, 0.0), spec.budgets.get(j, 0.0))
-            slope = terms.get((LINEAR, 0.0), 0.0)
-            curved = POWER in used or LOG in used
-            fields["box"][e] = box
-            fields["top"][e] = (
-                min(box, max(p for (k, p) in terms) / 2)
-                if used and set(used) == {CAPPED}
-                else box
-            )
-            if not curved and slope > 0.0:
+            peak = max((u.inverse_marginal(0.0) for u in terms), default=math.inf)
+            fields["box"][e], fields["top"][e] = box, min(box, peak)
+            fields["d0"][e] = left_sum(w * u.marginal(0.0) for u, w in terms.items())
+            slope = left_sum(w for u, w in terms.items() if u.constant_marginal)
+            if slope > 0.0 and all(
+                u.constant_marginal or u.inverse_marginal(0.0) < math.inf
+                for u in terms
+            ):
                 fields["rho"][e] = FLAT_PROX * slope / (box if box > 0 else 1.0)
-            fields["d0"][e] = math.inf if POWER in used else left_sum(
-                w * (p if k == CAPPED else 1.0) for (k, p), w in terms.items()
-            )
-            if len(terms) == 1 and LINEAR not in used:
-                ((k, p), w), = terms.items()
-                kind[e], fields["w"][e], fields["par"][e] = k, w, p
-        fields["kind"] = kind
-        out = _Edges(
-            [(k, coef[k, r], par[k, r]) for (k, r) in _SLOTS if coef[k, r].any()],
-            fields,
-        )
+            if len(terms) == 1 and not u.constant_marginal:  # u: the only term
+                fields["kind"][e] = FAMILIES.index(u.family)
+        order = [(fam, rank) for fam in FAMILIES for rank in (0, 1)]
+        out = _Edges({s: columns[s] for s in order if s in columns}, fields)
         out.dtop = out.slopes(out.top)[0]
         return out
 
     def take(self, index) -> "_Edges":
         return _Edges(
-            [(k, c[index], p[index]) for k, c, p in self.terms],
+            {s: column[:, index] for s, column in self.terms.items()},
             {name: getattr(self, name)[index] for name in self.FIELDS},
         )
 
     def value(self, x: np.ndarray) -> np.ndarray:
         v = np.zeros_like(x)
-        for kind, c, p in self.terms:
-            if kind == LINEAR:
+        for (fam, _), (c, p) in self.terms.items():
+            if fam == LINEAR:
                 v += c * x
-            elif kind == POWER:
-                v += c * x**p
-            elif kind == LOG:
+            elif fam == SQRT:
+                v += c * np.sqrt(x)
+            elif fam == LOG1P:
                 v += c * np.log1p(x)
+            elif fam == POWER:
+                v += c * x**p
             else:
                 v += c * np.where(x >= 0.5 * p, 0.25 * p * p, x * (p - x))
         return v
@@ -378,17 +350,21 @@ class _Edges:
         xs = np.where(x > 0.0, x, 1.0)
         d1 = np.zeros_like(x)
         d2 = np.zeros_like(x)
-        for kind, c, p in self.terms:
-            if kind == LINEAR:
+        for (fam, _), (c, p) in self.terms.items():
+            if fam == LINEAR:
                 d1 += c
-            elif kind == POWER:
-                t = c * p * xs ** (p - 1.0)
+            elif fam == SQRT:
+                t = c * 0.5 * xs**-0.5
                 d1 += t
-                d2 += t * (p - 1.0) / xs
-            elif kind == LOG:
+                d2 -= 0.5 * t / xs
+            elif fam == LOG1P:
                 t = c / (1.0 + xs)
                 d1 += t
                 d2 -= t / (1.0 + xs)
+            elif fam == POWER:
+                t = c * p * xs ** (p - 1.0)
+                d1 += t
+                d2 += t * (p - 1.0) / xs
             else:
                 d1 += c * np.maximum(0.0, p - 2.0 * xs)
                 d2 -= 2.0 * c * (xs < 0.5 * p)
@@ -463,17 +439,15 @@ class _PriceClass:
         self.budget = budgets[nodes]
         self.edges = edges = objective.take(self.index)
         kinds = edges.kind
-        self.closed = [
-            (k, slice(np.searchsorted(kinds, k), np.searchsorted(kinds, k, "right")))
-            for k in (POWER, LOG, CAPPED)
-            if k in kinds
-        ]
-        start = np.searchsorted(kinds, SOLVED)
+        bounds = np.searchsorted(kinds, range(SOLVED + 1))
+        self.closed = []  # (family, slice, its single term's w and parameter)
+        for k, fam in enumerate(FAMILIES):
+            if bounds[k] < bounds[k + 1]:
+                sl = slice(bounds[k], bounds[k + 1])
+                self.closed.append((fam, sl, *edges.terms[fam, 0][:, sl]))
+        start = bounds[SOLVED]
         self.solved = slice(start, len(kinds)) if start < len(kinds) else None
         self.solved_edges = edges.take(self.solved) if self.solved else None
-        with np.errstate(divide="ignore"):
-            self.w_par = edges.w * edges.par
-            self.expo = 1.0 / (edges.par - 1.0)
         # price ceiling: above it every edge of the player wants at most
         # budget/degree, so the player's demand fits its budget
         degree = np.bincount(self.own, minlength=len(nodes))
@@ -492,17 +466,21 @@ class _PriceClass:
         A single-term edge inverts its marginal in closed form."""
         x = np.empty_like(p)
         dxdp = np.zeros_like(p)
-        for kind, sl in self.closed:
+        for fam, sl, w, par in self.closed:
             ps = p[sl]
-            if kind == POWER:
-                xi = (ps / self.w_par[sl]) ** self.expo[sl]
-                slope = self.expo[sl] * xi / ps
-            elif kind == LOG:
-                xi = self.edges.w[sl] / ps - 1.0
+            if fam == SQRT:
+                xi = (ps / (0.5 * w)) ** -2.0
+                slope = -2.0 * xi / ps
+            elif fam == LOG1P:
+                xi = w / ps - 1.0
                 slope = -(xi + 1.0) / ps
+            elif fam == POWER:
+                expo = 1.0 / (par - 1.0)
+                xi = (ps / (w * par)) ** expo
+                slope = expo * xi / ps
             else:
-                xi = 0.5 * (self.edges.par[sl] - ps / self.edges.w[sl])
-                slope = -0.5 / self.edges.w[sl]
+                xi = 0.5 * (par - ps / w)
+                slope = -0.5 / w
             box = self.edges.box[sl]
             x[sl] = np.minimum(np.maximum(xi, 0.0), box)
             dxdp[sl] = np.where((xi > 0.0) & (xi < box), slope, 0.0)

@@ -73,6 +73,8 @@ def _utility_from_name(name: str, param: float | None) -> UtilitySpec:
         if param is None:
             raise ValueError("--utility capped_quadratic needs --utility-param")
         return UtilitySpec.capped_quadratic(param)
+    if param is not None:
+        raise ValueError(f"--utility {name} takes no --utility-param")
     return UtilitySpec(name)
 
 

@@ -263,20 +263,19 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
 
     rng = random.Random(policy.seed)
     counts: dict[tuple[int, int], int] = {}
+    edges, off = spec.directed_edges, spec.index.off
     for i, row in enumerate(spec.index.rows):
         nbrs, budget = row.neighbors, row.budget
         if not nbrs:
             continue
-        if budget <= 0:
-            for j in nbrs:
-                counts[(i, j)] = 0
-            continue
-        draws = [rng.random() for _ in nbrs]
-        total = left_sum(draws)
-        alloc = [int(math.floor(budget * d / total)) for d in draws]
-        _place_leftover(alloc, budget - sum(alloc), row.weights, row.utils, spec.eta)
-        for k, j in enumerate(nbrs):
-            counts[(i, j)] = alloc[k]
+        alloc = [0] * len(nbrs)
+        if budget > 0:
+            draws = [rng.random() for _ in nbrs]
+            total = left_sum(draws)
+            alloc = [int(math.floor(budget * d / total)) for d in draws]
+            spare = budget - sum(alloc)
+            _place_leftover(alloc, spare, row.weights, row.utils, spec.eta)
+        counts.update(zip(edges[off[i] : off[i + 1]], alloc))
     return FrequencyProfile(counts)
 
 

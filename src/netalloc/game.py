@@ -285,9 +285,6 @@ class FrequencyProfile:
     def __repr__(self) -> str:
         return f"FrequencyProfile({self.counts!r})"
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.counts.values())
-
     def key(self, spec: GameSpec) -> tuple:
         """Canonical hashable snapshot (exact equality, no collisions): the
         counts in ``spec.directed_edges`` order, which most dicts keep."""

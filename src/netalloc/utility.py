@@ -9,6 +9,7 @@ Every family exposes these views used by the allocation solvers:
   marginal never falls to m (e.g. a linear utility asked for m < slope)
 * ``inverse_marginal_slope(m, x)`` -- its derivative 1 / u''(x), for Newton
   steps on the water level
+* ``constant_marginal`` -- whether u' never changes (linear, power 1)
 
 ``shared_level`` inverts the summed inverse marginals of one family in
 closed form.
@@ -93,6 +94,11 @@ class UtilitySpec:
         return UtilitySpec(CAPPED_QUADRATIC, cap=cap)
 
     # -- evaluation --------------------------------------------------------
+
+    @property
+    def constant_marginal(self) -> bool:
+        """Whether u'(x) is the same at every x: linear, or power 1."""
+        return self.family == LINEAR or self.a == 1.0
 
     def value(self, x: float) -> float:
         if x < 0.0:

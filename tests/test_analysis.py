@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from helpers import make_spec, profile_of, single_edge_spec, triangle_doc
 from netalloc.analysis import (
+    FLAT_PROX,
+    SOLVED,
     OptimizerConfig,
     RankingSystem,
+    _Edges,
     brute_force_optimum,
     convex_combine,
     global_optimum,
@@ -287,6 +290,40 @@ def test_convex_combine_validates():
 
 
 # -- global optimum ---------------------------------------------------------------------
+
+
+def test_optimum_edge_facts_come_from_the_utilities():
+    lin, sq, lg = UtilitySpec.linear(), UtilitySpec.sqrt(), UtilitySpec.log1p()
+    cq = UtilitySpec.capped_quadratic
+    pairs = [  # (w_ij, w_ji, u_ij, u_ji), one edge each
+        (0.4, 0.6, lin, UtilitySpec.power(1.0)),
+        (0.5, 0.5, lin, cq(2.0)),
+        (0.5, 0.5, cq(1.0), cq(3.0)),
+        (0.5, 0.5, sq, lg),
+        (0.3, 0.2, sq, sq),
+        (0.0, 0.5, lin, lg),
+    ]
+    edge_data = [(2 * e, 2 * e + 1, *pair) for e, pair in enumerate(pairs)]
+    spec = make_spec(12, 1.0, edge_data, [4.0, 5.0] * 6)
+    edges = _Edges.build(spec, sorted(spec.edges))
+    assert edges.box.tolist() == [4.0] * 6
+    assert edges.top.tolist() == [4.0, 4.0, 1.5, 4.0, 4.0, 4.0]
+    assert edges.d0.tolist() == [1.0, 0.5 + 0.5 * 2.0, 2.0, math.inf, math.inf, 0.5]
+    # flat: a linear slope (its weight over the box), and no curved term
+    assert edges.rho.tolist() == [FLAT_PROX / 4.0, FLAT_PROX * 0.5 / 4.0] + [0.0] * 4
+    kinds = [SOLVED] * 4 + [FAMILIES.index("sqrt"), FAMILIES.index("log1p")]
+    assert edges.kind.tolist() == kinds
+    for x in (0.3, 1.2, 2.5):
+        value = edges.value(np.full(len(pairs), x))
+        d1, d2 = edges.slopes(np.full(len(pairs), x))
+        for e, (wa, wb, ua, ub) in enumerate(pairs):
+            def slope(y):
+                return wa * ua.marginal(y) + wb * ub.marginal(y)
+
+            assert value[e] == pytest.approx(wa * ua.value(x) + wb * ub.value(x))
+            assert d1[e] == pytest.approx(slope(x))
+            fd = (slope(x + 1e-6) - slope(x - 1e-6)) / 2e-6
+            assert d2[e] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_global_optimum_single_edge():

@@ -67,6 +67,14 @@ def _run_on(command, inst, tmp_path, *options):
         (["simulate", "--tol", "inf"], "tol must be >= 0 and finite, got inf"),
         (["optimum", "--gap-tol", "inf"], "gap_tol must be positive and finite"),
         (["experiment", "--tol", "inf"], "tol must be >= 0 and finite, got inf"),
+        (
+            ["gen", "torus", "--utility", "sqrt", "--utility-param", "2.5"],
+            "--utility sqrt takes no --utility-param",
+        ),
+        (
+            ["gen", "torus", "--utility", "linear", "--utility-param", "1"],
+            "--utility linear takes no --utility-param",
+        ),
     ],
 )
 def test_bad_parameter_exit_code(tmp_path, capsys, args, message):

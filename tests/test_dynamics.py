@@ -84,6 +84,16 @@ def test_init_random_deterministic_and_feasible():
         assert sum(row) <= 1000
 
 
+def test_init_random_keys_are_the_specs_edge_tuples():
+    # the start profile holds no (i, j) tuples of its own
+    spec = gen_torus_grid(
+        10, 10, beta=1000.0, eta=1.0, weight_seed=7, utility=UtilitySpec.sqrt()
+    ).to_game_spec()
+    counts = init_profile(spec, RandomFeasible(1000)).counts
+    assert len(counts) == len(spec.directed_edges) == 400
+    assert all(e is d for e, d in zip(counts, spec.directed_edges))
+
+
 def test_init_given_validates():
     spec = single_edge_spec(budgets=(2.0, 2.0))
     bad = profile_of(spec, {0: {1: 3}})

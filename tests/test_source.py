@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from netalloc.utility import FAMILIES
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "netalloc"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -130,3 +132,22 @@ def test_sum_check_sees_a_call():
     source = "total = sum(w * u for w, u in pairs)\nx = np.sum(y)\n"
     assert sum_uses(source) == ["sum(w * u for w, u in pairs)"]
     assert sum_uses("totals = list(map(sum, rows))\n") == ["line 1: sum"]
+
+
+def family_literals(source: str) -> list[str]:
+    """String literals that spell a utility family's name."""
+    return [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value in FAMILIES
+    ]
+
+
+def test_the_optimum_names_no_family_by_string():
+    # the optimum reads each family through the constants in utility.py
+    assert family_literals((SRC / "analysis.py").read_text(encoding="utf-8")) == []
+
+
+def test_family_literal_check_sees_a_name():
+    source = '"""A sqrt edge."""\nif u.family in ("sqrt", POWER):\n    pass\n'
+    assert family_literals(source) == ["sqrt"]
