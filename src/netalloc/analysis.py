@@ -98,6 +98,20 @@ def ranking_violations(spec: GameSpec, ranking: RankingSystem) -> list[str]:
     return bad
 
 
+def potential_terms(
+    spec: GameSpec, ranking: RankingSystem, profile: FrequencyProfile, i: PlayerId
+) -> list[float]:
+    """Player i's terms rank(i)*rank(j)*u_ij(agreed) of the weighted
+    potential, in neighbor order."""
+    counts, eta = profile.counts, spec.eta
+    return [
+        ranking.rank(i)
+        * ranking.rank(j)
+        * spec.utilities[(i, j)].value(min(counts[(i, j)], counts[(j, i)]) * eta)
+        for j in spec.neighbors[i]
+    ]
+
+
 def potential_value(
     spec: GameSpec, ranking: RankingSystem, profile: FrequencyProfile
 ) -> float:
@@ -112,17 +126,9 @@ def potential_value(
     bad = ranking_violations(spec, ranking)
     if bad:
         raise ValueError(bad[0])
-    eta = spec.eta
-    counts = profile.counts
-    total_phi = 0.0
-    for (i, j) in spec.directed_edges:
-        agreed = min(counts[(i, j)], counts[(j, i)])
-        total_phi += (
-            ranking.rank(i)
-            * ranking.rank(j)
-            * spec.utilities[(i, j)].value(agreed * eta)
-        )
-    return total_phi
+    return left_sum(
+        t for i in range(spec.n) for t in potential_terms(spec, ranking, profile, i)
+    )
 
 
 # -- profile transforms --------------------------------------------------------

@@ -40,6 +40,7 @@ from .experiment import (
     write_trace_jsonl,
 )
 from .game import (
+    BEHAVIORS,
     GameSpec,
     InfeasibleProfileError,
     check_feasible,
@@ -54,7 +55,7 @@ from .instances import (
     gen_random_instance,
     gen_torus_grid,
 )
-from .utility import FAMILIES, UtilitySpec
+from .utility import CAPPED_QUADRATIC, FAMILIES, POWER, SQRT, UtilitySpec
 from .verify import verify_reference_suite
 
 EXIT_OK = 0
@@ -65,17 +66,17 @@ EXIT_VERIFY_FAILED = 5
 
 
 def _utility_from_name(name: str, param: float | None) -> UtilitySpec:
-    if name == "power":
+    if name == POWER:
         if param is None:
             raise ValueError("--utility power needs --utility-param")
         return UtilitySpec.power(param)
-    if name == "capped_quadratic":
+    if name == CAPPED_QUADRATIC:
         if param is None:
             raise ValueError("--utility capped_quadratic needs --utility-param")
         return UtilitySpec.capped_quadratic(param)
     if param is not None:
         raise ValueError(f"--utility {name} takes no --utility-param")
-    return UtilitySpec(name)
+    return UtilitySpec.from_json({"family": name})
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -339,12 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=10)
     gen.add_argument("--edge-prob", type=float, default=0.4)
     gen.add_argument("--budget-units", type=int, default=100)
-    gen.add_argument("--utility", choices=FAMILIES, default="sqrt")
+    gen.add_argument("--utility", choices=FAMILIES, default=SQRT)
     gen.add_argument("--utility-param", type=float, default=None)
     gen.add_argument(
-        "--behavior",
-        choices=["pessimistic", "optimistic", "mixed"],
-        default="pessimistic",
+        "--behavior", choices=[*BEHAVIORS, "mixed"], default="pessimistic"
     )
     gen.set_defaults(func=_cmd_gen)
 
@@ -358,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--order", choices=["rr", "random"], default="rr")
     sim.add_argument("--max-rounds", type=int, default=1_000_000)
     sim.add_argument("--tol", type=float, default=1e-9)
-    sim.add_argument("--behavior", choices=["pessimistic", "optimistic"])
+    sim.add_argument("--behavior", choices=BEHAVIORS)
     sim.add_argument("--trace-out")
     sim.add_argument(
         "--trace-profiles", choices=["full", "hash"], default="full"
@@ -376,9 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--instance", required=True)
     exp.add_argument("--runs", type=int, default=100)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument(
-        "--behavior", choices=["pessimistic", "optimistic"], default=None
-    )
+    exp.add_argument("--behavior", choices=BEHAVIORS, default=None)
     exp.add_argument("--bins", type=int, default=40)
     exp.add_argument("--max-rounds", type=int, default=1_000_000)
     exp.add_argument("--tol", type=float, default=1e-9)

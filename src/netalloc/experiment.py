@@ -20,7 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import RankingSystem, global_optimum, ranking_violations
+from .analysis import (
+    RankingSystem,
+    global_optimum,
+    potential_terms,
+    ranking_violations,
+)
 from .dynamics import (
     Converged,
     DynamicsConfig,
@@ -31,6 +36,7 @@ from .dynamics import (
     run_sequential,
 )
 from .game import (
+    BEHAVIORS,
     FrequencyProfile,
     GameSpec,
     left_sum,
@@ -56,7 +62,7 @@ class ExperimentConfig:
             raise ValueError("bins must be >= 2")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        if self.behavior not in (None, "pessimistic", "optimistic"):
+        if self.behavior not in (None, *BEHAVIORS):
             raise ValueError(f"unknown behavior {self.behavior!r}")
 
 
@@ -215,19 +221,7 @@ def write_summary_json(report: HistogramReport, path: str | Path) -> None:
 def write_runs_jsonl(report: HistogramReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for o in report.runs:
-            fh.write(
-                json.dumps(
-                    {
-                        "run": o.run,
-                        "seed": o.seed,
-                        "converged": o.converged,
-                        "rounds": o.rounds,
-                        "final_welfare": o.final_welfare,
-                        "ratio": o.ratio,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(dataclasses.asdict(o)) + "\n")
 
 
 FULL_PROFILE_ROUNDS = 10_000  # from this round on, traces hold profile hashes
@@ -249,17 +243,18 @@ def write_trace_jsonl(
     profile itself is written before round ``FULL_PROFILE_ROUNDS``, its hash
     from then on and throughout with ``profiles`` "hash".
 
-    Each player's utility and, given a ranking, each directed edge's term
-    rank(i) rank(j) u_ij(agreed) are kept, re-evaluated only for the players
-    a round touched, and summed as :func:`~netalloc.game.social_welfare`
-    and :func:`~netalloc.analysis.potential_value` do, bit for bit."""
+    Each player's utility and, given a ranking, its
+    :func:`~netalloc.analysis.potential_terms` are kept, re-evaluated only
+    for the players a round touched, and summed in player order, as
+    :func:`~netalloc.game.social_welfare` and
+    :func:`~netalloc.analysis.potential_value` sum them."""
     if profiles not in ("full", "hash"):
         raise ValueError(f"unknown profile mode {profiles!r}")
     spec = trace.spec
     if ranking is not None and (bad := ranking_violations(spec, ranking)):
         raise ValueError(bad[0])
     players = [0.0] * spec.n
-    phi = dict.fromkeys(spec.directed_edges, 0.0)  # in spec order
+    terms: list[list[float]] = [[] for _ in range(spec.n)]
     with open(path, "w", encoding="utf-8") as fh:
         for rec, stable, profile in zip(
             trace.records, trace.stable_sets(), trace.profiles()
@@ -272,19 +267,15 @@ def write_trace_jsonl(
                 touched = {rec.mover, *(j for _, j in rec.changes)}
             for i in touched:
                 players[i] = player_utility(spec, profile, i)
-                if ranking is None:
-                    continue
-                for j in spec.neighbors[i]:
-                    agreed = min(counts[(i, j)], counts[(j, i)])
-                    value = spec.utilities[(i, j)].value(agreed * spec.eta)
-                    phi[(i, j)] = ranking.rank(i) * ranking.rank(j) * value
-            potential = None if ranking is None else left_sum(phi.values())
+                if ranking is not None:
+                    terms[i] = potential_terms(spec, ranking, profile, i)
+            phi = None if ranking is None else left_sum(t for row in terms for t in row)
             row: dict = {
                 "t": rec.t,
                 "mover": rec.mover,
                 "total_slack": rec.total_slack,
                 "welfare": left_sum(players),
-                "potential": potential,
+                "potential": phi,
                 "stable_players": sorted(stable),
             }
             if profiles == "full" and rec.t < FULL_PROFILE_ROUNDS:

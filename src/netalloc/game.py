@@ -47,6 +47,9 @@ class Behavior(enum.Enum):
     OPTIMISTIC = "optimistic"
 
 
+BEHAVIORS = tuple(b.value for b in Behavior)  # the names documents use
+
+
 class InfeasibleProfileError(ValueError):
     """A profile violates some player's budget (or references a non-edge)."""
 

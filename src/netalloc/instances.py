@@ -31,8 +31,8 @@ from .analysis import (
     _require_finite,
     global_ranking_weights,
 )
-from .game import Behavior, FrequencyProfile, GameSpec, left_sum
-from .utility import FAMILIES, UtilitySpec
+from .game import BEHAVIORS, Behavior, FrequencyProfile, GameSpec, left_sum
+from .utility import CAPPED_QUADRATIC, FAMILIES, POWER, UtilitySpec
 
 
 # -- document parsing ----------------------------------------------------------
@@ -235,7 +235,7 @@ class InstanceDocument:
         budgets = _entries(doc, "budgets", _NUMBER, n)
         behaviors = _entries(doc, "behaviors", str, n)
         for k, b in enumerate(behaviors):
-            if b not in ("pessimistic", "optimistic"):
+            if b not in BEHAVIORS:
                 raise InstanceFormatError(
                     f"behaviors[{k}] must be 'pessimistic' or 'optimistic', "
                     f"got {b!r}"
@@ -316,6 +316,30 @@ def _torus_neighbors(width: int, height: int, node: int) -> list[int]:
     )
 
 
+def _torus_edges(
+    width: int, height: int, weights_of, utility: UtilitySpec
+) -> tuple[EdgeSpec, ...]:
+    """The torus's edges in sorted order, with ``utility`` both ways;
+    ``weights_of(i, nbrs)`` gives player i's weights on its sorted
+    neighbors, called for each player in turn."""
+    weights: dict[tuple[int, int], float] = {}
+    for i in range(width * height):
+        nbrs = _torus_neighbors(width, height, i)
+        weights.update(zip([(i, j) for j in nbrs], weights_of(i, nbrs)))
+    return tuple(
+        EdgeSpec(i, j, weights[(i, j)], weights[(j, i)], utility, utility)
+        for (i, j) in weights
+        if i < j
+    )
+
+
+def _require_behavior(behavior: str) -> None:
+    if behavior not in BEHAVIORS:
+        raise ValueError(
+            f"behavior must be 'pessimistic' or 'optimistic', got {behavior!r}"
+        )
+
+
 def gen_torus_grid(
     width: int,
     height: int,
@@ -332,10 +356,7 @@ def gen_torus_grid(
     """
     if width < 3 or height < 3:
         raise ValueError("torus needs width and height >= 3")
-    if behavior not in ("pessimistic", "optimistic"):
-        raise ValueError(
-            f"behavior must be 'pessimistic' or 'optimistic', got {behavior!r}"
-        )
+    _require_behavior(behavior)
     _require_finite(beta=beta, eta=eta)
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -347,26 +368,18 @@ def gen_torus_grid(
         raise ValueError(f"beta {beta} is not a multiple of eta {eta}")
 
     rng = random.Random(weight_seed)
-    weights: dict[tuple[int, int], float] = {}
-    edge_set: set[tuple[int, int]] = set()
-    for i in range(n):
-        nbrs = _torus_neighbors(width, height, i)
+
+    def drawn(i: int, nbrs: list[int]) -> list[float]:
         draws = [rng.random() for _ in nbrs]
         total = left_sum(draws)
-        for j, d in zip(nbrs, draws):
-            weights[(i, j)] = d / total
-            edge_set.add((min(i, j), max(i, j)))
+        return [d / total for d in draws]
 
-    edges = tuple(
-        EdgeSpec(i, j, weights[(i, j)], weights[(j, i)], utility, utility)
-        for (i, j) in sorted(edge_set)
-    )
     return InstanceDocument(
         n=n,
         eta=eta,
         budgets=(budget_units,) * n,
         behaviors=(behavior,) * n,
-        edges=edges,
+        edges=_torus_edges(width, height, drawn, utility),
     )
 
 
@@ -458,44 +471,17 @@ def gen_poa_grid_instance(
 
     w_vert = float(Fraction(1, 2) - e)
     w_horiz = float(e)
-    util = UtilitySpec.capped_quadratic(float(b))
 
-    edge_set: set[tuple[int, int]] = set()
-    weights: dict[tuple[int, int], float] = {}
-    vertical: set[tuple[int, int]] = set()
-    for node in range(n):
-        r, c = divmod(node, width)
-        for j in (
-            ((r - 1) % height) * width + c,
-            ((r + 1) % height) * width + c,
-        ):
-            weights[(node, j)] = w_vert
-            vertical.add((min(node, j), max(node, j)))
-            edge_set.add((min(node, j), max(node, j)))
-        for j in (
-            r * width + (c - 1) % width,
-            r * width + (c + 1) % width,
-        ):
-            weights[(node, j)] = w_horiz
-            edge_set.add((min(node, j), max(node, j)))
+    def vertical(i: int, j: int) -> bool:
+        return i // width != j // width
 
-    edges = tuple(
-        EdgeSpec(i, j, weights[(i, j)], weights[(j, i)], util, util)
-        for (i, j) in sorted(edge_set)
+    edges = _torus_edges(
+        width,
+        height,
+        lambda i, nbrs: [w_vert if vertical(i, j) else w_horiz for j in nbrs],
+        UtilitySpec.capped_quadratic(float(b)),
     )
-
-    good_counts: dict[tuple[int, int], int] = {}
-    bad_counts: dict[tuple[int, int], int] = {}
-    for (i, j) in edge_set:
-        units = (high_units, low_units) if (i, j) in vertical else (
-            low_units,
-            high_units,
-        )
-        good_counts[(i, j)] = units[0]
-        good_counts[(j, i)] = units[0]
-        bad_counts[(i, j)] = units[1]
-        bad_counts[(j, i)] = units[1]
-
+    directed = [(i, j) for i in range(n) for j in _torus_neighbors(width, height, i)]
     doc = InstanceDocument(
         n=n,
         eta=float(quantum),
@@ -504,14 +490,16 @@ def gen_poa_grid_instance(
         edges=edges,
         reference_profiles={
             "good": tuple(
-                (i, j, c) for (i, j), c in sorted(good_counts.items())
+                (i, j, high_units if vertical(i, j) else low_units)
+                for (i, j) in directed
             ),
             "bad": tuple(
-                (i, j, c) for (i, j), c in sorted(bad_counts.items())
+                (i, j, low_units if vertical(i, j) else high_units)
+                for (i, j) in directed
             ),
         },
     )
-    return doc, FrequencyProfile(good_counts), FrequencyProfile(bad_counts)
+    return doc, doc.reference_profile("good"), doc.reference_profile("bad")
 
 
 # -- random instances ------------------------------------------------------------
@@ -519,9 +507,9 @@ def gen_poa_grid_instance(
 
 def _random_utility(rng: random.Random, beta: float, family: str | None) -> UtilitySpec:
     fam = family if family is not None else rng.choice(FAMILIES)
-    if fam == "power":
+    if fam == POWER:
         return UtilitySpec.power(round(rng.uniform(0.2, 1.0), 3))
-    if fam == "capped_quadratic":
+    if fam == CAPPED_QUADRATIC:
         return UtilitySpec.capped_quadratic(round(rng.uniform(0.5, 1.5) * beta, 3))
     return UtilitySpec.from_json({"family": fam})
 
@@ -542,6 +530,8 @@ def gen_random_instance(
     ``symmetric_utilities`` forces one utility per edge (both directions).
     """
     _require_finite(beta=beta)
+    if behavior is not None:
+        _require_behavior(behavior)
     if budget_units < 1:
         raise ValueError(f"budget_units must be >= 1, got {budget_units}")
     if not 0.0 <= edge_prob <= 1.0:
@@ -577,9 +567,7 @@ def gen_random_instance(
         edges.append(EdgeSpec(i, j, weights[(i, j)], weights[(j, i)], u_ij, u_ji))
 
     if behavior is None:
-        behaviors = tuple(
-            rng.choice(("pessimistic", "optimistic")) for _ in range(n)
-        )
+        behaviors = tuple(rng.choice(BEHAVIORS) for _ in range(n))
     else:
         behaviors = (behavior,) * n
     return InstanceDocument(
@@ -614,11 +602,7 @@ def gen_ranked_instance(
     )
     ranks = tuple(rng.randint(1, max_rank) for _ in range(n))
     ranking = RankingSystem({i: r for i, r in enumerate(ranks)})
-    neighbors: dict[int, list[int]] = {i: [] for i in range(n)}
-    for e in base.edges:
-        neighbors[e.i].append(e.j)
-        neighbors[e.j].append(e.i)
-    rank_weights = global_ranking_weights(neighbors, ranking)
+    rank_weights = global_ranking_weights(base.to_game_spec().neighbors, ranking)
     edges = tuple(
         replace(
             e,
@@ -627,14 +611,7 @@ def gen_ranked_instance(
         )
         for e in base.edges
     )
-    return InstanceDocument(
-        n=n,
-        eta=base.eta,
-        budgets=base.budgets,
-        behaviors=base.behaviors,
-        edges=edges,
-        ranking=ranks,
-    )
+    return replace(base, edges=edges, ranking=ranks)
 
 
 # -- helpers ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from netalloc.cli import main
+from netalloc.cli import _utility_from_name, main
 from netalloc.dynamics import (
     Converged,
     DynamicsConfig,
@@ -92,6 +92,18 @@ def test_bad_parameter_exit_code(tmp_path, capsys, args, message):
     assert message in err
     assert not (tmp_path / "g.json").exists()
     assert not (tmp_path / "exp.summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, shared",
+    [
+        ("linear", UtilitySpec.linear()),
+        ("sqrt", UtilitySpec.sqrt()),
+        ("log1p", UtilitySpec.log1p()),
+    ],
+)
+def test_utility_names_give_the_shared_instances(name, shared):
+    assert _utility_from_name(name, None) is shared
 
 
 @pytest.mark.parametrize(

@@ -169,6 +169,16 @@ def test_random_instance_behavior_and_family_overrides():
     )
 
 
+@pytest.mark.parametrize("generate", [gen_random_instance, gen_ranked_instance])
+def test_random_generators_refuse_an_unknown_behavior(generate):
+    # "mixed" is the command line's word for a random behaviour per player
+    with pytest.raises(
+        ValueError,
+        match="behavior must be 'pessimistic' or 'optimistic', got 'mixed'",
+    ):
+        generate(n=6, edge_prob=0.5, seed=0, behavior="mixed")
+
+
 def test_ranked_instance_weights_follow_ranks():
     doc = gen_ranked_instance(n=9, edge_prob=0.5, seed=7)
     spec = doc.to_game_spec()

@@ -1,11 +1,13 @@
 """Source checks that need no linter: every name a module imports is used,
-and only the command line prints."""
+only the command line prints, and the utility family and behaviour names
+are written out in one module each."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+from netalloc.game import BEHAVIORS
 from netalloc.utility import FAMILIES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "netalloc"
@@ -143,11 +145,56 @@ def family_literals(source: str) -> list[str]:
     ]
 
 
-def test_the_optimum_names_no_family_by_string():
-    # the optimum reads each family through the constants in utility.py
-    assert family_literals((SRC / "analysis.py").read_text(encoding="utf-8")) == []
+def test_only_utility_names_a_family_by_string():
+    # the other modules read each family through the constants in utility.py
+    found = {
+        module: family_literals((SRC / module).read_text(encoding="utf-8"))
+        for module in MODULES + ["__init__.py"]
+        if module != "utility.py"
+    }
+    assert {m: names for m, names in found.items() if names} == {}
 
 
 def test_family_literal_check_sees_a_name():
     source = '"""A sqrt edge."""\nif u.family in ("sqrt", POWER):\n    pass\n'
     assert family_literals(source) == ["sqrt"]
+
+
+# Literal lists of every behaviour name outside game.BEHAVIORS, each with
+# its reason.
+BEHAVIOR_LISTS = {
+    ("verify.py", '("optimistic", "pessimistic")'): (
+        "criterion 8 runs the optimistic batch first, as its messages read"
+    ),
+}
+
+
+def behavior_lists(source: str) -> list[str]:
+    """The source of every tuple, list or set literal that holds every
+    behaviour name."""
+    return [
+        ast.get_source_segment(source, node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+        and set(BEHAVIORS)
+        <= {e.value for e in node.elts if isinstance(e, ast.Constant)}
+    ]
+
+
+def test_behavior_names_are_listed_once():
+    found = {
+        (module, literal)
+        for module in MODULES + ["__init__.py"]
+        for literal in behavior_lists((SRC / module).read_text(encoding="utf-8"))
+    }
+    assert found - BEHAVIOR_LISTS.keys() == set(), "use game.BEHAVIORS"
+    assert BEHAVIOR_LISTS.keys() - found == set(), "stale allowlist entry"
+
+
+def test_behavior_list_check_sees_a_list():
+    source = (
+        'kinds = ["pessimistic", "optimistic", "mixed"]\n'
+        'default = ("optimistic",)\n'
+        'seen = {None, *BEHAVIORS}\n'
+    )
+    assert behavior_lists(source) == ['["pessimistic", "optimistic", "mixed"]']
