@@ -63,8 +63,10 @@ NEWTON_REL_STEP = 1e-15
 FINISH_REL_NUDGE = 2.0**-50
 FINISH_STEPS = 17
 
-# the exchange polish applies only moves that gain more than this
+# the exchange polish applies only moves that gain more than this, and at
+# most this many exchanges besides its adds (at most the spare quanta)
 POLISH_MIN_GAIN = 1e-13
+POLISH_MAX_EXCHANGES = 100_000
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -327,9 +329,7 @@ def _polish_exchanges(
             if a != (o if o < c else c):
                 settle(k)
     spare = budget_units - sum(alloc)
-    # an added quantum is never taken back to spare, so adds number at most
-    # the spare; the constant bounds the exchanges
-    for _ in range(spare + 100_000):
+    for _ in range(spare + POLISH_MAX_EXCHANGES):
         gain, src, dst = best_move(up, down, spare > 0)
         if not gain > POLISH_MIN_GAIN:
             break

@@ -1,6 +1,6 @@
 """Command-line surface: gen, simulate, optimum, experiment, verify.
 
-``verify`` runs acceptance criteria 1-7 from ``netalloc.verify``, the same
+``verify`` runs acceptance criteria 1-8 from ``netalloc.verify``, the same
 functions the acceptance tests call.
 
 Exit codes: 0 success/converged, 2 round limit hit, 3 cycle detected,
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out-prefix", required=True)
     exp.set_defaults(func=_cmd_experiment)
 
-    ver = sub.add_parser("verify", help="run acceptance criteria 1-7")
+    ver = sub.add_parser("verify", help="run acceptance criteria 1-8")
     ver.set_defaults(func=_cmd_verify)
     return parser
 

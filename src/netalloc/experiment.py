@@ -44,6 +44,7 @@ from .game import (
     social_welfare,
 )
 from .instances import InstanceDocument
+from .lockstep import qualifies, run_batch
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,16 @@ def _single_run(
     sw = social_welfare(spec, final)
     converged = isinstance(status, Converged)
     rounds = status.t if converged else dynamics.max_rounds
-    return RunOutcome(
-        run=run,
-        seed=seed,
-        converged=converged,
-        rounds=rounds,
-        final_welfare=sw,
-        ratio=sw / opt_sw,
-    )
+    return RunOutcome(run, seed, converged, rounds, sw, sw / opt_sw)
+
+
+def _run_tasks(spec, dynamics, opt_sw, tasks: list) -> list[RunOutcome]:
+    """The (run, seed) ``tasks``, all or a worker's slice: in lockstep
+    (:mod:`~netalloc.lockstep`) where the spec qualifies, else one by one."""
+    if not qualifies(spec):
+        return [_single_run(spec, dynamics, opt_sw, r, s) for r, s in tasks]
+    results = run_batch(spec, dynamics, [s for _, s in tasks])[0]
+    return [RunOutcome(*t, *res, res[2] / opt_sw) for t, res in zip(tasks, results)]
 
 
 def smoothed_mode_count(counts) -> int:
@@ -147,13 +150,13 @@ def run_batch_experiment(
     tasks = [(r, config.seed + r) for r in range(config.runs)]
     workers = min(config.n_jobs, config.runs)
     if workers > 1:
-        run = functools.partial(_single_run, spec, config.dynamics, opt_sw)
+        cuts = [k * len(tasks) // workers for k in range(workers + 1)]
+        parts = [(tasks[a:b],) for a, b in zip(cuts, cuts[1:])]
+        run = functools.partial(_run_tasks, spec, config.dynamics, opt_sw)
         with multiprocessing.Pool(processes=workers) as pool:
-            outcomes = pool.starmap(run, tasks)
+            outcomes = [o for part in pool.starmap(run, parts) for o in part]
     else:
-        outcomes = [
-            _single_run(spec, config.dynamics, opt_sw, r, s) for (r, s) in tasks
-        ]
+        outcomes = _run_tasks(spec, config.dynamics, opt_sw, tasks)
 
     ratios = [o.ratio for o in outcomes if o.converged]
     non_converged = sum(1 for o in outcomes if not o.converged)

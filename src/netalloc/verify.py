@@ -3,10 +3,8 @@
 Each criterion function recomputes one result at fixed seeds, sizes and
 tolerances, returns a one-line summary of what it measured, and raises
 ``CriterionFailed`` on any failed condition.  ``CRITERIA`` lists them in
-order.  ``tests/test_acceptance.py`` calls all eight; ``netalloc verify``
-runs criteria 1-7 through ``verify_reference_suite`` (criterion 8, the
-1,000-run batch experiment, takes about a minute and runs only in the
-acceptance tests).
+order.  ``tests/test_acceptance.py`` calls all eight, and ``netalloc
+verify`` runs criteria 1-8 through ``verify_reference_suite``.
 """
 
 from __future__ import annotations
@@ -429,10 +427,9 @@ CRITERIA: tuple[tuple[str, Callable[[], str]], ...] = (
 
 
 def verify_reference_suite() -> list[CheckResult]:
-    """Run criteria 1-7 (all but the batch experiment, the last entry of
-    ``CRITERIA``); deterministic, no external inputs."""
+    """Run criteria 1-8; deterministic, no external inputs."""
     results = []
-    for name, criterion in CRITERIA[:-1]:
+    for name, criterion in CRITERIA:
         try:
             results.append(CheckResult(name, True, criterion()))
         except (CriterionFailed, InvariantViolation) as exc:

@@ -1,10 +1,10 @@
 """Acceptance suite: one test per headline criterion, stated tolerances.
 
 The criteria themselves live in ``netalloc.verify`` (``netalloc verify``
-runs criteria 1-7 from there); each test times one of them, checks its
+runs all eight from there); each test times one of them, checks its
 runtime ceiling where it has one, and prints its summary line.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the lines.  The
-batch-experiment criterion takes about a minute; all bounds (tolerances and
+batch-experiment criterion takes about 7 s; all bounds (tolerances and
 runtime ceilings) are fixed, not tuned.
 """
 

@@ -540,10 +540,11 @@ def test_verify_command(capsys):
         "poa-closed-form",
         "solver-vs-oracle",
         "matched-equilibria-convex",
+        "batch-shape",
     ]
     assert "[FAIL]" not in out
     assert "period=2" in out
-    assert "all 7 checks passed" in out
+    assert "all 8 checks passed" in out
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

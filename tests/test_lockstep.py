@@ -1,0 +1,273 @@
+"""The lockstep batch engine against the scalar engine, its oracle.
+
+The numpy response must equal ``best_response`` field for field on random
+degree-regular sqrt rows; a batch must equal the runs ``_single_run`` makes
+one by one (rounds, welfare bits, final profiles), and a batch that does
+not qualify must take the scalar path."""
+
+import hashlib
+import math
+import random
+
+import numpy as np
+import pytest
+
+import netalloc.experiment as experiment
+from netalloc import dynamics, lockstep
+from netalloc.bestresponse import best_move, best_response, edge_terms
+from netalloc.dynamics import DynamicsConfig, InvariantViolation
+from netalloc.experiment import ExperimentConfig, _single_run, run_batch_experiment
+from netalloc.game import left_sum
+from netalloc.instances import gen_random_instance, gen_torus_grid
+from netalloc.utility import UtilitySpec
+
+from helpers import OPT, PESS, make_spec
+
+SQRT = UtilitySpec.sqrt()
+
+
+def regular_spec(n, offsets, rng, eta, budgets, weights=None):
+    """A circulant graph (i ~ i +- o for each offset o), sqrt on every edge,
+    the given weights on every player's sorted neighbors or random ones,
+    behaviours alternating."""
+    nbrs = {i: sorted({(i + o) % n for o in offsets} | {(i - o) % n for o in offsets})
+            for i in range(n)}
+    w = {}
+    for i, js in nbrs.items():
+        draws = [rng.random() + 0.01 for _ in js]
+        row = weights or [x / left_sum(draws) for x in draws]
+        w.update(zip([(i, j) for j in js], row))
+    edge_data = [(i, j, w[(i, j)], w[(j, i)], SQRT, SQRT)
+                 for i in range(n) for j in nbrs[i] if i < j]
+    behaviors = {i: OPT if i % 2 else PESS for i in range(n)}
+    return make_spec(n, eta, edge_data, budgets, behaviors)
+
+
+def draw_caps(rng, d, budget):
+    kinds = rng.random()
+    if kinds < 0.15:  # every cap binds: the water fill's targets_at(0) fits
+        return [rng.randrange(0, budget // d + 1) for _ in range(d)]
+    caps = []
+    for _ in range(d):
+        u = rng.random()
+        if u < 0.15:
+            caps.append(0)
+        elif u < 0.3:
+            caps.append(budget + rng.randrange(3))  # at or above the budget
+        elif u < 0.45:
+            caps.append(rng.randrange(0, 3))
+        else:
+            caps.append(rng.randrange(0, budget + 1))
+    return caps
+
+
+def oracle_rows(spec, rows, rng):
+    """Compare the batched grid response of ``rows`` (player, caps) with
+    ``best_response`` from a random standing row; returns the rows that
+    the batch handed to its scalar fallback."""
+    index = spec.index
+    d = len(index.rows[0].neighbors)
+    players = [i for i, _ in rows]
+    caps = np.array([c for _, c in rows], dtype=np.int64)
+    standings = []
+    for i, cap in rows:
+        row = index.rows[i]
+        own = [rng.randrange(0, row.budget + 2) for _ in range(d)]
+        terms = [edge_terms(w, k, min(o, c), c, spec.eta)
+                 for w, k, o, c in zip(row.weights, row.kernels, own, cap)]
+        standings.append((own, *map(list, zip(*terms))))
+    fallbacks = []
+
+    def solve(k):
+        fallbacks.append(k)
+        return best_response(spec, None, players[k], rows[k][1], standings[k])
+
+    w = np.array([index.rows[i].weights for i in players])
+    budget = np.array([index.rows[i].budget for i in players])
+    optimistic = np.array([spec.behaviors[i] is OPT for i in players])
+    with np.errstate(all="ignore"):
+        alloc, terms, realized = lockstep._respond(
+            w, caps, budget, optimistic, spec.eta, solve
+        )
+    for k, (i, cap) in enumerate(rows):
+        br = best_response(spec, None, i, cap, standings[k])
+        assert alloc[k].tolist() == list(br.proposals.values()), (i, cap)
+        assert repr(float(realized[k])) == repr(br.realized_utility), (i, cap)
+        for m in range(3):
+            assert list(map(repr, terms[m, k].tolist())) == list(map(repr, br.terms[m]))
+    return fallbacks
+
+
+@pytest.mark.parametrize("d, offsets", [(3, (1, 4)), (4, (1, 2))])
+def test_batched_response_matches_best_response(d, offsets):
+    rng = random.Random(d)
+    n = 8 if d == 3 else 9
+    checked = 0
+    for eta, equal in ((1.0, False), (0.25, False), (1.0, True)):
+        budgets = [rng.choice((1, 2, 3, 7, 40, 600)) * eta for _ in range(n)]
+        weights = [1.0 / d] * d if equal else None  # equal weights tie gains
+        spec = regular_spec(n, offsets, rng, eta, budgets, weights)
+        rows = []
+        for _ in range(400):
+            i = rng.randrange(n)
+            rows.append((i, draw_caps(rng, d, spec.index.rows[i].budget)))
+        oracle_rows(spec, rows, rng)
+        checked += len(rows)
+        assert {spec.behaviors[i] for i, _ in rows} == {OPT, PESS}
+        assert any(0 in c for _, c in rows)
+        assert any(max(c) >= spec.index.rows[i].budget for i, c in rows)
+        assert any(
+            sum(min(x, spec.index.rows[i].budget) for x in c) <= spec.index.rows[i].budget
+            for i, c in rows
+        )
+    assert checked >= 1200
+
+
+def test_a_sum_on_the_budget_goes_to_the_scalar_solver():
+    # on K4 with a budget near 2**53, the water fill's targets at one
+    # breakpoint sum exactly to the budget while their float partial sums
+    # round; the excess is zero only up to the rounding, so the comparison
+    # stays open and the row is solved by best_response
+    weights = [0.2959163598225536, 0.24137021978307124, 0.4627134203943751]
+    caps = [3497286112119724, 3671166019273024, 3467243558593084]
+    budget = 7786561830095932
+    spec = regular_spec(4, (1, 2), random.Random(0), 1.0, [budget] * 4, weights)
+    rng = random.Random(1)
+    rows = [(0, caps)] + [(0, draw_caps(rng, 3, budget)) for _ in range(200)]
+    assert oracle_rows(spec, rows, rng)[:1] == [0]
+
+
+def test_fits_decides_exactly_or_not_at_all():
+    rng = random.Random(3)
+    # the exact sum is the budget, and the running sums from -budget round
+    # (at 2**53 a half is below the last bit) before their errors cancel
+    targets = [[0.5, 0.5, 2.0**53 - 3, 0.0]]
+    budget = [2**53 - 2]
+    for _ in range(3000):
+        row = [rng.choice((rng.random() * 50, float(rng.randrange(20)))) for _ in range(4)]
+        targets.append(row)
+        budget.append(math.floor(left_sum(row)) + rng.randrange(2))
+    fits, sure = lockstep._fits(np.array(targets), np.array(budget))
+    assert not sure[0]
+    for row, b, f, s in zip(targets, budget, fits, sure):
+        if s:
+            assert f == (math.fsum([-b, *row]) <= 0.0)
+    assert sure[1:].all()
+
+
+def test_batched_best_move_keeps_the_tie_rules():
+    rng = random.Random(5)
+    values = [0.0, 1.0, 2.0, 3.0, -math.inf, math.inf]
+    for d in (1, 2, 3, 4):
+        up = [[rng.choice(values[:5]) for _ in range(d)] for _ in range(2000)]
+        down = [[rng.choice(values[:4] + values[5:]) for _ in range(d)] for _ in range(2000)]
+        can_add = [rng.random() < 0.3 for _ in range(2000)]
+        gain, src, dst = lockstep._best_move(np.array(up), np.array(down), np.array(can_add))
+        for k in range(2000):
+            expected = best_move(up[k], down[k], can_add[k])
+            if expected[0] == -math.inf:
+                assert gain[k] == -math.inf
+            else:
+                assert (float(gain[k]), int(src[k]), int(dst[k])) == expected
+
+
+def digest(key) -> str:
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+def c8_torus():
+    return gen_torus_grid(10, 10, beta=1000.0, eta=1.0, weight_seed=7, utility=SQRT)
+
+
+def scalar_report_runs(doc, config, monkeypatch):
+    """The runs of ``config`` made one by one by ``_single_run``, and the
+    final profile key of each."""
+    spec = doc.to_game_spec(behavior_override=config.behavior)
+    keys = []
+    real = experiment.run_sequential
+
+    def keep(spec, *args, **kwargs):
+        result = real(spec, *args, **kwargs)
+        keys.append(result[0].key(spec))
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(experiment, "run_sequential", keep)
+        opt_sw = experiment.global_optimum(spec).welfare
+        runs = [_single_run(spec, config.dynamics, opt_sw, r, config.seed + r)
+                for r in range(config.runs)]
+    return runs, keys
+
+
+def assert_same_runs(batch, scalar):
+    assert len(batch) == len(scalar)
+    for a, b in zip(batch, scalar):
+        assert (a.run, a.seed, a.converged, a.rounds) == (b.run, b.seed, b.converged, b.rounds)
+        assert repr(a.final_welfare) == repr(b.final_welfare)
+        assert repr(a.ratio) == repr(b.ratio)
+
+
+@pytest.mark.parametrize("behavior", ["optimistic", "pessimistic"])
+def test_criterion_8_batch_matches_the_scalar_runs(behavior, monkeypatch):
+    finals = []
+
+    def keep_finals(*args):
+        results, rows = lockstep.run_batch(*args)
+        finals.extend(tuple(row.tolist()) for row in rows)
+        return results, rows
+
+    monkeypatch.setattr(experiment, "run_batch", keep_finals)
+    doc = c8_torus()
+    config = ExperimentConfig(runs=40, seed=1000, behavior=behavior, bins=20)
+    report = run_batch_experiment(doc, config)
+    runs, keys = scalar_report_runs(doc, config, monkeypatch)
+    assert_same_runs(report.runs, runs)
+    assert list(map(digest, finals)) == list(map(digest, keys))
+
+
+@pytest.mark.parametrize(
+    "dynamics_config",
+    [DynamicsConfig(max_rounds=5), DynamicsConfig(tol=0.0)],
+    ids=["max_rounds=5", "tol=0"],
+)
+def test_small_torus_batch_matches_the_scalar_runs(dynamics_config, monkeypatch):
+    doc = gen_torus_grid(3, 3, beta=50.0, eta=1.0, weight_seed=4, utility=SQRT)
+    for behavior in ("optimistic", "pessimistic"):
+        config = ExperimentConfig(runs=12, seed=7, behavior=behavior,
+                                  dynamics=dynamics_config)
+        report = run_batch_experiment(doc, config)
+        runs, _ = scalar_report_runs(doc, config, monkeypatch)
+        assert_same_runs(report.runs, runs)
+        if dynamics_config.max_rounds == 5:
+            assert not all(o.converged for o in report.runs)
+
+
+def test_mixed_families_take_the_scalar_path(monkeypatch):
+    doc = gen_random_instance(n=12, edge_prob=0.4, seed=3, budget_units=40)
+    assert not lockstep.qualifies(doc.to_game_spec())
+
+    def refuse(*args):
+        raise AssertionError("a mixed-family batch reached the lockstep engine")
+
+    monkeypatch.setattr(experiment, "run_batch", refuse)
+    config = ExperimentConfig(runs=4, seed=2)
+    report = run_batch_experiment(doc, config)
+    monkeypatch.undo()
+    runs, _ = scalar_report_runs(doc, config, monkeypatch)
+    assert_same_runs(report.runs, runs)
+
+
+def test_a_violation_reads_as_in_the_scalar_engine(monkeypatch):
+    # a negative margin makes the exchange test flag players that cannot
+    # improve; both engines read the margin from dynamics, so both must
+    # stop at the same mover with the same message
+    monkeypatch.setattr(dynamics, "EXCHANGE_REL_MARGIN", -1.0)
+    doc = gen_torus_grid(3, 3, beta=50.0, eta=1.0, weight_seed=4, utility=SQRT)
+    config = ExperimentConfig(runs=3, seed=7, behavior="pessimistic")
+    with pytest.raises(InvariantViolation) as batch:
+        run_batch_experiment(doc, config)
+    monkeypatch.setattr(experiment, "qualifies", lambda spec: False)
+    with pytest.raises(InvariantViolation) as scalar:
+        run_batch_experiment(doc, config)
+    assert str(batch.value) == str(scalar.value)
+    assert "exchange test picked mover" in str(batch.value)

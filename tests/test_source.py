@@ -198,3 +198,58 @@ def test_behavior_list_check_sees_a_list():
         'seen = {None, *BEHAVIORS}\n'
     )
     assert behavior_lists(source) == ['["pessimistic", "optimistic", "mixed"]']
+
+
+# numpy reductions in the lockstep engine that add ints or bools only, each
+# with its reason.  Its float sums that reach a decision or an output are
+# ``lockstep._left_sum``'s column-by-column adds from +0.0 (``left_sum``'s
+# order), or the TwoSum adds of ``_fits``; numpy's own float reductions
+# sum pairwise, in another order.
+INT_REDUCTIONS = {
+    "eff.sum(1)": "capped targets: int amounts",
+    "np.where(leave >= hi[:, None], eff, 0).sum(1)": "caps that bind: int amounts",
+    "alloc.sum(1)": "spare quanta of an int allocation",
+    "lose.sum(1)": "count of matched neighbors",
+    "lose.cumsum(1)": "rank among matched neighbors",
+    "agreed.sum(1)": "realized quanta: int amounts",
+    "(own < caps).sum(1)": "win count",
+    "(alloc < caps).sum(1)": "win count",
+    "self.status[rr].sum(1)": "mover count",
+    "self.status[rr].cumsum(1)": "rank among movers",
+    "moved.sum(1)": "change of slack: int amounts",
+    "self.slack[rr[k]].sum()": "total slack: int amounts",
+}
+REDUCTIONS = {"sum", "cumsum", "nansum", "mean", "average", "reduce", "accumulate",
+              "dot", "matmul", "einsum", "inner", "prod", "cumprod", "std", "var"}
+
+
+def reductions(source: str) -> list[str]:
+    """The source of every call of a numpy reduction by name (``np.sum(x)``,
+    ``x.sum(1)``, ``np.add.reduce(x)``), and of every ``@``."""
+    tree = ast.parse(source)
+    return [
+        ast.get_source_segment(source, node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in REDUCTIONS
+        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+    ]
+
+
+def test_lockstep_reduces_ints_only():
+    found = set(reductions((SRC / "lockstep.py").read_text(encoding="utf-8")))
+    assert found - INT_REDUCTIONS.keys() == set(), "add floats with _left_sum"
+    assert INT_REDUCTIONS.keys() - found == set(), "stale allowlist entry"
+
+
+def test_reduction_check_sees_a_float_sum():
+    source = (SRC / "lockstep.py").read_text(encoding="utf-8")
+    injected = source.replace(
+        "return alloc, terms, _left_sum(terms[0])", "return alloc, terms, terms[0].sum(1)"
+    )
+    assert injected != source
+    assert set(reductions(injected)) - INT_REDUCTIONS.keys() == {"terms[0].sum(1)"}
+    assert set(reductions("y = np.sum(x) + np.add.reduce(x, 1) + a @ b\n")) == {
+        "np.sum(x)", "np.add.reduce(x, 1)", "a @ b"
+    }
