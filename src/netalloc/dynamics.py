@@ -243,10 +243,11 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
 
     ``RandomFeasible`` splits each player's whole budget over the player's
     neighbors in proportion to uniform draws, floors the shares to quanta,
+    takes one back from the first largest share per quantum they overspend,
     and gives each leftover quantum to the first neighbor with the highest
-    positive weighted marginal w u'((a + MARGINAL_SHIFT) eta) at its current
-    count a.  Raises ValueError on a budget that is not a finite count below
-    2**53 quanta (no fill could place it)."""
+    positive weighted marginal w u'((a + MARGINAL_SHIFT) eta) at its count
+    a; ``lockstep._random_start`` is its batch copy (``test_lockstep.py``).
+    Raises ValueError on a budget not a finite count below 2**53 quanta."""
     for i, beta in spec.budgets.items():
         if not beta / spec.eta < MAX_BUDGET_UNITS:  # also inf and nan
             raise ValueError(
@@ -274,6 +275,8 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
             total = left_sum(draws)
             alloc = [int(math.floor(budget * d / total)) for d in draws]
             spare = budget - sum(alloc)
+            for _ in range(-spare):  # near 2**53 the shares can round up
+                alloc[alloc.index(max(alloc))] -= 1
             _place_leftover(alloc, spare, row.weights, row.utils, spec.eta)
         counts.update(zip(edges[off[i] : off[i + 1]], alloc))
     return FrequencyProfile(counts)

@@ -12,6 +12,7 @@ leaves open, are solved by ``best_response`` from the run's arrays.
 from __future__ import annotations
 
 import random
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -34,8 +35,8 @@ def qualifies(spec: GameSpec) -> bool:
 def _left_sum(a):
     """``left_sum`` along the last axis: the columns added to +0.0 in order."""
     total = np.zeros(a.shape[:-1])
-    for column in np.moveaxis(a, -1, 0):
-        total = total + column
+    for k in range(a.shape[-1]):
+        total = total + a[..., k]
     return total
 
 
@@ -73,7 +74,8 @@ def _fits(targets, budget):
     to -budget, so only the sum of its exact errors rounds (by < d - 1 ulps)."""
     total = budget * -1.0
     errors = magnitude = 0.0
-    for t in np.moveaxis(targets, -1, 0):
+    for k in range(targets.shape[-1]):
+        t = targets[..., k]
         s = total + t
         back = s - total
         e = (total - (s - back)) + (t - back)
@@ -155,6 +157,27 @@ def _respond(w, caps, budget, optimistic, eta, solve):
     return alloc, terms, _left_sum(terms[0])
 
 
+def _random_start(w, budget, eta, seeds):
+    """``init_profile``'s ``RandomFeasible`` start of each seed's run (n x d
+    weights), R x 2|E| proposals; ``astype`` floors the shares (all >= 0)."""
+    n, d = w.shape
+    draws = (starmap(random.Random(s).random, repeat((), n * d)) for s in seeds)
+    alloc = np.array([np.fromiter(x, float, n * d) for x in draws]).reshape(-1, n, d)
+    alloc = (alloc * budget[:, None] / _left_sum(alloc)[..., None]).astype(np.int64)
+    spare = budget - alloc.sum(2)
+    while (over := np.nonzero(spare < 0))[0].size:  # give back, first largest
+        alloc[(*over, alloc[over].argmax(1))] -= 1
+        spare[over] += 1
+    scores = w * (0.5 / np.sqrt((alloc + dynamics.MARGINAL_SHIFT) * eta))
+    while (left := np.nonzero((spare > 0) & (scores.max(2) > 0.0)))[0].size:
+        top = (*left, scores.argmax(2)[left])  # the first highest score
+        alloc[top] += 1
+        spare[left] -= 1
+        shifted = alloc[top] + dynamics.MARGINAL_SHIFT
+        scores[top] = w[top[1:]] * (0.5 / np.sqrt(shifted * eta))
+    return alloc.reshape(len(seeds), n * d)
+
+
 class _Runs:
     """The runs of one batch as arrays (module docstring), a row each."""
 
@@ -169,9 +192,7 @@ class _Runs:
         optimistic = [spec.behaviors[i] is Behavior.OPTIMISTIC for i in range(n)]
         self.optimistic = np.array(optimistic)
         self.rngs = [random.Random(s) for s in seeds]
-        self.f = np.empty((len(seeds), len(rev)), np.int64)
-        for row, s in zip(self.f, seeds):
-            row[:] = dynamics.init_profile(spec, dynamics.RandomFeasible(s)).key(spec)
+        self.f = _random_start(self.w.reshape(n, d), self.budget, self.eta, seeds)
         runs = np.arange(len(seeds))
         self.terms = np.empty((3, *self.f.shape))
         self.slack, self.wins = np.empty((2, len(runs), n), np.int64)

@@ -1,9 +1,10 @@
 """The lockstep batch engine against the scalar engine, its oracle.
 
 The numpy response must equal ``best_response`` field for field on random
-degree-regular sqrt rows; a batch must equal the runs ``_single_run`` makes
-one by one (rounds, welfare bits, final profiles), and a batch that does
-not qualify must take the scalar path."""
+degree-regular sqrt rows, and the numpy random start ``init_profile``'s;
+a batch must equal the runs ``_single_run`` makes one by one (rounds,
+welfare bits, final profiles), and a batch that does not qualify must take
+the scalar path."""
 
 import hashlib
 import math
@@ -15,9 +16,14 @@ import pytest
 import netalloc.experiment as experiment
 from netalloc import dynamics, lockstep
 from netalloc.bestresponse import best_move, best_response, edge_terms
-from netalloc.dynamics import DynamicsConfig, InvariantViolation
+from netalloc.dynamics import (
+    DynamicsConfig,
+    InvariantViolation,
+    RandomFeasible,
+    init_profile,
+)
 from netalloc.experiment import ExperimentConfig, _single_run, run_batch_experiment
-from netalloc.game import left_sum
+from netalloc.game import check_feasible, left_sum
 from netalloc.instances import gen_random_instance, gen_torus_grid
 from netalloc.utility import UtilitySpec
 
@@ -240,6 +246,99 @@ def test_small_torus_batch_matches_the_scalar_runs(dynamics_config, monkeypatch)
         assert_same_runs(report.runs, runs)
         if dynamics_config.max_rounds == 5:
             assert not all(o.converged for o in report.runs)
+
+
+def k5_spec(budgets=(40.0,) * 5, weights=(0.25,) * 4, u01=SQRT):
+    """K5 with ``u01`` on edge (0, 1) and sqrt elsewhere; every player puts
+    ``weights`` on its neighbors in order."""
+    edge_data = []
+    for i in range(5):
+        for j in range(i + 1, 5):
+            u = u01 if (i, j) == (0, 1) else SQRT
+            edge_data.append((i, j, weights[j - 1], weights[i], u, u))
+    return make_spec(5, 1.0, edge_data, budgets)
+
+
+def start_rows(spec, seeds):
+    """The numpy random start of each seed on ``spec``, a row per seed."""
+    rows = spec.index.rows
+    w = np.array([row.weights for row in rows])
+    budget = np.array([row.budget for row in rows])
+    return lockstep._random_start(w, budget, spec.eta, seeds)
+
+
+def torus(side, beta, eta=1.0):
+    return gen_torus_grid(side, side, beta=beta, eta=eta, weight_seed=7,
+                          utility=SQRT).to_game_spec()
+
+
+@pytest.mark.parametrize(
+    "spec, seeds",
+    [
+        (torus(10, 1000.0), range(1000, 1200)),
+        (torus(10, 1000.0, eta=0.25), range(60)),
+        (torus(4, 1.0), range(100)),  # budgets below the degree: every floor is 0
+        (torus(4, 2.0), range(100)),
+        (torus(4, 3.0), range(100)),
+        (torus(3, 2.0**53 - 1), range(300)),  # floors that overspend (below)
+        (k5_spec(budgets=(3.0,) * 5), range(20)),  # equal weights tie every score
+        (k5_spec(), range(100)),
+        (k5_spec(weights=(5e-324,) * 4), range(20)),  # scores of 0: no leftover
+        (torus(3, 50.0), range(-100, 0)),
+        (torus(3, 50.0), []),
+    ],
+    ids=["criterion-8", "eta=0.25", "budget=1", "budget=2", "budget=3",
+         "budget=2**53-1", "ties-budget=3", "ties-budget=40", "zero-scores",
+         "negative-seeds", "no-seeds"],
+)
+def test_random_start_matches_init_profile(spec, seeds):
+    rows = start_rows(spec, list(seeds))
+    assert rows.shape == (len(seeds), len(spec.directed_edges))
+    for row, s in zip(rows.tolist(), seeds):
+        assert row == list(init_profile(spec, RandomFeasible(s)).key(spec)), s
+
+
+def test_a_start_near_2_53_spends_each_budget(monkeypatch):
+    doc = gen_torus_grid(3, 3, beta=2.0**53 - 1, eta=1.0, weight_seed=7, utility=SQRT)
+    spec = doc.to_game_spec()
+    budget = spec.index.rows[3].budget
+    # seed 7: player 3's floored shares round up to one quantum over budget
+    rng = random.Random(7)
+    draws = [rng.random() for _ in range(16)][12:]  # players 0-2 draw first
+    floors = [math.floor(budget * x / left_sum(draws)) for x in draws]
+    assert sum(floors) == budget + 1
+    for s in range(40):
+        start = init_profile(spec, RandomFeasible(s))
+        check_feasible(spec, start)
+        key = start.key(spec)
+        for row, off in zip(spec.index.rows, spec.index.off):
+            assert sum(key[off : off + 4]) == row.budget
+    for behavior in ("optimistic", "pessimistic"):
+        config = ExperimentConfig(runs=40, seed=0, behavior=behavior,
+                                  dynamics=DynamicsConfig(max_rounds=20))
+        report = run_batch_experiment(doc, config)
+        runs, _ = scalar_report_runs(doc, config, monkeypatch)
+        assert_same_runs(report.runs, runs)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        k5_spec(weights=(0.0, 0.25, 0.25, 0.5)),
+        k5_spec(budgets=(40.0,) * 4 + (0.0,)),
+        k5_spec(u01=UtilitySpec.log1p()),
+        make_spec(3, 1.0, [(0, 1, 1.0, 0.5, SQRT, SQRT), (1, 2, 0.5, 1.0, SQRT, SQRT)],
+                  [5.0] * 3),
+        make_spec(2, 1.0, [], [5.0, 5.0]),
+        k5_spec(budgets=(40.0,) * 4 + (2.0**53,)),
+    ],
+    ids=["zero-weight", "zero-budget", "non-sqrt-edge", "unequal-degrees",
+         "isolated-players", "budget=2**53"],
+)
+def test_qualifies_refuses_each_failing_condition(spec):
+    assert lockstep.qualifies(k5_spec())
+    assert lockstep.qualifies(c8_torus().to_game_spec())
+    assert not lockstep.qualifies(spec)
 
 
 def test_mixed_families_take_the_scalar_path(monkeypatch):

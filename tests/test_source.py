@@ -211,6 +211,7 @@ INT_REDUCTIONS = {
     "alloc.sum(1)": "spare quanta of an int allocation",
     "lose.sum(1)": "count of matched neighbors",
     "lose.cumsum(1)": "rank among matched neighbors",
+    "alloc.sum(2)": "spare quanta of an int random start",
     "agreed.sum(1)": "realized quanta: int amounts",
     "(own < caps).sum(1)": "win count",
     "(alloc < caps).sum(1)": "win count",
