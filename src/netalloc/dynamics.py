@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left, insort
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -312,70 +313,6 @@ def _place_leftover(alloc, spare, weights, utils, eta) -> None:
 # -- sequential dynamics -------------------------------------------------------
 
 
-class _IdTree:
-    """A set of player ids with order statistics: a Fenwick tree of 0/1
-    marks, player i at position i + 1.  Adding or removing a member, the
-    k-th member and the first member at or after an id are all O(log n);
-    ``member`` answers membership with one byte read."""
-
-    def __init__(self, n: int, members) -> None:
-        self.n = n
-        self.top = (1 << n.bit_length()) >> 1  # highest power of two <= n
-        self.member = bytearray(n)
-        tree = [0] * (n + 1)
-        for i in members:
-            self.member[i] = 1
-            tree[i + 1] = 1
-        self.size = sum(tree)
-        for s in range(1, n + 1):
-            up = s + (s & -s)
-            if up <= n:
-                tree[up] += tree[s]
-        self.tree = tree
-
-    def add(self, i: int) -> None:
-        self.member[i] = 1
-        self.size += 1
-        tree, n = self.tree, self.n
-        s = i + 1
-        while s <= n:
-            tree[s] += 1
-            s += s & -s
-
-    def remove(self, i: int) -> None:
-        self.member[i] = 0
-        self.size -= 1
-        tree, n = self.tree, self.n
-        s = i + 1
-        while s <= n:
-            tree[s] -= 1
-            s += s & -s
-
-    def kth(self, k: int) -> int:
-        """The member with k members below it (0 <= k < size)."""
-        tree, n = self.tree, self.n
-        pos = 0
-        step = self.top
-        while step:
-            nxt = pos + step
-            if nxt <= n and tree[nxt] <= k:
-                pos = nxt
-                k -= tree[nxt]
-            step >>= 1
-        return pos
-
-    def first_from(self, start: int) -> int:
-        """The first member at or after ``start``, wrapping around to the
-        first member (the set must not be empty)."""
-        tree = self.tree
-        before = 0
-        s = start
-        while s:
-            before += tree[s]
-            s &= s - 1
-        return self.kth(before if before < self.size else 0)
-
-
 class _SeqState:
     """Incrementally maintained quantities for the sequential loop.
 
@@ -387,21 +324,23 @@ class _SeqState:
     statuses are then patched for the mover and the neighbors whose
     incoming proposal actually changed, and the total slack is kept as a
     running integer.  The stable set (empty win set) is kept only as zero
-    win counts; :meth:`take_stable_delta` reports who joined or left.
+    win counts; :meth:`apply_move` returns who joined or left it.
 
     Per-edge terms are kept at the positions of the spec's player rows.  A
     move installs the lists of the mover's response (``BRResult.terms``,
     its terms at the new agreed amounts) as the mover's own, so each
     changed edge's terms are recomputed on the neighbor's side only, and
     :meth:`respond` hands a player's row and terms back to its next solve.
-    A status is a boolean (:meth:`_can_improve`), and ``movers``, an
-    :class:`_IdTree`, is the set of players whose status is True.  No
-    response is kept: the run solves each mover when it picks it, and a
-    status only when :meth:`settled_status` cannot settle it.  A move
-    refreshes a neighbor's status only when it changed that neighbor's
-    terms, slack or win count, or when the last status was solved
-    (``solved``; the mover's own counts as solved), since only a solve
-    reads the caps.
+    A status is a boolean (:meth:`_can_improve`); ``movers`` is the sorted
+    list of the players whose status is True, and ``member`` marks them one
+    byte per player.  Adding or removing a mover is a bisect and a list
+    insert or delete: O(log n) compares and a move of up to n pointers, a
+    small part of a round on tori up to 400x400.  No response is kept: the
+    run solves each mover when it picks it, and a status only when
+    :meth:`settled_status` cannot settle it.  A move refreshes a neighbor's
+    status only when it changed that neighbor's terms, slack or win count,
+    or when the last status was solved (``solved``; the mover's own counts
+    as solved), since only a solve reads the caps.
     """
 
     def __init__(self, spec: GameSpec, f: list[int], tol: float):
@@ -413,9 +352,6 @@ class _SeqState:
         self.slack = [summary.slack[i] for i in range(spec.n)]
         self.total_slack = summary.total_slack
         self.win_count = [len(summary.win[i]) for i in range(spec.n)]
-        # players whose win count crossed zero since take_stable_delta, and
-        # whether each was stable then
-        self._flipped: dict[int, bool] = {}
         # per-edge terms of player i at position k: its utility (summed by
         # utility), and the gain and the loss of one quantum (see edge_terms)
         self._util, self._up, self._down = (
@@ -426,7 +362,8 @@ class _SeqState:
                 self._set_terms(i, k)
         # the players that can still improve, and whose status was solved
         self.solved = bytearray(spec.n)
-        self.movers = _IdTree(spec.n, filter(self._can_improve, range(spec.n)))
+        self.member = bytearray(map(self._can_improve, range(spec.n)))
+        self.movers = [i for i, m in enumerate(self.member) if m]
 
     def respond(self, i: int) -> BRResult:
         """i's best response to the proposals made to it, solved from i's
@@ -513,17 +450,27 @@ class _SeqState:
             return False
         return None
 
-    def apply_move(self, mover: int, br: BRResult) -> None:
+    def apply_move(
+        self, mover: int, br: BRResult
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Install the mover's grid response: patch the proposals, slack,
         win counts and the neighbors' terms on the edges it changed, take
         the mover's own terms from ``br.terms`` (its terms at the new agreed
         amounts, see :class:`~netalloc.bestresponse.BRResult`; a player that
         can improve has neighbors and budget, so its response has them), and
-        refresh the statuses of those neighbors (see the class docstring)."""
+        refresh the statuses of those neighbors (see the class docstring).
+
+        Returns the players that joined and left the stable set, sorted.  A
+        neighbor shares one edge with the mover, so its win count moves by
+        at most one; the mover could improve, so its win count was positive
+        and it can only join."""
         f, rev, off, solved = self.f, self.rev, self.off, self.solved
+        wins = self.win_count
         base = off[mover]
         nbrs = self.rows[mover].neighbors
         changed = []
+        joined = []
+        left = []
         # in row order, so x is the id of the edge to neighbor x - base
         for x, new in enumerate(br.proposals.values(), base):
             old = f[x]
@@ -543,52 +490,38 @@ class _SeqState:
                 self.slack[j] -= d
                 self.total_slack -= 2 * d
             if (old < cji) != (new < cji):
-                self._shift_wins(mover, 1 if new < cji else -1)
+                wins[mover] += 1 if new < cji else -1
                 retally = True
             if (cji < old) != (cji < new):
-                self._shift_wins(j, 1 if cji < new else -1)
+                if cji < new:
+                    wins[j] += 1
+                    if wins[j] == 1:
+                        left.append(j)
+                else:
+                    wins[j] -= 1
+                    if not wins[j]:
+                        joined.append(j)
                 retally = True
             if retally:
                 self._set_terms(j, rev[x] - off[j])
             if retally or solved[j]:
                 changed.append(j)
+        if not wins[mover]:
+            joined.append(mover)
         self._util[mover], self._up[mover], self._down[mover] = br.terms
         solved[mover] = 1
-        movers = self.movers
-        member = movers.member
+        movers, member = self.movers, self.member
         if member[mover]:
-            movers.remove(mover)
+            member[mover] = 0
+            del movers[bisect_left(movers, mover)]
         for j in changed:
             if self._can_improve(j):
                 if not member[j]:
-                    movers.add(j)
+                    member[j] = 1
+                    insort(movers, j)
             elif member[j]:
-                movers.remove(j)
-
-    def _shift_wins(self, i: int, d: int) -> None:
-        """Move i's win count by d (+1 or -1), noting a crossing of zero."""
-        wc = self.win_count[i] + d
-        self.win_count[i] = wc
-        if wc == 0 or (wc == 1 and d == 1):
-            # i joins (wc == 0) or leaves the stable set; keep its first state
-            self._flipped.setdefault(i, wc != 0)
-
-    def take_stable_delta(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The players that joined and left the stable set since the last
-        call, sorted (a player that left and rejoined is in neither)."""
-        flipped = self._flipped
-        if not flipped:
-            return (), ()
-        wc = self.win_count
-        joined = []
-        left = []
-        for i, was in flipped.items():
-            if was:
-                if wc[i]:
-                    left.append(i)
-            elif not wc[i]:
-                joined.append(i)
-        flipped.clear()
+                member[j] = 0
+                del movers[bisect_left(movers, j)]
         joined.sort()
         left.sort()
         return tuple(joined), tuple(left)
@@ -631,13 +564,13 @@ def run_sequential(
     first_loss: tuple[int, tuple[int, ...]] | None = None
     pos = 0  # the player to look at first (round robin)
     t = 0
-    while movers.size and t < config.max_rounds:
+    while movers and t < config.max_rounds:
         t += 1
         if rng is not None:
-            # the same draw as rng.choice over the sorted movers
-            mover = movers.kth(rng.randrange(movers.size))
+            mover = rng.choice(movers)
         else:
-            mover = movers.first_from(pos)
+            k = bisect_left(movers, pos)
+            mover = movers[k] if k < len(movers) else movers[0]
             pos = mover + 1
         br = state.respond(mover)
         gain = br.realized_utility - state.utility(mover)
@@ -647,14 +580,13 @@ def run_sequential(
                 f"but its best response gains only {gain!r}"
             )
         prev_slack = slack
-        state.apply_move(mover, br)
+        joined, left = state.apply_move(mover, br)
         slack = state.total_slack
         if slack > prev_slack:
             raise InvariantViolation(
                 f"total slack increased at round {t}: "
                 f"{prev_slack} -> {slack} (mover {mover})"
             )
-        joined, left = state.take_stable_delta()
         if slack != prev_slack:
             first_loss = None
         elif left and first_loss is None:
@@ -664,7 +596,7 @@ def run_sequential(
         )
         records.append(RoundRecord(t, mover, changes, slack, joined, left))
 
-    if movers.size:
+    if movers:
         status: TerminationStatus = MaxRoundsExceeded(config.max_rounds)
     else:
         status = Converged(t)

@@ -313,5 +313,6 @@ def run_batch(spec: GameSpec, config: dynamics.DynamicsConfig, seeds: list[int])
         batch = _Runs(spec, seeds, config.tol)
         converged, rounds = batch.run(config.max_rounds)
     # the final utility terms are social_welfare's, summed in its order
-    welfare = _left_sum(_left_sum(batch.terms[0].reshape(len(seeds), batch.n, -1)))
+    terms = batch.terms[0].reshape(len(seeds), batch.n, batch.d)
+    welfare = _left_sum(_left_sum(terms))
     return list(zip(converged.tolist(), rounds.tolist(), welfare.tolist())), batch.f

@@ -306,7 +306,7 @@ def test_sequential_random_instances_converge_with_monotone_slack():
 
 def _members(state):
     """The players in the state's mover set, by its membership bytes."""
-    return [i for i in range(state.spec.n) if state.movers.member[i]]
+    return [i for i in range(state.spec.n) if state.member[i]]
 
 
 def _state(spec, profile, tol=1e-9):
@@ -325,24 +325,19 @@ def test_incremental_state_matches_outcome_summary_after_every_move():
         spec = doc.to_game_spec()
         state = _state(spec, init_profile(spec, RandomFeasible(seed)))
         stable = set(outcome_summary(spec, _profile(state)).stable)
+        joined = left = ()
         moves = 0
         while True:
             s = outcome_summary(spec, _profile(state))
             assert state.slack == [s.slack[i] for i in range(spec.n)]
             assert state.win_count == [len(s.win[i]) for i in range(spec.n)]
-            joined, left = state.take_stable_delta()
+            assert list(joined) == sorted(joined) and list(left) == sorted(left)
+            assert not set(joined) & set(left)
             assert not set(joined) & stable and set(left) <= stable
             stable = (stable - set(left)) | set(joined)
             assert stable == s.stable
-            movers = state.movers
             members = _members(state)
-            assert movers.size == len(members)
-            assert [movers.kth(k) for k in range(movers.size)] == members
-            if members:
-                assert [movers.first_from(k) for k in range(spec.n)] == [
-                    min((i for i in members if i >= k), default=members[0])
-                    for k in range(spec.n)
-                ]
+            assert state.movers == members
             assert state.total_slack == s.total_slack
             assert type(state.total_slack) is type(s.total_slack)
             fresh = _state(spec, _profile(state))
@@ -353,7 +348,9 @@ def test_incremental_state_matches_outcome_summary_after_every_move():
             if not members:
                 break
             mover = members[0]
-            state.apply_move(mover, best_response(spec, _profile(state), mover))
+            joined, left = state.apply_move(
+                mover, best_response(spec, _profile(state), mover)
+            )
             moves += 1
         assert moves > 0
 
@@ -449,8 +446,9 @@ def test_mover_picks_match_reference_loop(game):
 
 
 def test_randrange_draws_like_choice():
-    # the random order takes the k-th non-best-responder by rng.randrange,
-    # which must consume and return what rng.choice on the sorted list did
+    # the scalar engine picks a random mover by rng.choice over its sorted
+    # movers and a lockstep batch by rng.randrange over the same count; the
+    # two must consume and return the same
     sizes = [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 100, 255, 256, 257, 1600, 10_000]
     for seed in (0, 7, 1000, 4242):
         by_choice, by_randrange = random.Random(seed), random.Random(seed)
@@ -722,16 +720,16 @@ def test_stable_set_loss_on_slack_stable_suffix_raises(monkeypatch):
         """Run again, reporting one stable player as lost at at_round."""
         lost = min(stable[at_round - 1])
         calls = []
-        original = _SeqState.take_stable_delta
+        original = _SeqState.apply_move
 
-        def lossy(self):
-            joined, left = original(self)
+        def lossy(self, mover, br):
+            joined, left = original(self, mover, br)
             calls.append(None)
             if len(calls) == at_round:
                 return joined, tuple(sorted(left + (lost,)))
             return joined, left
 
-        monkeypatch.setattr(_SeqState, "take_stable_delta", lossy)
+        monkeypatch.setattr(_SeqState, "apply_move", lossy)
         try:
             return lost, run_sequential(
                 spec, init, DynamicsConfig(order=RandomSeeded(19), **config),

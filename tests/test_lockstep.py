@@ -356,6 +356,14 @@ def test_mixed_families_take_the_scalar_path(monkeypatch):
     assert_same_runs(report.runs, runs)
 
 
+def test_an_empty_batch_returns_no_runs():
+    spec = torus(3, 50.0)
+    runs, finals = lockstep.run_batch(spec, DynamicsConfig(), [])
+    assert runs == []
+    assert finals.shape == (0, len(spec.directed_edges))
+    assert finals.dtype == np.int64
+
+
 def test_a_violation_reads_as_in_the_scalar_engine(monkeypatch):
     # a negative margin makes the exchange test flag players that cannot
     # improve; both engines read the margin from dynamics, so both must

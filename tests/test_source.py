@@ -95,7 +95,6 @@ INT_SUMS = {
     ("analysis.py", "sum(self.ranks[k] for k in neighbors[i])"): "rank sums",
     ("bestresponse.py", "sum(alloc)"): "spare quanta of an int allocation",
     ("dynamics.py", "sum(alloc)"): "spare quanta of an int allocation",
-    ("dynamics.py", "sum(tree)"): "Fenwick size: a count of 0/1 marks",
     ("experiment.py", "sum(window)"): "histogram counts",
     ("experiment.py", "sum(1 for o in outcomes if not o.converged)"): "run count",
 }
