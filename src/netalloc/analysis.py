@@ -400,7 +400,9 @@ class _Edges:
             hi = np.where(f < 0.0, xk, hi)
             xn = xk - f / df
             inside = (xn > lo) & (xn < hi)
-            done = ~free | (f == 0.0) | (hi - lo <= 4e-16 * hi)
+            # relative to top: while lo is 0 (a root that underflows toward 0),
+            # hi - lo <= 4e-16 * hi never holds and hi halves for every step
+            done = ~free | (f == 0.0) | (hi - lo <= 4e-16 * top)
             if np.all(done | (np.abs(xn - xk) <= NEWTON_TOL * xk)):
                 xk = np.where(done | ~inside, xk, xn)
                 break

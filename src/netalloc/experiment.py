@@ -108,10 +108,15 @@ def _single_run(
     return RunOutcome(run, seed, converged, rounds, sw, sw / opt_sw)
 
 
+# on the criterion-8 torus, fewer runs than this are faster one by one
+LOCKSTEP_MIN_RUNS = 12
+
+
 def _run_tasks(spec, dynamics, opt_sw, tasks: list) -> list[RunOutcome]:
     """The (run, seed) ``tasks``, all or a worker's slice: in lockstep
-    (:mod:`~netalloc.lockstep`) where the spec qualifies, else one by one."""
-    if not qualifies(spec):
+    (:mod:`~netalloc.lockstep`) where the spec qualifies and there are at
+    least ``LOCKSTEP_MIN_RUNS`` of them, else one by one."""
+    if len(tasks) < LOCKSTEP_MIN_RUNS or not qualifies(spec):
         return [_single_run(spec, dynamics, opt_sw, r, s) for r, s in tasks]
     results = run_batch(spec, dynamics, [s for _, s in tasks])[0]
     return [RunOutcome(*t, *res, res[2] / opt_sw) for t, res in zip(tasks, results)]

@@ -1,12 +1,15 @@
 """Lockstep batches: :func:`run_batch` holds a batch's runs as arrays
 (proposals and :func:`~netalloc.bestresponse.edge_terms` by edge id, each
-player's slack, win count and status) and advances all unfinished runs one
-round per numpy step, as :class:`~netalloc.dynamics._SeqState` does, with its
-invariant checks and messages.  Every float is the scalar engine's: its
-operations in its order, ``np.sqrt`` rounding as ``math.sqrt``, sums column by
-column as ``left_sum`` adds.  ``_fits`` is decided only where an error bound
-proves it; a response with one left open, and a status the exchange test
-leaves open, are solved by ``best_response`` from the run's arrays.
+player's slack, win count, status and utility) and advances all unfinished
+runs one round per numpy step, as :class:`~netalloc.dynamics._SeqState` does,
+with its start check, invariant checks and messages.  Every float is the scalar
+engine's: its operations in its order, ``np.sqrt`` rounding as ``math.sqrt``,
+sums column by column as ``left_sum`` adds.  ``_fits`` is decided only where an
+error bound proves it; a response with one left open, and a status the
+exchange test leaves open, are solved by ``best_response`` from the run's
+arrays.  A step's cost is numpy calls, not arithmetic, so each part of a
+response is one pass over all rows: the polish's adds are ranked at once, two
+finish nudges share one fit, and cap matching is one running sum.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import repeat, starmap
 import numpy as np
 
 from . import bestresponse, dynamics
-from .game import MAX_BUDGET_UNITS, Behavior, GameSpec
+from .game import MAX_BUDGET_UNITS, Behavior, FrequencyProfile, GameSpec, check_feasible
 from .utility import INF, SQRT
 
 
@@ -34,36 +37,35 @@ def qualifies(spec: GameSpec) -> bool:
 
 def _left_sum(a):
     """``left_sum`` along the last axis: the columns added to +0.0 in order."""
-    total = np.zeros(a.shape[:-1])
-    for k in range(a.shape[-1]):
+    total = a[..., 0] + 0.0
+    for k in range(1, a.shape[-1]):
         total = total + a[..., k]
     return total
 
 
 def _terms(w, a, cap, eta):
     """``edge_terms`` of sqrt edges with positive weights, elementwise."""
-    util = w * np.sqrt(a * eta)
-    up = np.where(a < cap, w * np.sqrt((a + 1) * eta) - util, -INF)
-    lower = util - w * np.sqrt(np.maximum(a - 1, 0) * eta)
-    return util, up, np.where(a > 1, lower, np.where(a > 0, util, INF))
+    v = w * np.sqrt(np.maximum(np.add.outer((-1, 0, 1), a), 0) * eta)  # a - 1, a, a + 1
+    up = np.where(a < cap, v[2] - v[1], -INF)
+    return v[1], up, np.where(a > 1, v[1] - v[0], np.where(a > 0, v[1], INF))
 
 
 def _best_move(up, down, can_add):
-    """``best_move`` of each row, (gain, src, dst), with its tie rules."""
-    k, j, up1, down1 = up.argmax(1), down.argmin(1), up.max(1), down.min(1)
+    """``best_move`` of each row, (gain, src, dst), with its tie rules (argmax
+    and argmin take the first of equal gains and of equal losses)."""
+    rows = np.arange(len(up))
+    k, j = up.argmax(1), down.argmin(1)
+    up1, down1 = up[rows, k], down[rows, j]
     gain = np.where(can_add, up1, up1 - down1)
     src, dst = np.where(can_add, -1, j), k
     same = ~can_add & (j == k)
     if same.any():  # k gives to the runner-up gain, or the runner-up loss to k
-        other = np.arange(up.shape[1]) != k[:, None]
-        top = np.where(other, up, -INF).max(1)
-        low = np.where(other, down, INF).min(1)
-        k2 = (other & (up == top[:, None])).argmax(1)
-        j2 = (other & (down == low[:, None])).argmax(1)
-        give, take = top - down1, up1 - low
+        up, down = up.copy(), down.copy()
+        up[rows, k], down[rows, k] = -INF, INF
+        k2, j2 = up.argmax(1), down.argmin(1)  # k itself only if no move gains
+        give, take = up[rows, k2] - down1, up1 - down[rows, j2]
         first = (give > take) | ((give == take) & (k < j2))
-        exchange = np.where(first, give, take) if up.shape[1] > 1 else -INF
-        gain = np.where(same, exchange, gain)
+        gain = np.where(same, np.where(first, give, take), gain)
         src = np.where(same, np.where(first, k, j2), src)
         dst = np.where(same, np.where(first, k2, k), dst)
     return gain, src, dst
@@ -89,72 +91,94 @@ def _respond(w, caps, budget, optimistic, eta, solve):
     """Each row's grid ``best_response`` (L x d weights and caps): proposals,
     terms (3 x L x d), utility; ``solve(k)`` answers a row with a fit open."""
     eff = np.minimum(caps, budget[:, None])
-    live = eff > 0
-    leave = np.where(live, w * (0.5 / np.sqrt(eff * eta)), INF)
+    leave = np.where(eff > 0, w * (0.5 / np.sqrt(eff * eta)), INF)
+    rows = np.arange(len(caps))
 
     def targets_at(delta):  # L x P levels -> L x P x d targets
         x = delta[:, :, None]
         m = x / w[:, None]
         t = np.minimum(0.25 / (m * m) / eta, eff[:, None])  # inverse marginal
-        return np.where(live[:, None], np.where(x < leave[:, None], eff[:, None], t), 0)
+        return np.where(x < leave[:, None], eff[:, None], t)  # 0 where not live
 
     # the bisection's bracket: the last breakpoint over budget, the first fit
     base = eff.sum(1) <= budget
-    fit, sure = _fits(targets_at(leave), budget[:, None])
+    at_leave = targets_at(leave)
+    fit, sure = _fits(at_leave, budget[:, None])
     unsure = ~base & ~sure.all(1)
-    lo, hi = np.where(fit, 0.0, leave).max(1), np.where(fit, leave, INF).min(1)
+    above = np.where(fit, leave, INF)
+    top = above.argmin(1)
+    lo, hi = np.where(fit, 0.0, leave).max(1), above[rows, top]
+    targets = np.where((hi < INF)[:, None], at_leave[rows, top], 0.0)  # at hi
     rest = budget - np.where(leave >= hi[:, None], eff, 0).sum(1)
-    group = live & (leave < hi[:, None])
+    group = leave < hi[:, None]
     level = 0.5 * np.sqrt(_left_sum(np.where(group, w * w, 0.0)) / (rest * eta))
     delta = np.where(level > lo, level, lo)
     nudge = np.where(delta > 0.0, delta, hi) * bestresponse.FINISH_REL_NUDGE
     go = ~base & (rest > 0) & group.any(1)
-    targets = targets_at(hi[:, None])[:, 0]
-    for _ in range(bestresponse.FINISH_STEPS):
+    for s in range(0, bestresponse.FINISH_STEPS, 2):  # two nudges a pass
         if not (go := go & (delta < hi)).any():
             break
-        step = targets_at(delta[:, None])[:, 0]
-        fit, sure = _fits(step, budget)
-        unsure |= go & ~sure
-        targets[go & fit & sure] = step[go & fit & sure]
-        go &= sure & ~fit
-        delta = np.where(go, delta + nudge, delta)
-        nudge = np.where(go, nudge * 8.0, nudge)
+        levels = np.stack([delta, delta + nudge], 1)
+        fit, sure = _fits(step := targets_at(levels), budget[:, None])
+        second = sure[:, 0] & ~fit[:, 0] & (levels[:, 1] < hi)
+        reached = np.stack([go, go & second & (s + 1 < bestresponse.FINISH_STEPS)], 1)
+        unsure |= (reached & ~sure).any(1)
+        hit = reached & fit & sure
+        targets = np.where(hit.any(1)[:, None], step[rows, hit.argmax(1)], targets)
+        go = reached[:, 1] & sure[:, 1] & ~fit[:, 1]
+        delta = np.where(go, levels[:, 1] + nudge * 8.0, delta)
+        nudge = np.where(go, nudge * 64.0, nudge)
     # floors, then the single-quantum polish
     alloc = np.floor(np.where(base[:, None], eff, targets)).astype(np.int64)
-    terms = np.array(_terms(w, alloc, caps, eta))
     spare = budget - alloc.sum(1)
-
-    def settle(r, k):
-        terms[:, r, k] = _terms(w[r, k], alloc[r, k], caps[r, k], eta)
-
-    rows = np.arange(len(caps))
+    if (adds := ~unsure & (spare > 0)).any():
+        _place_adds(w, alloc, caps, spare, adds, eta)
+    terms = np.array(_terms(w, alloc, caps, eta))
     active, limit, moves = ~unsure, spare + bestresponse.POLISH_MAX_EXCHANGES, 0
     while (active := active & (moves < limit)).any():
-        r = rows[active]
-        gain, src, dst = _best_move(terms[1, r], terms[2, r], spare[r] > 0)
-        moving = gain > bestresponse.POLISH_MIN_GAIN
-        active[r[~moving]] = False
-        r, src, dst = r[moving], src[moving], dst[moving]
+        gain, src, dst = _best_move(terms[1], terms[2], spare > 0)
+        if not (active := active & (gain > bestresponse.POLISH_MIN_GAIN)).any():
+            break
+        r = np.flatnonzero(active)
+        src, dst = src[r], dst[r]
         spare[r[src < 0]] -= 1
-        give, src = r[src >= 0], src[src >= 0]
-        alloc[give, src] -= 1
+        alloc[r[src >= 0], src[src >= 0]] -= 1
         alloc[r, dst] += 1
-        settle(np.concatenate([give, r]), np.concatenate([src, dst]))
+        terms[:] = _terms(w, alloc, caps, eta)  # the same bits where unchanged
         moves += 1
-    for k in range(caps.shape[1]):  # cap matching
-        take = np.clip(caps[:, k] - alloc[:, k], 0, np.maximum(spare, 0))
-        alloc[:, k] += take
-        spare -= take
-        settle(rows[take > 0], k)
-    lose = alloc >= caps  # optimistic disposal, round-robin from the first
-    q, extra = np.divmod(spare, np.maximum(lose.sum(1), 1))
-    spread = (optimistic & (spare > 0))[:, None] & lose
-    alloc += np.where(spread, q[:, None] + (lose.cumsum(1) <= extra[:, None]), 0)
+    fill = ~unsure & (spare > 0)
+    if (fill[:, None] & (alloc < caps)).any():  # cap matching, ascending index
+        room = np.maximum(caps - alloc, 0).cumsum(1)
+        took = np.minimum(room, np.where(fill, spare, 0)[:, None])
+        alloc += np.diff(took, prepend=0)
+        spare -= took[:, -1]
+        terms[:] = _terms(w, alloc, caps, eta)
+    if (spread := optimistic & ~unsure & (spare > 0)).any():
+        lose = alloc >= caps  # optimistic disposal, round-robin from the first
+        q, extra = np.divmod(spare, np.maximum(lose.sum(1), 1))
+        share = q[:, None] + (lose.cumsum(1) <= extra[:, None])
+        alloc += np.where(spread[:, None] & lose, share, 0)
     for k in np.flatnonzero(unsure).tolist():
         br = solve(k)
         alloc[k], terms[:, k] = list(br.proposals.values()), br.terms
     return alloc, terms, _left_sum(terms[0])
+
+
+def _place_adds(w, alloc, caps, spare, rows, eta):
+    """The polish's first adds on ``rows`` in place: one at a time, up to d of
+    them take the largest of the first d gains of each neighbor, ties to the
+    lowest, where no neighbor's gains rise (near 2**53 their floats can)."""
+    d = alloc.shape[1]
+    a = alloc[:, :, None] + np.arange(d + 1)
+    v = w[:, :, None] * np.sqrt(a * eta)
+    gains = np.where(a[..., :-1] < caps[:, :, None], v[..., 1:] - v[..., :-1], -INF)
+    rows = rows & (gains[..., 1:] <= gains[..., :-1]).all((1, 2))
+    order = np.argsort(-gains.reshape(len(a), -1), 1, kind="stable")
+    rank = np.argsort(order, 1).reshape(gains.shape)
+    first = (rank < np.minimum(spare, d)[:, None, None]) & rows[:, None, None]
+    count = (first & (gains > bestresponse.POLISH_MIN_GAIN)).sum(2)
+    alloc += count
+    spare -= count.sum(1)
 
 
 def _random_start(w, budget, eta, seeds):
@@ -189,14 +213,20 @@ class _Runs:
         self.nbr = np.array([j for row in rows for j in row.neighbors])
         self.w = np.array([w for row in rows for w in row.weights])
         self.budget = np.array([row.budget for row in rows])
+        self.ulps = (16 * self.budget + 4 * (d + 2)) * dynamics.EXCHANGE_ULP
         optimistic = [spec.behaviors[i] is Behavior.OPTIMISTIC for i in range(n)]
         self.optimistic = np.array(optimistic)
         self.rngs = [random.Random(s) for s in seeds]
         self.f = _random_start(self.w.reshape(n, d), self.budget, self.eta, seeds)
+        start = self.f.reshape(len(seeds), n, d)
+        if (bad := ((start.sum(2) > self.budget) | (start < 0).any(2)).any(1)).any():
+            first = self.f[bad.argmax()].tolist()  # check_feasible raises its error
+            check_feasible(spec, FrequencyProfile(dict(zip(spec.directed_edges, first))))
         runs = np.arange(len(seeds))
         self.terms = np.empty((3, *self.f.shape))
         self.slack, self.wins = np.empty((2, len(runs), n), np.int64)
         self.status = np.zeros((len(runs), n), bool)
+        self.util = np.empty((len(runs), n))  # each player's utility
         self.failed: dict[int, str] = {}  # a run's InvariantViolation message
         # a run's first stable-set loss since its slack changed: round, players
         self.loss_round, self.lost = np.zeros(len(runs), np.int64), {}
@@ -207,7 +237,7 @@ class _Runs:
             self.terms[:, :, x] = _terms(self.w[x], agreed, caps, self.eta)
             self.slack[:, i] = self.budget[i] - agreed.sum(1)
             self.wins[:, i] = (own < caps).sum(1)
-            self.status[:, i] = self._status(runs, np.full(len(runs), i))
+            self.status[:, i], self.util[:, i] = self._status(runs, np.full(len(runs), i))
 
     def _solve(self, r: int, i: int):
         """``best_response`` of player i in run r, from its standing row."""
@@ -217,9 +247,8 @@ class _Runs:
         return bestresponse.best_response(self.spec, None, i, caps, standing)
 
     def _status(self, runs, players):
-        """``_SeqState._can_improve`` of each (run, player)."""
-        r, x = runs[:, None], players[:, None] * self.d + self.cols
-        util, up, down = self.terms[:, r, x]
+        """``_SeqState._can_improve`` of each (run, player), and its utility."""
+        util, up, down = self.terms[:, runs[:, None], players[:, None] * self.d + self.cols]
         budget = self.budget[players]
         gain = _best_move(up, down, self.slack[runs, players] >= 1)[0]
         utility = _left_sum(util)
@@ -229,72 +258,75 @@ class _Runs:
         )
         winning = self.wins[runs, players] > 0
         status = winning & (gain > self.tol + margin)
-        ulps = (16 * budget + 4 * (self.d + 2)) * dynamics.EXCHANGE_ULP
         unsettled = winning & ~status
-        unsettled &= ~(budget * np.maximum(gain, 0.0) + ulps * z < self.tol)
+        unsettled &= ~(budget * np.maximum(gain, 0.0) + self.ulps[players] * z < self.tol)
         for k in np.flatnonzero(unsettled).tolist():
             br = self._solve(int(runs[k]), int(players[k]))
             status[k] = br.realized_utility - float(utility[k]) > self.tol
-        return status
+        return status, utility
 
     def run(self, max_rounds: int):
         """Each run's convergence and rounds, or its ``InvariantViolation``."""
         rounds = np.zeros(len(self.rngs), np.int64)
+        draw = [rng.randrange for rng in self.rngs]
         t = 0
         while t < max_rounds:
             live = self.status.any(1)
-            live[list(self.failed)] = False
+            if self.failed:
+                live[list(self.failed)] = False
             if not (rr := np.flatnonzero(live)).size:
                 break
             t += 1
             rounds[rr] = t
-            counts = self.status[rr].sum(1).tolist()
-            picks = [self.rngs[r].randrange(c) for r, c in zip(rr.tolist(), counts)]
-            ii = (self.status[rr].cumsum(1) > np.array(picks)[:, None]).argmax(1)
+            counts = (movers := self.status[rr]).sum(1)
+            picks = [draw[r](c) for r, c in zip(rr.tolist(), counts.tolist())]
+            ii = np.flatnonzero(movers)[counts.cumsum() - counts + picks] % self.n
             r, x = rr[:, None], ii[:, None] * self.d + self.cols
+            back, j = self.rev[x], self.nbr[x]
+            own, caps = self.f[r, x], self.f[r, back]
             alloc, terms, realized = _respond(
-                self.w[x], self.f[r, self.rev[x]], self.budget[ii],
-                self.optimistic[ii], self.eta,
+                self.w[x], caps, self.budget[ii], self.optimistic[ii], self.eta,
                 lambda k: self._solve(int(rr[k]), int(ii[k])),
             )
-            gain = realized - _left_sum(self.terms[0, r, x])
+            gain = realized - self.util[rr, ii]
             for k in np.flatnonzero(~(gain > self.tol)).tolist():
                 self.failed.setdefault(int(rr[k]), (
                     f"exchange test picked mover {int(ii[k])} at round {t}, "
                     f"but its best response gains only {float(gain[k])!r}"
                 ))
-            back, j = self.rev[x], self.nbr[x]
-            own, caps = self.f[r, x], self.f[r, back]
-            stable_i, stable_j = self.wins[rr, ii] == 0, self.wins[r, j] == 0
             agreed = np.minimum(alloc, caps)
             moved = agreed - np.minimum(own, caps)
             spent = moved.sum(1)
+            won_i = (alloc < caps).sum(1) - (own < caps).sum(1)
+            won_j = (caps < alloc).astype(int) - (caps < own)
             self.slack[rr, ii] -= spent
             self.slack[r, j] -= moved
-            self.wins[rr, ii] += (alloc < caps).sum(1) - (own < caps).sum(1)
-            self.wins[r, j] += (caps < alloc).astype(int) - (caps < own)
+            self.wins[rr, ii] += won_i
+            self.wins[r, j] += won_j
             changed = alloc != own
             self.f[r, x] = alloc
             # redone terms keep their bits where amount and win side stayed
             self.terms[:, r, back] = _terms(self.w[back], agreed, alloc, self.eta)
             self.terms[:, r, x] = terms
-            self.status[rr, ii] = False
-            cr, cj = np.broadcast_to(r, j.shape)[changed], j[changed]
-            self.status[cr, cj] = self._status(cr, cj)
+            self.util[rr, ii], self.status[rr, ii] = realized, False
+            cr, cj = rr[np.nonzero(changed)[0]], j[changed]
+            self.status[cr, cj], self.util[cr, cj] = self._status(cr, cj)
             for k in np.flatnonzero(spent < 0).tolist():
                 now = int(self.slack[rr[k]].sum())
                 self.failed.setdefault(int(rr[k]), (
                     f"total slack increased at round {t}: "
                     f"{now + 2 * int(spent[k])} -> {now} (mover {int(ii[k])})"
                 ))
-            left_i = stable_i & (self.wins[rr, ii] != 0)
-            left_j = stable_j & (self.wins[r, j] != 0)
             self.loss_round[rr[spent != 0]] = 0
-            first = (spent == 0) & (left_i | left_j.any(1)) & (self.loss_round[rr] == 0)
-            for k in np.flatnonzero(first).tolist():
-                self.loss_round[rr[k]] = t
-                lost = j[k][left_j[k]].tolist() + [int(ii[k])] * bool(left_i[k])
-                self.lost[int(rr[k])] = sorted(lost)
+            # a win count that left 0 (it equals its change) on the suffix
+            if (calm := (spent == 0) & (self.loss_round[rr] == 0)).any():
+                wins_i, wins_j = self.wins[rr, ii], self.wins[r, j]
+                left_i = calm & (wins_i != 0) & (wins_i == won_i)
+                left_j = calm[:, None] & (wins_j != 0) & (wins_j == won_j)
+                for k in np.flatnonzero(left_i | left_j.any(1)).tolist():
+                    self.loss_round[rr[k]] = t
+                    lost = j[k][left_j[k]].tolist() + [int(ii[k])] * bool(left_i[k])
+                    self.lost[int(rr[k])] = sorted(lost)
         converged = ~self.status.any(1)
         for r in np.flatnonzero(converged & (self.loss_round > 0)).tolist():
             self.failed.setdefault(r, (

@@ -372,6 +372,25 @@ def test_global_optimum_dominates_dynamics_equilibria():
             assert social_welfare(spec, final) <= opt.welfare * (1 + 1e-6)
 
 
+def test_newton_stops_on_a_root_that_underflows(monkeypatch):
+    # log1p beside power(0.999): the slope at 0 is infinite, so the edge is
+    # never "at zero", but at these prices its root underflows toward 0; a
+    # stop rule relative to the bracket's top ends the halving (52 slope
+    # evaluations here), where one relative to hi never held while lo is 0
+    spec = make_spec(2, 1.0, [(0, 1, 0.3, 0.7, UtilitySpec.log1p(), UtilitySpec.power(0.999))],
+                     [1000.0, 1000.0])
+    edges = _Edges.build(spec, [(0, 1)])
+    assert edges.top.tolist() == [1000.0] and edges.kind.tolist() == [SOLVED]
+    calls = []
+    slopes = _Edges.slopes
+    monkeypatch.setattr(_Edges, "slopes", lambda self, x: calls.append(x) or slopes(self, x))
+    for p in (5.0, 50.0):
+        calls.clear()
+        x, _ = edges.newton(np.array([p]), np.array([0.0]), np.array([0.0]))
+        assert 0.0 <= x[0] <= 1e-12
+        assert len(calls) <= 60
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)

@@ -3,8 +3,8 @@
 The numpy response must equal ``best_response`` field for field on random
 degree-regular sqrt rows, and the numpy random start ``init_profile``'s;
 a batch must equal the runs ``_single_run`` makes one by one (rounds,
-welfare bits, final profiles), and a batch that does not qualify must take
-the scalar path."""
+welfare bits, final profiles), and a batch that does not qualify, or has
+fewer than ``LOCKSTEP_MIN_RUNS`` runs, must take the scalar path."""
 
 import hashlib
 import math
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import netalloc.experiment as experiment
-from netalloc import dynamics, lockstep
+from netalloc import bestresponse, dynamics, lockstep
 from netalloc.bestresponse import best_move, best_response, edge_terms
 from netalloc.dynamics import (
     DynamicsConfig,
@@ -23,7 +23,7 @@ from netalloc.dynamics import (
     init_profile,
 )
 from netalloc.experiment import ExperimentConfig, _single_run, run_batch_experiment
-from netalloc.game import check_feasible, left_sum
+from netalloc.game import FrequencyProfile, InfeasibleProfileError, check_feasible, left_sum
 from netalloc.instances import gen_random_instance, gen_torus_grid
 from netalloc.utility import UtilitySpec
 
@@ -143,6 +143,43 @@ def test_a_sum_on_the_budget_goes_to_the_scalar_solver():
     assert oracle_rows(spec, rows, rng)[:1] == [0]
 
 
+def cap_matching(spec, i, caps):
+    """The spare quanta ``best_response``'s polish leaves player i, and the
+    room below each cap there, from which cap matching takes."""
+    row = spec.index.rows[i]
+    _, targets = bestresponse._water_fill(
+        row.weights, row.utils, row.zero_marginals, caps, row.budget, spec.eta
+    )
+    alloc = [math.floor(t) for t in targets]
+    spare, _ = bestresponse._polish_exchanges(
+        alloc, caps, row.budget, spec.eta, row.weights, row.kernels
+    )
+    return spare, [max(c - a, 0) for c, a in zip(caps, alloc)]
+
+
+def test_cap_matching_matches_best_response():
+    # a quantum on a 1e-14 weight gains less than POLISH_MIN_GAIN, so the
+    # polish leaves the floors' spare quanta there to cap matching; with
+    # weights 1:2:3 the budget of 20 splits 1.4 : 5.7 : 12.9
+    rng = random.Random(7)
+    weights = [1e-14, 2e-14, 3e-14, 0.5]
+    spec = regular_spec(9, (1, 2), rng, 1.0, [20.0] * 9, weights)
+    rows = [(i, caps) for i in (0, 1) for caps in
+            ([2, 100, 100, 0], [5, 100, 100, 0], [2, 6, 13, 0], [1, 1, 100, 0])]
+    for _ in range(400):
+        i = rng.randrange(9)
+        rows.append((i, draw_caps(rng, 4, spec.index.rows[i].budget)))
+    solved = set(oracle_rows(spec, rows, rng))  # rows handed to best_response
+    reached = {}
+    for i, caps in (row for k, row in enumerate(rows) if k not in solved):
+        spare, room = cap_matching(spec, i, caps)
+        if spare > 0 and sum(room) > 0:  # the spare within or beyond the first room
+            first = next(r for r in room if r > 0)
+            reached.setdefault((spec.behaviors[i], spare > first), []).append(caps)
+    assert set(reached) == {(b, above) for b in (OPT, PESS) for above in (False, True)}
+    assert len([c for found in reached.values() for c in found]) >= 20
+
+
 def test_fits_decides_exactly_or_not_at_all():
     rng = random.Random(3)
     # the exact sum is the budget, and the running sums from -budget round
@@ -237,6 +274,7 @@ def test_criterion_8_batch_matches_the_scalar_runs(behavior, monkeypatch):
     ids=["max_rounds=5", "tol=0"],
 )
 def test_small_torus_batch_matches_the_scalar_runs(dynamics_config, monkeypatch):
+    monkeypatch.setattr(experiment, "LOCKSTEP_MIN_RUNS", 12)  # 12 runs in lockstep
     doc = gen_torus_grid(3, 3, beta=50.0, eta=1.0, weight_seed=4, utility=SQRT)
     for behavior in ("optimistic", "pessimistic"):
         config = ExperimentConfig(runs=12, seed=7, behavior=behavior,
@@ -259,12 +297,16 @@ def k5_spec(budgets=(40.0,) * 5, weights=(0.25,) * 4, u01=SQRT):
     return make_spec(5, 1.0, edge_data, budgets)
 
 
-def start_rows(spec, seeds):
-    """The numpy random start of each seed on ``spec``, a row per seed."""
+def start_args(spec, seeds):
+    """``_random_start``'s arguments for each seed's run on ``spec``."""
     rows = spec.index.rows
     w = np.array([row.weights for row in rows])
-    budget = np.array([row.budget for row in rows])
-    return lockstep._random_start(w, budget, spec.eta, seeds)
+    return w, np.array([row.budget for row in rows]), spec.eta, seeds
+
+
+def start_rows(spec, seeds):
+    """The numpy random start of each seed on ``spec``, a row per seed."""
+    return lockstep._random_start(*start_args(spec, seeds))
 
 
 def torus(side, beta, eta=1.0):
@@ -322,6 +364,35 @@ def test_a_start_near_2_53_spends_each_budget(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "faults, expected",
+    [
+        ({(1, 5): 1, (2, 0): -1000}, (1, "proposes")),  # run 1 overspends first
+        ({(0, 9): 1003, (0, 10): -1000}, (0, "negative")),  # a sign before a spend
+    ],
+    ids=["overspend", "negative"],
+)
+def test_an_infeasible_start_raises_as_check_feasible(faults, expected, monkeypatch):
+    spec = torus(3, 50.0)
+    real = lockstep._random_start
+
+    def faulty(*args):
+        start = real(*args)
+        for (r, x), change in faults.items():
+            start[r, x] += change
+        return start
+
+    monkeypatch.setattr(lockstep, "_random_start", faulty)
+    with pytest.raises(InfeasibleProfileError) as batch:
+        lockstep.run_batch(spec, DynamicsConfig(), [3, 4, 5])
+    run, kind = expected
+    row = faulty(*start_args(spec, [3, 4, 5]))[run]
+    with pytest.raises(InfeasibleProfileError) as scalar:
+        check_feasible(spec, FrequencyProfile(dict(zip(spec.directed_edges, row.tolist()))))
+    assert kind in str(batch.value)
+    assert (batch.value.player, str(batch.value)) == (scalar.value.player, str(scalar.value))
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         k5_spec(weights=(0.0, 0.25, 0.25, 0.5)),
@@ -356,6 +427,22 @@ def test_mixed_families_take_the_scalar_path(monkeypatch):
     assert_same_runs(report.runs, runs)
 
 
+@pytest.mark.parametrize("side", ["below", "at"])
+def test_a_batch_below_the_break_even_runs_one_by_one(side, monkeypatch):
+    runs = experiment.LOCKSTEP_MIN_RUNS - (side == "below")
+    doc = gen_torus_grid(3, 3, beta=50.0, eta=1.0, weight_seed=4, utility=SQRT)
+    assert lockstep.qualifies(doc.to_game_spec())
+
+    def refuse(*args):
+        raise AssertionError(f"a batch of {runs} runs took the other path")
+
+    monkeypatch.setattr(experiment, "run_batch" if side == "below" else "_single_run", refuse)
+    report = run_batch_experiment(doc, ExperimentConfig(runs=runs, seed=7))
+    monkeypatch.undo()
+    scalar, _ = scalar_report_runs(doc, ExperimentConfig(runs=runs, seed=7), monkeypatch)
+    assert_same_runs(report.runs, scalar)
+
+
 def test_an_empty_batch_returns_no_runs():
     spec = torus(3, 50.0)
     runs, finals = lockstep.run_batch(spec, DynamicsConfig(), [])
@@ -369,6 +456,7 @@ def test_a_violation_reads_as_in_the_scalar_engine(monkeypatch):
     # improve; both engines read the margin from dynamics, so both must
     # stop at the same mover with the same message
     monkeypatch.setattr(dynamics, "EXCHANGE_REL_MARGIN", -1.0)
+    monkeypatch.setattr(experiment, "LOCKSTEP_MIN_RUNS", 3)  # 3 runs in lockstep
     doc = gen_torus_grid(3, 3, beta=50.0, eta=1.0, weight_seed=4, utility=SQRT)
     config = ExperimentConfig(runs=3, seed=7, behavior="pessimistic")
     with pytest.raises(InvariantViolation) as batch:

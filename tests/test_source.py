@@ -208,14 +208,18 @@ INT_REDUCTIONS = {
     "eff.sum(1)": "capped targets: int amounts",
     "np.where(leave >= hi[:, None], eff, 0).sum(1)": "caps that bind: int amounts",
     "alloc.sum(1)": "spare quanta of an int allocation",
+    "(first & (gains > bestresponse.POLISH_MIN_GAIN)).sum(2)": "adds to each neighbor",
+    "count.sum(1)": "adds placed: int amounts",
+    "np.maximum(caps - alloc, 0).cumsum(1)": "room up to each cap, ascending: int amounts",
     "lose.sum(1)": "count of matched neighbors",
     "lose.cumsum(1)": "rank among matched neighbors",
     "alloc.sum(2)": "spare quanta of an int random start",
+    "start.sum(2)": "spent quanta of an int start",
     "agreed.sum(1)": "realized quanta: int amounts",
     "(own < caps).sum(1)": "win count",
     "(alloc < caps).sum(1)": "win count",
-    "self.status[rr].sum(1)": "mover count",
-    "self.status[rr].cumsum(1)": "rank among movers",
+    "(movers := self.status[rr]).sum(1)": "mover count",
+    "counts.cumsum()": "movers of the runs before",
     "moved.sum(1)": "change of slack: int amounts",
     "self.slack[rr[k]].sum()": "total slack: int amounts",
 }
