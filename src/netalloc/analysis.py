@@ -327,7 +327,7 @@ class _Edges:
                 fields["kind"][e] = FAMILIES.index(u.family)
         order = [(fam, rank) for fam in FAMILIES for rank in (0, 1)]
         out = _Edges({s: columns[s] for s in order if s in columns}, fields)
-        out.dtop = out.slopes(out.top)[0]
+        out.dtop = out.slopes(out.top, second=False)[0]
         return out
 
     def take(self, index) -> "_Edges":
@@ -351,29 +351,33 @@ class _Edges:
                 v += c * np.where(x >= 0.5 * p, 0.25 * p * p, x * (p - x))
         return v
 
-    def slopes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f'(x) (the right derivative: ``d0`` at 0) and f''(x)."""
+    def slopes(self, x: np.ndarray, second: bool = True):
+        """f'(x) (the right derivative: ``d0`` at 0) and f''(x), or None unless ``second``."""
         xs = np.where(x > 0.0, x, 1.0)
         d1 = np.zeros_like(x)
-        d2 = np.zeros_like(x)
+        d2 = np.zeros_like(x) if second else None
         for (fam, _), (c, p) in self.terms.items():
             if fam == LINEAR:
                 d1 += c
             elif fam == SQRT:
                 t = c * 0.5 * xs**-0.5
                 d1 += t
-                d2 -= 0.5 * t / xs
+                if second:
+                    d2 -= 0.5 * t / xs
             elif fam == LOG1P:
                 t = c / (1.0 + xs)
                 d1 += t
-                d2 -= t / (1.0 + xs)
+                if second:
+                    d2 -= t / (1.0 + xs)
             elif fam == POWER:
                 t = c * p * xs ** (p - 1.0)
                 d1 += t
-                d2 += t * (p - 1.0) / xs
+                if second:
+                    d2 += t * (p - 1.0) / xs
             else:
                 d1 += c * np.maximum(0.0, p - 2.0 * xs)
-                d2 -= 2.0 * c * (xs < 0.5 * p)
+                if second:
+                    d2 -= 2.0 * c * (xs < 0.5 * p)
         return np.where(x > 0.0, d1, self.d0), d2
 
     def newton(self, p, x_warm, center):
@@ -448,11 +452,13 @@ class _PriceClass:
         self.edges = edges = objective.take(self.index)
         kinds = edges.kind
         bounds = np.searchsorted(kinds, range(SOLVED + 1))
-        self.closed = []  # (family, slice, its single term's w and parameter)
+        self.closed = []  # (family, slice, its term's w and a, 0.5 w or w a, box)
         for k, fam in enumerate(FAMILIES):
             if bounds[k] < bounds[k + 1]:
                 sl = slice(bounds[k], bounds[k + 1])
-                self.closed.append((fam, sl, *edges.terms[fam, 0][:, sl]))
+                w, par = edges.terms[fam, 0][:, sl]
+                scale = 0.5 * w if fam == SQRT else w * par if fam == POWER else None
+                self.closed.append((fam, sl, w, par, scale, edges.box[sl]))
         start = bounds[SOLVED]
         self.solved = slice(start, len(kinds)) if start < len(kinds) else None
         self.solved_edges = edges.take(self.solved) if self.solved else None
@@ -462,7 +468,7 @@ class _PriceClass:
         share = (self.budget / np.maximum(degree, 1))[self.own]
         box = edges.box
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = edges.slopes(np.minimum(share, box))[0]
+            slope = edges.slopes(np.minimum(share, box), second=False)[0]
             need = np.where(box > share, slope + edges.rho * (box - share), 0.0)
         self.ceiling = np.zeros(len(nodes))
         np.maximum.at(self.ceiling, self.own, need)
@@ -472,30 +478,29 @@ class _PriceClass:
         [0, box] maximizing f(x) - p x, minus rho/2 (x - center)^2 on a
         flat edge (which makes it unique; ``center`` is its last demand).
         A single-term edge inverts its marginal in closed form."""
-        x = np.empty_like(p)
-        dxdp = np.zeros_like(p)
-        for fam, sl, w, par in self.closed:
+        parts = []
+        for fam, sl, w, par, scale, box in self.closed:
             ps = p[sl]
             if fam == SQRT:
-                xi = (ps / (0.5 * w)) ** -2.0
+                xi = (ps / scale) ** -2.0
                 slope = -2.0 * xi / ps
             elif fam == LOG1P:
                 xi = w / ps - 1.0
                 slope = -(xi + 1.0) / ps
             elif fam == POWER:
                 expo = 1.0 / (par - 1.0)
-                xi = (ps / (w * par)) ** expo
+                xi = (ps / scale) ** expo
                 slope = expo * xi / ps
             else:
                 xi = 0.5 * (par - ps / w)
                 slope = -0.5 / w
-            box = self.edges.box[sl]
-            x[sl] = np.minimum(np.maximum(xi, 0.0), box)
-            dxdp[sl] = np.where((xi > 0.0) & (xi < box), slope, 0.0)
+            x = np.minimum(np.maximum(xi, 0.0), box)
+            parts.append((x, np.where((xi > 0.0) & (xi < box), slope, 0.0)))
         if self.solved:
             sl = self.solved
-            x[sl], dxdp[sl] = self.solved_edges.newton(p[sl], x_warm[sl], center[sl])
-        return x, dxdp
+            parts.append(self.solved_edges.newton(p[sl], x_warm[sl], center[sl]))
+        # the parts are the class's edge slices in order
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     def settle(self, lam, x, center) -> None:
         """Price each player so that its edges' demand meets its budget, or
@@ -535,9 +540,11 @@ class _PriceClass:
                 price = price + move
                 xe = np.clip(xe + dxdp * move[own], 0.0, self.edges.box)
                 break
-            guess = np.where(inside, newton, 0.5 * (lo + hi))
-            guess = np.where(~inside & (lo == 0.0) & ~tried_zero, 0.0, guess)
-            price = np.where(done, price, guess)
+            if done.any() or not inside.all():  # else each price takes its Newton step
+                newton = np.where(inside, newton, 0.5 * (lo + hi))
+                newton = np.where(~inside & (lo == 0.0) & ~tried_zero, 0.0, newton)
+                newton = np.where(done, price, newton)
+            price = newton
             x_warm = xe
         lam[self.nodes] = price
         x[self.index] = xe
@@ -605,7 +612,7 @@ def global_optimum(
                 cls.settle(lam, x, center)
 
             price = lam[ends[0]] + lam[ends[1]]
-            gain = objective.slopes(x)[0] - price
+            gain = objective.slopes(x, second=False)[0] - price
             tangent = np.maximum(
                 np.where(box > x, gain * (box - x), 0.0),
                 np.where(x > 0.0, -gain * x, 0.0),

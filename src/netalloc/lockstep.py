@@ -1,15 +1,15 @@
-"""Lockstep batches: :func:`run_batch` holds a batch's runs as arrays
+"""Lockstep batches: :func:`run_batch` holds a batch's runs as flat arrays
 (proposals and :func:`~netalloc.bestresponse.edge_terms` by edge id, each
 player's slack, win count, status and utility) and advances all unfinished
 runs one round per numpy step, as :class:`~netalloc.dynamics._SeqState` does,
 with its start check, invariant checks and messages.  Every float is the scalar
 engine's: its operations in its order, ``np.sqrt`` rounding as ``math.sqrt``,
-sums column by column as ``left_sum`` adds.  ``_fits`` is decided only where an
-error bound proves it; a response with one left open, and a status the
-exchange test leaves open, are solved by ``best_response`` from the run's
-arrays.  A step's cost is numpy calls, not arithmetic, so each part of a
-response is one pass over all rows: the polish's adds are ranked at once, two
-finish nudges share one fit, and cap matching is one running sum.
+sums column by column as ``left_sum`` adds; ``_fits`` takes ``math.fsum`` where
+its error bound cannot decide.  A step's cost is numpy calls, not arithmetic,
+so each part of a response is one pass over all rows: the polish's adds are
+ranked at once, two finish nudges share one fit, and cap matching is one
+running sum.  The start is filled 8 players a pass, and each run's mover is
+drawn from its own ``getrandbits`` by ``randrange``'s rule.
 """
 
 from __future__ import annotations
@@ -72,9 +72,10 @@ def _best_move(up, down, can_add):
 
 
 def _fits(targets, budget):
-    """``_fits`` of each row, and whether it is decided: TwoSum adds the targets
-    to -budget, so only the sum of its exact errors rounds (by < d - 1 ulps)."""
-    total = budget * -1.0
+    """``bestresponse._fits`` of each row (L x ... x d targets, L budgets):
+    TwoSum adds the targets to -budget, so only the sum of its exact errors
+    rounds (by < d - 1 ulps); ``math.fsum`` decides where that bound cannot."""
+    total = budget.reshape(-1, *(1,) * (targets.ndim - 2)) * -1.0
     errors = magnitude = 0.0
     for k in range(targets.shape[-1]):
         t = targets[..., k]
@@ -84,12 +85,15 @@ def _fits(targets, budget):
         errors, magnitude, total = errors + e, magnitude + np.abs(e), s
     excess = total + errors
     bound = magnitude * ((targets.shape[-1] + 3) * dynamics.EXCHANGE_ULP)
-    return excess <= 0.0, (np.abs(excess) > bound) | (bound == 0.0)
+    fit = excess <= 0.0
+    for k in zip(*np.nonzero(~((np.abs(excess) > bound) | (bound == 0.0)))):
+        fit[k] = bestresponse._fits(targets[k].tolist(), int(budget[k[0]]))
+    return fit
 
 
-def _respond(w, caps, budget, optimistic, eta, solve):
+def _respond(w, caps, budget, optimistic, eta):
     """Each row's grid ``best_response`` (L x d weights and caps): proposals,
-    terms (3 x L x d), utility; ``solve(k)`` answers a row with a fit open."""
+    terms (3 x L x d), utility."""
     eff = np.minimum(caps, budget[:, None])
     leave = np.where(eff > 0, w * (0.5 / np.sqrt(eff * eta)), INF)
     rows = np.arange(len(caps))
@@ -103,8 +107,7 @@ def _respond(w, caps, budget, optimistic, eta, solve):
     # the bisection's bracket: the last breakpoint over budget, the first fit
     base = eff.sum(1) <= budget
     at_leave = targets_at(leave)
-    fit, sure = _fits(at_leave, budget[:, None])
-    unsure = ~base & ~sure.all(1)
+    fit = _fits(at_leave, budget)
     above = np.where(fit, leave, INF)
     top = above.argmin(1)
     lo, hi = np.where(fit, 0.0, leave).max(1), above[rows, top]
@@ -119,22 +122,20 @@ def _respond(w, caps, budget, optimistic, eta, solve):
         if not (go := go & (delta < hi)).any():
             break
         levels = np.stack([delta, delta + nudge], 1)
-        fit, sure = _fits(step := targets_at(levels), budget[:, None])
-        second = sure[:, 0] & ~fit[:, 0] & (levels[:, 1] < hi)
-        reached = np.stack([go, go & second & (s + 1 < bestresponse.FINISH_STEPS)], 1)
-        unsure |= (reached & ~sure).any(1)
-        hit = reached & fit & sure
+        fit = _fits(step := targets_at(levels), budget)
+        second = go & ~fit[:, 0] & (levels[:, 1] < hi) & (s + 1 < bestresponse.FINISH_STEPS)
+        hit = np.stack([go, second], 1) & fit
         targets = np.where(hit.any(1)[:, None], step[rows, hit.argmax(1)], targets)
-        go = reached[:, 1] & sure[:, 1] & ~fit[:, 1]
+        go = second & ~fit[:, 1]
         delta = np.where(go, levels[:, 1] + nudge * 8.0, delta)
         nudge = np.where(go, nudge * 64.0, nudge)
     # floors, then the single-quantum polish
     alloc = np.floor(np.where(base[:, None], eff, targets)).astype(np.int64)
     spare = budget - alloc.sum(1)
-    if (adds := ~unsure & (spare > 0)).any():
+    if (adds := spare > 0).any():
         _place_adds(w, alloc, caps, spare, adds, eta)
     terms = np.array(_terms(w, alloc, caps, eta))
-    active, limit, moves = ~unsure, spare + bestresponse.POLISH_MAX_EXCHANGES, 0
+    active, limit, moves = True, spare + bestresponse.POLISH_MAX_EXCHANGES, 0
     while (active := active & (moves < limit)).any():
         gain, src, dst = _best_move(terms[1], terms[2], spare > 0)
         if not (active := active & (gain > bestresponse.POLISH_MIN_GAIN)).any():
@@ -146,21 +147,17 @@ def _respond(w, caps, budget, optimistic, eta, solve):
         alloc[r, dst] += 1
         terms[:] = _terms(w, alloc, caps, eta)  # the same bits where unchanged
         moves += 1
-    fill = ~unsure & (spare > 0)
-    if (fill[:, None] & (alloc < caps)).any():  # cap matching, ascending index
+    if ((fill := spare > 0)[:, None] & (alloc < caps)).any():  # cap matching, ascending index
         room = np.maximum(caps - alloc, 0).cumsum(1)
         took = np.minimum(room, np.where(fill, spare, 0)[:, None])
         alloc += np.diff(took, prepend=0)
         spare -= took[:, -1]
         terms[:] = _terms(w, alloc, caps, eta)
-    if (spread := optimistic & ~unsure & (spare > 0)).any():
+    if (spread := optimistic & (spare > 0)).any():
         lose = alloc >= caps  # optimistic disposal, round-robin from the first
         q, extra = np.divmod(spare, np.maximum(lose.sum(1), 1))
         share = q[:, None] + (lose.cumsum(1) <= extra[:, None])
         alloc += np.where(spread[:, None] & lose, share, 0)
-    for k in np.flatnonzero(unsure).tolist():
-        br = solve(k)
-        alloc[k], terms[:, k] = list(br.proposals.values()), br.terms
     return alloc, terms, _left_sum(terms[0])
 
 
@@ -202,12 +199,24 @@ def _random_start(w, budget, eta, seeds):
     return alloc.reshape(len(seeds), n * d)
 
 
+def _below(bits, counts):
+    """``randrange(c)`` of each run's ``getrandbits`` and count c >= 1, by
+    its rule: k = c.bit_length() bits, drawn again until below c."""
+    picks = []
+    for g, c in zip(bits, counts):
+        k = c.bit_length()
+        while (x := g(k)) >= c:
+            pass
+        picks.append(x)
+    return picks
+
+
 class _Runs:
-    """The runs of one batch as arrays (module docstring), a row each."""
+    """A batch's runs, flat: player i at run * n + i, edge x at run * 2|E| + x."""
 
     def __init__(self, spec: GameSpec, seeds, tol: float):
         rows, _, rev = spec.index
-        self.spec, self.tol, self.eta = spec, tol, spec.eta
+        self.tol, self.eta = tol, spec.eta
         self.n, self.d = n, d = spec.n, len(rows[0].neighbors)
         self.cols, self.rev = np.arange(d), np.array(rev)
         self.nbr = np.array([j for row in rows for j in row.neighbors])
@@ -216,79 +225,83 @@ class _Runs:
         self.ulps = (16 * self.budget + 4 * (d + 2)) * dynamics.EXCHANGE_ULP
         optimistic = [spec.behaviors[i] is Behavior.OPTIMISTIC for i in range(n)]
         self.optimistic = np.array(optimistic)
-        self.rngs = [random.Random(s) for s in seeds]
-        self.f = _random_start(self.w.reshape(n, d), self.budget, self.eta, seeds)
-        start = self.f.reshape(len(seeds), n, d)
+        self.bits = [random.Random(s).getrandbits for s in seeds]
+        start = _random_start(self.w.reshape(n, d), self.budget, self.eta, seeds).reshape(-1, n, d)
         if (bad := ((start.sum(2) > self.budget) | (start < 0).any(2)).any(1)).any():
-            first = self.f[bad.argmax()].tolist()  # check_feasible raises its error
+            first = start[bad.argmax()].ravel().tolist()  # check_feasible raises its error
             check_feasible(spec, FrequencyProfile(dict(zip(spec.directed_edges, first))))
-        runs = np.arange(len(seeds))
-        self.terms = np.empty((3, *self.f.shape))
-        self.slack, self.wins = np.empty((2, len(runs), n), np.int64)
-        self.status = np.zeros((len(runs), n), bool)
-        self.util = np.empty((len(runs), n))  # each player's utility
+        self.f = start.reshape(-1)
+        self.terms = np.empty((3, self.f.size))
+        self.slack, self.wins = np.empty((2, len(seeds) * n), np.int64)
+        self.status = np.zeros(len(seeds) * n, bool)
+        self.util = np.empty(len(seeds) * n)  # each player's utility
         self.failed: dict[int, str] = {}  # a run's InvariantViolation message
         # a run's first stable-set loss since its slack changed: round, players
-        self.loss_round, self.lost = np.zeros(len(runs), np.int64), {}
-        for i in range(n):  # a player at a time keeps the temporaries small
-            x = slice(i * d, (i + 1) * d)
-            own, caps = self.f[:, x], self.f[:, self.rev[x]]
+        self.loss_round, self.lost = np.zeros(len(seeds), np.int64), {}
+        offset = np.arange(len(seeds))[:, None] * n
+        for lo in range(0, n, 8):  # 8 players a pass keep the temporaries small
+            p = (offset + np.arange(lo, min(lo + 8, n))).ravel()
+            i, e, x, back = self._rows(p)
+            own, caps = self.f[x], self.f[back]
             agreed = np.minimum(own, caps)
-            self.terms[:, :, x] = _terms(self.w[x], agreed, caps, self.eta)
-            self.slack[:, i] = self.budget[i] - agreed.sum(1)
-            self.wins[:, i] = (own < caps).sum(1)
-            self.status[:, i], self.util[:, i] = self._status(runs, np.full(len(runs), i))
+            self.terms[:, x] = _terms(self.w[e], agreed, caps, self.eta)
+            self.slack[p] = self.budget[i] - agreed.sum(1)
+            self.wins[p] = (own < caps).sum(1)
+            self.status[p], self.util[p] = self._status(p)
 
-    def _solve(self, r: int, i: int):
-        """``best_response`` of player i in run r, from its standing row."""
-        x = slice(i * self.d, (i + 1) * self.d)
-        standing = (self.f[r, x].tolist(), *self.terms[:, r, x].tolist())
-        caps = self.f[r, self.rev[x]].tolist()
-        return bestresponse.best_response(self.spec, None, i, caps, standing)
+    def _rows(self, p):
+        """Players p's index, edge ids, and flat edges and reverse edges."""
+        i = p % self.n
+        e = i[:, None] * self.d + self.cols
+        x = p[:, None] * self.d + self.cols
+        return i, e, x, (x - e) + self.rev[e]
 
-    def _status(self, runs, players):
-        """``_SeqState._can_improve`` of each (run, player), and its utility."""
-        util, up, down = self.terms[:, runs[:, None], players[:, None] * self.d + self.cols]
-        budget = self.budget[players]
-        gain = _best_move(up, down, self.slack[runs, players] >= 1)[0]
+    def _status(self, p):
+        """``_SeqState._can_improve`` of each player p, and its utility."""
+        i = p % self.n
+        util, up, down = self.terms[:, p[:, None] * self.d + self.cols]
+        budget = self.budget[i]
+        gain = _best_move(up, down, self.slack[p] >= 1)[0]
         utility = _left_sum(util)
         z = utility + budget * np.maximum(up.max(1), 0.0)
         margin = dynamics.EXCHANGE_REL_MARGIN * z + budget * (
             dynamics.EXCHANGE_QUANTUM_MARGIN + dynamics.EXCHANGE_REL_QUANTUM_MARGIN * z
         )
-        winning = self.wins[runs, players] > 0
+        winning = self.wins[p] > 0
         status = winning & (gain > self.tol + margin)
         unsettled = winning & ~status
-        unsettled &= ~(budget * np.maximum(gain, 0.0) + self.ulps[players] * z < self.tol)
-        for k in np.flatnonzero(unsettled).tolist():
-            br = self._solve(int(runs[k]), int(players[k]))
-            status[k] = br.realized_utility - float(utility[k]) > self.tol
+        unsettled &= ~(budget * np.maximum(gain, 0.0) + self.ulps[i] * z < self.tol)
+        if (k := np.flatnonzero(unsettled)).size:  # the response's gain settles it
+            i, e, _, back = self._rows(p[k])
+            best = _respond(self.w[e], self.f[back], budget[k], self.optimistic[i], self.eta)[2]
+            status[k] = best - utility[k] > self.tol
         return status, utility
 
     def run(self, max_rounds: int):
         """Each run's convergence and rounds, or its ``InvariantViolation``."""
-        rounds = np.zeros(len(self.rngs), np.int64)
-        draw = [rng.randrange for rng in self.rngs]
+        f, terms, slack, wins = self.f, self.terms, self.slack, self.wins
+        status, util, n = self.status, self.util, self.n
+        grid = status.reshape(len(self.bits), n)
+        rounds = np.zeros(len(self.bits), np.int64)
         t = 0
         while t < max_rounds:
-            live = self.status.any(1)
+            live = grid.any(1)
             if self.failed:
                 live[list(self.failed)] = False
             if not (rr := np.flatnonzero(live)).size:
                 break
             t += 1
             rounds[rr] = t
-            counts = (movers := self.status[rr]).sum(1)
-            picks = [draw[r](c) for r, c in zip(rr.tolist(), counts.tolist())]
-            ii = np.flatnonzero(movers)[counts.cumsum() - counts + picks] % self.n
-            r, x = rr[:, None], ii[:, None] * self.d + self.cols
-            back, j = self.rev[x], self.nbr[x]
-            own, caps = self.f[r, x], self.f[r, back]
-            alloc, terms, realized = _respond(
-                self.w[x], caps, self.budget[ii], self.optimistic[ii], self.eta,
-                lambda k: self._solve(int(rr[k]), int(ii[k])),
+            counts = (movers := grid[rr]).sum(1)
+            picks = _below([self.bits[r] for r in rr.tolist()], counts.tolist())
+            p = rr * n + np.flatnonzero(movers)[counts.cumsum() - counts + picks] % n
+            ii, e, x, back = self._rows(p)
+            j = (p - ii)[:, None] + self.nbr[e]
+            own, caps = f[x], f[back]
+            alloc, new_terms, realized = _respond(
+                self.w[e], caps, self.budget[ii], self.optimistic[ii], self.eta
             )
-            gain = realized - self.util[rr, ii]
+            gain = realized - util[p]
             for k in np.flatnonzero(~(gain > self.tol)).tolist():
                 self.failed.setdefault(int(rr[k]), (
                     f"exchange test picked mover {int(ii[k])} at round {t}, "
@@ -299,20 +312,19 @@ class _Runs:
             spent = moved.sum(1)
             won_i = (alloc < caps).sum(1) - (own < caps).sum(1)
             won_j = (caps < alloc).astype(int) - (caps < own)
-            self.slack[rr, ii] -= spent
-            self.slack[r, j] -= moved
-            self.wins[rr, ii] += won_i
-            self.wins[r, j] += won_j
+            slack[p] -= spent
+            slack[j] -= moved
+            wins[p] += won_i
+            wins[j] += won_j
             changed = alloc != own
-            self.f[r, x] = alloc
+            f[x] = alloc
             # redone terms keep their bits where amount and win side stayed
-            self.terms[:, r, back] = _terms(self.w[back], agreed, alloc, self.eta)
-            self.terms[:, r, x] = terms
-            self.util[rr, ii], self.status[rr, ii] = realized, False
-            cr, cj = rr[np.nonzero(changed)[0]], j[changed]
-            self.status[cr, cj], self.util[cr, cj] = self._status(cr, cj)
+            terms[:, back] = _terms(self.w[self.rev[e]], agreed, alloc, self.eta)
+            terms[:, x] = new_terms
+            util[p], status[p] = realized, False
+            status[cj], util[cj] = self._status(cj := j[changed])
             for k in np.flatnonzero(spent < 0).tolist():
-                now = int(self.slack[rr[k]].sum())
+                now = int(slack.reshape(-1, n)[rr[k]].sum())
                 self.failed.setdefault(int(rr[k]), (
                     f"total slack increased at round {t}: "
                     f"{now + 2 * int(spent[k])} -> {now} (mover {int(ii[k])})"
@@ -320,14 +332,14 @@ class _Runs:
             self.loss_round[rr[spent != 0]] = 0
             # a win count that left 0 (it equals its change) on the suffix
             if (calm := (spent == 0) & (self.loss_round[rr] == 0)).any():
-                wins_i, wins_j = self.wins[rr, ii], self.wins[r, j]
+                wins_i, wins_j = wins[p], wins[j]
                 left_i = calm & (wins_i != 0) & (wins_i == won_i)
                 left_j = calm[:, None] & (wins_j != 0) & (wins_j == won_j)
                 for k in np.flatnonzero(left_i | left_j.any(1)).tolist():
                     self.loss_round[rr[k]] = t
-                    lost = j[k][left_j[k]].tolist() + [int(ii[k])] * bool(left_i[k])
+                    lost = (j[k][left_j[k]] % n).tolist() + [int(ii[k])] * bool(left_i[k])
                     self.lost[int(rr[k])] = sorted(lost)
-        converged = ~self.status.any(1)
+        converged = ~grid.any(1)
         for r in np.flatnonzero(converged & (self.loss_round > 0)).tolist():
             self.failed.setdefault(r, (
                 f"stable set shrank on the slack-stable suffix at round "
@@ -347,4 +359,5 @@ def run_batch(spec: GameSpec, config: dynamics.DynamicsConfig, seeds: list[int])
     # the final utility terms are social_welfare's, summed in its order
     terms = batch.terms[0].reshape(len(seeds), batch.n, batch.d)
     welfare = _left_sum(_left_sum(terms))
-    return list(zip(converged.tolist(), rounds.tolist(), welfare.tolist())), batch.f
+    finals = batch.f.reshape(len(seeds), batch.n * batch.d)
+    return list(zip(converged.tolist(), rounds.tolist(), welfare.tolist())), finals

@@ -45,6 +45,7 @@ from netalloc.instances import (
     gen_poa_grid_instance,
     gen_random_instance,
     gen_ranked_instance,
+    gen_torus_grid,
 )
 from netalloc.utility import FAMILIES, UtilitySpec
 
@@ -370,6 +371,17 @@ def test_global_optimum_dominates_dynamics_equilibria():
             )
             assert isinstance(status, Converged)
             assert social_welfare(spec, final) <= opt.welfare * (1 + 1e-6)
+
+
+def test_criterion_8_optimum_keeps_its_bits():
+    # every criterion-8 ratio divides by this optimum; its bits depend on
+    # numpy's SIMD dispatch, so CI reruns this with dispatch turned off
+    doc = gen_torus_grid(10, 10, beta=1000.0, eta=1.0, weight_seed=7,
+                         utility=UtilitySpec.sqrt())
+    opt = global_optimum(doc.to_game_spec())
+    assert (repr(opt.welfare), repr(opt.upper_bound), opt.iterations, opt.certified) == (
+        "1672.7995679036053", "1672.7995695389254", 281, True
+    )
 
 
 def test_newton_stops_on_a_root_that_underflows(monkeypatch):

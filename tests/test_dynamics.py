@@ -447,8 +447,8 @@ def test_mover_picks_match_reference_loop(game):
 
 def test_randrange_draws_like_choice():
     # the scalar engine picks a random mover by rng.choice over its sorted
-    # movers and a lockstep batch by rng.randrange over the same count; the
-    # two must consume and return the same
+    # movers and a lockstep batch by rng.randrange's rule over the same
+    # count (lockstep._below); the two must consume and return the same
     sizes = [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 100, 255, 256, 257, 1600, 10_000]
     for seed in (0, 7, 1000, 4242):
         by_choice, by_randrange = random.Random(seed), random.Random(seed)

@@ -9,6 +9,7 @@ fewer than ``LOCKSTEP_MIN_RUNS`` runs, must take the scalar path."""
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,9 +69,8 @@ def draw_caps(rng, d, budget):
 
 
 def oracle_rows(spec, rows, rng):
-    """Compare the batched grid response of ``rows`` (player, caps) with
-    ``best_response`` from a random standing row; returns the rows that
-    the batch handed to its scalar fallback."""
+    """Compare the batched grid response of each of ``rows`` (player, caps)
+    with ``best_response`` from a random standing row."""
     index = spec.index
     d = len(index.rows[0].neighbors)
     players = [i for i, _ in rows]
@@ -82,26 +82,17 @@ def oracle_rows(spec, rows, rng):
         terms = [edge_terms(w, k, min(o, c), c, spec.eta)
                  for w, k, o, c in zip(row.weights, row.kernels, own, cap)]
         standings.append((own, *map(list, zip(*terms))))
-    fallbacks = []
-
-    def solve(k):
-        fallbacks.append(k)
-        return best_response(spec, None, players[k], rows[k][1], standings[k])
-
     w = np.array([index.rows[i].weights for i in players])
     budget = np.array([index.rows[i].budget for i in players])
     optimistic = np.array([spec.behaviors[i] is OPT for i in players])
     with np.errstate(all="ignore"):
-        alloc, terms, realized = lockstep._respond(
-            w, caps, budget, optimistic, spec.eta, solve
-        )
+        alloc, terms, realized = lockstep._respond(w, caps, budget, optimistic, spec.eta)
     for k, (i, cap) in enumerate(rows):
         br = best_response(spec, None, i, cap, standings[k])
         assert alloc[k].tolist() == list(br.proposals.values()), (i, cap)
         assert repr(float(realized[k])) == repr(br.realized_utility), (i, cap)
         for m in range(3):
             assert list(map(repr, terms[m, k].tolist())) == list(map(repr, br.terms[m]))
-    return fallbacks
 
 
 @pytest.mark.parametrize("d, offsets", [(3, (1, 4)), (4, (1, 2))])
@@ -129,18 +120,37 @@ def test_batched_response_matches_best_response(d, offsets):
     assert checked >= 1200
 
 
-def test_a_sum_on_the_budget_goes_to_the_scalar_solver():
+def fsum_rows(monkeypatch):
+    """The rows ``lockstep._fits`` hands to the scalar's ``_fits`` rule
+    (``math.fsum``) from now on, as (targets, budget)."""
+    opened = []
+    real = bestresponse._fits
+
+    def keep(targets, budget):
+        opened.append((targets, budget))
+        return real(targets, budget)
+
+    monkeypatch.setattr(bestresponse, "_fits", keep)
+    return opened
+
+
+def test_a_sum_on_the_budget_is_decided_by_fsum(monkeypatch):
     # on K4 with a budget near 2**53, the water fill's targets at one
     # breakpoint sum exactly to the budget while their float partial sums
-    # round; the excess is zero only up to the rounding, so the comparison
-    # stays open and the row is solved by best_response
+    # round; the excess is zero only up to the rounding, so the TwoSum
+    # bound leaves the comparison open and math.fsum decides it
     weights = [0.2959163598225536, 0.24137021978307124, 0.4627134203943751]
     caps = [3497286112119724, 3671166019273024, 3467243558593084]
     budget = 7786561830095932
     spec = regular_spec(4, (1, 2), random.Random(0), 1.0, [budget] * 4, weights)
+    with monkeypatch.context() as m, np.errstate(all="ignore"):
+        opened = fsum_rows(m)
+        lockstep._respond(np.array([weights]), np.array([caps]), np.array([budget]),
+                          np.array([False]), 1.0)
+    assert budget in {b for _, b in opened}
     rng = random.Random(1)
     rows = [(0, caps)] + [(0, draw_caps(rng, 3, budget)) for _ in range(200)]
-    assert oracle_rows(spec, rows, rng)[:1] == [0]
+    oracle_rows(spec, rows, rng)
 
 
 def cap_matching(spec, i, caps):
@@ -169,9 +179,9 @@ def test_cap_matching_matches_best_response():
     for _ in range(400):
         i = rng.randrange(9)
         rows.append((i, draw_caps(rng, 4, spec.index.rows[i].budget)))
-    solved = set(oracle_rows(spec, rows, rng))  # rows handed to best_response
+    oracle_rows(spec, rows, rng)
     reached = {}
-    for i, caps in (row for k, row in enumerate(rows) if k not in solved):
+    for i, caps in rows:
         spare, room = cap_matching(spec, i, caps)
         if spare > 0 and sum(room) > 0:  # the spare within or beyond the first room
             first = next(r for r in room if r > 0)
@@ -180,7 +190,17 @@ def test_cap_matching_matches_best_response():
     assert len([c for found in reached.values() for c in found]) >= 20
 
 
-def test_fits_decides_exactly_or_not_at_all():
+def assert_fits_as_fsum(targets, budget, monkeypatch):
+    """``lockstep._fits`` of each row equals the scalar's ``math.fsum`` rule;
+    returns the rows its TwoSum bound left open."""
+    with monkeypatch.context() as m:
+        opened = fsum_rows(m)
+        fits = lockstep._fits(np.array(targets), np.array(budget))
+    assert fits.tolist() == [math.fsum([-b, *row]) <= 0.0 for row, b in zip(targets, budget)]
+    return [row for row, _ in opened]
+
+
+def test_fits_equals_fsum_on_every_row(monkeypatch):
     rng = random.Random(3)
     # the exact sum is the budget, and the running sums from -budget round
     # (at 2**53 a half is below the last bit) before their errors cancel
@@ -190,12 +210,50 @@ def test_fits_decides_exactly_or_not_at_all():
         row = [rng.choice((rng.random() * 50, float(rng.randrange(20)))) for _ in range(4)]
         targets.append(row)
         budget.append(math.floor(left_sum(row)) + rng.randrange(2))
-    fits, sure = lockstep._fits(np.array(targets), np.array(budget))
-    assert not sure[0]
-    for row, b, f, s in zip(targets, budget, fits, sure):
-        if s:
-            assert f == (math.fsum([-b, *row]) <= 0.0)
-    assert sure[1:].all()
+    # only the 2**53 row needs math.fsum; the bound decides the rest
+    assert assert_fits_as_fsum(targets, budget, monkeypatch) == targets[:1]
+
+
+@pytest.mark.parametrize("tail", ["zero", "subnormal", "ulp"])
+def test_fits_decides_small_and_subnormal_rows_by_fsum(tail, monkeypatch):
+    # budgets of a few quanta (every target below 2d, d = 4): a target t,
+    # the rest of the budget as hi + lo (hi rounded down), and a last target
+    # of 0 or a subnormal, or lo a ulp off, so the exact sum is within an
+    # ulp of lo of the budget, or a subnormal above; the running sums round
+    rng = random.Random(11)
+    targets, budget = [], []
+    for _ in range(1000):
+        b = rng.randrange(1, 8)
+        t = rng.random() * 0.5
+        rest = Fraction(b) - Fraction(t)
+        hi = float(rest)
+        if Fraction(hi) > rest:
+            hi = math.nextafter(hi, 0.0)
+        lo = float(rest - Fraction(hi))
+        s = 0.0
+        if tail == "subnormal":
+            s = rng.randrange(1, 2**20) * 5e-324
+        elif tail == "ulp":
+            lo = math.nextafter(lo, rng.choice((-math.inf, math.inf)))
+        row = [t, hi, lo, s]
+        rng.shuffle(row)
+        targets.append(row)
+        budget.append(b)
+    assert all(max(row) < 8 for row in targets)
+    assert len(assert_fits_as_fsum(targets, budget, monkeypatch)) >= 200
+
+
+def test_direct_draw_equals_randrange_and_choice():
+    # the lockstep pick draws from getrandbits by randrange's own rule; the
+    # scalar engine picks by rng.choice over its sorted movers
+    counts = sorted({1, 2, 3} | {2**k + o for k in range(1, 21) for o in (-1, 0, 1)})
+    for seed in (0, 7, 1000, 4242):
+        direct, by_randrange, by_choice = (random.Random(seed) for _ in range(3))
+        for _ in range(5):
+            picks = lockstep._below([direct.getrandbits] * len(counts), counts)
+            assert picks == [by_randrange.randrange(c) for c in counts]
+            assert picks == [by_choice.choice(range(c)) for c in counts]
+        assert direct.getstate() == by_randrange.getstate() == by_choice.getstate()
 
 
 def test_batched_best_move_keeps_the_tie_rules():
@@ -361,6 +419,40 @@ def test_a_start_near_2_53_spends_each_budget(monkeypatch):
         report = run_batch_experiment(doc, config)
         runs, _ = scalar_report_runs(doc, config, monkeypatch)
         assert_same_runs(report.runs, runs)
+
+
+@pytest.mark.parametrize(
+    "beta, tol", [(1000.0, DynamicsConfig().tol), (50.0, 0.01)], ids=["criterion-8", "solved"]
+)
+@pytest.mark.parametrize("behavior", ["optimistic", "pessimistic"])
+def test_block_start_matches_seq_state(behavior, beta, tol, monkeypatch):
+    # with tol = 0.01 the exchange test leaves statuses open, and some of
+    # them the response's gain makes True; the batch settles them with
+    # _respond, _SeqState with best_response
+    doc = gen_torus_grid(10, 10, beta=beta, eta=1.0, weight_seed=7, utility=SQRT)
+    spec = doc.to_game_spec(behavior_override=behavior)
+    seeds = list(range(1000, 1020))
+    solved = []
+    real = lockstep._respond
+    monkeypatch.setattr(lockstep, "_respond", lambda *a: solved.append(a) or real(*a))
+    with np.errstate(all="ignore"):
+        batch = lockstep._Runs(spec, seeds, tol)
+    assert bool(solved) == (tol == 0.01)
+    n, e = spec.n, len(spec.directed_edges)
+    for r, s in enumerate(seeds):
+        start = list(init_profile(spec, RandomFeasible(s)).key(spec))
+        state = dynamics._SeqState(spec, start, tol)
+        players, edges = slice(r * n, (r + 1) * n), slice(r * e, (r + 1) * e)
+        assert batch.slack[players].tolist() == state.slack
+        assert batch.wins[players].tolist() == state.win_count
+        assert batch.status[players].tolist() == list(map(bool, state.member))
+        assert list(map(repr, batch.util[players].tolist())) == [
+            repr(state.utility(i)) for i in range(n)
+        ]
+        for m, kept in enumerate((state._util, state._up, state._down)):
+            assert list(map(repr, batch.terms[m, edges].tolist())) == [
+                repr(v) for row in kept for v in row
+            ]
 
 
 @pytest.mark.parametrize(

@@ -218,10 +218,10 @@ INT_REDUCTIONS = {
     "agreed.sum(1)": "realized quanta: int amounts",
     "(own < caps).sum(1)": "win count",
     "(alloc < caps).sum(1)": "win count",
-    "(movers := self.status[rr]).sum(1)": "mover count",
+    "(movers := grid[rr]).sum(1)": "mover count",
     "counts.cumsum()": "movers of the runs before",
     "moved.sum(1)": "change of slack: int amounts",
-    "self.slack[rr[k]].sum()": "total slack: int amounts",
+    "slack.reshape(-1, n)[rr[k]].sum()": "total slack: int amounts",
 }
 REDUCTIONS = {"sum", "cumsum", "nansum", "mean", "average", "reduce", "accumulate",
               "dot", "matmul", "einsum", "inner", "prod", "cumprod", "std", "var"}
