@@ -20,7 +20,6 @@ utility by more than ``tol``.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from bisect import bisect_left, insort
@@ -59,8 +58,36 @@ EXCHANGE_REL_QUANTUM_MARGIN = 1e-15
 EXCHANGE_ULP = 2.0**-52
 
 
+def exchange_margins(z, budget, deg):
+    """The exchange test's "can improve" margin and "cannot improve" ulp term
+    (``_SeqState.settled_status``) at utility bound z, budget in quanta and
+    degree, for numbers or numpy arrays; the constants are read at each call."""
+    margin = EXCHANGE_REL_MARGIN * z + budget * (
+        EXCHANGE_QUANTUM_MARGIN + EXCHANGE_REL_QUANTUM_MARGIN * z
+    )
+    return margin, (16 * budget + 4 * (deg + 2)) * EXCHANGE_ULP * z
+
+
 class InvariantViolation(AssertionError):
     """A runtime-checked dynamics law failed (indicates a solver bug)."""
+
+
+def weak_move_message(mover, t, gain) -> str:
+    return (
+        f"exchange test picked mover {mover} at round {t}, "
+        f"but its best response gains only {gain!r}"
+    )
+
+
+def slack_rise_message(t, before, after, mover) -> str:
+    return f"total slack increased at round {t}: {before} -> {after} (mover {mover})"
+
+
+def stable_loss_message(t, lost) -> str:
+    return (
+        f"stable set shrank on the slack-stable suffix at round {t}: "
+        f"lost players {list(lost)}"
+    )
 
 
 # -- order policies ---------------------------------------------------------
@@ -286,28 +313,21 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
 def _place_leftover(alloc, spare, weights, utils, eta) -> None:
     """Give each of ``spare`` quanta to the first neighbor with the highest
     positive score w u'((a + MARGINAL_SHIFT) eta) at its current count a,
-    in place; stop early when no score is positive.  A heap of (-score, k)
-    pops the highest score and, among equal ones, the lowest k; only the
-    receiver's score changes, so a quantum costs O(log deg)."""
+    in place; stop early when no score is positive.  The scores are kept
+    (0.0 for a zero weight) and only the receiver is rescored, so a quantum
+    is one scan for the first maximum, as ``lockstep._random_start`` takes."""
     if spare <= 0:
         return
-    heap = []
-    for k, (w, u) in enumerate(zip(weights, utils)):
-        if w > 0.0:
-            score = w * u.marginal((alloc[k] + MARGINAL_SHIFT) * eta)
-            if score > 0.0:
-                heap.append((-score, k))
-    heapq.heapify(heap)
+    scores = [
+        w * u.marginal((a + MARGINAL_SHIFT) * eta) if w > 0.0 else 0.0
+        for w, u, a in zip(weights, utils, alloc)
+    ]
     for _ in range(spare):
-        if not heap:
+        if not (top := max(scores)) > 0.0:
             return
-        k = heap[0][1]
+        k = scores.index(top)
         alloc[k] += 1
-        score = weights[k] * utils[k].marginal((alloc[k] + MARGINAL_SHIFT) * eta)
-        if score > 0.0:
-            heapq.heapreplace(heap, (-score, k))
-        else:
-            heapq.heappop(heap)
+        scores[k] = weights[k] * utils[k].marginal((alloc[k] + MARGINAL_SHIFT) * eta)
 
 
 # -- sequential dynamics -------------------------------------------------------
@@ -439,14 +459,10 @@ class _SeqState:
         gain, _, _ = best_move(up, self._down[i], self.slack[i] >= 1)
         budget = self.rows[i].budget
         z = self.utility(i) + budget * max(max(up), 0.0)
-        tol = self.tol
-        margin = EXCHANGE_REL_MARGIN * z + budget * (
-            EXCHANGE_QUANTUM_MARGIN + EXCHANGE_REL_QUANTUM_MARGIN * z
-        )
-        if gain > tol + margin:
+        margin, ulps = exchange_margins(z, budget, len(up))
+        if gain > self.tol + margin:
             return True
-        ulps = 16 * budget + 4 * (len(up) + 2)
-        if budget * max(gain, 0.0) + ulps * EXCHANGE_ULP * z < tol:
+        if budget * max(gain, 0.0) + ulps < self.tol:
             return False
         return None
 
@@ -575,18 +591,12 @@ def run_sequential(
         br = state.respond(mover)
         gain = br.realized_utility - state.utility(mover)
         if not gain > config.tol:
-            raise InvariantViolation(
-                f"exchange test picked mover {mover} at round {t}, "
-                f"but its best response gains only {gain!r}"
-            )
+            raise InvariantViolation(weak_move_message(mover, t, gain))
         prev_slack = slack
         joined, left = state.apply_move(mover, br)
         slack = state.total_slack
         if slack > prev_slack:
-            raise InvariantViolation(
-                f"total slack increased at round {t}: "
-                f"{prev_slack} -> {slack} (mover {mover})"
-            )
+            raise InvariantViolation(slack_rise_message(t, prev_slack, slack, mover))
         if slack != prev_slack:
             first_loss = None
         elif left and first_loss is None:
@@ -601,10 +611,7 @@ def run_sequential(
     else:
         status = Converged(t)
         if first_loss is not None:
-            raise InvariantViolation(
-                f"stable set shrank on the slack-stable suffix at round "
-                f"{first_loss[0]}: lost players {list(first_loss[1])}"
-            )
+            raise InvariantViolation(stable_loss_message(*first_loss))
     counts = dict(zip(spec.directed_edges, state.f))
     if tuple(init.counts) != spec.directed_edges:  # keep the start's order
         counts = {e: counts[e] for e in init.counts}
@@ -621,6 +628,9 @@ def run_simultaneous(
 
     Converges only at exact fixed points of the joint update; any revisit of
     an earlier integer profile is reported as a cycle (start, period).
+    It reads ``config.max_rounds`` only: everyone moves and is solved in
+    full, so ``order`` and ``tol`` go unused (``simulate --mode sim`` uses
+    ``--tol`` only to classify the final profile).
     """
     check_feasible(spec, init)
     profile = FrequencyProfile(init.counts)

@@ -3,8 +3,8 @@
 Run r of a batch uses base_seed + r both for its random initial profile and
 for its random player order, so two batches over the same instance (e.g. an
 all-optimistic and an all-pessimistic sweep) are paired run by run.  Runs are
-independent; aggregation orders results by run index, so the report is
-identical whether runs execute serially or across worker processes.
+independent; aggregation orders results by run index, so the report is the
+same serially or across worker processes (``n_jobs``, at most one per CPU).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,6 +53,7 @@ class ExperimentConfig:
     runs: int
     seed: int = 0
     behavior: str | None = None  # None: use the instance's per-player list
+    # run r takes RandomSeeded(seed + r) in both engines; dynamics.order is unread
     dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
     bins: int = 40
     n_jobs: int = 1
@@ -153,7 +155,7 @@ def run_batch_experiment(
         )
 
     tasks = [(r, config.seed + r) for r in range(config.runs)]
-    workers = min(config.n_jobs, config.runs)
+    workers = min(config.n_jobs, config.runs, os.cpu_count() or 1)
     if workers > 1:
         cuts = [k * len(tasks) // workers for k in range(workers + 1)]
         parts = [(tasks[a:b],) for a, b in zip(cuts, cuts[1:])]

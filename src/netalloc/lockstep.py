@@ -2,14 +2,14 @@
 (proposals and :func:`~netalloc.bestresponse.edge_terms` by edge id, each
 player's slack, win count, status and utility) and advances all unfinished
 runs one round per numpy step, as :class:`~netalloc.dynamics._SeqState` does,
-with its start check, invariant checks and messages.  Every float is the scalar
-engine's: its operations in its order, ``np.sqrt`` rounding as ``math.sqrt``,
-sums column by column as ``left_sum`` adds; ``_fits`` takes ``math.fsum`` where
-its error bound cannot decide.  A step's cost is numpy calls, not arithmetic,
-so each part of a response is one pass over all rows: the polish's adds are
-ranked at once, two finish nudges share one fit, and cap matching is one
-running sum.  The start is filled 8 players a pass, and each run's mover is
-drawn from its own ``getrandbits`` by ``randrange``'s rule.
+with its start check, exchange margins and law messages.  Every float is the
+scalar engine's: its operations in its order, ``np.sqrt`` rounding as
+``math.sqrt``, sums by ``left_sum`` over the first axis; ``_fits`` takes
+``math.fsum`` where its error bound cannot decide.  A step's cost is numpy
+calls, not arithmetic, so each part of a response is one pass over all rows:
+the polish's adds are ranked at once, two finish nudges share one fit, and cap
+matching is one running sum.  The start is filled 8 players a pass, and each
+run's mover is drawn from its own ``getrandbits`` by ``randrange``'s rule.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import repeat, starmap
 import numpy as np
 
 from . import bestresponse, dynamics
-from .game import MAX_BUDGET_UNITS, Behavior, FrequencyProfile, GameSpec, check_feasible
+from .game import MAX_BUDGET_UNITS, Behavior, FrequencyProfile, GameSpec, check_feasible, left_sum
 from .utility import INF, SQRT
 
 
@@ -33,14 +33,6 @@ def qualifies(spec: GameSpec) -> bool:
         and all(w > 0.0 and u.family == SQRT for w, u in zip(row.weights, row.utils))
         for row in rows
     )
-
-
-def _left_sum(a):
-    """``left_sum`` along the last axis: the columns added to +0.0 in order."""
-    total = a[..., 0] + 0.0
-    for k in range(1, a.shape[-1]):
-        total = total + a[..., k]
-    return total
 
 
 def _terms(w, a, cap, eta):
@@ -114,7 +106,7 @@ def _respond(w, caps, budget, optimistic, eta):
     targets = np.where((hi < INF)[:, None], at_leave[rows, top], 0.0)  # at hi
     rest = budget - np.where(leave >= hi[:, None], eff, 0).sum(1)
     group = leave < hi[:, None]
-    level = 0.5 * np.sqrt(_left_sum(np.where(group, w * w, 0.0)) / (rest * eta))
+    level = 0.5 * np.sqrt(left_sum(np.where(group, w * w, 0.0).T) / (rest * eta))
     delta = np.where(level > lo, level, lo)
     nudge = np.where(delta > 0.0, delta, hi) * bestresponse.FINISH_REL_NUDGE
     go = ~base & (rest > 0) & group.any(1)
@@ -158,7 +150,7 @@ def _respond(w, caps, budget, optimistic, eta):
         q, extra = np.divmod(spare, np.maximum(lose.sum(1), 1))
         share = q[:, None] + (lose.cumsum(1) <= extra[:, None])
         alloc += np.where(spread[:, None] & lose, share, 0)
-    return alloc, terms, _left_sum(terms[0])
+    return alloc, terms, left_sum(terms[0].T)
 
 
 def _place_adds(w, alloc, caps, spare, rows, eta):
@@ -184,7 +176,8 @@ def _random_start(w, budget, eta, seeds):
     n, d = w.shape
     draws = (starmap(random.Random(s).random, repeat((), n * d)) for s in seeds)
     alloc = np.array([np.fromiter(x, float, n * d) for x in draws]).reshape(-1, n, d)
-    alloc = (alloc * budget[:, None] / _left_sum(alloc)[..., None]).astype(np.int64)
+    totals = left_sum(np.moveaxis(alloc, 2, 0))
+    alloc = (alloc * budget[:, None] / totals[..., None]).astype(np.int64)
     spare = budget - alloc.sum(2)
     while (over := np.nonzero(spare < 0))[0].size:  # give back, first largest
         alloc[(*over, alloc[over].argmax(1))] -= 1
@@ -222,7 +215,6 @@ class _Runs:
         self.nbr = np.array([j for row in rows for j in row.neighbors])
         self.w = np.array([w for row in rows for w in row.weights])
         self.budget = np.array([row.budget for row in rows])
-        self.ulps = (16 * self.budget + 4 * (d + 2)) * dynamics.EXCHANGE_ULP
         optimistic = [spec.behaviors[i] is Behavior.OPTIMISTIC for i in range(n)]
         self.optimistic = np.array(optimistic)
         self.bits = [random.Random(s).getrandbits for s in seeds]
@@ -262,15 +254,12 @@ class _Runs:
         util, up, down = self.terms[:, p[:, None] * self.d + self.cols]
         budget = self.budget[i]
         gain = _best_move(up, down, self.slack[p] >= 1)[0]
-        utility = _left_sum(util)
+        utility = left_sum(util.T)
         z = utility + budget * np.maximum(up.max(1), 0.0)
-        margin = dynamics.EXCHANGE_REL_MARGIN * z + budget * (
-            dynamics.EXCHANGE_QUANTUM_MARGIN + dynamics.EXCHANGE_REL_QUANTUM_MARGIN * z
-        )
+        margin, ulps = dynamics.exchange_margins(z, budget, self.d)
         winning = self.wins[p] > 0
         status = winning & (gain > self.tol + margin)
-        unsettled = winning & ~status
-        unsettled &= ~(budget * np.maximum(gain, 0.0) + self.ulps[i] * z < self.tol)
+        unsettled = winning & ~status & ~(budget * np.maximum(gain, 0.0) + ulps < self.tol)
         if (k := np.flatnonzero(unsettled)).size:  # the response's gain settles it
             i, e, _, back = self._rows(p[k])
             best = _respond(self.w[e], self.f[back], budget[k], self.optimistic[i], self.eta)[2]
@@ -280,7 +269,7 @@ class _Runs:
     def run(self, max_rounds: int):
         """Each run's convergence and rounds, or its ``InvariantViolation``."""
         f, terms, slack, wins = self.f, self.terms, self.slack, self.wins
-        status, util, n = self.status, self.util, self.n
+        status, util, n, fail = self.status, self.util, self.n, self.failed.setdefault
         grid = status.reshape(len(self.bits), n)
         rounds = np.zeros(len(self.bits), np.int64)
         t = 0
@@ -303,18 +292,14 @@ class _Runs:
             )
             gain = realized - util[p]
             for k in np.flatnonzero(~(gain > self.tol)).tolist():
-                self.failed.setdefault(int(rr[k]), (
-                    f"exchange test picked mover {int(ii[k])} at round {t}, "
-                    f"but its best response gains only {float(gain[k])!r}"
-                ))
+                fail(int(rr[k]), dynamics.weak_move_message(ii[k], t, float(gain[k])))
             agreed = np.minimum(alloc, caps)
             moved = agreed - np.minimum(own, caps)
             spent = moved.sum(1)
-            won_i = (alloc < caps).sum(1) - (own < caps).sum(1)
             won_j = (caps < alloc).astype(int) - (caps < own)
             slack[p] -= spent
             slack[j] -= moved
-            wins[p] += won_i
+            wins[p] += (alloc < caps).sum(1) - (own < caps).sum(1)
             wins[j] += won_j
             changed = alloc != own
             f[x] = alloc
@@ -325,26 +310,18 @@ class _Runs:
             status[cj], util[cj] = self._status(cj := j[changed])
             for k in np.flatnonzero(spent < 0).tolist():
                 now = int(slack.reshape(-1, n)[rr[k]].sum())
-                self.failed.setdefault(int(rr[k]), (
-                    f"total slack increased at round {t}: "
-                    f"{now + 2 * int(spent[k])} -> {now} (mover {int(ii[k])})"
-                ))
+                fail(int(rr[k]), dynamics.slack_rise_message(t, now + 2 * spent[k], now, ii[k]))
             self.loss_round[rr[spent != 0]] = 0
-            # a win count that left 0 (it equals its change) on the suffix
+            # a neighbor's win count that left 0 (it equals its change) on the
+            # suffix; a mover could improve, so its own count was positive
             if (calm := (spent == 0) & (self.loss_round[rr] == 0)).any():
-                wins_i, wins_j = wins[p], wins[j]
-                left_i = calm & (wins_i != 0) & (wins_i == won_i)
-                left_j = calm[:, None] & (wins_j != 0) & (wins_j == won_j)
-                for k in np.flatnonzero(left_i | left_j.any(1)).tolist():
+                left = calm[:, None] & ((wins_j := wins[j]) != 0) & (wins_j == won_j)
+                for k in np.flatnonzero(left.any(1)).tolist():
                     self.loss_round[rr[k]] = t
-                    lost = (j[k][left_j[k]] % n).tolist() + [int(ii[k])] * bool(left_i[k])
-                    self.lost[int(rr[k])] = sorted(lost)
+                    self.lost[int(rr[k])] = sorted((j[k][left[k]] % n).tolist())
         converged = ~grid.any(1)
         for r in np.flatnonzero(converged & (self.loss_round > 0)).tolist():
-            self.failed.setdefault(r, (
-                f"stable set shrank on the slack-stable suffix at round "
-                f"{int(self.loss_round[r])}: lost players {self.lost[r]}"
-            ))
+            fail(r, dynamics.stable_loss_message(int(self.loss_round[r]), self.lost[r]))
         if self.failed:
             raise dynamics.InvariantViolation(self.failed[min(self.failed)])
         return converged, np.where(converged, rounds, max_rounds)
@@ -356,8 +333,7 @@ def run_batch(spec: GameSpec, config: dynamics.DynamicsConfig, seeds: list[int])
     with np.errstate(all="ignore"):
         batch = _Runs(spec, seeds, config.tol)
         converged, rounds = batch.run(config.max_rounds)
-    # the final utility terms are social_welfare's, summed in its order
-    terms = batch.terms[0].reshape(len(seeds), batch.n, batch.d)
-    welfare = _left_sum(_left_sum(terms))
+    # the kept utilities are player_utility's, added in social_welfare's order
+    welfare = left_sum(batch.util.reshape(len(seeds), batch.n).T)
     finals = batch.f.reshape(len(seeds), batch.n * batch.d)
     return list(zip(converged.tolist(), rounds.tolist(), welfare.tolist())), finals

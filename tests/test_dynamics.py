@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,7 +175,7 @@ LEFTOVER_UTILITIES = st.sampled_from(
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.data())
-def test_leftover_heap_places_quanta_like_the_scan(data):
+def test_leftover_scores_place_quanta_like_the_full_rescan(data):
     deg = data.draw(st.integers(1, 8))
     # few distinct weights, so scores tie often
     weights = data.draw(
@@ -1154,6 +1155,21 @@ def test_exchange_test_only_settles_players_that_cannot_improve(game):
     ok, improvement = is_best_response(spec, profile, 0, least)
     assert ok
     assert improvement <= least
+
+
+def test_exchange_margins_have_the_same_bits_for_numbers_and_arrays():
+    # the scalar engine passes a float bound and an int budget, the lockstep
+    # batch float64 and int64 arrays: both must settle the same statuses
+    rng = random.Random(29)
+    budgets = [1, 2, 3, 2**52 + 1, 2**53 - 1]
+    budgets += [rng.randrange(1, 2 ** rng.randint(1, 53)) for _ in range(300)]
+    bounds = [0.0, 5e-324] + [rng.random() * 10.0 ** rng.randint(-9, 17) for _ in budgets[2:]]
+    for deg in range(1, 65):
+        margins, ulps = dynamics.exchange_margins(np.array(bounds), np.array(budgets), deg)
+        assert margins.dtype == ulps.dtype == np.float64
+        for z, budget, margin, ulp in zip(bounds, budgets, margins.tolist(), ulps.tolist()):
+            scalar = dynamics.exchange_margins(z, budget, deg)
+            assert (scalar[0].hex(), scalar[1].hex()) == (margin.hex(), ulp.hex())
 
 
 def _assert_terms_at_agreed(spec, profile, i, br):

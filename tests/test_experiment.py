@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -89,9 +90,11 @@ def test_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_pool_never_outnumbers_the_runs(monkeypatch):
-    # a stand-in pool records its size and maps in this process, so no
-    # worker process starts; it pickles the function as a real pool would
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools a batch opens.  A stand-in pool records its
+    size and maps in this process, so no worker process starts; it pickles
+    the function as a real pool would."""
     started = []
 
     class RecordingPool:
@@ -109,13 +112,31 @@ def test_pool_never_outnumbers_the_runs(monkeypatch):
             return [fn(*t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return started
+
+
+def test_pool_never_outnumbers_the_runs(pool_sizes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     doc = small_torus()
     serial = run_batch_experiment(doc, ExperimentConfig(runs=3, seed=9))
     capped = run_batch_experiment(doc, ExperimentConfig(runs=3, seed=9, n_jobs=8))
-    assert started == [3]
+    assert pool_sizes == [3]
     assert capped == serial
     run_batch_experiment(doc, ExperimentConfig(runs=1, seed=9, n_jobs=8))
-    assert started == [3]  # one run needs no pool
+    assert pool_sizes == [3]  # one run needs no pool
+
+
+def test_pool_never_outnumbers_the_cpus(pool_sizes, monkeypatch):
+    doc = small_torus()
+    serial = run_batch_experiment(doc, ExperimentConfig(runs=6, seed=9))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    capped = run_batch_experiment(doc, ExperimentConfig(runs=6, seed=9, n_jobs=5000))
+    assert pool_sizes == [3]
+    assert capped == serial
+    # a CPU count the host does not report counts as one: no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_batch_experiment(doc, ExperimentConfig(runs=6, seed=9, n_jobs=5000)) == serial
+    assert pool_sizes == [3]
 
 
 def test_mode_count_shapes():

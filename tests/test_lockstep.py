@@ -6,6 +6,7 @@ a batch must equal the runs ``_single_run`` makes one by one (rounds,
 welfare bits, final profiles), and a batch that does not qualify, or has
 fewer than ``LOCKSTEP_MIN_RUNS`` runs, must take the scalar path."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -21,7 +22,9 @@ from netalloc.dynamics import (
     DynamicsConfig,
     InvariantViolation,
     RandomFeasible,
+    RandomSeeded,
     init_profile,
+    run_sequential,
 )
 from netalloc.experiment import ExperimentConfig, _single_run, run_batch_experiment
 from netalloc.game import FrequencyProfile, InfeasibleProfileError, check_feasible, left_sum
@@ -558,3 +561,44 @@ def test_a_violation_reads_as_in_the_scalar_engine(monkeypatch):
         run_batch_experiment(doc, config)
     assert str(batch.value) == str(scalar.value)
     assert "exchange test picked mover" in str(batch.value)
+
+
+def lower_first_agreed(alloc, caps):
+    """Lower, in place, the first proposal that is a positive agreed amount
+    (at most its cap) by one quantum."""
+    for k, (a, c) in enumerate(zip(alloc, caps)):
+        if 0 < a <= c:
+            alloc[k] -= 1
+            return
+
+
+@pytest.mark.parametrize("behavior", ["optimistic", "pessimistic"])
+def test_a_slack_rise_reads_as_in_the_scalar_engine(behavior, monkeypatch):
+    # a response that gives one agreed quantum away but reports the true
+    # utility passes the mover's gain check and raises total slack; both
+    # engines must stop run 0 at the same round with the same message
+    spec = gen_torus_grid(3, 3, beta=50.0, eta=1.0, weight_seed=4, utility=SQRT)
+    spec = spec.to_game_spec(behavior_override=behavior)
+    scalar_response, batch_response = dynamics.best_response, lockstep._respond
+
+    def scalar_lossy(spec, profile, i, caps, standing):
+        br = scalar_response(spec, profile, i, caps, standing)
+        alloc = list(br.proposals.values())
+        lower_first_agreed(alloc, caps)
+        return dataclasses.replace(br, proposals=dict(zip(br.proposals, alloc)))
+
+    def batch_lossy(w, caps, budget, optimistic, eta):
+        alloc, terms, realized = batch_response(w, caps, budget, optimistic, eta)
+        for row, cap in zip(alloc, caps):
+            lower_first_agreed(row, cap)
+        return alloc, terms, realized
+
+    monkeypatch.setattr(dynamics, "best_response", scalar_lossy)
+    monkeypatch.setattr(lockstep, "_respond", batch_lossy)
+    with pytest.raises(InvariantViolation) as batch:
+        lockstep.run_batch(spec, DynamicsConfig(), [7, 8, 9])
+    with pytest.raises(InvariantViolation) as scalar:
+        config = DynamicsConfig(order=RandomSeeded(7))
+        run_sequential(spec, init_profile(spec, RandomFeasible(7)), config, "light")
+    assert str(batch.value) == str(scalar.value)
+    assert str(batch.value).startswith("total slack increased at round ")

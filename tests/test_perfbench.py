@@ -3,9 +3,9 @@
 Each workload in ``perfbench/workloads.py`` runs its set-up and one unit at
 the reduced size, and the benchmark's own output check must count no failed
 operation.  Seed 99 has no recorded reference, so only the runs, the optima
-and their equilibrium checks are compared.  The full-size ``mixed_dense``
-and ``torus_large`` units at seed 1000 must reproduce their recorded
-digests.  ``perfbench/`` is imported without writing bytecode into it, and
+and their equilibrium checks are compared.  Every full-size unit at seed
+1000 must reproduce its recorded digest (``c8_paired``'s two 100-run
+batches run in lockstep).  ``perfbench/`` is imported without writing bytecode into it, and
 read only.
 """
 
@@ -56,7 +56,7 @@ def test_workload_runs_and_passes_its_check(bench, name):
     assert notes == [f"no reference outputs recorded for seed {SEED}"]
 
 
-@pytest.mark.parametrize("name", ["mixed_dense", "torus_large"])
+@pytest.mark.parametrize("name", ["c8_paired", "mixed_dense", "torus_large"])
 def test_full_size_unit_reproduces_its_reference_digest(bench, name):
     workloads, worker = bench
     workload = workloads.WORKLOADS[name]

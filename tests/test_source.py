@@ -201,9 +201,9 @@ def test_behavior_list_check_sees_a_list():
 
 # numpy reductions in the lockstep engine that add ints or bools only, each
 # with its reason.  Its float sums that reach a decision or an output are
-# ``lockstep._left_sum``'s column-by-column adds from +0.0 (``left_sum``'s
-# order), or the TwoSum adds of ``_fits``; numpy's own float reductions
-# sum pairwise, in another order.
+# ``game.left_sum``'s adds from 0.0 over an array's first axis, or the TwoSum
+# adds of ``_fits``; numpy's own float reductions sum pairwise, in another
+# order.
 INT_REDUCTIONS = {
     "eff.sum(1)": "capped targets: int amounts",
     "np.where(leave >= hi[:, None], eff, 0).sum(1)": "caps that bind: int amounts",
@@ -243,14 +243,14 @@ def reductions(source: str) -> list[str]:
 
 def test_lockstep_reduces_ints_only():
     found = set(reductions((SRC / "lockstep.py").read_text(encoding="utf-8")))
-    assert found - INT_REDUCTIONS.keys() == set(), "add floats with _left_sum"
+    assert found - INT_REDUCTIONS.keys() == set(), "add floats with game.left_sum"
     assert INT_REDUCTIONS.keys() - found == set(), "stale allowlist entry"
 
 
 def test_reduction_check_sees_a_float_sum():
     source = (SRC / "lockstep.py").read_text(encoding="utf-8")
     injected = source.replace(
-        "return alloc, terms, _left_sum(terms[0])", "return alloc, terms, terms[0].sum(1)"
+        "return alloc, terms, left_sum(terms[0].T)", "return alloc, terms, terms[0].sum(1)"
     )
     assert injected != source
     assert set(reductions(injected)) - INT_REDUCTIONS.keys() == {"terms[0].sum(1)"}
