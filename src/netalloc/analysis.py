@@ -206,7 +206,8 @@ def continuous_equilibrium_polish(
             )
         else:
             br = best_response(spec, current, i)
-            current = current.with_proposals(i, br.proposals)
+            row = dict(zip(spec.neighbors[i], br.proposals))
+            current = current.with_proposals(i, row)
             moves += 1
             idle = 0
         i = (i + 1) % spec.n

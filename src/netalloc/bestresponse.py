@@ -75,17 +75,17 @@ BRUTE_FORCE_LIMIT = 10_000_000
 class BRResult:
     """Outcome of one best-response computation.
 
-    ``proposals`` are per-neighbor amounts in eta units (ints when the
-    player's caps are, see :func:`best_response`).  ``realized_utility`` is
-    computed from the agreed amounts min(f_j, cap_j), not from the raw
-    proposals.  ``terms`` holds three lists in neighbor order, the
+    ``proposals`` is the player's row: its amounts in eta units in neighbor
+    order (ints when the player's caps are, see :func:`best_response`).
+    ``realized_utility`` is computed from the agreed amounts min(f_j,
+    cap_j), not from the raw proposals.  ``terms`` holds three lists in neighbor order, the
     :func:`edge_terms` utilities, gains and losses at the agreed amounts
     with room up to the caps, of a grid response of a player with
     neighbors and a positive budget; it is None otherwise.  On the grid
     ``realized_utility`` is the ``left_sum`` of the utilities.
     """
 
-    proposals: dict[PlayerId, float]
+    proposals: list[float]
     realized_utility: float
     terms: tuple[list[float], list[float], list[float]] | None = None
 
@@ -378,14 +378,14 @@ def best_response(
         caps = [profile.counts[(j, i)] for j in nbrs]
     grid = standing is not None or all(isinstance(c, int) for c in caps)
     if not nbrs:
-        return BRResult(proposals={}, realized_utility=0.0)
+        return BRResult(proposals=[], realized_utility=0.0)
 
     eta = spec.eta
     deg = len(nbrs)
 
     if budget <= 0:
         zero = 0 if grid else 0.0
-        return BRResult(proposals={j: zero for j in nbrs}, realized_utility=0.0)
+        return BRResult(proposals=[zero] * deg, realized_utility=0.0)
 
     _, targets = _water_fill(weights, utils, zero_marginals, caps, budget, eta)
     terms = None
@@ -442,11 +442,7 @@ def best_response(
             agreed = alloc[k] if alloc[k] < caps[k] else caps[k]
             realized_utility += weights[k] * utils[k].value(agreed * eta)
 
-    return BRResult(
-        proposals={j: alloc[k] for k, j in enumerate(nbrs)},
-        realized_utility=realized_utility,
-        terms=terms,
-    )
+    return BRResult(alloc, realized_utility, terms)
 
 
 def is_best_response(
@@ -469,18 +465,19 @@ def is_best_response(
 
 def brute_force_best_response(
     spec: GameSpec, profile: FrequencyProfile, i: PlayerId
-) -> tuple[dict[PlayerId, int], float]:
+) -> tuple[list[int], float]:
     """Exhaustive grid oracle for the best response (small instances only).
 
     Enumerates every allocation of at most the budget over the neighbors in
     lexicographic order and keeps the first maximizer, so ties resolve to the
-    lexicographically smallest allocation.
+    lexicographically smallest allocation; returns it as a row in neighbor
+    order, with its utility.
     """
     row = spec.index.rows[i]
     nbrs, weights, utils, budget = row.neighbors, row.weights, row.utils, row.budget
     deg = len(nbrs)
     if deg == 0:
-        return {}, 0.0
+        return [], 0.0
     size = math.comb(budget + deg, deg)
     if size > BRUTE_FORCE_LIMIT:
         raise ValueError(
@@ -513,4 +510,4 @@ def brute_force_best_response(
 
     recurse(0, budget, 0.0)
     assert best_alloc is not None
-    return {j: best_alloc[k] for k, j in enumerate(nbrs)}, best_util
+    return best_alloc, best_util

@@ -177,7 +177,9 @@ def _load_valid_instance(path: str) -> InstanceDocument | None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    order = RoundRobin() if args.order == "rr" else RandomSeeded(args.seed)
+    if args.mode == "sim" and args.order:
+        return _invalid("--order applies to --mode seq only (everyone moves)")
+    order = RandomSeeded(args.seed) if args.order == "random" else RoundRobin()
     try:
         cfg = DynamicsConfig(order=order, max_rounds=args.max_rounds, tol=args.tol)
     except ValueError as exc:
@@ -199,8 +201,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         policy = Given(suggested) if suggested is not None else Zero()
     start = init_profile(spec, policy)
 
-    runner = run_sequential if args.mode == "seq" else run_simultaneous
-    final, trace, status = runner(spec, start, cfg)
+    if args.mode == "sim":
+        final, trace, status = run_simultaneous(spec, start, cfg)
+    else:  # only a written trace needs every move
+        detail = "full" if args.trace_out else "light"
+        final, trace, status = run_sequential(spec, start, cfg, detail)
 
     if args.trace_out:
         write_trace_jsonl(
@@ -354,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--mode", choices=["seq", "sim"], default="seq")
-    sim.add_argument("--order", choices=["rr", "random"], default="rr")
+    sim.add_argument("--order", choices=["rr", "random"])
     sim.add_argument("--max-rounds", type=int, default=1_000_000)
     sim.add_argument("--tol", type=float, default=1e-9)
     sim.add_argument("--behavior", choices=BEHAVIORS)

@@ -25,6 +25,7 @@ import random
 from bisect import bisect_left, insort
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .bestresponse import (
     BRResult,
@@ -171,9 +172,9 @@ TerminationStatus = Converged | CycleDetected | MaxRoundsExceeded
 class RoundRecord:
     """What round t did (t=0 is the initial profile).
 
-    ``changes`` holds the proposals the round set, keyed by directed edge:
-    the mover's new row in a sequential round, the new profile's counts in a
-    simultaneous one; it is None in record 0 and in light traces.
+    ``changes`` holds the proposals the round set, keyed by the spec's own
+    tuples: the mover's new row in a sequential round, the new profile's
+    counts in a simultaneous one; it is None in record 0 and in light traces.
     :meth:`Trace.profiles` replays the profiles from it.
 
     The stable players are those with an empty win set; on a slack-stable
@@ -484,11 +485,9 @@ class _SeqState:
         wins = self.win_count
         base = off[mover]
         nbrs = self.rows[mover].neighbors
-        changed = []
-        joined = []
-        left = []
+        changed, joined, left = [], [], []
         # in row order, so x is the id of the edge to neighbor x - base
-        for x, new in enumerate(br.proposals.values(), base):
+        for x, new in enumerate(br.proposals, base):
             old = f[x]
             if new == old:
                 continue
@@ -568,6 +567,7 @@ def run_sequential(
     full = trace_detail == "full"
     state = _SeqState(spec, flat, config.tol)
     movers = state.movers
+    edges, off = spec.directed_edges, state.off
     trace = Trace(spec, init if full else None)
     records = trace.records
 
@@ -601,9 +601,9 @@ def run_sequential(
             first_loss = None
         elif left and first_loss is None:
             first_loss = (t, left)
-        changes = (
-            {(mover, j): c for j, c in br.proposals.items()} if full else None
-        )
+        changes = None
+        if full:  # keyed by the spec's own tuples, so a round makes none
+            changes = dict(zip(edges[off[mover] : off[mover + 1]], br.proposals))
         records.append(RoundRecord(t, mover, changes, slack, joined, left))
 
     if movers:
@@ -629,8 +629,8 @@ def run_simultaneous(
     Converges only at exact fixed points of the joint update; any revisit of
     an earlier integer profile is reported as a cycle (start, period).
     It reads ``config.max_rounds`` only: everyone moves and is solved in
-    full, so ``order`` and ``tol`` go unused (``simulate --mode sim`` uses
-    ``--tol`` only to classify the final profile).
+    full (``simulate --mode sim`` refuses ``--order``, and its ``--tol``
+    only classifies the final profile).
     """
     check_feasible(spec, init)
     profile = FrequencyProfile(init.counts)
@@ -639,12 +639,9 @@ def run_simultaneous(
     seen: dict[tuple, int] = {}
     for t in range(config.max_rounds + 1):
         if t:
+            rows = [best_response(spec, profile, i).proposals for i in range(spec.n)]
             new_profile = FrequencyProfile(
-                {
-                    (i, j): c
-                    for i in range(spec.n)
-                    for j, c in best_response(spec, profile, i).proposals.items()
-                }
+                dict(zip(spec.directed_edges, chain.from_iterable(rows)))
             )
             if new_profile == profile:
                 return profile, trace, Converged(t - 1)

@@ -41,8 +41,8 @@ def _water_fill(weights, utils, caps, budget, eta):
 
 def _realized_utility(spec, i, proposals, caps_profile):
     total = 0.0
-    for j in spec.neighbors[i]:
-        agreed = min(proposals[j], caps_profile.counts[(j, i)])
+    for j, c in zip(spec.neighbors[i], proposals):
+        agreed = min(c, caps_profile.counts[(j, i)])
         total += spec.weights[(i, j)] * spec.utilities[(i, j)].value(
             agreed * spec.eta
         )
@@ -52,7 +52,8 @@ def _realized_utility(spec, i, proposals, caps_profile):
 def _slack_after(spec, i, proposals, caps_profile):
     """The budget (eta units) that the response leaves unrealized."""
     return spec.budget_units(i) - sum(
-        min(proposals[j], caps_profile.counts[(j, i)]) for j in spec.neighbors[i]
+        min(c, caps_profile.counts[(j, i)])
+        for j, c in zip(spec.neighbors[i], proposals)
     )
 
 
@@ -65,7 +66,7 @@ def test_k5_best_response_matches_incoming_weights():
     start = doc.init_profile()
     br = best_response(spec, start, 0)
     # each neighbor's cap binds exactly: propose what they proposed to you
-    assert br.proposals == {1: 4, 2: 4, 3: 6, 4: 6}
+    assert br.proposals == [4, 4, 6, 6]
     assert _slack_after(spec, 0, br.proposals, start) == 0
     nbrs = spec.neighbors[0]
     delta, _ = _water_fill(
@@ -87,7 +88,7 @@ def test_k5_best_response_with_open_caps_recovers_own_weights():
         counts[(j, 0)] = 10
     profile = FrequencyProfile(counts)
     br = best_response(spec, profile, 0)
-    assert br.proposals == {1: 6, 2: 6, 3: 4, 4: 4}
+    assert br.proposals == [6, 6, 4, 4]
 
 
 def test_single_neighbor_pessimistic_vs_optimistic():
@@ -100,10 +101,10 @@ def test_single_neighbor_pessimistic_vs_optimistic():
         return br, _slack_after(spec, 0, br.proposals, profile)
 
     pess, pess_slack = response(PESS)
-    assert pess.proposals == {1: 3}
+    assert pess.proposals == [3]
     assert pess_slack == 2
     opt, opt_slack = response(OPT)
-    assert opt.proposals == {1: 5}
+    assert opt.proposals == [5]
     assert opt_slack == 2  # realized interaction still 3
     assert opt.realized_utility == pess.realized_utility
 
@@ -121,8 +122,8 @@ def test_optimistic_disposal_splits_the_remainder_in_neighbor_order():
     )
     profile = profile_of(spec, {j: {0: 1} for j in (1, 2, 3)})
     br = best_response(spec, profile, 0)
-    assert br.proposals == {1: 3, 2: 3, 3: 2}
-    assert all(type(c) is int for c in br.proposals.values())
+    assert br.proposals == [3, 3, 2]
+    assert all(type(c) is int for c in br.proposals)
     assert _slack_after(spec, 0, br.proposals, profile) == 5
 
 
@@ -135,13 +136,13 @@ def test_grid_mode_follows_the_players_own_caps():
     # profile (here player 0's own row) holds floats
     mixed = FrequencyProfile({(0, 1): 2.5, (0, 2): 2.5, (1, 0): 5, (2, 0): 5})
     grid = best_response(spec, mixed, 0)
-    assert [type(c) for c in grid.proposals.values()] == [int, int]
-    assert sum(grid.proposals.values()) == 5
+    assert [type(c) for c in grid.proposals] == [int, int]
+    assert sum(grid.proposals) == 5
     floats = FrequencyProfile({e: float(c) for e, c in mixed.counts.items()})
     cont = best_response(spec, floats, 0)
-    assert [type(c) for c in cont.proposals.values()] == [float, float]
+    assert [type(c) for c in cont.proposals] == [float, float]
     # sqrt water-filling splits the budget in proportion to squared weights
-    assert cont.proposals[1] == pytest.approx(5 * 0.09 / 0.58)
+    assert cont.proposals[0] == pytest.approx(5 * 0.09 / 0.58)
 
 
 def test_grid_best_responses_are_int_typed():
@@ -151,7 +152,7 @@ def test_grid_best_responses_are_int_typed():
         profile = init_profile(spec, RandomFeasible(seed))
         for i in range(spec.n):
             br = best_response(spec, profile, i)
-            assert all(type(c) is int for c in br.proposals.values())
+            assert all(type(c) is int for c in br.proposals)
 
 
 def test_no_neighbors_and_zero_budget():
@@ -159,12 +160,12 @@ def test_no_neighbors_and_zero_budget():
     spec = make_spec(2, 1.0, [(0, 1, 1.0, 1.0, u, u)], [0.0, 4.0])
     profile = FrequencyProfile.zeros(spec)
     br = best_response(spec, profile, 0)
-    assert br.proposals == {1: 0}
+    assert br.proposals == [0]
     assert br.realized_utility == 0.0
     lonely = make_spec(1, 1.0, [], [5.0])
     lonely_profile = FrequencyProfile.zeros(lonely)
     br2 = best_response(lonely, lonely_profile, 0)
-    assert br2.proposals == {}
+    assert br2.proposals == []
     assert _slack_after(lonely, 0, br2.proposals, lonely_profile) == 5
 
 
@@ -261,7 +262,7 @@ def test_grid_best_response_matches_exhaustive_oracle(hood):
     br = best_response(spec, profile, 0)
     _, oracle = brute_force_best_response(spec, profile, 0)
     assert abs(oracle - br.realized_utility) <= 1e-9 * max(1.0, oracle)
-    assert sum(br.proposals.values()) <= hood[3]
+    assert sum(br.proposals) <= hood[3]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -306,7 +307,7 @@ def test_water_level_on_a_linear_jump(monkeypatch):
         [w_sqrt, w_lin], [UtilitySpec.sqrt(), UtilitySpec.linear()], [200, 80], 100, eta
     )
     br = best_response(spec, profile, 0)
-    assert sum(br.proposals.values()) <= 100
+    assert sum(br.proposals) <= 100
     assert br.realized_utility == pytest.approx(
         brute_force_best_response(spec, profile, 0)[1], abs=1e-12
     )
@@ -333,7 +334,7 @@ def test_linear_jump_leaves_more_spare_quanta_than_the_exchange_bound(monkeypatc
     monkeypatch.setattr(bestresponse, "best_move", counted)
     spec, profile = _one_player_spec([0.5, 0.5], [s, lin], caps, 200_000, 1.0)
     br = best_response(spec, profile, 0)
-    assert br.proposals == {1: 1, 2: 199_999}
+    assert br.proposals == [1, 199_999]
 
 
 def test_water_level_with_a_subnormal_power_demand():
@@ -384,7 +385,7 @@ def test_response_with_the_largest_budget_spends_it():
         [0.5, 0.5], [s, lin], [budget, budget], budget, 1.0
     )
     br = best_response(spec, profile, 0)
-    assert br.proposals == {1: 1, 2: budget - 1}
+    assert br.proposals == [1, budget - 1]
 
 
 def test_fine_grid_response_reaches_the_continuous_optimum():
@@ -398,7 +399,7 @@ def test_fine_grid_response_reaches_the_continuous_optimum():
         [0.2, 0.5, 0.3], [lin, lin, s], [budget] * 3, budget, eta
     )
     br = best_response(spec, profile, 0)
-    assert sum(br.proposals.values()) == budget
+    assert sum(br.proposals) == budget
     assert br.realized_utility == pytest.approx(0.545, abs=1e-9)
 
 
@@ -436,9 +437,8 @@ def test_large_budget_responses_finish_within_budget(hood):
 
     with mock.patch.object(bestresponse, "best_move", counted):
         br = best_response(spec, profile, 0)
-    proposals = list(br.proposals.values())
-    assert all(type(a) is int and a >= 0 for a in proposals)
-    assert sum(proposals) <= hood[3]
+    assert all(type(a) is int and a >= 0 for a in br.proposals)
+    assert sum(br.proposals) <= hood[3]
     assert math.isfinite(br.realized_utility)
 
 
@@ -491,19 +491,19 @@ def test_best_move_matches_enumeration(terms):
 def _assert_no_single_quantum_improvement(spec, profile, i, br):
     """Exchange argument: a grid optimum admits no improving one-quantum
     move (add one where budget allows, or shift one between neighbors)."""
-    nbrs = spec.neighbors[i]
+    deg = spec.degree(i)
     base = _realized_utility(spec, i, br.proposals, profile)
     budget = spec.budget_units(i)
-    used = sum(br.proposals.values())
-    for j in nbrs:
+    used = sum(br.proposals)
+    for j in range(deg):
         if used + 1 <= budget:
-            bumped = dict(br.proposals)
+            bumped = list(br.proposals)
             bumped[j] += 1
             assert _realized_utility(spec, i, bumped, profile) <= base + 1e-12
-        for k in nbrs:
+        for k in range(deg):
             if k == j or br.proposals[j] == 0:
                 continue
-            shifted = dict(br.proposals)
+            shifted = list(br.proposals)
             shifted[j] -= 1
             shifted[k] += 1
             assert _realized_utility(spec, i, shifted, profile) <= base + 1e-12
@@ -558,8 +558,8 @@ def test_br_feasible_and_never_harms():
         profile = init_profile(spec, RandomFeasible(7 * seed))
         for i in range(spec.n):
             br = best_response(spec, profile, i)
-            assert sum(br.proposals.values()) <= spec.budget_units(i)
-            assert all(c >= 0 for c in br.proposals.values())
+            assert sum(br.proposals) <= spec.budget_units(i)
+            assert all(c >= 0 for c in br.proposals)
             assert br.realized_utility >= player_utility(spec, profile, i) - 1e-12
 
 
@@ -578,7 +578,8 @@ def test_br_never_leaves_spare_budget_with_open_win():
         profile = init_profile(spec, RandomFeasible(seed + 99))
         for i in range(spec.n):
             br = best_response(spec, profile, i)
-            moved = profile.with_proposals(i, br.proposals)
+            row = dict(zip(spec.neighbors[i], br.proposals))
+            moved = profile.with_proposals(i, row)
             s = outcome_summary(spec, moved)
             assert not (s.slack[i] >= 1 and s.win[i])
 
@@ -590,11 +591,12 @@ def test_pessimistic_matched_exactly_when_no_wins_remain():
         profile = init_profile(spec, RandomFeasible(seed))
         for i in range(spec.n):
             br = best_response(spec, profile, i)
-            moved = profile.with_proposals(i, br.proposals)
+            row = dict(zip(spec.neighbors[i], br.proposals))
+            moved = profile.with_proposals(i, row)
             s = outcome_summary(spec, moved)
             if s.slack[i] >= 1:
-                for j in spec.neighbors[i]:
-                    assert br.proposals[j] == profile.counts[(j, i)]
+                for j, c in row.items():
+                    assert c == profile.counts[(j, i)]
 
 
 # -- is_best_response ---------------------------------------------------------------
@@ -632,7 +634,7 @@ def test_brute_force_single_neighbor():
     spec = single_edge_spec(UtilitySpec.sqrt(), eta=1.0, budgets=(5.0, 9.0))
     profile = profile_of(spec, {1: {0: 3}})
     alloc, util = brute_force_best_response(spec, profile, 0)
-    assert alloc == {1: 3}  # lexicographic smallest among ties
+    assert alloc == [3]  # lexicographic smallest among ties
     assert util == pytest.approx(math.sqrt(3.0))
 
 
@@ -643,7 +645,7 @@ def test_brute_force_k5_open_caps():
     for j in range(1, 5):
         counts[(j, 0)] = 10
     alloc, _ = brute_force_best_response(spec, FrequencyProfile(counts), 0)
-    assert alloc == {1: 6, 2: 6, 3: 4, 4: 4}
+    assert alloc == [6, 6, 4, 4]
 
 
 def test_brute_force_refuses_large_instances():

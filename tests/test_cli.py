@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from netalloc import verify
 from netalloc.cli import _utility_from_name, main
 from netalloc.dynamics import (
     Converged,
@@ -75,6 +76,7 @@ def _run_on(command, inst, tmp_path, *options):
             ["gen", "torus", "--utility", "linear", "--utility-param", "1"],
             "--utility linear takes no --utility-param",
         ),
+        (["simulate", "--mode", "sim", "--order", "rr"], "--order applies to --mode seq"),
     ],
 )
 def test_bad_parameter_exit_code(tmp_path, capsys, args, message):
@@ -200,6 +202,28 @@ def test_simulate_sequential_converges(tmp_path, capsys):
     code = main(["simulate", "--instance", str(inst), "--mode", "seq"])
     assert code == 0
     assert "converged at round 6" in capsys.readouterr().out
+
+
+def test_simulate_prints_the_same_with_or_without_a_trace(tmp_path, capsys, monkeypatch):
+    # only a run that writes its trace records every move
+    import netalloc.cli as cli_mod
+
+    inst = tmp_path / "t.json"
+    main(["gen", "torus", "--width", "6", "--height", "6", "--seed", "7",
+          "--out", str(inst)])
+    details = []
+    run = cli_mod.run_sequential
+    monkeypatch.setattr(
+        cli_mod, "run_sequential", lambda *args: details.append(args[3]) or run(*args)
+    )
+    args = ["simulate", "--instance", str(inst), "--init", "random", "--seed", "3",
+            "--order", "random"]
+    capsys.readouterr()
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main([*args, "--trace-out", str(tmp_path / "trace.jsonl")]) == 0
+    assert capsys.readouterr().out == plain
+    assert details == ["light", "full"]
 
 
 def test_simulate_classifies_at_its_own_tolerance(tmp_path, capsys):
@@ -524,7 +548,12 @@ def test_gen_poa_grid_embeds_reference_profiles(tmp_path):
     assert set(doc.reference_profiles) == {"good", "bad"}
 
 
-def test_verify_command(capsys):
+def test_verify_command(monkeypatch, capsys):
+    # tests/test_acceptance.py runs criteria 2-8: here stand-ins keep their
+    # names and order, and k5-cycle stays real for its period=2 detail
+    first, *rest = verify.CRITERIA
+    stand_ins = [(name, lambda name=name: f"{name} stand-in") for name, _ in rest]
+    monkeypatch.setattr(verify, "CRITERIA", (first, *stand_ins))
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     passed = [

@@ -882,6 +882,19 @@ def test_sequential_deterministic_repeat():
     assert [r.total_slack for r in t1.records] == [r.total_slack for r in t2.records]
 
 
+def test_full_trace_changes_are_keyed_by_the_specs_own_tuples():
+    # a round's changes zip the mover's row with its slice of
+    # directed_edges, so every key is the spec's tuple object itself
+    spec = gen_random_instance(n=12, edge_prob=0.4, seed=5, budget_units=30).to_game_spec()
+    init = init_profile(spec, RandomFeasible(5))
+    _, trace, _ = run_sequential(spec, init, DynamicsConfig(order=RandomSeeded(5)))
+    own = {e: e for e in spec.directed_edges}
+    assert len(trace.records) > 10
+    for rec in trace.records[1:]:
+        assert list(rec.changes) == [(rec.mover, j) for j in spec.neighbors[rec.mover]]
+        assert all(e is own[e] for e in rec.changes)
+
+
 # -- simultaneous -----------------------------------------------------------------
 
 
@@ -899,6 +912,17 @@ def test_k5_simultaneous_cycle():
     profiles = list(trace.profiles())
     assert profiles[1] == transposed
     assert profiles[2] == start
+
+
+def test_k5_cycle_from_a_start_in_another_key_order():
+    # the start's dict is not in directed_edges order, so its key is read
+    # edge by edge; the revisit of round 0 is still found
+    doc = gen_k5_cycle_instance(0.05)
+    spec = doc.to_game_spec()
+    start = FrequencyProfile(dict(reversed(doc.init_profile().counts.items())))
+    assert tuple(start.counts) != spec.directed_edges
+    _, _, status = run_simultaneous(spec, start, DynamicsConfig(max_rounds=100))
+    assert status == CycleDetected(start=0, period=2)
 
 
 def test_simultaneous_fixed_point_at_matched_profile():
@@ -1179,8 +1203,8 @@ def _assert_terms_at_agreed(spec, profile, i, br):
     row = spec.index.rows[i]
     caps = [profile.counts[(j, i)] for j in row.neighbors]
     expected = [
-        edge_terms(w, u.value, min(br.proposals[j], c), c, spec.eta)
-        for j, w, u, c in zip(row.neighbors, row.weights, row.utils, caps)
+        edge_terms(w, u.value, min(a, c), c, spec.eta)
+        for a, w, u, c in zip(br.proposals, row.weights, row.utils, caps)
     ]
     hexed = [tuple(v.hex() for v in t) for t in zip(*br.terms)]
     assert hexed == [tuple(v.hex() for v in t) for t in expected]
@@ -1202,7 +1226,7 @@ def test_best_response_terms_after_cap_matching_and_disposal():
     # the optimist then disposes of the rest above both caps
     sq = UtilitySpec.sqrt()
     edges = [(0, 1, 1.0, 1.0, sq, sq), (0, 2, 0.0, 1.0, sq, sq)]
-    for behavior, proposals in ((PESS, {1: 2, 2: 3}), (OPT, {1: 5, 2: 5})):
+    for behavior, proposals in ((PESS, [2, 3]), (OPT, [5, 5])):
         spec = make_spec(3, 1.0, edges, [10.0, 5.0, 5.0], {0: behavior, 1: PESS, 2: PESS})
         profile = profile_of(spec, {0: {1: 0, 2: 0}, 1: {0: 2}, 2: {0: 3}})
         br = best_response(spec, profile, 0)

@@ -17,6 +17,7 @@ from netalloc.game import (
     validate_game,
 )
 from netalloc.dynamics import RandomFeasible, init_profile
+from netalloc.experiment import profile_hash
 from netalloc.instances import gen_k5_cycle_instance, gen_random_instance
 from netalloc.utility import UtilitySpec
 
@@ -282,6 +283,16 @@ def test_profile_key_and_wrap():
     assert all(isinstance(c, int) for c in p.counts.values())
     q = FrequencyProfile({(0, 1): 2.0, (1, 0): 3.0})
     assert not all(isinstance(c, int) for c in q.counts.values())
+
+
+def test_profile_key_reads_a_dict_in_another_order():
+    # a dict not in directed_edges order takes the per-edge lookup path
+    spec = gen_random_instance(n=7, edge_prob=0.5, seed=42, budget_units=9).to_game_spec()
+    ordered = init_profile(spec, RandomFeasible(3))
+    shuffled = FrequencyProfile(dict(reversed(ordered.counts.items())))
+    assert tuple(shuffled.counts) != spec.directed_edges
+    assert shuffled.key(spec) == ordered.key(spec)
+    assert profile_hash(spec, shuffled) == profile_hash(spec, ordered)
 
 
 def test_behavior_enum_round_trip():

@@ -6,7 +6,6 @@ a batch must equal the runs ``_single_run`` makes one by one (rounds,
 welfare bits, final profiles), and a batch that does not qualify, or has
 fewer than ``LOCKSTEP_MIN_RUNS`` runs, must take the scalar path."""
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -92,7 +91,7 @@ def oracle_rows(spec, rows, rng):
         alloc, terms, realized = lockstep._respond(w, caps, budget, optimistic, spec.eta)
     for k, (i, cap) in enumerate(rows):
         br = best_response(spec, None, i, cap, standings[k])
-        assert alloc[k].tolist() == list(br.proposals.values()), (i, cap)
+        assert alloc[k].tolist() == br.proposals, (i, cap)
         assert repr(float(realized[k])) == repr(br.realized_utility), (i, cap)
         for m in range(3):
             assert list(map(repr, terms[m, k].tolist())) == list(map(repr, br.terms[m]))
@@ -583,9 +582,8 @@ def test_a_slack_rise_reads_as_in_the_scalar_engine(behavior, monkeypatch):
 
     def scalar_lossy(spec, profile, i, caps, standing):
         br = scalar_response(spec, profile, i, caps, standing)
-        alloc = list(br.proposals.values())
-        lower_first_agreed(alloc, caps)
-        return dataclasses.replace(br, proposals=dict(zip(br.proposals, alloc)))
+        lower_first_agreed(br.proposals, caps)
+        return br
 
     def batch_lossy(w, caps, budget, optimistic, eta):
         alloc, terms, realized = batch_response(w, caps, budget, optimistic, eta)
@@ -602,3 +600,57 @@ def test_a_slack_rise_reads_as_in_the_scalar_engine(behavior, monkeypatch):
         run_sequential(spec, init_profile(spec, RandomFeasible(7)), config, "light")
     assert str(batch.value) == str(scalar.value)
     assert str(batch.value).startswith("total slack increased at round ")
+
+
+def raise_first_matched(alloc, caps):
+    """Raise, in place, the first proposal equal to its cap by one quantum,
+    above the budget: no agreed amount or slack changes, and that neighbor
+    starts to win."""
+    for k, (a, c) in enumerate(zip(alloc, caps)):
+        if a == c:
+            alloc[k] += 1
+            return
+
+
+@pytest.mark.parametrize("behavior, seed, at", [("optimistic", 22, 13), ("pessimistic", 11, 7)])
+def test_a_stable_set_loss_reads_as_in_the_scalar_engine(behavior, seed, at, monkeypatch):
+    # run 0's response at round `at` bids one quantum over its budget to a
+    # matched neighbor, which leaves the stable set in a round that keeps
+    # total slack, on the final slack-stable suffix; both engines must
+    # report it with the same text.  A quantum taken from an over-proposed
+    # edge cannot do this: a response over-proposes only with budget left
+    # after matching every cap, so its own round lowers total slack
+    spec = gen_torus_grid(3, 3, beta=50.0, eta=1.0, weight_seed=4, utility=SQRT)
+    spec = spec.to_game_spec(behavior_override=behavior)
+    apply_move, below, batch_response = dynamics._SeqState.apply_move, lockstep._below, lockstep._respond
+    moves, steps, injected = [], [], []
+
+    def scalar_over(state, mover, br):
+        moves.append(mover)
+        if len(moves) == at:
+            lo, hi = state.off[mover], state.off[mover + 1]
+            raise_first_matched(br.proposals, [state.f[x] for x in state.rev[lo:hi]])
+        return apply_move(state, mover, br)
+
+    def counted_below(bits, counts):
+        steps.append(counts)
+        return below(bits, counts)
+
+    def batch_over(w, caps, budget, optimistic, eta):
+        alloc, terms, realized = batch_response(w, caps, budget, optimistic, eta)
+        if len(steps) == at and not injected:  # the step's movers, run 0 first
+            injected.append(len(steps[-1]))
+            raise_first_matched(alloc[0], caps[0])
+        return alloc, terms, realized
+
+    monkeypatch.setattr(dynamics._SeqState, "apply_move", scalar_over)
+    monkeypatch.setattr(lockstep, "_below", counted_below)
+    monkeypatch.setattr(lockstep, "_respond", batch_over)
+    with pytest.raises(InvariantViolation) as batch:
+        lockstep.run_batch(spec, DynamicsConfig(), [seed, seed + 1, seed + 2])
+    assert injected == [3]  # every run was still live
+    with pytest.raises(InvariantViolation) as scalar:
+        config = DynamicsConfig(order=RandomSeeded(seed))
+        run_sequential(spec, init_profile(spec, RandomFeasible(seed)), config, "light")
+    assert str(batch.value) == str(scalar.value)
+    assert str(batch.value).startswith("stable set shrank on the slack-stable suffix at round ")

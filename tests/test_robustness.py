@@ -80,7 +80,7 @@ def test_optimistic_disposal_covers_zero_weight_neighbors():
     # the player gets nothing from (matching the hopeful-reciprocation rule)
     spec = _zero_weight_spec()
     br = best_response(spec, FrequencyProfile.zeros(spec), 1)
-    assert br.proposals == {0: 3, 2: 3}
+    assert br.proposals == [3, 3]
     assert br.realized_utility == 0.0
 
 
