@@ -234,8 +234,8 @@ class SymmetricProfile:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """``max_iters`` caps the price sweeps; ``gap_tol`` is the relative
-    duality gap at which an optimum counts as certified."""
+    """``max_iters`` caps the price updates (Newton steps or sweeps);
+    ``gap_tol`` is the relative duality gap that certifies an optimum."""
 
     max_iters: int = 4000
     gap_tol: float = 1e-9
@@ -248,9 +248,9 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class OptimumResult:
     """A feasible matched profile, its welfare, and an upper bound on the
-    optimum (never below the welfare); ``iterations`` counts price sweeps.
-    ``certified`` holds exactly when upper_bound - welfare <= gap_tol *
-    max(1, welfare)."""
+    optimum (never below the welfare); ``iterations`` counts price updates
+    (Newton steps or sweeps).  ``certified`` holds exactly when
+    upper_bound - welfare <= gap_tol * max(1, welfare)."""
 
     profile: SymmetricProfile
     welfare: float
@@ -361,7 +361,7 @@ class _Edges:
             if fam == LINEAR:
                 d1 += c
             elif fam == SQRT:
-                t = c * 0.5 * xs**-0.5
+                t = c * 0.5 / np.sqrt(xs)
                 d1 += t
                 if second:
                     d2 -= 0.5 * t / xs
@@ -433,23 +433,13 @@ def _colour_classes(spec: GameSpec) -> list[list[int]]:
     return classes
 
 
-class _PriceClass:
-    """One colour class: players that share no edge, so their prices settle
-    independently and at once.  Holds the class's edges, ordered by kind."""
+class _Demand:
+    """The demand of the objective's edges at ``index``, sorted by kind
+    (by ``order``): a slice per closed-form family, then the solved ones."""
 
-    def __init__(self, nodes, objective: _Edges, ends, budgets):
-        nodes = np.asarray(nodes)
-        local = np.full(len(budgets), -1)
-        local[nodes] = np.arange(len(nodes))
-        at_i = np.flatnonzero(local[ends[0]] >= 0)
-        at_j = np.flatnonzero(local[ends[1]] >= 0)
-        index = np.concatenate([at_i, at_j])
-        order = np.argsort(objective.kind[index], kind="stable")
-        self.index = index[order]
-        self.own = local[np.concatenate([ends[0][at_i], ends[1][at_j]])[order]]
-        self.other = np.concatenate([ends[1][at_i], ends[0][at_j]])[order]
-        self.nodes = nodes
-        self.budget = budgets[nodes]
+    def __init__(self, objective: _Edges, index):
+        self.order = np.argsort(objective.kind[index], kind="stable")
+        self.index = index[self.order]
         self.edges = edges = objective.take(self.index)
         kinds = edges.kind
         bounds = np.searchsorted(kinds, range(SOLVED + 1))
@@ -463,16 +453,6 @@ class _PriceClass:
         start = bounds[SOLVED]
         self.solved = slice(start, len(kinds)) if start < len(kinds) else None
         self.solved_edges = edges.take(self.solved) if self.solved else None
-        # price ceiling: above it every edge of the player wants at most
-        # budget/degree, so the player's demand fits its budget
-        degree = np.bincount(self.own, minlength=len(nodes))
-        share = (self.budget / np.maximum(degree, 1))[self.own]
-        box = edges.box
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = edges.slopes(np.minimum(share, box), second=False)[0]
-            need = np.where(box > share, slope + edges.rho * (box - share), 0.0)
-        self.ceiling = np.zeros(len(nodes))
-        np.maximum.at(self.ceiling, self.own, need)
 
     def demand(self, p, x_warm, center):
         """Each edge's demand at price p, and its derivative in p: the x in
@@ -483,7 +463,7 @@ class _PriceClass:
         for fam, sl, w, par, scale, box in self.closed:
             ps = p[sl]
             if fam == SQRT:
-                xi = (ps / scale) ** -2.0
+                xi = (scale / ps) ** 2  # a square, not pow: its bits do not depend on SIMD
                 slope = -2.0 * xi / ps
             elif fam == LOG1P:
                 xi = w / ps - 1.0
@@ -500,8 +480,35 @@ class _PriceClass:
         if self.solved:
             sl = self.solved
             parts.append(self.solved_edges.newton(p[sl], x_warm[sl], center[sl]))
-        # the parts are the class's edge slices in order
+        # the parts are the edge slices in order
         return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+class _PriceClass(_Demand):
+    """One colour class: players that share no edge, so their prices settle
+    independently and at once.  Holds the class's edges, ordered by kind."""
+
+    def __init__(self, nodes, objective: _Edges, ends, budgets):
+        nodes = np.asarray(nodes)
+        local = np.full(len(budgets), -1)
+        local[nodes] = np.arange(len(nodes))
+        side, index = np.nonzero(local[ends] >= 0)  # the end the class holds
+        super().__init__(objective, index)
+        side = side[self.order]
+        self.own = local[ends[side, self.index]]
+        self.other = ends[1 - side, self.index]
+        self.nodes = nodes
+        self.budget = budgets[nodes]
+        # price ceiling: above it every edge of the player wants at most
+        # budget/degree, so the player's demand fits its budget
+        degree = np.bincount(self.own, minlength=len(nodes))
+        share = (self.budget / np.maximum(degree, 1))[self.own]
+        edges, box = self.edges, self.edges.box
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = edges.slopes(np.minimum(share, box), second=False)[0]
+            need = np.where(box > share, slope + edges.rho * (box - share), 0.0)
+        self.ceiling = np.zeros(len(nodes))
+        np.maximum.at(self.ceiling, self.own, need)
 
     def settle(self, lam, x, center) -> None:
         """Price each player so that its edges' demand meets its budget, or
@@ -551,6 +558,64 @@ class _PriceClass:
         x[self.index] = xe
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v rounded once (``math.fsum``): its bits depend on no BLAS kernel."""
+    return math.fsum((u * v).tolist())
+
+
+class _Dual(_Demand):
+    """All edges, ordered by kind (``ends`` in that order): the dual at a
+    fixed proximal centre, and a projected Newton step on it."""
+
+    def __init__(self, objective: _Edges, ends, budgets):
+        super().__init__(objective, np.arange(len(objective.box)))
+        self.ends = ends[:, self.index]
+        self.budgets = budgets
+
+    def load(self, v):
+        """Each player's sum of v over its edges."""
+        n = len(self.budgets)
+        return np.bincount(self.ends[0], v, n) + np.bincount(self.ends[1], v, n)
+
+    def at(self, lam, x_warm, center):
+        """The demand at prices lam, its derivative in the edge price, and
+        the dual, the flat edges' proximal terms included."""
+        p = lam[self.ends[0]] + lam[self.ends[1]]
+        x, dxdp = self.demand(p, x_warm, center)
+        value = self.edges.value(x) - p * x - 0.5 * self.edges.rho * (x - center) ** 2
+        return x, dxdp, math.fsum(value.tolist()) + _dot(lam, self.budgets)
+
+    def step(self, lam, x, center, ceiling):
+        """One Newton step from prices lam: its prices and demand, or None if
+        it leaves lam or does not lower the dual.  Gradient: budget minus
+        load; Hessian: a signless Laplacian weighted by -dx/dp, solved by
+        Jacobi-preconditioned CG on the players not fixed (at price 0 within
+        budget); the step is projected onto [0, ceiling]."""
+        x, dxdp, dual = self.at(lam, x, center)
+        r, diag = self.load(x) - self.budgets, self.load(-dxdp)  # r: minus the gradient
+        free = (diag > 0.0) & ((lam > 0.0) | (r > 0.0))
+        if not free.any():
+            return None
+        r = np.where(free, r, 0.0)
+        d, s = np.zeros_like(lam), np.where(free, r / diag, 0.0)
+        rz, stop = _dot(r, s), NEWTON_TOL**2 * _dot(r, r)
+        for _ in range(MAX_SOLVE_STEPS):
+            q = np.where(free, self.load(-dxdp * (s[self.ends[0]] + s[self.ends[1]])), 0.0)
+            sq = _dot(s, q)
+            if not sq > NEWTON_TOL * _dot(s * diag, s):  # next to no curvature along s
+                break
+            d += rz / sq * s
+            r -= rz / sq * q
+            if _dot(r, r) <= stop:
+                break
+            z = np.where(free, r / diag, 0.0)
+            rz, last = _dot(r, z), rz
+            s = z + rz / last * s
+        new = np.clip(lam + d, 0.0, ceiling)
+        x, _, lower = self.at(new, x, center)
+        return (new, x) if lower < dual and (new != lam).any() else None
+
+
 def global_optimum(
     spec: GameSpec, config: OptimizerConfig | None = None
 ) -> OptimumResult:
@@ -561,19 +626,21 @@ def global_optimum(
     x_e >= 0 and one budget row per player, is a network utility
     maximization, solved by dual decomposition.  Each budget gets a price
     lam_i >= 0; at prices lam, edge (i, j) demands the x in
-    [0, min(beta_i, beta_j)] maximizing f(x) - (lam_i + lam_j) x.  A sweep
-    settles the prices Gauss-Seidel over the colour classes of a greedy
-    colouring, each player at the price where its demand meets its budget
-    (0 if its demand at price 0 fits).
+    [0, min(beta_i, beta_j)] maximizing f(x) - (lam_i + lam_j) x.  An
+    iteration moves all prices by one projected Newton step on the dual (as
+    in Wei, Ozdaglar and Jadbabaie's distributed Newton method); if that does
+    not lower the dual, a sweep settles them instead, Gauss-Seidel over the
+    colour classes of a greedy colouring, each player at the price where its
+    demand meets its budget (0 if its demand at price 0 fits).
     Flat edges (linear or power-1 utilities, alone or beside a saturated
     capped quadratic) have set-valued demand; a proximal term centred on
-    their previous demand makes it unique (a proximal-point step per sweep).
+    their previous demand makes it unique (a proximal-point step each time).
 
-    After each sweep the dual function at lam, with each edge's maximum
+    After each iteration the dual function at lam, with each edge's maximum
     bounded by the tangent at its demand, is an upper bound on the optimum
     whatever the accuracy of the demand; the demand scaled down at every
     overfull player is feasible, and its welfare a lower bound.  The best of
-    each is kept.  The sweeps stop once the gap is within gap_tol *
+    each is kept.  The iterations stop once the gap is within gap_tol *
     max(1, welfare) (``certified``) or after max_iters.  Restricting to
     matched profiles loses nothing: match-down turns any profile into a
     matched one with identical welfare.  Raises ValueError with the first
@@ -582,35 +649,32 @@ def global_optimum(
     bad = validate_game(spec).violations
     if bad:
         raise ValueError(bad[0])
-    if config is None:
-        config = OptimizerConfig()
+    config = config or OptimizerConfig()
     edges = sorted(spec.edges)
     m = len(edges)
     if m == 0:
         return OptimumResult(SymmetricProfile({}), 0.0, 0.0, True, 0)
 
     n = spec.n
-    ends = (
-        np.array([i for i, _ in edges], dtype=np.int64),
-        np.array([j for _, j in edges], dtype=np.int64),
-    )
     budgets = np.array([spec.budgets.get(i, 0.0) for i in range(n)])
-    objective = _Edges.build(spec, edges)
-    box = objective.box
-    classes = [
-        _PriceClass(nodes, objective, ends, budgets)
-        for nodes in _colour_classes(spec)
-    ]
-    lam = np.zeros(n)
-    x = np.zeros(m)
+    whole = _Dual(_Edges.build(spec, edges), np.array(edges, dtype=np.int64).T, budgets)
+    objective, ends, box = whole.edges, whole.ends, whole.edges.box  # by kind
+    classes = [_PriceClass(c, objective, ends, budgets) for c in _colour_classes(spec)]
+    ceiling = np.zeros(n)  # no optimal price is above its sweep's bracket
+    for cls in classes:
+        ceiling[cls.nodes] = cls.ceiling
+    lam, x = np.zeros(n), np.zeros(m)
     upper, lower, best = math.inf, -math.inf, x
-    certified = False
-    iterations = 0
+    certified, iterations = False, 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for iterations in range(1, config.max_iters + 1):
             center = x.copy()
-            for cls in classes:
-                cls.settle(lam, x, center)
+            step = whole.step(lam, x, center, ceiling)
+            if step is not None:
+                lam, x = step
+            else:
+                for cls in classes:
+                    cls.settle(lam, x, center)
 
             price = lam[ends[0]] + lam[ends[1]]
             gain = objective.slopes(x, second=False)[0] - price
@@ -618,8 +682,8 @@ def global_optimum(
                 np.where(box > x, gain * (box - x), 0.0),
                 np.where(x > 0.0, -gain * x, 0.0),
             )
-            dual = np.sum(objective.value(x) - price * x + tangent) + lam @ budgets
-            load = np.bincount(ends[0], x, n) + np.bincount(ends[1], x, n)
+            dual = np.sum(objective.value(x) - price * x + tangent) + _dot(lam, budgets)
+            load = whole.load(x)
             scale = np.where(load > budgets, budgets / load, 1.0)
             feasible = x * np.minimum(scale[ends[0]], scale[ends[1]])
             primal = float(np.sum(objective.value(feasible)))
@@ -630,6 +694,7 @@ def global_optimum(
                 certified = True
                 break
 
+    best = best[np.argsort(whole.index)]  # back in edge order
     amounts = {edges[e]: float(best[e]) for e in range(m)}
     return OptimumResult(
         profile=SymmetricProfile(amounts),
@@ -662,12 +727,7 @@ def brute_force_optimum(spec: GameSpec) -> tuple[SymmetricProfile, float]:
             )
 
     pairs = [
-        (
-            spec.weights[(i, j)],
-            spec.utilities[(i, j)],
-            spec.weights[(j, i)],
-            spec.utilities[(j, i)],
-        )
+        (spec.weights[(i, j)], spec.utilities[(i, j)], spec.weights[(j, i)], spec.utilities[(j, i)])
         for (i, j) in edges
     ]
     remaining = budgets.copy()

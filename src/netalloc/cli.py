@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimum", help="solve for the welfare optimum")
     opt.add_argument("--instance", required=True)
-    opt.add_argument("--max-iters", type=int, default=4000)
+    opt.add_argument("--max-iters", type=int, default=4000,
+                     help="cap on the price updates (Newton steps or sweeps)")
     opt.add_argument("--gap-tol", type=float, default=1e-9)
     opt.add_argument("--out")
     opt.set_defaults(func=_cmd_optimum)

@@ -59,14 +59,27 @@ EXCHANGE_REL_QUANTUM_MARGIN = 1e-15
 EXCHANGE_ULP = 2.0**-52
 
 
-def exchange_margins(z, budget, deg):
-    """The exchange test's "can improve" margin and "cannot improve" ulp term
-    (``_SeqState.settled_status``) at utility bound z, budget in quanta and
-    degree, for numbers or numpy arrays; the constants are read at each call."""
-    margin = EXCHANGE_REL_MARGIN * z + budget * (
+def exchange_margin(z, budget):
+    """The exchange test's "can improve" margin (``_SeqState.settled_status``)
+    at utility bound z and budget in quanta, for numbers or numpy arrays; the
+    constants are read at each call."""
+    return EXCHANGE_REL_MARGIN * z + budget * (
         EXCHANGE_QUANTUM_MARGIN + EXCHANGE_REL_QUANTUM_MARGIN * z
     )
-    return margin, (16 * budget + 4 * (deg + 2)) * EXCHANGE_ULP * z
+
+
+def exchange_ulps(z, budget, deg):
+    """The exchange test's "cannot improve" ulp term at utility bound z,
+    budget in quanta and degree, for numbers or numpy arrays; only needed
+    once the "can improve" test fails."""
+    return (16 * budget + 4 * (deg + 2)) * EXCHANGE_ULP * z
+
+
+def overspends(spent, budget):
+    """Whether a row that proposes ``spent`` quanta in all is over its
+    budget in quanta (numbers or numpy arrays): both engines check every
+    row they install."""
+    return spent > budget
 
 
 class InvariantViolation(AssertionError):
@@ -82,6 +95,10 @@ def weak_move_message(mover, t, gain) -> str:
 
 def slack_rise_message(t, before, after, mover) -> str:
     return f"total slack increased at round {t}: {before} -> {after} (mover {mover})"
+
+
+def over_budget_message(mover, spent, budget) -> str:
+    return f"response of player {mover} proposes {spent} quanta, over its budget of {budget}"
 
 
 def stable_loss_message(t, lost) -> str:
@@ -460,10 +477,9 @@ class _SeqState:
         gain, _, _ = best_move(up, self._down[i], self.slack[i] >= 1)
         budget = self.rows[i].budget
         z = self.utility(i) + budget * max(max(up), 0.0)
-        margin, ulps = exchange_margins(z, budget, len(up))
-        if gain > self.tol + margin:
+        if gain > self.tol + exchange_margin(z, budget):
             return True
-        if budget * max(gain, 0.0) + ulps < self.tol:
+        if budget * max(gain, 0.0) + exchange_ulps(z, budget, len(up)) < self.tol:
             return False
         return None
 
@@ -480,7 +496,11 @@ class _SeqState:
         Returns the players that joined and left the stable set, sorted.  A
         neighbor shares one edge with the mover, so its win count moves by
         at most one; the mover could improve, so its win count was positive
-        and it can only join."""
+        and it can only join.  A row over the mover's budget raises
+        :class:`InvariantViolation`."""
+        spent, budget = sum(br.proposals), self.rows[mover].budget
+        if overspends(spent, budget):
+            raise InvariantViolation(over_budget_message(mover, spent, budget))
         f, rev, off, solved = self.f, self.rev, self.off, self.solved
         wins = self.win_count
         base = off[mover]

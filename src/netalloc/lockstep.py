@@ -256,9 +256,9 @@ class _Runs:
         gain = _best_move(up, down, self.slack[p] >= 1)[0]
         utility = left_sum(util.T)
         z = utility + budget * np.maximum(up.max(1), 0.0)
-        margin, ulps = dynamics.exchange_margins(z, budget, self.d)
         winning = self.wins[p] > 0
-        status = winning & (gain > self.tol + margin)
+        status = winning & (gain > self.tol + dynamics.exchange_margin(z, budget))
+        ulps = dynamics.exchange_ulps(z, budget, self.d)
         unsettled = winning & ~status & ~(budget * np.maximum(gain, 0.0) + ulps < self.tol)
         if (k := np.flatnonzero(unsettled)).size:  # the response's gain settles it
             i, e, _, back = self._rows(p[k])
@@ -287,12 +287,13 @@ class _Runs:
             ii, e, x, back = self._rows(p)
             j = (p - ii)[:, None] + self.nbr[e]
             own, caps = f[x], f[back]
-            alloc, new_terms, realized = _respond(
-                self.w[e], caps, self.budget[ii], self.optimistic[ii], self.eta
-            )
+            budget = self.budget[ii]
+            alloc, new_terms, realized = _respond(self.w[e], caps, budget, self.optimistic[ii], self.eta)
             gain = realized - util[p]
             for k in np.flatnonzero(~(gain > self.tol)).tolist():
                 fail(int(rr[k]), dynamics.weak_move_message(ii[k], t, float(gain[k])))
+            for k in np.flatnonzero(dynamics.overspends(total := alloc.sum(1), budget)).tolist():
+                fail(int(rr[k]), dynamics.over_budget_message(ii[k], total[k], budget[k]))
             agreed = np.minimum(alloc, caps)
             moved = agreed - np.minimum(own, caps)
             spent = moved.sum(1)

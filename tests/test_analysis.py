@@ -15,6 +15,7 @@ from netalloc.analysis import (
     SOLVED,
     OptimizerConfig,
     RankingSystem,
+    _Dual,
     _Edges,
     brute_force_optimum,
     convex_combine,
@@ -380,8 +381,146 @@ def test_criterion_8_optimum_keeps_its_bits():
                          utility=UtilitySpec.sqrt())
     opt = global_optimum(doc.to_game_spec())
     assert (repr(opt.welfare), repr(opt.upper_bound), opt.iterations, opt.certified) == (
-        "1672.7995679036053", "1672.7995695389254", 281, True
+        "1672.7995687370021", "1672.7995695389257", 9, True
     )
+    # inside the interval that 281 colour sweeps alone certified
+    assert 1672.7995679036053 <= opt.welfare <= 1672.7995695389254
+
+
+class _NewtonSteps:
+    """Counts the Newton steps global_optimum tries and the ones it takes."""
+
+    def __init__(self, monkeypatch):
+        self.tried = self.taken = 0
+        step = _Dual.step
+
+        def counted(dual, *args):
+            result = step(dual, *args)
+            self.tried += 1
+            self.taken += result is not None
+            return result
+
+        monkeypatch.setattr(_Dual, "step", counted)
+
+
+def _reaches(opt, sweep_welfare):
+    """Certified, and no more than the gap tolerance below the welfare that
+    colour sweeps alone certified on the same spec."""
+    gap_tol = OptimizerConfig().gap_tol
+    return opt.certified and opt.welfare >= sweep_welfare - gap_tol * max(1.0, sweep_welfare)
+
+
+@pytest.mark.parametrize(
+    "side, sweep_welfare, pins",
+    [
+        # the even torus is bipartite: raising one side's prices and lowering
+        # the other's leaves every edge price as it is, so the Hessian is singular
+        (10, 1672.7995679036053, ("1672.7995687370021", "1672.7995695389257", 9)),
+        (9, 1349.190378286653, ("1349.1903792651506", "1349.1903795560067", 8)),
+    ],
+    ids=["even", "odd"],
+)
+def test_newton_steps_settle_the_torus(monkeypatch, side, sweep_welfare, pins):
+    # the sweeps alone took 281 (10x10) and 169 (9x9) iterations; CI reruns
+    # this with numpy's SIMD dispatch off, and the pins must hold either way
+    steps = _NewtonSteps(monkeypatch)
+    doc = gen_torus_grid(side, side, beta=1000.0, eta=1.0, weight_seed=7,
+                         utility=UtilitySpec.sqrt())
+    opt = global_optimum(doc.to_game_spec())
+    assert _reaches(opt, sweep_welfare)
+    assert (repr(opt.welfare), repr(opt.upper_bound), opt.iterations) == pins
+    assert steps.tried == opt.iterations and steps.taken >= opt.iterations // 2
+
+
+def _slack(spec, opt):
+    return [
+        spec.budgets[i] - math.fsum(x for e, x in opt.profile.amounts.items() if i in e)
+        for i in range(spec.n)
+    ]
+
+
+def test_newton_steps_keep_a_star_s_leaves_at_price_zero(monkeypatch):
+    # a leaf's one edge is boxed by its budget, so its price stays 0: it is
+    # fixed in every Newton step; the linear edges keep the centre's proximal
+    # term moving, so the sweep alone needs 5 iterations too
+    sq, lin, lg = UtilitySpec.sqrt(), UtilitySpec.linear(), UtilitySpec.log1p()
+    utils = [sq, lin, lg, lin, sq, sq]
+    weights = [4 / 16, 3 / 16, 2 / 16, 2 / 16, 3 / 16, 2 / 16]
+    spec = make_spec(7, 1.0, [(0, j + 1, w, 1.0, u, u) for j, (w, u) in enumerate(zip(weights, utils))],
+                     [29.0, 40.0, 1.0, 3.0, 40.0, 40.0, 3.0])
+    steps = _NewtonSteps(monkeypatch)
+    opt = global_optimum(spec)
+    assert _reaches(opt, 33.629340277777786)
+    assert steps.taken >= 2
+    slack = _slack(spec, opt)
+    assert abs(slack[0]) <= 1e-9 and sum(s > 1.0 for s in slack[1:]) == 5
+
+
+def test_newton_steps_on_a_path_with_unequal_budgets(monkeypatch):
+    # four of the eight players end with budget to spare (price 0)
+    u = UtilitySpec.sqrt()
+    split = [1.0, 0.75, 0.25, 0.75, 0.5, 0.75, 0.25, 0.0]  # weight toward the right
+    spec = make_spec(8, 1.0, [(j, j + 1, split[j], 1.0 - split[j + 1], u, u) for j in range(7)],
+                     [27.0, 19.0, 6.0, 7.0, 6.0, 7.0, 6.0, 22.0])
+    steps = _NewtonSteps(monkeypatch)
+    opt = global_optimum(spec)
+    assert _reaches(opt, 16.908683626332653)
+    assert steps.taken >= 2 and opt.iterations <= 11  # 11 sweeps alone
+    assert sum(s > 0.5 for s in _slack(spec, opt)) == 4
+
+
+def test_newton_steps_with_flat_edges(monkeypatch):
+    # three linear (flat) edges beside the curved ones: their proximal
+    # centres stay put within a step, which works on the dual the sweep settles
+    spec = gen_random_instance(n=7, edge_prob=0.5, seed=7, budget_units=20).to_game_spec()
+    assert (_Edges.build(spec, sorted(spec.edges)).rho > 0.0).sum() == 3
+    steps = _NewtonSteps(monkeypatch)
+    opt = global_optimum(spec)
+    assert _reaches(opt, 2.618101240808816)
+    assert steps.taken >= 2 and opt.iterations <= 76  # 76 sweeps alone
+
+
+def _path4():
+    # coefficients 4/3 on every edge and budgets 5 in the middle: (4, 1, 4)
+    u, third = UtilitySpec.sqrt(), 1.0 / 3.0
+    return make_spec(4, 1.0, [(0, 1, 1.0, third, u, u), (1, 2, 1 - third, 1 - third, u, u),
+                              (2, 3, third, 1.0, u, u)], [20.0, 5.0, 5.0, 20.0])
+
+
+def _cycle4():
+    # bipartite, with balanced budgets: the Hessian is singular here too
+    u = UtilitySpec.sqrt()
+    return make_spec(4, 1.0, [(0, 1, 0.25, 0.5, u, u), (1, 2, 0.5, 0.25, u, u),
+                              (2, 3, 0.75, 0.5, u, u), (0, 3, 0.75, 0.5, u, u)], [2.0] * 4)
+
+
+@pytest.mark.parametrize(
+    "build, sweep_welfare",
+    [(_path4, 6.666666666476495), (_cycle4, 3.9999999973114324)],
+    ids=["path", "cycle"],
+)
+def test_newton_steps_agree_with_brute_force(monkeypatch, build, sweep_welfare):
+    spec = build()
+    steps = _NewtonSteps(monkeypatch)
+    opt = global_optimum(spec)
+    profile, bf_sw = brute_force_optimum(spec)
+    assert _reaches(opt, sweep_welfare) and steps.taken >= 2
+    assert abs(opt.welfare - bf_sw) <= 1e-9 * max(1.0, bf_sw)
+    for e, x in profile.amounts.items():
+        assert abs(opt.profile.amounts[e] - x) <= 1e-6
+
+
+def test_one_iteration_of_the_torus_stays_uncertified():
+    # at prices 0 every edge is at its box and no Newton step has curvature:
+    # the one iteration is a sweep, whose bounds are far apart
+    doc = gen_torus_grid(10, 10, beta=1000.0, eta=1.0, weight_seed=7,
+                         utility=UtilitySpec.sqrt())
+    spec = doc.to_game_spec()
+    one = global_optimum(spec, OptimizerConfig(max_iters=1))
+    assert (one.iterations, one.certified) == (1, False)
+    assert one.welfare < one.upper_bound
+    check_feasible(spec, one.profile.to_profile(spec))
+    assert one.welfare <= global_optimum(spec).welfare
 
 
 def test_newton_stops_on_a_root_that_underflows(monkeypatch):

@@ -1188,11 +1188,12 @@ def test_exchange_margins_have_the_same_bits_for_numbers_and_arrays():
     budgets = [1, 2, 3, 2**52 + 1, 2**53 - 1]
     budgets += [rng.randrange(1, 2 ** rng.randint(1, 53)) for _ in range(300)]
     bounds = [0.0, 5e-324] + [rng.random() * 10.0 ** rng.randint(-9, 17) for _ in budgets[2:]]
+    margins = dynamics.exchange_margin(np.array(bounds), np.array(budgets))
     for deg in range(1, 65):
-        margins, ulps = dynamics.exchange_margins(np.array(bounds), np.array(budgets), deg)
+        ulps = dynamics.exchange_ulps(np.array(bounds), np.array(budgets), deg)
         assert margins.dtype == ulps.dtype == np.float64
         for z, budget, margin, ulp in zip(bounds, budgets, margins.tolist(), ulps.tolist()):
-            scalar = dynamics.exchange_margins(z, budget, deg)
+            scalar = dynamics.exchange_margin(z, budget), dynamics.exchange_ulps(z, budget, deg)
             assert (scalar[0].hex(), scalar[1].hex()) == (margin.hex(), ulp.hex())
 
 

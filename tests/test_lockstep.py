@@ -602,6 +602,44 @@ def test_a_slack_rise_reads_as_in_the_scalar_engine(behavior, monkeypatch):
     assert str(batch.value).startswith("total slack increased at round ")
 
 
+def overspend_by_one(alloc, budget):
+    """Raise, in place, the first proposal so that the row proposes one
+    quantum more than the budget."""
+    alloc[0] += budget - sum(alloc) + 1
+
+
+@pytest.mark.parametrize("behavior", ["optimistic", "pessimistic"])
+def test_an_overspent_row_reads_as_in_the_scalar_engine(behavior, monkeypatch):
+    # a response one quantum over the mover's budget is refused when it is
+    # installed, before any law sees it; both engines stop run 0 at its
+    # first move with the same message
+    spec = gen_torus_grid(3, 3, beta=50.0, eta=1.0, weight_seed=4, utility=SQRT)
+    spec = spec.to_game_spec(behavior_override=behavior)
+    scalar_response, batch_response = dynamics.best_response, lockstep._respond
+
+    def scalar_over(spec, profile, i, caps, standing):
+        br = scalar_response(spec, profile, i, caps, standing)
+        overspend_by_one(br.proposals, spec.index.rows[i].budget)
+        return br
+
+    def batch_over(w, caps, budget, optimistic, eta):
+        alloc, terms, realized = batch_response(w, caps, budget, optimistic, eta)
+        for row, b in zip(alloc, budget):
+            overspend_by_one(row, b)
+        return alloc, terms, realized
+
+    monkeypatch.setattr(dynamics, "best_response", scalar_over)
+    monkeypatch.setattr(lockstep, "_respond", batch_over)
+    with pytest.raises(InvariantViolation) as batch:
+        lockstep.run_batch(spec, DynamicsConfig(), [7, 8, 9])
+    with pytest.raises(InvariantViolation) as scalar:
+        config = DynamicsConfig(order=RandomSeeded(7))
+        run_sequential(spec, init_profile(spec, RandomFeasible(7)), config, "light")
+    assert str(batch.value) == str(scalar.value)
+    assert str(batch.value).startswith("response of player ")
+    assert str(batch.value).endswith(" proposes 51 quanta, over its budget of 50")
+
+
 def raise_first_matched(alloc, caps):
     """Raise, in place, the first proposal equal to its cap by one quantum,
     above the budget: no agreed amount or slack changes, and that neighbor
@@ -646,6 +684,11 @@ def test_a_stable_set_loss_reads_as_in_the_scalar_engine(behavior, seed, at, mon
     monkeypatch.setattr(dynamics._SeqState, "apply_move", scalar_over)
     monkeypatch.setattr(lockstep, "_below", counted_below)
     monkeypatch.setattr(lockstep, "_respond", batch_over)
+    # both engines refuse a row over its budget; only such a row can shrink
+    # the stable set on a slack-stable suffix (a row within budget that keeps
+    # every agreed amount has no quantum to raise a matched edge with), so the
+    # budget check lets this one quantum through
+    monkeypatch.setattr(dynamics, "overspends", lambda spent, budget: spent > budget + 1)
     with pytest.raises(InvariantViolation) as batch:
         lockstep.run_batch(spec, DynamicsConfig(), [seed, seed + 1, seed + 2])
     assert injected == [3]  # every run was still live

@@ -95,6 +95,7 @@ INT_SUMS = {
     ("analysis.py", "sum(self.ranks[k] for k in neighbors[i])"): "rank sums",
     ("bestresponse.py", "sum(alloc)"): "spare quanta of an int allocation",
     ("dynamics.py", "sum(alloc)"): "spare quanta of an int allocation",
+    ("dynamics.py", "sum(br.proposals)"): "quanta of an int row",
     ("experiment.py", "sum(window)"): "histogram counts",
     ("experiment.py", "sum(1 for o in outcomes if not o.converged)"): "run count",
 }
@@ -199,6 +200,35 @@ def test_behavior_list_check_sees_a_list():
     assert behavior_lists(source) == ['["pessimistic", "optimistic", "mixed"]']
 
 
+# numpy calls that may hand the work to BLAS, whose bits depend on its
+# kernel (and which, threaded, can cost more than the work on a small system)
+BLAS = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def blas_uses(source: str) -> set[str]:
+    """The source of every ``np.linalg``, ``dot``-like or ``matmul`` name
+    read as an attribute, and of every ``@``."""
+    return {
+        ast.get_source_segment(source, node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in BLAS
+        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+    }
+
+
+def test_the_optimum_makes_no_blas_call():
+    # its CG dot products are math.fsum of elementwise products
+    assert blas_uses((SRC / "analysis.py").read_text(encoding="utf-8")) == set()
+
+
+def test_blas_check_sees_a_call():
+    source = "d = np.linalg.solve(h, g)\nq = x.dot(y) + np.matmul(h, y)\nv = lam @ budgets\n"
+    assert blas_uses(source) == {
+        "np.linalg", "x.dot", "np.matmul", "lam @ budgets"
+    }
+    assert blas_uses("d = _dot(r, z)\nt = math.fsum(v)\n") == set()
+
+
 # numpy reductions in the lockstep engine that add ints or bools only, each
 # with its reason.  Its float sums that reach a decision or an output are
 # ``game.left_sum``'s adds from 0.0 over an array's first axis, or the TwoSum
@@ -207,7 +237,7 @@ def test_behavior_list_check_sees_a_list():
 INT_REDUCTIONS = {
     "eff.sum(1)": "capped targets: int amounts",
     "np.where(leave >= hi[:, None], eff, 0).sum(1)": "caps that bind: int amounts",
-    "alloc.sum(1)": "spare quanta of an int allocation",
+    "alloc.sum(1)": "spare or spent quanta of an int allocation",
     "(first & (gains > bestresponse.POLISH_MIN_GAIN)).sum(2)": "adds to each neighbor",
     "count.sum(1)": "adds placed: int amounts",
     "np.maximum(caps - alloc, 0).cumsum(1)": "room up to each cap, ascending: int amounts",
