@@ -23,8 +23,8 @@ from .game import (
     PlayerId,
     check_feasible,
     left_sum,
+    require_valid,
     social_welfare,
-    validate_game,
 )
 from .utility import FAMILIES, LINEAR, LOG1P, POWER, SQRT, UtilitySpec
 
@@ -103,12 +103,12 @@ def potential_terms(
 ) -> list[float]:
     """Player i's terms rank(i)*rank(j)*u_ij(agreed) of the weighted
     potential, in neighbor order."""
-    counts, eta = profile.counts, spec.eta
+    counts, eta, row = profile.counts, spec.eta, spec.rows[i]
     return [
         ranking.rank(i)
         * ranking.rank(j)
-        * spec.utilities[(i, j)].value(min(counts[(i, j)], counts[(j, i)]) * eta)
-        for j in spec.neighbors[i]
+        * u.value(min(counts[(i, j)], counts[(j, i)]) * eta)
+        for j, u in zip(row.neighbors, row.utils)
     ]
 
 
@@ -298,23 +298,25 @@ class _Edges:
             setattr(self, name, fields[name])
 
     @staticmethod
-    def build(spec: GameSpec, edges: list[tuple[int, int]]) -> "_Edges":
-        m = len(edges)
+    def build(spec: GameSpec) -> "_Edges":
+        rows, edges = spec.rows, spec.directed_edges
+        sides = [side for row in rows for side in zip(row.weights, row.utils)]
+        pairs = [(x, r) for x, r in enumerate(spec.rev) if x < r]
+        m = len(pairs)
         columns: dict[tuple[str, int], np.ndarray] = {}
         fields = {name: np.zeros(m) for name in _Edges.FIELDS}
         fields["kind"] = np.full(m, SOLVED)
-        for e, (i, j) in enumerate(edges):
+        for e, (x, r) in enumerate(pairs):
             terms: dict[UtilitySpec, float] = {}
-            for d in ((i, j), (j, i)):
-                if spec.weights[d] != 0.0:
-                    u = spec.utilities[d]
-                    terms[u] = terms.get(u, 0.0) + spec.weights[d]
+            for w, u in (sides[x], sides[r]):  # (i, j), i < j, and (j, i)
+                if w != 0.0:
+                    terms[u] = terms.get(u, 0.0) + w
             fams = [u.family for u in terms]
             for k, (u, w) in enumerate(terms.items()):
                 rank = k - fams.index(u.family)  # earlier terms of its family
                 coef, par = columns.setdefault((u.family, rank), np.zeros((2, m)))
                 coef[e], par[e] = w, u.a or u.cap or 0.0
-            box = min(spec.budgets.get(i, 0.0), spec.budgets.get(j, 0.0))
+            box = min(rows[i].budget for i in edges[x]) * spec.eta
             peak = max((u.inverse_marginal(0.0) for u in terms), default=math.inf)
             fields["box"][e], fields["top"][e] = box, min(box, peak)
             fields["d0"][e] = left_sum(w * u.marginal(0.0) for u, w in terms.items())
@@ -419,10 +421,10 @@ def _colour_classes(spec: GameSpec) -> list[list[int]]:
     """Greedy colouring, largest degree first; isolated players are left out
     (their price stays 0)."""
     colour: dict[int, int] = {}
-    for i in sorted(range(spec.n), key=lambda i: (-spec.degree(i), i)):
-        if not spec.neighbors[i]:
+    for i in sorted(range(spec.n), key=lambda i: (-len(spec.rows[i].neighbors), i)):
+        if not spec.rows[i].neighbors:
             continue
-        used = {colour[j] for j in spec.neighbors[i] if j in colour}
+        used = {colour[j] for j in spec.rows[i].neighbors if j in colour}
         c = 0
         while c in used:
             c += 1
@@ -646,18 +648,16 @@ def global_optimum(
     matched one with identical welfare.  Raises ValueError with the first
     :func:`~netalloc.game.validate_game` violation of an invalid spec.
     """
-    bad = validate_game(spec).violations
-    if bad:
-        raise ValueError(bad[0])
+    require_valid(spec)
     config = config or OptimizerConfig()
-    edges = sorted(spec.edges)
+    edges = [e for e in spec.directed_edges if e[0] < e[1]]
     m = len(edges)
     if m == 0:
         return OptimumResult(SymmetricProfile({}), 0.0, 0.0, True, 0)
 
     n = spec.n
-    budgets = np.array([spec.budgets.get(i, 0.0) for i in range(n)])
-    whole = _Dual(_Edges.build(spec, edges), np.array(edges, dtype=np.int64).T, budgets)
+    budgets = np.array([row.budget * spec.eta for row in spec.rows])
+    whole = _Dual(_Edges.build(spec), np.array(edges, dtype=np.int64).T, budgets)
     objective, ends, box = whole.edges, whole.ends, whole.edges.box  # by kind
     classes = [_PriceClass(c, objective, ends, budgets) for c in _colour_classes(spec)]
     ceiling = np.zeros(n)  # no optimal price is above its sweep's bracket
@@ -716,7 +716,7 @@ def brute_force_optimum(spec: GameSpec) -> tuple[SymmetricProfile, float]:
     edges = sorted(spec.edges)
     m = len(edges)
     eta = spec.eta
-    budgets = [spec.budget_units(i) for i in range(spec.n)]
+    budgets = [row.budget for row in spec.rows]
     size = 1.0
     for (i, j) in edges:
         size *= min(budgets[i], budgets[j]) + 1

@@ -373,7 +373,7 @@ def best_response(
     such a call is on the grid.  The polish copies an edge's terms where
     its floor is that amount, so the response is the same.
     """
-    nbrs, weights, utils, budget, kernels, zero_marginals = spec.index.rows[i]
+    nbrs, weights, utils, budget, kernels, zero_marginals, behavior = spec.rows[i]
     if caps is None:
         caps = [profile.counts[(j, i)] for j in nbrs]
     grid = standing is not None or all(isinstance(c, int) for c in caps)
@@ -420,7 +420,7 @@ def best_response(
     # neighborhood, round-robin one quantum at a time -- on the grid each of
     # the m matched neighbors gets leftover // m and the first leftover % m
     # one more.
-    if spec.behaviors[i] is Behavior.OPTIMISTIC and leftover > 0:
+    if behavior is Behavior.OPTIMISTIC and leftover > 0:
         lose = [k for k in range(deg) if alloc[k] >= caps[k]]
         if lose:
             if grid:
@@ -473,8 +473,7 @@ def brute_force_best_response(
     lexicographically smallest allocation; returns it as a row in neighbor
     order, with its utility.
     """
-    row = spec.index.rows[i]
-    nbrs, weights, utils, budget = row.neighbors, row.weights, row.utils, row.budget
+    nbrs, weights, utils, budget = spec.rows[i][:4]
     deg = len(nbrs)
     if deg == 0:
         return [], 0.0

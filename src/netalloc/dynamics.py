@@ -35,7 +35,6 @@ from .bestresponse import (
     is_best_response,
 )
 from .game import (
-    MAX_BUDGET_UNITS,
     DirectedEdge,
     FrequencyProfile,
     GameSpec,
@@ -44,6 +43,7 @@ from .game import (
     flat_outcome_summary,
     left_sum,
     outcome_summary,
+    require_valid,
 )
 
 # The random start scores a leftover quantum a hair inside the next one, so
@@ -293,13 +293,10 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
     and gives each leftover quantum to the first neighbor with the highest
     positive weighted marginal w u'((a + MARGINAL_SHIFT) eta) at its count
     a; ``lockstep._random_start`` is its batch copy (``test_lockstep.py``).
-    Raises ValueError on a budget not a finite count below 2**53 quanta."""
-    for i, beta in spec.budgets.items():
-        if not beta / spec.eta < MAX_BUDGET_UNITS:  # also inf and nan
-            raise ValueError(
-                f"budget of player {i} ({beta}) is not a finite count "
-                f"below 2**53 quanta"
-            )
+    Raises ValueError with the spec's first violation when a budget is not
+    a count of quanta below 2**53 (the random fill would not finish)."""
+    if any(row.budget is None for row in spec.rows):
+        require_valid(spec)
     if isinstance(policy, Zero):
         return FrequencyProfile.zeros(spec)
     if isinstance(policy, Given):
@@ -310,8 +307,8 @@ def init_profile(spec: GameSpec, policy: InitPolicy) -> FrequencyProfile:
 
     rng = random.Random(policy.seed)
     counts: dict[tuple[int, int], int] = {}
-    edges, off = spec.directed_edges, spec.index.off
-    for i, row in enumerate(spec.index.rows):
+    edges, off = spec.directed_edges, spec.off
+    for i, row in enumerate(spec.rows):
         nbrs, budget = row.neighbors, row.budget
         if not nbrs:
             continue
@@ -355,7 +352,7 @@ class _SeqState:
     """Incrementally maintained quantities for the sequential loop.
 
     ``f`` is the profile as one flat list of int proposals by edge id (see
-    :attr:`~netalloc.game.GameSpec.index`): for x = ``off[i] + k``, ``f[x]``
+    :class:`~netalloc.game.GameSpec`): for x = ``off[i] + k``, ``f[x]``
     is i's proposal to its k-th neighbor j and ``f[rev[x]]`` is j's to i.
     Starts from :func:`~netalloc.game.flat_outcome_summary`.  Only the
     mover's row changes per round, so per-player slack, win-set sizes and
@@ -385,7 +382,7 @@ class _SeqState:
         self.spec = spec
         self.tol = tol
         self.f = f
-        self.rows, self.off, self.rev = spec.index
+        self.rows, self.off, self.rev = spec.rows, spec.off, spec.rev
         summary = flat_outcome_summary(spec, f)
         self.slack = [summary.slack[i] for i in range(spec.n)]
         self.total_slack = summary.total_slack
@@ -572,12 +569,16 @@ def run_sequential(
 
     The order policy picks the next mover among players that can still
     improve by more than ``config.tol``; the run converges when no such
-    player remains.  The profile must hold integer counts (ValueError
-    otherwise).  ``trace_detail`` "light" records no moves, keeping
-    slack/stable-set data for invariants.
+    player remains.  The spec must be valid (else ValueError with its first
+    violation, before round 1), so the law checks (slack never rises, the
+    stable set never shrinks once the slack has settled) guard the
+    incremental bookkeeping, not the input.  The profile must hold integer
+    counts (ValueError otherwise).  ``trace_detail`` "light" records no
+    moves, keeping slack/stable-set data for invariants.
     """
     if trace_detail not in ("full", "light"):
         raise ValueError(f"unknown trace detail {trace_detail!r}")
+    require_valid(spec)
     flat, integral = check_feasible(spec, init)
     if not integral:
         raise ValueError("sequential dynamics need a profile of integer counts")
@@ -650,8 +651,10 @@ def run_simultaneous(
     an earlier integer profile is reported as a cycle (start, period).
     It reads ``config.max_rounds`` only: everyone moves and is solved in
     full (``simulate --mode sim`` refuses ``--order``, and its ``--tol``
-    only classifies the final profile).
+    only classifies the final profile).  It refuses an invalid spec, as
+    :func:`run_sequential` does.
     """
+    require_valid(spec)
     check_feasible(spec, init)
     profile = FrequencyProfile(init.counts)
     trace = Trace(spec, profile)

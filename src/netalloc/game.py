@@ -23,9 +23,11 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # utility imports left_sum from here
     from .utility import UtilitySpec
@@ -68,128 +70,209 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
+@dataclass(frozen=True, slots=True)
+class EdgeSpec:
+    """An undirected edge's data as documents give it: each side's weight
+    and utility on the edge."""
+
+    i: int
+    j: int
+    w_ij: float
+    w_ji: float
+    utility_ij: UtilitySpec
+    utility_ji: UtilitySpec
+
+
 class PlayerRow(NamedTuple):
-    """A player's own inputs to its best response, in neighbor order: the
-    neighbors, its weights and utilities on those edges, and its budget in
-    eta quanta.  Per edge it also holds the utility's value kernel
-    (:meth:`~netalloc.utility.UtilitySpec.kernel`) and the zero-level
+    """A player's whole part of a game, in neighbor order: its neighbors
+    (increasing), its weights and utilities on those edges, its budget in
+    eta quanta and its behavior.  Per edge it also holds the utility's value
+    kernel (:meth:`~netalloc.utility.UtilitySpec.kernel`) and the zero-level
     marginal w u'(0) (0.0 where w = 0), so a solver reads them instead of
     deriving them on every call."""
 
     neighbors: tuple[int, ...]
     weights: tuple[float, ...]
     utils: tuple[UtilitySpec, ...]
-    budget: int
+    budget: int | None
     kernels: tuple
     zero_marginals: tuple[float, ...]
+    behavior: Behavior | None
 
 
-def _zero_marginal(w: float, u: UtilitySpec) -> float:
-    """w u'(0) for w > 0, else 0.0."""
-    return w * u.marginal(0.0) if w > 0.0 else 0.0
+class _RowView(Mapping):
+    """A read-only map over a spec's rows that copies nothing: player i to
+    ``get(rows[i])``, or with ``by_edge`` the directed edge (i, j) to
+    ``get(rows[i])[k]``, j being i's k-th neighbor."""
+
+    def __init__(self, spec: GameSpec, get, by_edge: bool):
+        self._spec, self._get, self._by_edge = spec, get, by_edge
+
+    def __getitem__(self, key):
+        rows = self._spec.rows
+        i, j = key if self._by_edge else (key, None)
+        if i not in range(len(rows)):
+            raise KeyError(key)
+        value = self._get(rows[i])
+        if not self._by_edge:
+            return value
+        k = bisect_left(rows[i].neighbors, j)
+        if rows[i].neighbors[k : k + 1] != (j,):
+            raise KeyError(key)
+        return value[k]
+
+    def __iter__(self):
+        spec = self._spec
+        return iter(spec.directed_edges if self._by_edge else range(len(spec.rows)))
+
+    def __len__(self) -> int:
+        return self._spec.off[-1] if self._by_edge else len(self._spec.rows)
 
 
-class SpecIndex(NamedTuple):
-    """A spec's players by directed-edge id, the position in
-    ``directed_edges``.  Player i's row position k is id ``off[i] + k``
-    (``off`` has n + 1 entries), and ``rev[e]`` is the id of e reversed."""
-
-    rows: tuple[PlayerRow, ...]
-    off: list[int]
-    rev: list[int]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSpec:
-    """Immutable description of one game instance.
+    """One game instance: a :class:`PlayerRow` per player, and edge ids.
 
-    ``weights`` / ``utilities`` are keyed by directed edge (both directions of
-    every undirected edge); ``budgets`` are in resource units and must be
-    integer multiples of ``eta``.  Construction never validates -- run
-    :func:`validate_game` to collect violations.  ``directed_edges`` reuses
-    the ``weights`` keys, so a caller that keys both maps and ``edges`` with
-    one tuple per direction keeps one per direction in the whole spec.
+    Edge id ``off[i] + k`` (``off`` has n + 1 entries) is player i's k-th
+    neighbor, the entry of ``directed_edges`` at that id; ``rev[x]`` is the
+    id of edge x reversed.  :meth:`build` and :meth:`from_edges` (which
+    ``InstanceDocument.to_game_spec`` calls) never raise on bad data: they
+    list it in ``violations`` (see :func:`validate_game`).  A state rows
+    cannot hold (a self-loop, an unknown player, a weight or utility
+    missing or on a non-edge, a missing behavior, a budget that is not a
+    count of quanta below 2**53) is kept only there; its row holds weight
+    0.0, a linear utility, behavior None or budget None instead.
+
+    ``weights``, ``utilities``, ``neighbors``, ``budgets`` (resource units)
+    and ``behaviors`` are read-only maps over the rows, and ``edges`` lists
+    the pairs (i, j), i < j, in order; the engines read the rows instead.
     """
 
     n: int
     eta: float
-    edges: frozenset[tuple[int, int]]
-    weights: Mapping[DirectedEdge, float]
-    budgets: Mapping[PlayerId, float]
-    utilities: Mapping[DirectedEdge, UtilitySpec]
-    behaviors: Mapping[PlayerId, Behavior]
-    neighbors: dict[PlayerId, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    directed_edges: tuple[DirectedEdge, ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        adj: dict[int, list[int]] = {i: [] for i in range(self.n)}
-        for (i, j) in self.edges:
-            if i == j or not (0 <= i < self.n and 0 <= j < self.n):
-                continue  # flagged by validate_game, keep construction total
-            adj[i].append(j)
-            adj[j].append(i)
-        object.__setattr__(
-            self, "neighbors", {i: tuple(sorted(js)) for i, js in adj.items()}
-        )
-        keys = {e: e for e in self.weights}
-        directed = []
-        for i in range(self.n):
-            for j in self.neighbors[i]:
-                e = (i, j)
-                directed.append(keys.get(e, e))
-        object.__setattr__(self, "directed_edges", tuple(directed))
+    rows: tuple[PlayerRow, ...]
+    off: tuple[int, ...]
+    rev: tuple[int, ...]
+    violations: tuple[str, ...] = ()
 
     @staticmethod
-    def build(
-        n: int,
-        eta: float,
-        edges: Iterable[tuple[int, int]],
-        weights: Mapping[DirectedEdge, float],
-        budgets: Mapping[PlayerId, float],
-        utilities: Mapping[DirectedEdge, UtilitySpec],
-        behaviors: Mapping[PlayerId, Behavior],
-    ) -> "GameSpec":
-        norm = frozenset(e if e[0] <= e[1] else (e[1], e[0]) for e in edges)
-        return GameSpec(
-            n=n,
-            eta=eta,
-            edges=norm,
-            weights=dict(weights),
-            budgets=dict(budgets),
-            utilities=dict(utilities),
-            behaviors=dict(behaviors),
-        )
+    def build(n: int, eta: float, edges: Iterable[DirectedEdge], weights: Mapping,
+              budgets: Mapping, utilities: Mapping, behaviors: Mapping) -> GameSpec:
+        """The spec of maps keyed by directed edge (both directions of every
+        undirected edge) and by player; budgets are in resource units."""
+        from .utility import UtilitySpec  # utility imports this module
 
-    def budget_units(self, i: PlayerId) -> int:
-        """Budget as an exact count of eta quanta (valid specs only)."""
-        return round(self.budgets[i] / self.eta)
+        pairs = {e if e[0] <= e[1] else (e[1], e[0]) for e in edges}
+        linked = {e for (i, j) in pairs if i != j and 0 <= i < n and 0 <= j < n
+                  for e in ((i, j), (j, i))}
+        maps = (("weight", weights), ("utility", utilities))
+        faults = [f"missing {name} for directed edge {e}"
+                  for e in sorted(linked) for name, given in maps if e not in given]
+        faults += [f"{name} given for non-edge {e}"
+                   for name, given in maps for e in sorted(given) if e not in linked]
+        linear = UtilitySpec.linear()  # in place of a missing utility
+        filled = [EdgeSpec(i, j, weights.get((i, j), 0.0), weights.get((j, i), 0.0),
+                           utilities.get((i, j), linear), utilities.get((j, i), linear))
+                  for (i, j) in pairs]
+        return GameSpec.from_edges(
+            n, eta, filled, [budgets.get(i) for i in range(n)],
+            [behaviors.get(i) for i in range(n)], faults,
+            unsummed={i for (i, j) in linked if (i, j) not in weights})
 
-    def degree(self, i: PlayerId) -> int:
-        return len(self.neighbors[i])
+    @staticmethod
+    def from_edges(n: int, eta: float, edges: Iterable[EdgeSpec], budgets: Sequence,
+                   behaviors: Sequence, faults=(), unsummed=()) -> GameSpec:
+        """The spec of the edges, with player i's budget ``budgets[i]`` in
+        resource units and behavior ``behaviors[i]`` (None: missing).  An
+        edge repeated later replaces the earlier one.  ``faults`` are the
+        violations the caller found; the weight sums of the ``unsummed``
+        players are not checked."""
+        links: list[dict] = [{} for _ in range(n)]  # player i's EdgeSpecs by neighbor
+        stray = set()
+        for e in edges:
+            i, j = e.i, e.j
+            if i != j and 0 <= i < n and 0 <= j < n:
+                links[i][j] = links[j][i] = e
+            else:
+                stray.add((i, j) if i <= j else (j, i))
+        eta_ok = 0.0 < eta < math.inf
+        bad = []
+        if n < 1:
+            bad.append(f"player count {n}: a game needs at least one player")
+        if not eta_ok:
+            bad.append(f"eta must be positive and finite, got {eta}")
+        for (i, j) in sorted(stray):
+            if i == j:
+                bad.append(f"self-loop edge ({i},{i}) is not allowed")
+            if not (0 <= i < n and 0 <= j < n):
+                bad.append(f"edge ({i},{j}) references unknown players")
+        bad += faults
+        players, sums = [], []
+        rows, off = [], [0]
+        for i in range(n):  # tuple() of a list, faster than of a generator here
+            nbrs = tuple(sorted(links[i]))
+            sides = [links[i][j] for j in nbrs]
+            weights = tuple([e.w_ij if e.i == i else e.w_ji for e in sides])
+            utils = tuple([e.utility_ij if e.i == i else e.utility_ji for e in sides])
+            if nbrs:
+                total = left_sum(weights)
+                if not (math.isfinite(total) and min(weights) >= 0.0):
+                    for j, w in zip(nbrs, weights):
+                        if not math.isfinite(w):
+                            bad.append(f"weight of edge {(i, j)} is not finite ({w})")
+                        elif w < 0.0:
+                            bad.append(f"weight of edge {(i, j)} is negative ({w})")
+                if i not in unsummed and abs(total - 1.0) > WEIGHT_SUM_TOL:
+                    sums.append(f"weights of player {i} sum to {total}")
+            beta, budget = budgets[i], None
+            if beta is None:
+                players.append(f"missing budget for player {i}")
+            elif beta < 0.0:
+                players.append(f"budget of player {i} is negative ({beta})")
+            elif eta_ok and not (units := beta / eta) < MAX_BUDGET_UNITS:  # also nan
+                players.append(f"budget of player {i} ({beta}) is not a finite count "
+                               f"below 2**53 quanta")
+            elif eta_ok and abs(units - round(units)) > GRID_TOL * max(1.0, units):
+                players.append(f"budget of player {i} ({beta}) is not a multiple of eta")
+            elif eta_ok:
+                budget = round(units)
+            if beta is not None and behaviors[i] is None:
+                players.append(f"missing behavior for player {i}")
+            kernels = tuple([u.kernel() for u in utils])
+            zeros = tuple([w * u.marginal(0.0) if w > 0.0 else 0.0 for w, u in zip(weights, utils)])
+            rows.append(PlayerRow(nbrs, weights, utils, budget, kernels, zeros, behaviors[i]))
+            off.append(off[-1] + len(nbrs))
+        rev = tuple([off[j] + bisect_left(rows[j].neighbors, i)
+                     for i, row in enumerate(rows) for j in row.neighbors])
+        return GameSpec(n, eta, tuple(rows), tuple(off), rev, tuple(bad + players + sums))
+
+    def __eq__(self, other: object) -> bool:
+        """Same rows and violations, kernels aside (a bound ``value`` compares
+        by its utility's identity; the kernels follow from the utilities)."""
+
+        def key(spec: GameSpec) -> tuple:
+            return spec.n, spec.eta, spec.violations, [r[:4] + r[5:] for r in spec.rows]
+
+        return isinstance(other, GameSpec) and key(self) == key(other)
 
     @cached_property
-    def index(self) -> SpecIndex:
-        """Every player's row and the edge ids, built on first use (it needs
-        every weight, utility and budget, and construction never
-        validates); ``directed_edges`` lists the rows player by player."""
-        nbrs = self.neighbors
-        rows = []
-        off = [0]
-        for i in range(self.n):
-            js = nbrs[i]
-            weights = tuple(self.weights[(i, j)] for j in js)
-            utils = tuple(self.utilities[(i, j)] for j in js)
-            kernels = tuple(u.kernel() for u in utils)
-            zeros = tuple(_zero_marginal(w, u) for w, u in zip(weights, utils))
-            budget = self.budget_units(i)
-            rows.append(PlayerRow(js, weights, utils, budget, kernels, zeros))
-            off.append(off[-1] + len(js))
-        rev = [off[j] + bisect_left(nbrs[j], i) for (i, j) in self.directed_edges]
-        return SpecIndex(tuple(rows), off, rev)
+    def directed_edges(self) -> tuple[DirectedEdge, ...]:
+        """Every directed edge (i, j) by id, built on first use."""
+        return tuple((i, j) for i, row in enumerate(self.rows) for j in row.neighbors)
+
+    @property
+    def edges(self) -> tuple[DirectedEdge, ...]:
+        return tuple(e for e in self.directed_edges if e[0] < e[1])
+
+    weights = property(lambda self: _RowView(self, attrgetter("weights"), True))
+    utilities = property(lambda self: _RowView(self, attrgetter("utils"), True))
+    neighbors = property(lambda self: _RowView(self, attrgetter("neighbors"), False))
+    behaviors = property(lambda self: _RowView(self, attrgetter("behavior"), False))
+
+    @property
+    def budgets(self) -> Mapping[PlayerId, float | None]:
+        eta = self.eta
+        return _RowView(self, lambda r: None if r.budget is None else r.budget * eta, False)
 
 
 @dataclass(frozen=True)
@@ -199,69 +282,15 @@ class ValidationReport:
 
 
 def validate_game(spec: GameSpec) -> ValidationReport:
-    """Collect every structural violation; violations are data, not errors."""
-    bad: list[str] = []
-    if spec.n < 1:
-        bad.append(f"player count {spec.n}: a game needs at least one player")
-    eta_ok = 0.0 < spec.eta < math.inf
-    if not eta_ok:
-        bad.append(f"eta must be positive and finite, got {spec.eta}")
+    """The violations the spec's build found (see :class:`GameSpec`): player
+    count and eta, edges, weights and utilities, budgets and behaviors, sums."""
+    return ValidationReport(ok=not spec.violations, violations=spec.violations)
 
-    for (i, j) in sorted(spec.edges):
-        if i == j:
-            bad.append(f"self-loop edge ({i},{i}) is not allowed")
-        if not (0 <= i < spec.n and 0 <= j < spec.n):
-            bad.append(f"edge ({i},{j}) references unknown players")
 
-    directed = set(spec.directed_edges)
-    for e in sorted(directed):
-        if e not in spec.weights:
-            bad.append(f"missing weight for directed edge {e}")
-        if e not in spec.utilities:
-            bad.append(f"missing utility for directed edge {e}")
-    for e in sorted(spec.weights):
-        if e not in directed:
-            bad.append(f"weight given for non-edge {e}")
-        elif not math.isfinite(spec.weights[e]):
-            bad.append(f"weight of edge {e} is not finite ({spec.weights[e]})")
-        elif spec.weights[e] < 0.0:
-            bad.append(f"weight of edge {e} is negative ({spec.weights[e]})")
-    for e in sorted(spec.utilities):
-        if e not in directed:
-            bad.append(f"utility given for non-edge {e}")
-
-    for i in range(spec.n):
-        if i not in spec.budgets:
-            bad.append(f"missing budget for player {i}")
-            continue
-        beta = spec.budgets[i]
-        if beta < 0.0:
-            bad.append(f"budget of player {i} is negative ({beta})")
-        elif eta_ok:
-            units = beta / spec.eta
-            if not units < MAX_BUDGET_UNITS:  # also inf and nan
-                bad.append(
-                    f"budget of player {i} ({beta}) is not a finite count "
-                    f"below 2**53 quanta"
-                )
-            elif abs(units - round(units)) > GRID_TOL * max(1.0, abs(units)):
-                bad.append(
-                    f"budget of player {i} ({beta}) is not a multiple of eta"
-                )
-        if i not in spec.behaviors:
-            bad.append(f"missing behavior for player {i}")
-
-    for i in range(spec.n):
-        if not spec.neighbors[i]:
-            continue  # isolated players have no weight-sum constraint
-        missing = [j for j in spec.neighbors[i] if (i, j) not in spec.weights]
-        if missing:
-            continue  # already reported above
-        total = left_sum(spec.weights[(i, j)] for j in spec.neighbors[i])
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            bad.append(f"weights of player {i} sum to {total}")
-
-    return ValidationReport(ok=not bad, violations=tuple(bad))
+def require_valid(spec: GameSpec) -> None:
+    """Raise ValueError with the spec's first violation, if it has one."""
+    if spec.violations:
+        raise ValueError(spec.violations[0])
 
 
 class FrequencyProfile:
@@ -309,36 +338,31 @@ def check_feasible(spec: GameSpec, profile: FrequencyProfile) -> tuple[list, boo
     """Raise InfeasibleProfileError naming the first offending player.  A
     row of ints is held to the budget exactly, a row with a float within
     ``FEASIBILITY_TOL`` of it, relative.  Returns the proposals by edge id
-    (see :attr:`GameSpec.index`) and whether they are all ints."""
-    if tuple(profile.counts) != spec.directed_edges:
-        for e in profile.counts:
-            if e[1] not in spec.neighbors.get(e[0], ()):
+    (see :class:`GameSpec`) and whether they are all ints."""
+    counts, edges, off = profile.counts, spec.directed_edges, spec.off
+    if tuple(counts) != edges:
+        for e in counts:
+            if not (0 <= e[0] < spec.n and e[1] in spec.rows[e[0]].neighbors):
                 raise InfeasibleProfileError(e[0], f"proposal on non-edge {e}")
     flat = []
     integral = True
-    for i in range(spec.n):
+    for i, row in enumerate(spec.rows):
         total = 0  # stays an exact int on integer rows
-        for j in spec.neighbors[i]:
-            c = profile.counts.get((i, j))
+        for e in edges[off[i] : off[i + 1]]:
+            c = counts.get(e)
             if c is None:
-                raise InfeasibleProfileError(
-                    i, f"missing proposal from {i} to {j}"
-                )
+                raise InfeasibleProfileError(i, f"missing proposal from {i} to {e[1]}")
             if c < 0:
-                raise InfeasibleProfileError(
-                    i, f"negative proposal from {i} to {j}: {c}"
-                )
+                raise InfeasibleProfileError(i, f"negative proposal from {i} to {e[1]}: {c}")
             total += c
             flat.append(c)
-        limit = spec.budget_units(i)
+        limit = row.budget
         exact = isinstance(total, int)
         integral &= exact
         allowance = 0 if exact else FEASIBILITY_TOL * max(1.0, limit)
         if total > limit + allowance:
-            raise InfeasibleProfileError(
-                i,
-                f"player {i} proposes {total} units, budget is {limit} units",
-            )
+            message = f"player {i} proposes {total} units, budget is {limit} units"
+            raise InfeasibleProfileError(i, message)
     return flat, integral
 
 
@@ -370,7 +394,7 @@ def win_set(
     every cap constraint of i binds and i has no unilateral gain.
     """
     counts = profile.counts
-    return [j for j in spec.neighbors[i] if counts[(i, j)] < counts[(j, i)]]
+    return [j for j in spec.rows[i].neighbors if counts[(i, j)] < counts[(j, i)]]
 
 
 def outcome_summary(spec: GameSpec, profile: FrequencyProfile) -> OutcomeSummary:
@@ -380,7 +404,7 @@ def outcome_summary(spec: GameSpec, profile: FrequencyProfile) -> OutcomeSummary
 def flat_outcome_summary(spec: GameSpec, flat: Sequence) -> OutcomeSummary:
     """:func:`outcome_summary` of a feasible profile's proposals by edge id,
     as :func:`check_feasible` returns them; int amounts stay exact ints."""
-    rows, off, rev = spec.index
+    rows, off, rev = spec.rows, spec.off, spec.rev
     agreed: dict[tuple[int, int], float] = {}
     slack: dict[PlayerId, float] = {}
     win: dict[PlayerId, frozenset[int]] = {}
@@ -415,7 +439,7 @@ def player_utility(
     Leftover budget yields nothing; an isolated player scores 0.
     """
     counts = profile.counts
-    row = spec.index.rows[i]
+    row = spec.rows[i]
     total = 0.0
     for j, w, u in zip(row.neighbors, row.weights, row.utils):
         total += w * u.value(min(counts[(i, j)], counts[(j, i)]) * spec.eta)

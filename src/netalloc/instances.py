@@ -31,8 +31,8 @@ from .analysis import (
     _require_finite,
     global_ranking_weights,
 )
-from .game import BEHAVIORS, Behavior, FrequencyProfile, GameSpec, left_sum
-from .utility import CAPPED_QUADRATIC, FAMILIES, POWER, UtilitySpec
+from .game import BEHAVIORS, Behavior, EdgeSpec, FrequencyProfile, GameSpec, left_sum
+from .utility import _SHARED, CAPPED_QUADRATIC, FAMILIES, POWER, UtilitySpec
 
 
 # -- document parsing ----------------------------------------------------------
@@ -116,16 +116,6 @@ def _rows(rows, where: str) -> tuple[tuple[int, int, int], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeSpec:
-    i: int
-    j: int
-    w_ij: float
-    w_ji: float
-    utility_ij: UtilitySpec
-    utility_ji: UtilitySpec
-
-
 @dataclass(frozen=True)
 class InstanceDocument:
     n: int
@@ -141,38 +131,15 @@ class InstanceDocument:
 
     # -- conversions -------------------------------------------------------
 
-    def to_game_spec(
-        self, behavior_override: str | None = None
-    ) -> GameSpec:
-        """Materialize a GameSpec; ``behavior_override`` forces every player
-        pessimistic or optimistic (used by paired experiments).  Every map of
-        the spec keys a direction with the same tuple object."""
-        weights = {}
-        utilities = {}
-        edge_pairs = []
-        for e in self.edges:
-            ij, ji = (e.i, e.j), (e.j, e.i)
-            edge_pairs.append(ij if e.i <= e.j else ji)
-            weights[ij] = e.w_ij
-            weights[ji] = e.w_ji
-            utilities[ij] = e.utility_ij
-            utilities[ji] = e.utility_ji
-        names = (
-            [behavior_override] * self.n
-            if behavior_override is not None
-            else list(self.behaviors)
-        )
-        behaviors = {i: Behavior(names[i]) for i in range(self.n)}
-        budgets = {i: self.budgets[i] * self.eta for i in range(self.n)}
-        return GameSpec.build(
-            n=self.n,
-            eta=self.eta,
-            edges=edge_pairs,
-            weights=weights,
-            budgets=budgets,
-            utilities=utilities,
-            behaviors=behaviors,
-        )
+    def to_game_spec(self, behavior_override: str | None = None) -> GameSpec:
+        """The game's player rows, filled from the edges (see
+        :meth:`GameSpec.from_edges`); ``behavior_override`` forces every
+        player pessimistic or optimistic (used by paired experiments)."""
+        n, eta = self.n, self.eta
+        names = self.behaviors if behavior_override is None else [behavior_override] * n
+        kinds = {name: Behavior(name) for name in set(names)}
+        return GameSpec.from_edges(n, eta, self.edges, [self.budgets[i] * eta for i in range(n)],
+                                   [kinds[names[i]] for i in range(n)])
 
     def ranking_system(self) -> RankingSystem | None:
         if self.ranking is None:
@@ -511,7 +478,7 @@ def _random_utility(rng: random.Random, beta: float, family: str | None) -> Util
         return UtilitySpec.power(round(rng.uniform(0.2, 1.0), 3))
     if fam == CAPPED_QUADRATIC:
         return UtilitySpec.capped_quadratic(round(rng.uniform(0.5, 1.5) * beta, 3))
-    return UtilitySpec.from_json({"family": fam})
+    return _SHARED.get(fam) or UtilitySpec(fam)
 
 
 def gen_random_instance(

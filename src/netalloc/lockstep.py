@@ -20,16 +20,16 @@ from itertools import repeat, starmap
 import numpy as np
 
 from . import bestresponse, dynamics
-from .game import MAX_BUDGET_UNITS, Behavior, FrequencyProfile, GameSpec, check_feasible, left_sum
+from .game import Behavior, FrequencyProfile, GameSpec, check_feasible, left_sum, require_valid
 from .utility import INF, SQRT
 
 
 def qualifies(spec: GameSpec) -> bool:
     """One degree d >= 1, budgets in (0, 2**53) quanta, sqrt with w > 0."""
-    rows = spec.index.rows
+    rows = spec.rows
     return bool(rows) and all(
         len(row.neighbors) == len(rows[0].neighbors) > 0
-        and 0 < row.budget < MAX_BUDGET_UNITS
+        and row.budget is not None and row.budget > 0
         and all(w > 0.0 and u.family == SQRT for w, u in zip(row.weights, row.utils))
         for row in rows
     )
@@ -208,15 +208,14 @@ class _Runs:
     """A batch's runs, flat: player i at run * n + i, edge x at run * 2|E| + x."""
 
     def __init__(self, spec: GameSpec, seeds, tol: float):
-        rows, _, rev = spec.index
+        rows, rev = spec.rows, spec.rev
         self.tol, self.eta = tol, spec.eta
         self.n, self.d = n, d = spec.n, len(rows[0].neighbors)
         self.cols, self.rev = np.arange(d), np.array(rev)
         self.nbr = np.array([j for row in rows for j in row.neighbors])
         self.w = np.array([w for row in rows for w in row.weights])
         self.budget = np.array([row.budget for row in rows])
-        optimistic = [spec.behaviors[i] is Behavior.OPTIMISTIC for i in range(n)]
-        self.optimistic = np.array(optimistic)
+        self.optimistic = np.array([row.behavior is Behavior.OPTIMISTIC for row in rows])
         self.bits = [random.Random(s).getrandbits for s in seeds]
         start = _random_start(self.w.reshape(n, d), self.budget, self.eta, seeds).reshape(-1, n, d)
         if (bad := ((start.sum(2) > self.budget) | (start < 0).any(2)).any(1)).any():
@@ -267,7 +266,8 @@ class _Runs:
         return status, utility
 
     def run(self, max_rounds: int):
-        """Each run's convergence and rounds, or its ``InvariantViolation``."""
+        """Each run's convergence and rounds, or its ``InvariantViolation``: on
+        a valid spec, the law checks (stable-set loss too) guard the bookkeeping."""
         f, terms, slack, wins = self.f, self.terms, self.slack, self.wins
         status, util, n, fail = self.status, self.util, self.n, self.failed.setdefault
         grid = status.reshape(len(self.bits), n)
@@ -330,7 +330,9 @@ class _Runs:
 
 def run_batch(spec: GameSpec, config: dynamics.DynamicsConfig, seeds: list[int]):
     """(converged, rounds, final welfare) of each seed's run, and the final
-    proposals by edge id, a row per run; ``spec`` must qualify."""
+    proposals by edge id, a row per run; ``spec`` must qualify, and be valid
+    (else ValueError with its first violation, as ``run_sequential``)."""
+    require_valid(spec)
     with np.errstate(all="ignore"):
         batch = _Runs(spec, seeds, config.tol)
         converged, rounds = batch.run(config.max_rounds)

@@ -284,7 +284,7 @@ def solver_vs_oracle() -> str:
             budget_units=rng.randint(4, 12),
         )
         spec = doc.to_game_spec()
-        if any(spec.degree(i) > 3 for i in range(spec.n)):
+        if any(len(row.neighbors) > 3 for row in spec.rows):
             continue
         found += 1
         profile = init_profile(spec, RandomFeasible(seed))

@@ -38,6 +38,18 @@ def make_spec(
     )
 
 
+def rebuilt(spec, **maps):
+    """``spec`` built again from its maps, with the given ones (``weights``,
+    ``budgets``, ``utilities`` or ``behaviors``) replaced."""
+    given = dict(
+        weights=spec.weights,
+        budgets=spec.budgets,
+        utilities=spec.utilities,
+        behaviors=spec.behaviors,
+    )
+    return GameSpec.build(spec.n, spec.eta, spec.edges, **{**given, **maps})
+
+
 def single_edge_spec(
     u=None,
     eta=1.0,

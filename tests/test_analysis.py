@@ -221,7 +221,7 @@ def games_and_profiles(draw):
     counts = {}
     for i in range(spec.n):
         nbrs = spec.neighbors[i]
-        share = spec.budget_units(i) // max(1, len(nbrs))
+        share = spec.rows[i].budget // max(1, len(nbrs))
         amount = st.floats(0.0, share) if real else st.integers(0, share)
         for j in nbrs:
             counts[(i, j)] = draw(amount)
@@ -307,7 +307,7 @@ def test_optimum_edge_facts_come_from_the_utilities():
     ]
     edge_data = [(2 * e, 2 * e + 1, *pair) for e, pair in enumerate(pairs)]
     spec = make_spec(12, 1.0, edge_data, [4.0, 5.0] * 6)
-    edges = _Edges.build(spec, sorted(spec.edges))
+    edges = _Edges.build(spec)
     assert edges.box.tolist() == [4.0] * 6
     assert edges.top.tolist() == [4.0, 4.0, 1.5, 4.0, 4.0, 4.0]
     assert edges.d0.tolist() == [1.0, 0.5 + 0.5 * 2.0, 2.0, math.inf, math.inf, 0.5]
@@ -473,7 +473,7 @@ def test_newton_steps_with_flat_edges(monkeypatch):
     # three linear (flat) edges beside the curved ones: their proximal
     # centres stay put within a step, which works on the dual the sweep settles
     spec = gen_random_instance(n=7, edge_prob=0.5, seed=7, budget_units=20).to_game_spec()
-    assert (_Edges.build(spec, sorted(spec.edges)).rho > 0.0).sum() == 3
+    assert (_Edges.build(spec).rho > 0.0).sum() == 3
     steps = _NewtonSteps(monkeypatch)
     opt = global_optimum(spec)
     assert _reaches(opt, 2.618101240808816)
@@ -530,7 +530,7 @@ def test_newton_stops_on_a_root_that_underflows(monkeypatch):
     # evaluations here), where one relative to hi never held while lo is 0
     spec = make_spec(2, 1.0, [(0, 1, 0.3, 0.7, UtilitySpec.log1p(), UtilitySpec.power(0.999))],
                      [1000.0, 1000.0])
-    edges = _Edges.build(spec, [(0, 1)])
+    edges = _Edges.build(spec)
     assert edges.top.tolist() == [1000.0] and edges.kind.tolist() == [SOLVED]
     calls = []
     slopes = _Edges.slopes

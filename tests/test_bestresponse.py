@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import OPT, PESS, make_spec, path3_spec, profile_of, single_edge_spec
-from netalloc import bestresponse, game
+from netalloc import bestresponse
 from netalloc.bestresponse import (
     best_move,
     best_response,
@@ -35,7 +35,7 @@ from netalloc.utility import INF, UtilitySpec
 def _water_fill(weights, utils, caps, budget, eta):
     """The solver's water fill, with the zero-level marginals w u'(0) that
     a player row holds."""
-    zeros = [game._zero_marginal(w, u) for w, u in zip(weights, utils)]
+    zeros = [w * u.marginal(0.0) if w > 0.0 else 0.0 for w, u in zip(weights, utils)]
     return bestresponse._water_fill(weights, utils, zeros, caps, budget, eta)
 
 
@@ -51,7 +51,7 @@ def _realized_utility(spec, i, proposals, caps_profile):
 
 def _slack_after(spec, i, proposals, caps_profile):
     """The budget (eta units) that the response leaves unrealized."""
-    return spec.budget_units(i) - sum(
+    return spec.rows[i].budget - sum(
         min(c, caps_profile.counts[(j, i)])
         for j, c in zip(spec.neighbors[i], proposals)
     )
@@ -73,7 +73,7 @@ def test_k5_best_response_matches_incoming_weights():
         [spec.weights[(0, j)] for j in nbrs],
         [spec.utilities[(0, j)] for j in nbrs],
         [start.counts[(j, 0)] for j in nbrs],
-        spec.budget_units(0),
+        spec.rows[0].budget,
         spec.eta,
     )
     assert delta == 0.0
@@ -491,9 +491,9 @@ def test_best_move_matches_enumeration(terms):
 def _assert_no_single_quantum_improvement(spec, profile, i, br):
     """Exchange argument: a grid optimum admits no improving one-quantum
     move (add one where budget allows, or shift one between neighbors)."""
-    deg = spec.degree(i)
+    deg = len(spec.rows[i].neighbors)
     base = _realized_utility(spec, i, br.proposals, profile)
-    budget = spec.budget_units(i)
+    budget = spec.rows[i].budget
     used = sum(br.proposals)
     for j in range(deg):
         if used + 1 <= budget:
@@ -524,7 +524,7 @@ def test_br_against_exhaustive_oracle_small():
     for seed in range(40):
         doc = gen_random_instance(n=5, edge_prob=0.5, seed=seed, budget_units=10)
         spec = doc.to_game_spec()
-        if any(spec.degree(i) > 3 for i in range(spec.n)):
+        if any(len(spec.rows[i].neighbors) > 3 for i in range(spec.n)):
             continue
         profile = init_profile(spec, RandomFeasible(seed))
         for i in range(spec.n):
@@ -558,7 +558,7 @@ def test_br_feasible_and_never_harms():
         profile = init_profile(spec, RandomFeasible(7 * seed))
         for i in range(spec.n):
             br = best_response(spec, profile, i)
-            assert sum(br.proposals) <= spec.budget_units(i)
+            assert sum(br.proposals) <= spec.rows[i].budget
             assert all(c >= 0 for c in br.proposals)
             assert br.realized_utility >= player_utility(spec, profile, i) - 1e-12
 

@@ -1,5 +1,4 @@
 import builtins
-import dataclasses
 import hashlib
 import math
 import random
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OPT, PESS, make_spec, profile_of, single_edge_spec
+from helpers import OPT, PESS, make_spec, profile_of, rebuilt, single_edge_spec
 from netalloc import analysis, bestresponse, dynamics, game, instances, utility
 from netalloc.analysis import global_optimum
 from netalloc.bestresponse import best_response, edge_terms, is_best_response
@@ -114,7 +113,7 @@ def _star_floors(spec, seed):
     """Player 0's floored random split: its draws are the seed's first."""
     rng = random.Random(seed)
     draws = [rng.random() for _ in spec.neighbors[0]]
-    budget = spec.budget_units(0)
+    budget = spec.rows[0].budget
     return [int(budget * d / sum(draws)) for d in draws]
 
 
@@ -265,13 +264,27 @@ def test_random_start_keeps_its_pinned_profiles():
 
 def test_zero_budget_game_converges_immediately():
     u = UtilitySpec.sqrt()
-    spec = make_spec(3, 1.0, [(0, 1, 1.0, 1.0, u, u), (1, 2, 0.5, 1.0, u, u)],
+    spec = make_spec(3, 1.0, [(0, 1, 1.0, 0.5, u, u), (1, 2, 0.5, 1.0, u, u)],
                      [0.0, 0.0, 0.0])
     final, trace, status = run_sequential(
         spec, init_profile(spec, Zero()), DynamicsConfig()
     )
     assert status == Converged(t=0)
     assert len(trace.records) == 1
+
+
+def test_engines_refuse_an_invalid_spec_before_round_1():
+    # the centre's weights sum to 3e154, which validate_game rejects; the
+    # engine used to run such a spec anyway (the random start converged in
+    # one round), and with a larger budget its solver could stall
+    u = UtilitySpec.sqrt()
+    star = make_spec(4, 1.0, [(0, j, 1e154, 1.0, u, u) for j in (1, 2, 3)], [1000.0] * 4)
+    assert validate_game(star).violations == ("weights of player 0 sum to 3e+154",)
+    start = init_profile(star, RandomFeasible(0))  # its budgets are counts of quanta
+    with pytest.raises(ValueError, match=r"^weights of player 0 sum to 3e\+154$"):
+        run_sequential(star, start, DynamicsConfig())
+    with pytest.raises(ValueError, match=r"^weights of player 0 sum to 3e\+154$"):
+        run_simultaneous(star, start, DynamicsConfig())
 
 
 def test_k5_sequential_regression():
@@ -300,7 +313,7 @@ def test_sequential_random_instances_converge_with_monotone_slack():
         assert all(isinstance(s, int) for s in slacks)
         assert all(b <= a for a, b in zip(slacks, slacks[1:]))
         # quantized slack can only take so many values
-        total_units = sum(spec.budget_units(i) for i in range(spec.n))
+        total_units = sum(spec.rows[i].budget for i in range(spec.n))
         assert len(set(slacks)) <= total_units + 1
         assert not isinstance(classify_equilibrium(spec, final), NotEquilibrium)
 
@@ -613,7 +626,7 @@ def _sum_sensitive_outputs(doc):
     weights = dict(spec.weights)
     for j in spec.neighbors[0]:
         weights[(0, j)] *= 1.1
-    report = validate_game(dataclasses.replace(spec, weights=weights))
+    report = validate_game(rebuilt(spec, weights=weights))
     assert any("weights of player 0 sum to" in v for v in report.violations)
     return responses, optima, report
 
@@ -838,7 +851,7 @@ def test_active_player_utilities_nondecreasing_on_stable_suffix():
                     min(prof.counts[(i, j)], prof.counts[(j, i)])
                     for j in spec.neighbors[i]
                 )
-                assert realized == spec.budget_units(i)
+                assert realized == spec.rows[i].budget
 
 
 def test_sequential_orders_equivalent_convergence():
@@ -1201,7 +1214,7 @@ def _assert_terms_at_agreed(spec, profile, i, br):
     """``br.terms`` are the edge terms at the response's agreed amounts,
     recomputed through ``UtilitySpec.value``, bit for bit, and the realized
     utility is their left-to-right sum."""
-    row = spec.index.rows[i]
+    row = spec.rows[i]
     caps = [profile.counts[(j, i)] for j in row.neighbors]
     expected = [
         edge_terms(w, u.value, min(a, c), c, spec.eta)
@@ -1218,7 +1231,7 @@ def test_best_response_terms_are_the_edge_terms_at_the_agreed_amounts(
     game, behavior
 ):
     spec, profile, _ = game
-    spec = dataclasses.replace(spec, behaviors={**spec.behaviors, 0: behavior})
+    spec = rebuilt(spec, behaviors={**spec.behaviors, 0: behavior})
     _assert_terms_at_agreed(spec, profile, 0, best_response(spec, profile, 0))
 
 
@@ -1278,7 +1291,7 @@ def test_seeded_solve_matches_the_solve_from_the_profile(game):
         state = _state(spec, init_profile(spec, RandomFeasible(1000 + seed)))
         for _ in range(12):
             profile = _profile(state)
-            for i, row in enumerate(spec.index.rows):
+            for i, row in enumerate(spec.rows):
                 if not row.neighbors or row.budget <= 0:
                     continue
                 families.update(u.family for u in row.utils)

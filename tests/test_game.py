@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OPT, PESS, make_spec, path3_spec, profile_of, single_edge_spec
+from helpers import OPT, PESS, make_spec, path3_spec, profile_of, rebuilt, single_edge_spec
 from netalloc.game import (
     Behavior,
     FrequencyProfile,
@@ -34,15 +34,7 @@ def test_validate_catches_broken_weight_row():
     weights = dict(spec.weights)
     for j in spec.neighbors[0]:
         weights[(0, j)] *= 2.0
-    broken = GameSpec(
-        n=spec.n,
-        eta=spec.eta,
-        edges=spec.edges,
-        weights=weights,
-        budgets=spec.budgets,
-        utilities=spec.utilities,
-        behaviors=spec.behaviors,
-    )
+    broken = rebuilt(spec, weights=weights)
     report = validate_game(broken)
     assert not report.ok
     assert any("weights of player 0 sum to 2" in v for v in report.violations)
@@ -170,15 +162,7 @@ def _non_edge_profiles(spec):
 def test_proposal_on_a_non_edge_is_rejected(case, stray_weight):
     spec = path3_spec()
     if stray_weight:  # an invalid spec: a weight for the non-edge (0, 2)
-        spec = GameSpec(
-            n=spec.n,
-            eta=spec.eta,
-            edges=spec.edges,
-            weights={**spec.weights, (0, 2): 0.0},
-            budgets=spec.budgets,
-            utilities=spec.utilities,
-            behaviors=spec.behaviors,
-        )
+        spec = rebuilt(spec, weights={**spec.weights, (0, 2): 0.0})
         assert "weight given for non-edge (0, 2)" in validate_game(spec).violations
     profile = FrequencyProfile(_non_edge_profiles(spec)[case])
     with pytest.raises(InfeasibleProfileError, match=r"non-edge \(0, 2\)") as err:
@@ -231,7 +215,7 @@ def test_monotone_in_single_proposal():
         base = outcome_summary(spec, profile)
         i, j = spec.directed_edges[rng.randrange(len(spec.directed_edges))]
         out_total = sum(counts[(i, k)] for k in spec.neighbors[i])
-        if out_total + 1 > spec.budget_units(i):
+        if out_total + 1 > spec.rows[i].budget:
             continue
         bumped = profile.with_proposals(i, {j: counts[(i, j)] + 1})
         after = outcome_summary(spec, bumped)
@@ -302,19 +286,21 @@ def test_behavior_enum_round_trip():
 
 @st.composite
 def indexed_games(draw):
-    """A random game (isolated players and n = 1 included) and a feasible
-    profile on it: a random start, halved into floats on request."""
+    """A random game (isolated players and n = 1 included), its document
+    and a feasible profile on it: a random start, halved into floats on
+    request."""
     n = draw(st.integers(1, 12))
-    spec = gen_random_instance(
+    doc = gen_random_instance(
         n=n,
         edge_prob=draw(st.sampled_from([0.0, 0.15, 0.4, 1.0])),
         seed=draw(st.integers(0, 10_000)),
         budget_units=draw(st.integers(1, 20)),
-    ).to_game_spec()
+    )
+    spec = doc.to_game_spec()
     profile = init_profile(spec, RandomFeasible(draw(st.integers(0, 10_000))))
     if draw(st.booleans()):
         profile = FrequencyProfile({e: c / 2 for e, c in profile.counts.items()})
-    return spec, profile
+    return doc, spec, profile
 
 
 # utility arguments: zero, off-grid, grid, past a capped quadratic's peak
@@ -336,7 +322,7 @@ KERNEL_SAMPLES = (0.0, 1e-300, 0.05, 0.5, 1.0, 2.75, 3.0, 40.0, 1e6)
 def test_row_kernels_give_the_bits_of_value_in_every_family(u):
     for w in (0.0, 0.5):
         spec = single_edge_spec(u=u, w=(w, 1.0))
-        row = spec.index.rows[0]
+        row = spec.rows[0]
         for x in KERNEL_SAMPLES:
             assert row.kernels[0](x).hex() == u.value(x).hex()
         assert row.zero_marginals == ((w * u.marginal(0.0) if w else 0.0),)
@@ -344,19 +330,28 @@ def test_row_kernels_give_the_bits_of_value_in_every_family(u):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(indexed_games())
-def test_spec_index_matches_the_edge_dicts(game):
-    spec, profile = game
-    rows, off, rev = spec.index
+def test_spec_rows_match_the_document(game):
+    doc, spec, profile = game
+    rows, off, rev = spec.rows, spec.off, spec.rev
     edges = spec.directed_edges
+    given = {}  # the document's (weight, utility) per directed edge
+    for e in doc.edges:
+        given[(e.i, e.j)] = (e.w_ij, e.utility_ij)
+        given[(e.j, e.i)] = (e.w_ji, e.utility_ji)
     assert len(rows) == spec.n and len(off) == spec.n + 1
-    assert off[0] == 0 and off[-1] == len(edges) == len(rev)
+    assert off[0] == 0 and off[-1] == len(edges) == len(rev) == len(given)
+    assert validate_game(spec).ok
     for i, row in enumerate(rows):
-        nbrs = spec.neighbors[i]
+        nbrs = tuple(sorted(j for (k, j) in given if k == i))
         assert edges[off[i] : off[i + 1]] == tuple((i, j) for j in nbrs)
-        assert row.neighbors == nbrs
-        assert row.weights == tuple(spec.weights[(i, j)] for j in nbrs)
-        assert row.utils == tuple(spec.utilities[(i, j)] for j in nbrs)
-        assert row.budget == spec.budget_units(i)
+        assert row.neighbors == nbrs == spec.neighbors[i]
+        assert row.weights == tuple(given[(i, j)][0] for j in nbrs)
+        assert row.utils == tuple(given[(i, j)][1] for j in nbrs)
+        assert row.budget == doc.budgets[i]
+        assert row.behavior is Behavior(doc.behaviors[i]) is spec.behaviors[i]
+        assert spec.budgets[i] == doc.budgets[i] * doc.eta
+        for j, w, u in zip(nbrs, row.weights, row.utils):
+            assert spec.weights[(i, j)] == w and spec.utilities[(i, j)] is u
         for w, u, value, zero in zip(
             row.weights, row.utils, row.kernels, row.zero_marginals
         ):
@@ -366,7 +361,7 @@ def test_spec_index_matches_the_edge_dicts(game):
     for e, (i, j) in enumerate(edges):
         assert rev[rev[e]] == e
         assert edges[rev[e]] == (j, i)
-    assert spec.index is spec.index  # built once
+    assert spec.directed_edges is spec.directed_edges  # built once
 
     # outcome_summary against a recomputation from the counts dict
     counts = profile.counts
@@ -374,7 +369,7 @@ def test_spec_index_matches_the_edge_dicts(game):
         (i, j): min(counts[(i, j)], counts[(j, i)]) for (i, j) in sorted(spec.edges)
     }
     slack = {
-        i: spec.budget_units(i)
+        i: spec.rows[i].budget
         - sum(agreed[(min(i, j), max(i, j))] for j in spec.neighbors[i])
         for i in range(spec.n)
     }

@@ -26,11 +26,12 @@ from netalloc.dynamics import (
     run_sequential,
 )
 from netalloc.experiment import ExperimentConfig, _single_run, run_batch_experiment
-from netalloc.game import FrequencyProfile, InfeasibleProfileError, check_feasible, left_sum
+from netalloc.game import (FrequencyProfile, InfeasibleProfileError, check_feasible, left_sum,
+                           social_welfare, validate_game)
 from netalloc.instances import gen_random_instance, gen_torus_grid
 from netalloc.utility import UtilitySpec
 
-from helpers import OPT, PESS, make_spec
+from helpers import OPT, PESS, make_spec, rebuilt
 
 SQRT = UtilitySpec.sqrt()
 
@@ -73,19 +74,18 @@ def draw_caps(rng, d, budget):
 def oracle_rows(spec, rows, rng):
     """Compare the batched grid response of each of ``rows`` (player, caps)
     with ``best_response`` from a random standing row."""
-    index = spec.index
-    d = len(index.rows[0].neighbors)
+    d = len(spec.rows[0].neighbors)
     players = [i for i, _ in rows]
     caps = np.array([c for _, c in rows], dtype=np.int64)
     standings = []
     for i, cap in rows:
-        row = index.rows[i]
+        row = spec.rows[i]
         own = [rng.randrange(0, row.budget + 2) for _ in range(d)]
         terms = [edge_terms(w, k, min(o, c), c, spec.eta)
                  for w, k, o, c in zip(row.weights, row.kernels, own, cap)]
         standings.append((own, *map(list, zip(*terms))))
-    w = np.array([index.rows[i].weights for i in players])
-    budget = np.array([index.rows[i].budget for i in players])
+    w = np.array([spec.rows[i].weights for i in players])
+    budget = np.array([spec.rows[i].budget for i in players])
     optimistic = np.array([spec.behaviors[i] is OPT for i in players])
     with np.errstate(all="ignore"):
         alloc, terms, realized = lockstep._respond(w, caps, budget, optimistic, spec.eta)
@@ -109,14 +109,14 @@ def test_batched_response_matches_best_response(d, offsets):
         rows = []
         for _ in range(400):
             i = rng.randrange(n)
-            rows.append((i, draw_caps(rng, d, spec.index.rows[i].budget)))
+            rows.append((i, draw_caps(rng, d, spec.rows[i].budget)))
         oracle_rows(spec, rows, rng)
         checked += len(rows)
         assert {spec.behaviors[i] for i, _ in rows} == {OPT, PESS}
         assert any(0 in c for _, c in rows)
-        assert any(max(c) >= spec.index.rows[i].budget for i, c in rows)
+        assert any(max(c) >= spec.rows[i].budget for i, c in rows)
         assert any(
-            sum(min(x, spec.index.rows[i].budget) for x in c) <= spec.index.rows[i].budget
+            sum(min(x, spec.rows[i].budget) for x in c) <= spec.rows[i].budget
             for i, c in rows
         )
     assert checked >= 1200
@@ -158,7 +158,7 @@ def test_a_sum_on_the_budget_is_decided_by_fsum(monkeypatch):
 def cap_matching(spec, i, caps):
     """The spare quanta ``best_response``'s polish leaves player i, and the
     room below each cap there, from which cap matching takes."""
-    row = spec.index.rows[i]
+    row = spec.rows[i]
     _, targets = bestresponse._water_fill(
         row.weights, row.utils, row.zero_marginals, caps, row.budget, spec.eta
     )
@@ -180,7 +180,7 @@ def test_cap_matching_matches_best_response():
             ([2, 100, 100, 0], [5, 100, 100, 0], [2, 6, 13, 0], [1, 1, 100, 0])]
     for _ in range(400):
         i = rng.randrange(9)
-        rows.append((i, draw_caps(rng, 4, spec.index.rows[i].budget)))
+        rows.append((i, draw_caps(rng, 4, spec.rows[i].budget)))
     oracle_rows(spec, rows, rng)
     reached = {}
     for i, caps in rows:
@@ -359,7 +359,7 @@ def k5_spec(budgets=(40.0,) * 5, weights=(0.25,) * 4, u01=SQRT):
 
 def start_args(spec, seeds):
     """``_random_start``'s arguments for each seed's run on ``spec``."""
-    rows = spec.index.rows
+    rows = spec.rows
     w = np.array([row.weights for row in rows])
     return w, np.array([row.budget for row in rows]), spec.eta, seeds
 
@@ -403,7 +403,7 @@ def test_random_start_matches_init_profile(spec, seeds):
 def test_a_start_near_2_53_spends_each_budget(monkeypatch):
     doc = gen_torus_grid(3, 3, beta=2.0**53 - 1, eta=1.0, weight_seed=7, utility=SQRT)
     spec = doc.to_game_spec()
-    budget = spec.index.rows[3].budget
+    budget = spec.rows[3].budget
     # seed 7: player 3's floored shares round up to one quantum over budget
     rng = random.Random(7)
     draws = [rng.random() for _ in range(16)][12:]  # players 0-2 draw first
@@ -413,7 +413,7 @@ def test_a_start_near_2_53_spends_each_budget(monkeypatch):
         start = init_profile(spec, RandomFeasible(s))
         check_feasible(spec, start)
         key = start.key(spec)
-        for row, off in zip(spec.index.rows, spec.index.off):
+        for row, off in zip(spec.rows, spec.off):
             assert sum(key[off : off + 4]) == row.budget
     for behavior in ("optimistic", "pessimistic"):
         config = ExperimentConfig(runs=40, seed=0, behavior=behavior,
@@ -504,6 +504,17 @@ def test_qualifies_refuses_each_failing_condition(spec):
     assert lockstep.qualifies(k5_spec())
     assert lockstep.qualifies(c8_torus().to_game_spec())
     assert not lockstep.qualifies(spec)
+
+
+def test_batch_refuses_an_invalid_spec():
+    spec = c8_torus().to_game_spec()
+    doubled = rebuilt(spec, weights={e: 2.0 * w for e, w in spec.weights.items()})
+    assert lockstep.qualifies(doubled)
+    first = validate_game(doubled).violations[0]
+    assert first.startswith("weights of player 0 sum to 2")
+    with pytest.raises(ValueError) as err:
+        lockstep.run_batch(doubled, DynamicsConfig(), [0, 1])
+    assert str(err.value) == first
 
 
 def test_mixed_families_take_the_scalar_path(monkeypatch):
@@ -619,7 +630,7 @@ def test_an_overspent_row_reads_as_in_the_scalar_engine(behavior, monkeypatch):
 
     def scalar_over(spec, profile, i, caps, standing):
         br = scalar_response(spec, profile, i, caps, standing)
-        overspend_by_one(br.proposals, spec.index.rows[i].budget)
+        overspend_by_one(br.proposals, spec.rows[i].budget)
         return br
 
     def batch_over(w, caps, budget, optimistic, eta):
@@ -697,3 +708,129 @@ def test_a_stable_set_loss_reads_as_in_the_scalar_engine(behavior, seed, at, mon
         run_sequential(spec, init_profile(spec, RandomFeasible(seed)), config, "light")
     assert str(batch.value) == str(scalar.value)
     assert str(batch.value).startswith("stable set shrank on the slack-stable suffix at round ")
+
+
+# -- differential oracle: the batch against run_sequential over the domain
+# that qualifies() admits
+
+
+def random_regular_edges(rng, n, d):
+    """A random simple d-regular graph on n players (d < n, n * d even): a
+    circulant graph rewired by random double-edge swaps."""
+    offsets = list(range(1, d // 2 + 1)) + [n // 2] * (d % 2)
+    edges = sorted({tuple(sorted((i, (i + o) % n))) for i in range(n) for o in offsets})
+    present = set(edges)
+    for _ in range(10 * len(edges) * (len(edges) > 1)):
+        x, y = rng.sample(range(len(edges)), 2)
+        (a, b), (c, e) = edges[x], edges[y]
+        if rng.random() < 0.5:
+            c, e = e, c
+        new = (tuple(sorted((a, c))), tuple(sorted((b, e))))
+        if a != c and b != e and not present & set(new):
+            present -= {edges[x], edges[y]}
+            present |= set(new)
+            edges[x], edges[y] = new
+    return sorted(edges)
+
+
+def row_weights(rng, d):
+    """d positive weights normalised to sum 1, with ties or spreads up to
+    10**+-8."""
+    kind = rng.randrange(3)
+    if kind == 0:  # all equal
+        draws = [1.0] * d
+    elif kind == 1:  # a few values, so some tie
+        values = [10 ** rng.uniform(-8, 8) for _ in range(2)]
+        draws = [rng.choice(values) for _ in range(d)]
+    else:
+        draws = [10 ** rng.uniform(-8, 8) for _ in range(d)]
+    total = left_sum(draws)
+    return [x / total for x in draws]
+
+
+def row_budget(rng, d):
+    """A budget in quanta: 1, below the degree, small, or up to 2**53 - 1."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return 1
+    if kind == 1:
+        return rng.randint(1, max(1, d - 1))
+    if kind == 2:
+        return rng.randint(1, 1000)
+    if kind == 3:
+        return 2**53 - 1
+    return rng.randint(1, 2**53 - 1)
+
+
+def draw_oracle_case(seed):
+    """A spec that passes validate_game and qualifies, and a config: a random
+    d-regular graph (d from 1 to 6, up to 30 players), eta from 0.01 to 3,
+    behaviours and budgets per player, tol 0 or positive, few or many
+    rounds."""
+    rng = random.Random(seed)
+    d = rng.randint(1, 6)
+    n = rng.randint(d + 1, 30)
+    n += n * d % 2
+    edges = random_regular_edges(rng, n, d)
+    eta = rng.choice([0.01, 0.1, 0.25, 1.0, 3.0, 10 ** rng.uniform(-2, math.log10(3))])
+    nbrs = {i: sorted({j for e in edges if i in e for j in e} - {i}) for i in range(n)}
+    w = {}
+    for i in range(n):
+        w.update(zip([(i, j) for j in nbrs[i]], row_weights(rng, d)))
+    budgets = []
+    for i in range(n):
+        units = row_budget(rng, d)
+        while not units * eta / eta < 2**53:  # rounding must not reach 2**53
+            units -= 1
+        budgets.append(units * eta)
+    behaviors = {i: rng.choice((OPT, PESS)) for i in range(n)}
+    edge_data = [(i, j, w[(i, j)], w[(j, i)], SQRT, SQRT) for (i, j) in edges]
+    spec = make_spec(n, eta, edge_data, budgets, behaviors)
+    config = DynamicsConfig(max_rounds=rng.choice([50, 3000]),
+                            tol=rng.choice([0.0, 1e-9, 1e-6, 1e-3]))
+    return spec, config
+
+
+def assert_batch_equals_scalar(spec, config, seeds):
+    """run_batch against run_sequential run by run: converged flag, rounds,
+    repr of the final welfare and the final rows, or the same error (the
+    batch raises its first failing run's)."""
+    try:
+        results, finals = lockstep.run_batch(spec, config, seeds)
+        batch_error = None
+    except (dynamics.InvariantViolation, ValueError) as exc:
+        batch_error = exc
+    scalar, scalar_error = [], None
+    for s in seeds:
+        cfg = dynamics.DynamicsConfig(RandomSeeded(s), config.max_rounds, config.tol)
+        try:
+            final, _, status = run_sequential(
+                spec, init_profile(spec, RandomFeasible(s)), cfg, trace_detail="light"
+            )
+        except (dynamics.InvariantViolation, ValueError) as exc:
+            scalar_error = exc
+            break
+        converged = isinstance(status, dynamics.Converged)
+        rounds = status.t if converged else config.max_rounds
+        welfare = repr(social_welfare(spec, final))
+        scalar.append((converged, rounds, welfare, list(final.key(spec))))
+    if batch_error or scalar_error:
+        assert type(batch_error) is type(scalar_error)
+        assert str(batch_error) == str(scalar_error)
+        return
+    batch = [(c, t, repr(sw), row.tolist()) for (c, t, sw), row in zip(results, finals)]
+    assert batch == scalar
+
+
+# a fixed subset; a change to lockstep.py runs the same check on seeds 0-749
+ORACLE_SEEDS = range(48)
+
+
+def test_batch_equals_the_scalar_engine_on_qualifying_specs():
+    degrees = set()
+    for seed in ORACLE_SEEDS:
+        spec, config = draw_oracle_case(seed)
+        assert validate_game(spec).ok and lockstep.qualifies(spec), seed
+        degrees.add(len(spec.rows[0].neighbors))
+        assert_batch_equals_scalar(spec, config, list(range(seed * 100, seed * 100 + 12)))
+    assert degrees == set(range(1, 7))
